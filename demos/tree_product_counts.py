@@ -3,14 +3,14 @@
 
 Walks through the three closed forms on a handful of trees, checks each
 against the brute-force oracle, and (with numpy installed) shows that
-the exact determinant values really are the spectral products they
-claim to be:
+the exact values really are the spectral products they claim to be:
 
-    Pm(C4 x T) = prod_j (2 + t_j^2)          = det(2I + A^2)
-    Pm(P4 x T) = prod_{t>=0} (1 + 3t^2 + t^4) = sqrt(det(I + 3A^2 + A^4))
-    Pm(P3 x T) = prod_{t>0} (2 + t^2)         = sqrt(det(2I + A^2))
+    Pm(C4 x T) = prod_j (2 + t_j^2)          = 2^e * psi(-2)^2
+    Pm(P4 x T) = prod_{t>=0} (1 + 3t^2 + t^4) = |Res(y^2 + 3y + 1, psi)|
+    Pm(P3 x T) = prod_{t>0} (2 + t^2)         = |psi(-2)|
 
-where t_j runs over the eigenvalues of the tree's adjacency matrix.
+where t_j runs over the eigenvalues of the tree's adjacency matrix and
+the characteristic polynomial of the tree is x^e * psi(x^2).
 """
 
 import pfmatch as pf
@@ -59,7 +59,7 @@ def main():
 
     print()
     print("=" * 72)
-    print("The determinants are spectral products (floating cross-check)")
+    print("The exact counts are spectral products (floating cross-check)")
     print("=" * 72)
     try:
         import numpy as np
@@ -77,7 +77,7 @@ def main():
     print(f"prod (1 + 3 t^2 + t^4)    = {product_p4:.6f}   exact: {pf.count_p4_tree(t).count}^2"
           f" = {pf.count_p4_tree(t).count ** 2}")
     print("\nthe exact path never touches floating point: it evaluates the same")
-    print("products as det(2I + A^2) and det(I + 3A^2 + A^4) in integer arithmetic.")
+    print("products from the tree's characteristic polynomial in integer arithmetic.")
 
 
 if __name__ == "__main__":

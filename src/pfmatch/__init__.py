@@ -2,13 +2,16 @@
 
 The package has four layers:
 
-- graphs:       paths, cycles, trees, Cartesian products, cycle enumeration
+- graphs:       paths, cycles, trees, Cartesian products, cycle enumeration,
+                and the linear-time perfect-matching test for trees
 - orientation:  the doubled / layered / four-layer orientations and the
                 nice-even-cycle Pfaffian check
 - exactlinalg:  fraction-free determinants, tree characteristic polynomials,
-                exact matrix polynomials and integer square roots
+                root_product (the product of a polynomial over the roots
+                of a small monic one) and integer square roots
 - counting:     brute-force oracle, Pfaffian counting, and the closed-form
-                eigenvalue-product counts evaluated exactly
+                eigenvalue-product counts, each evaluated exactly from the
+                tree characteristic polynomial through root_product
 
 plus a command-line front end (pfmatch.cli / the `pfmatch` script).
 """
@@ -54,11 +57,8 @@ from .exactlinalg import (
     adjacency_matrix,
     char_poly_tree,
     det_bareiss,
-    eval_matrix_poly,
-    identity_matrix,
     integer_sqrt_exact,
-    mat_mul,
-    skew_char_poly,
+    root_product,
 )
 from .graphs import (
     DEFAULT_CYCLE_GUARD,
@@ -73,6 +73,7 @@ from .graphs import (
     parse_edge_list,
     path_graph,
     random_tree,
+    tree_has_perfect_matching,
     validate_tree,
 )
 from .orientation import (
@@ -138,16 +139,13 @@ __all__ = [
     "det_bareiss",
     "doubling_matching",
     "enumerate_cycles",
-    "eval_matrix_poly",
     "format_edge_list",
     "format_oriented_edge_list",
     "has_perfect_matching",
-    "identity_matrix",
     "integer_sqrt_exact",
     "is_cycle_of",
     "is_nice_cycle",
     "is_oddly_oriented",
-    "mat_mul",
     "matchings_by_size",
     "max_matching_size",
     "orient_c4_tree",
@@ -158,9 +156,10 @@ __all__ = [
     "parse_oriented_edge_list",
     "path_graph",
     "random_tree",
+    "root_product",
     "skew_adjacency",
-    "skew_char_poly",
     "squarish_decompose",
+    "tree_has_perfect_matching",
     "validate_tree",
     "verify_identities",
 ]

@@ -31,17 +31,13 @@ from .counting import (
     count_pfaffian,
     verify_identities,
 )
-from .brute import has_perfect_matching
 from .errors import (
     EdgeListParseError,
-    InvalidCycleError,
     InvalidSizeError,
     NotAPerfectSquareError,
-    NotATreeError,
     NotPfaffianError,
     NotSquarishError,
     NumericalConsistencyError,
-    OddCycleParityError,
     PfmatchError,
     PreconditionError,
     SizeLimitError,
@@ -55,6 +51,7 @@ from .graphs import (
     parse_edge_list,
     path_graph,
     random_tree,
+    tree_has_perfect_matching,
     validate_tree,
 )
 from .orientation import (
@@ -90,11 +87,6 @@ def _exit_code_for(exc: PfmatchError) -> int:
         return EXIT_NUMERIC
     if isinstance(exc, (NotPfaffianError, NotSquarishError, NotAPerfectSquareError)):
         return EXIT_VIOLATION
-    if isinstance(
-        exc,
-        (InvalidSizeError, NotATreeError, InvalidCycleError, OddCycleParityError, PreconditionError),
-    ):
-        return EXIT_PRECONDITION
     return EXIT_PRECONDITION
 
 
@@ -177,7 +169,7 @@ def _count_product(kind: str, m: int, tree, method: str, args: argparse.Namespac
             return count_c4_tree(tree)
         if m == 4:
             return count_p4_tree(tree)
-        if m == 3 and has_perfect_matching(tree):
+        if m == 3 and tree_has_perfect_matching(tree):
             return count_p3_tree(tree)
         return None
 
@@ -227,7 +219,7 @@ def _pfaffian_constructor(kind: str, m: int, tree, args: argparse.Namespace) -> 
     if m == 2:
         return orient_double(base)
     if m == 3:
-        return orient_layered(base, 3) if has_perfect_matching(tree) else None
+        return orient_layered(base, 3) if tree_has_perfect_matching(tree) else None
     if m == 4:
         return orient_layered(base, 4)
     return None  # m > 4: open territory, only brute force is trusted
@@ -537,6 +529,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Counts are printed in full however long they are: lift Python's
+    # int-to-str digit limit (where the interpreter has one) for this call.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
+
+
+def _run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         report, code = args.func(args)

@@ -1,19 +1,22 @@
 """Perfect-matching counts: brute force, Pfaffian determinants, closed forms.
 
-Every closed form here is an eigenvalue product evaluated exactly as an
-integer determinant.  Writing A for the tree's adjacency matrix (with
-eigenvalues t_1..t_n, symmetric about zero):
+Every closed form here is an eigenvalue product over the spectrum of a
+tree T, evaluated exactly from its characteristic polynomial.  The
+spectrum is symmetric about zero, so phi_T(x) = x^e * psi(x^2) with
+e = n mod 2, and psi has a root t^2 for every eigenvalue pair +-t.
+With root_product(q, p), the product of p over the roots of a monic q:
 
-    C_4 x T :  prod_j (2 + t_j^2)            =  det(2I + A^2)
-    P_4 x T :  prod_{t >= 0} (1 + 3t^2 + t^4) = sqrt(det(I + 3A^2 + A^4))
-    P_3 x T :  prod_{t > 0} (2 + t^2)         = sqrt(det(2I + A^2))
-                                                 (needs T to have a
+    C_4 x T :  prod_j (2 + t_j^2)             =  2^e * psi(-2)^2
+    P_3 x T :  prod_{t > 0} (2 + t^2)          =  |psi(-2)|   (T needs a
                                                   perfect matching, which
                                                   forces corank zero)
+    P_4 x T :  prod_{t >= 0} (1 + 3t^2 + t^4)  =  |root_product(y^2 + 3y + 1, psi)|
+    P_m x P_n: Kasteleyn's product             =  see count_grid_dimer
 
-The two trigonometric product formulas (the 2 x 2 x n lattice and the
-m x n grid dimer count) are evaluated in floating point as cross-checks,
-with log-space accumulation and explicit consistency tolerances.
+where psi(-2) = root_product(y + 2, psi).  No route takes a square root
+or rounds a float.  The trigonometric product formulas of the 2 x 2 x n
+lattice and the m x n grid are evaluated in log space, as cross-checks
+of the exact counts with explicit tolerances.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .brute import count_perfect_matchings, has_perfect_matching
+from .brute import count_perfect_matchings
 from .errors import (
     InvalidSizeError,
     NotAPerfectSquareError,
@@ -32,13 +35,15 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .exactlinalg import (
-    adjacency_matrix,
-    det_bareiss,
-    eval_matrix_poly,
-    integer_sqrt_exact,
+from .exactlinalg import IntPolynomial, char_poly_tree, det_bareiss, integer_sqrt_exact, root_product
+from .graphs import (
+    Graph,
+    cartesian_product,
+    cycle_graph,
+    path_graph,
+    tree_has_perfect_matching,
+    validate_tree,
 )
-from .graphs import Graph, cartesian_product, cycle_graph, path_graph, validate_tree
 from .orientation import OrientedGraph, skew_adjacency
 
 #: Default vertex guard for the backtracking counter.
@@ -51,9 +56,11 @@ class CountResult:
 
     method is one of: brute | pfaffian | formula-c4t | formula-p3t |
     formula-p4t | narumi-hosoya | kasteleyn-grid.  dimension and
-    determinant record the matrix provenance where one was involved;
-    float_estimate carries the pre-rounding value of the trigonometric
-    product formulas.
+    determinant record the matrix provenance where one was involved: for
+    the tree formulas it is det(p(A)), the count for C_4 x T and the
+    count squared for P_3 x T and P_4 x T.  float_estimate carries the
+    value of the trigonometric product formulas, or None where that
+    value overflows a float.
     """
 
     count: int
@@ -116,64 +123,67 @@ def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
     return CountResult(count=root, method="pfaffian", dimension=g.n, determinant=det)
 
 
+def _psi(t: Graph) -> IntPolynomial:
+    """psi with char_poly_tree(t)(x) == x^e * psi(x^2), where e = n mod 2."""
+    return char_poly_tree(t)[t.n % 2::2]
+
+
 def count_c4_tree(t: Graph) -> CountResult:
-    """Perfect matchings of C_4 x T, exactly, as det(2I + A(T)^2)."""
+    """Perfect matchings of C_4 x T, exactly, as det(2I + A^2) = 2^e * psi(-2)^2."""
     tree = validate_tree(t)
-    det = det_bareiss(eval_matrix_poly(adjacency_matrix(tree), [2, 0, 1]))
-    return CountResult(count=det, method="formula-c4t", dimension=tree.n, determinant=det)
+    count = 2 ** (tree.n % 2) * root_product([2, 1], _psi(tree)) ** 2
+    return CountResult(count=count, method="formula-c4t", dimension=tree.n, determinant=count)
 
 
 def count_p4_tree(t: Graph) -> CountResult:
-    """Perfect matchings of P_4 x T, exactly, as sqrt(det(I + 3A^2 + A^4)).
+    """Perfect matchings of P_4 x T, exactly, as |root_product(y^2 + 3y + 1, psi)|.
 
-    The full-spectrum product is the square of the non-negative-spectrum
-    product because the tree spectrum is symmetric about zero, so the
-    square root is always exact; a failure here would be an internal bug.
+    Each nonzero eigenvalue pair +-t contributes 1 + 3t^2 + t^4 once,
+    which is q(t^2) for q = y^2 + 3y + 1; the product of q over the roots
+    of psi equals the product of psi over the roots of q.
     """
     tree = validate_tree(t)
-    det = det_bareiss(eval_matrix_poly(adjacency_matrix(tree), [1, 0, 3, 0, 1]))
-    try:
-        root = integer_sqrt_exact(det)
-    except NotAPerfectSquareError as exc:
-        raise AssertionError(
-            f"det(I + 3A^2 + A^4) = {det} should be a perfect square by "
-            "spectral symmetry; exact linear algebra is broken"
-        ) from exc
-    return CountResult(count=root, method="formula-p4t", dimension=tree.n, determinant=det)
+    count = abs(root_product([1, 3, 1], _psi(tree)))
+    return CountResult(count=count, method="formula-p4t", dimension=tree.n,
+                       determinant=count * count)
 
 
 def count_p3_tree(t: Graph) -> CountResult:
     """Perfect matchings of P_3 x T for a tree with a perfect matching.
 
-    Equals sqrt(det(2I + A^2)): with a perfect matching the tree has no
-    zero eigenvalue, so the full product prod (2 + t^2) is the square of
-    the positive-spectrum product.  Trees without a perfect matching have
-    no known closed form and are rejected; use the brute-force route.
+    Equals |psi(-2)|: with a perfect matching the tree has no zero
+    eigenvalue, and each eigenvalue pair +-t contributes 2 + t^2 once.
+    Trees without a perfect matching have no known closed form and are
+    rejected; use the brute-force route.
     """
     tree = validate_tree(t)
-    if not has_perfect_matching(tree):
+    if not tree_has_perfect_matching(tree):
         raise PreconditionError(
             "tree has no perfect matching: no closed form is available for "
             "P_3 x T in that case (open problem); use count_brute instead"
         )
-    det = det_bareiss(eval_matrix_poly(adjacency_matrix(tree), [2, 0, 1]))
+    count = abs(root_product([2, 1], _psi(tree)))
+    return CountResult(count=count, method="formula-p3t", dimension=tree.n,
+                       determinant=count * count)
+
+
+def _float_estimate(log_value: float) -> Optional[float]:
+    """exp(log_value), or None where that overflows a float."""
     try:
-        root = integer_sqrt_exact(det)
-    except NotAPerfectSquareError as exc:
-        raise AssertionError(
-            f"det(2I + A^2) = {det} should be a perfect square for a tree "
-            "with a perfect matching; exact linear algebra is broken"
-        ) from exc
-    return CountResult(count=root, method="formula-p3t", dimension=tree.n, determinant=det)
+        return math.exp(log_value)
+    except OverflowError:
+        return None
 
 
 def count_c4_path(n: int) -> CountResult:
     """Perfect matchings of C_4 x P_n (the 2 x 2 x n lattice).
 
-    The Narumi-Hosoya closed form  prod_k [2 + 4 cos^2(k pi/(n+1))]  is
-    evaluated in log space as a floating cross-check of the exact
-    determinant value, which is what gets returned.  Disagreement beyond
-    1e-9 relative raises NumericalConsistencyError.
+    The exact count comes from the C_4 x T route.  The Narumi-Hosoya
+    closed form  prod_k [2 + 4 cos^2(k pi/(n+1))]  is evaluated in log
+    space as a floating cross-check: its log must lie within 1e-9 of
+    log(count), or NumericalConsistencyError is raised.  float_estimate
+    is the product itself, or None once it exceeds the float range
+    (from about n = 500).
     """
     if n < 1:
         raise InvalidSizeError(f"need n >= 1, got {n}")
@@ -181,33 +191,46 @@ def count_c4_path(n: int) -> CountResult:
     log_product = math.fsum(
         math.log(2.0 + 4.0 * math.cos(k * math.pi / (n + 1)) ** 2) for k in range(1, n + 1)
     )
-    estimate = math.exp(log_product)
-    if abs(estimate - exact) > 1e-9 * exact:
+    if abs(log_product - math.log(exact)) > 1e-9:
         raise NumericalConsistencyError(
-            f"trigonometric product {estimate!r} is not within 1e-9 relative "
-            f"of the exact count {exact}"
+            f"trigonometric log product {log_product!r} is not within 1e-9 "
+            f"of the log of the exact count {exact}"
         )
     return CountResult(count=exact, method="narumi-hosoya", dimension=n,
-                       determinant=exact, float_estimate=estimate)
+                       determinant=exact, float_estimate=_float_estimate(log_product))
 
 
 def count_grid_dimer(m: int, n: int) -> CountResult:
     """Perfect matchings (dimer coverings) of the m x n grid P_m x P_n.
 
-    Kasteleyn's product formula
+    Exact: for sides s <= L, the count is |root_product(q_s, psi_L)|,
+    where psi_s and psi_L belong to the paths P_s and P_L and
+    q_s(y) = (-1)^floor(s/2) * psi_s(-y) has a root -t^2 for each
+    positive eigenvalue t of P_s.  This is Kasteleyn's product halved
+    over the eigenvalue pairs of both paths; the zero eigenvalue of an
+    odd side drops out because an even path has |psi(0)| = 1.  The cost
+    grows with s cubed, so q comes from the short side.
+
+    Kasteleyn's trigonometric form
 
         2^(mn/2) * prod_{k<=m} prod_{l<=n}
             (cos^2(pi k/(m+1)) + cos^2(pi l/(n+1)))^(1/4)
 
-    evaluated in log space and rounded half away from zero.  For even
-    m*n no factor vanishes (a zero needs both cosines to vanish, which
-    requires both sides odd).  Rounding distance beyond 1e-6 relative
-    raises NumericalConsistencyError.
+    is a cross-check in log space: its log must lie within 1e-6 of
+    log(count), or NumericalConsistencyError is raised.  For even m*n
+    no factor vanishes (a zero needs both cosines to vanish, which
+    requires both sides odd).  float_estimate is the product itself, or
+    None once it exceeds the float range.
     """
     if m < 1 or n < 1:
         raise InvalidSizeError(f"need positive grid sides, got {m} x {n}")
     if (m * n) % 2:
         return CountResult(count=0, method="kasteleyn-grid", note="odd vertex count")
+    short_side, long_side = sorted((m, n))
+    psi_s = _psi(path_graph(short_side))
+    d = len(psi_s) - 1
+    q_s = [(-1) ** (j + d) * c for j, c in enumerate(psi_s)]
+    exact = abs(root_product(q_s, _psi(path_graph(long_side))))
     log_total = (m * n / 2.0) * math.log(2.0) + 0.25 * math.fsum(
         math.log(
             math.cos(math.pi * k / (m + 1)) ** 2 + math.cos(math.pi * l / (n + 1)) ** 2
@@ -215,13 +238,13 @@ def count_grid_dimer(m: int, n: int) -> CountResult:
         for k in range(1, m + 1)
         for l in range(1, n + 1)
     )
-    estimate = math.exp(log_total)
-    rounded = math.floor(estimate + 0.5)
-    if abs(estimate - rounded) > 1e-6 * max(rounded, 1):
+    if abs(log_total - math.log(exact)) > 1e-6:
         raise NumericalConsistencyError(
-            f"grid product {estimate!r} is not within 1e-6 relative of an integer"
+            f"grid log product {log_total!r} is not within 1e-6 of the log "
+            f"of the exact count {exact}"
         )
-    return CountResult(count=rounded, method="kasteleyn-grid", float_estimate=estimate)
+    return CountResult(count=exact, method="kasteleyn-grid",
+                       float_estimate=_float_estimate(log_total))
 
 
 def squarish_decompose(v: int) -> SquarishDecomposition:
@@ -275,7 +298,7 @@ def verify_identities(t: Graph, max_product_vertices: int = DEFAULT_BRUTE_GUARD)
     failures: list[str] = []
 
     c4 = count_c4_tree(tree).count
-    matched = has_perfect_matching(tree)
+    matched = tree_has_perfect_matching(tree)
 
     checks.append("squarish")
     factor, root = 0, 0

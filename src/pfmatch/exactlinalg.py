@@ -1,15 +1,16 @@
 """Arbitrary-precision integer linear algebra.
 
-Matrices are plain lists of lists of Python ints and nothing here ever
-rounds: determinants use fraction-free (Bareiss) elimination, whose
-intermediate divisions are exact by construction, and characteristic
-polynomials come from the Faddeev-LeVerrier recurrence, whose division
-by the step index is exact for integer matrices.
+Matrices and polynomials are plain lists of Python ints and nothing here
+ever rounds: determinants use fraction-free (Bareiss) elimination, whose
+intermediate divisions are exact by construction, and tree
+characteristic polynomials come from the leaf-deletion recurrence.
 
 This is the machinery that turns spectral product formulas into exact
-integers: for a symmetric matrix A with eigenvalues t_1..t_n and an
-integer polynomial p, det(p(A)) = prod_j p(t_j), so the irrational
-eigenvalues never need to be computed.
+integers.  For a monic integer polynomial q and an integer polynomial p,
+root_product(q, p) is prod p(rho) over the roots rho of q, that is the
+resultant Res(q, p), so the irrational eigenvalues of a tree never need
+to be computed: the counting module pairs the tree's characteristic
+polynomial with a small fixed q.
 """
 
 from __future__ import annotations
@@ -18,22 +19,11 @@ import math
 
 from .errors import NotAPerfectSquareError, PreconditionError
 from .graphs import Graph, Tree, validate_tree
-from .orientation import OrientedGraph, skew_adjacency
 
 IntMatrix = list[list[int]]
 
 #: Integer polynomial, constant coefficient first.
 IntPolynomial = list[int]
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    bt = list(zip(*b))  # column access by row of the transpose
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
@@ -109,7 +99,7 @@ def char_poly_tree(t: Graph) -> IntPolynomial:
     children = tree.children()
     p: list[IntPolynomial] = [[] for _ in range(tree.n)]
     q: list[IntPolynomial] = [[] for _ in range(tree.n)]
-    for v in _postorder(tree):
+    for v in tree.postorder():
         kids = children[v]
         prefix = [[1]]
         for c in kids:
@@ -126,58 +116,32 @@ def char_poly_tree(t: Graph) -> IntPolynomial:
     return p[tree.root]
 
 
-def _postorder(tree: Tree) -> list[int]:
-    children = tree.children()
-    order: list[int] = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    order.reverse()  # children now precede parents
-    return order
+def root_product(q: IntPolynomial, p: IntPolynomial) -> int:
+    """prod p(rho) over the roots rho of the monic polynomial q, exactly.
 
-
-def _char_poly_leverrier(a: IntMatrix) -> IntPolynomial:
-    """det(xI - A) by Faddeev-LeVerrier; exact for integer matrices."""
-    n = len(a)
-    mat = identity_matrix(n)
-    coeffs_high = [1]  # x^n downwards
-    for k in range(1, n + 1):
-        am = mat_mul(a, mat)
-        trace = sum(am[i][i] for i in range(n))
-        c, rem = divmod(-trace, k)
-        if rem:  # cannot happen for integer input; guards against misuse
-            raise ValueError("Faddeev-LeVerrier division was inexact; non-integer input?")
-        coeffs_high.append(c)
-        for i in range(n):
-            am[i][i] += c
-        mat = am
-    return list(reversed(coeffs_high))
-
-
-def skew_char_poly(d: OrientedGraph) -> IntPolynomial:
-    """det(xI - A(T^e)) for an oriented tree, computed from the matrix itself.
-
-    Independent of char_poly_tree on purpose: the two are compared in
-    tests (the skew coefficients equal the absolute values of the tree's
-    characteristic-polynomial coefficients, for any orientation).
+    The roots are counted with multiplicity, and the product equals the
+    resultant Res(q, p).  Since q is monic, p reduces modulo q without
+    fractions in O(deg p * deg q) steps, and p(rho) = r(rho) for the
+    remainder r.  With d = deg q, the product over the roots is then the
+    determinant of the (2d-1)-square Sylvester matrix of q and r
+    (r taken at formal degree d-1): d-1 shifted rows of q above d
+    shifted rows of r.  For d = 1 that matrix is the remainder itself,
+    and for d = 0 the product is empty.  Cost grows with deg q cubed, so
+    q should be the small side.
     """
-    validate_tree(d.base)
-    return _char_poly_leverrier(skew_adjacency(d))
-
-
-def eval_matrix_poly(a: IntMatrix, coeffs: list[int]) -> IntMatrix:
-    """Horner evaluation of sum coeffs[k] * a^k, with a^0 the identity."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix polynomial evaluation needs a square matrix")
-    result = [[0] * n for _ in range(n)]
-    for c in reversed(coeffs):
-        result = mat_mul(result, a)
-        for i in range(n):
-            result[i][i] += c
-    return result
+    d = len(q) - 1
+    if d < 0 or q[-1] != 1:
+        raise ValueError("root_product needs a monic polynomial q")
+    r = list(p) + [0] * (d - len(p))
+    for k in range(len(r) - 1, d - 1, -1):
+        c = r.pop()
+        if c:
+            for j in range(d):
+                r[k - d + j] -= c * q[j]
+    q_high, r_high = q[::-1], r[::-1]
+    rows = [[0] * i + q_high + [0] * (d - 2 - i) for i in range(d - 1)]
+    rows += [[0] * i + r_high + [0] * (d - 1 - i) for i in range(d)]
+    return det_bareiss(rows)
 
 
 def integer_sqrt_exact(v: int) -> int:

@@ -102,7 +102,7 @@ class Tree(Graph):
             witness.add(_sorted_edge(v, p))
         if witness != set(self.edges):
             raise NotATreeError("parent array does not reconstruct the edge set")
-        if len(_component_of(self, self.root)) != n:
+        if len(self.postorder()) != n:
             raise NotATreeError("parent array is not connected to the root")
 
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -112,39 +112,17 @@ class Tree(Graph):
                 kids[p].append(v)
         return tuple(tuple(k) for k in kids)
 
-
-def _component_of(g: Graph, start: int) -> list[int]:
-    """Vertices reachable from start, in BFS order."""
-    seen = [False] * g.n
-    seen[start] = True
-    order = [start]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
-    return order
-
-
-def _tree_from_graph(g: Graph, root: int = 0) -> Tree:
-    """Attach a parent-array witness; caller guarantees g is a tree."""
-    parent: list[Optional[int]] = [None] * g.n
-    seen = [False] * g.n
-    seen[root] = True
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                queue.append(w)
-    return Tree(n=g.n, edges=g.edges, root=root, parent=tuple(parent))
+    def postorder(self) -> list[int]:
+        """Every vertex once, each child before its parent."""
+        children = self.children()
+        order: list[int] = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(children[v])
+        order.reverse()
+        return order
 
 
 def path_graph(m: int) -> Tree:
@@ -216,7 +194,26 @@ def validate_tree(g: Graph) -> Tree:
         raise NotATreeError(
             f"not a tree: disconnected ({g.n - len(queue)} of {g.n} vertices unreachable)"
         )
-    return _tree_from_graph(g)
+    return Tree(n=g.n, edges=g.edges, root=0, parent=tuple(parent))
+
+
+def tree_has_perfect_matching(t: Graph) -> bool:
+    """True iff the tree t has a perfect matching, in O(n).
+
+    Walks the tree in postorder and matches each still unmatched vertex
+    with its parent.  A vertex whose children are all matched can only
+    be matched to its parent, so every choice is forced, and the tree
+    has a perfect matching iff no vertex is left without a free parent.
+    """
+    tree = validate_tree(t)
+    matched = [False] * tree.n
+    for v in tree.postorder():
+        if not matched[v]:
+            p = tree.parent[v]
+            if p is None or matched[p]:
+                return False
+            matched[v] = matched[p] = True
+    return True
 
 
 def _cycle_through(parent: list[Optional[int]], v: int, w: int) -> list[int]:
@@ -271,7 +268,7 @@ def random_tree(n: int, seed: int) -> Tree:
         r = next(stream)
         if r < limit:  # rejection keeps the modulo unbiased
             digits.append(r % n)
-    return _tree_from_graph(Graph.from_edges(n, _prufer_decode(digits, n)))
+    return validate_tree(Graph.from_edges(n, _prufer_decode(digits, n)))
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[Edge]:

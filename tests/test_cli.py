@@ -1,6 +1,9 @@
 """CLI surface: dispatch, formats, exit codes, determinism."""
 
 import json
+import sys
+
+import pytest
 
 from pfmatch.cli import (
     EXIT_NUMERIC,
@@ -257,3 +260,32 @@ def test_orient_file_mismatch_rejected(tmp_path, capsys):
 def test_count_requires_an_input(capsys):
     code, _, _ = run(capsys, "count")
     assert code == EXIT_PARSE
+
+
+def test_count_unmatched_large_p3_tree_hits_size_guard(capsys):
+    # no closed form and no proven orientation: brute force, refused by its guard
+    code, _, err = run(capsys, "count", "--product", "p3", "--tree", "tree-random:200:7")
+    assert code == EXIT_SIZE_LIMIT and "guard" in err
+
+
+def test_count_longer_than_int_digit_limit(capsys):
+    # 80 x 80 has 801 digits; the interpreter's int-to-str limit is lowered
+    # below that to show main() prints the count in full and then restores it
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    from pfmatch import count_grid_dimer
+    saved = get_limit()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "count", "--grid", "80", "80")
+        assert get_limit() == 640
+        code_json, payload, _ = run_json(capsys, "count", "--grid", "80", "80")
+        assert get_limit() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == EXIT_OK and code_json == EXIT_OK and not err
+    expected = str(count_grid_dimer(80, 80).count)
+    assert len(expected) == 801
+    assert f"count: {expected}\n" in out
+    assert payload["count"] == expected

@@ -9,6 +9,7 @@ from pfmatch import (
     OrientedGraph,
     PreconditionError,
     SizeLimitError,
+    adjacency_matrix,
     cartesian_product,
     count_brute,
     count_c4_path,
@@ -18,7 +19,9 @@ from pfmatch import (
     count_p4_tree,
     count_pfaffian,
     cycle_graph,
+    det_bareiss,
     has_perfect_matching,
+    integer_sqrt_exact,
     orient_c4_tree,
     orient_lexicographic,
     path_graph,
@@ -27,7 +30,13 @@ from pfmatch import (
     verify_identities,
 )
 
-from util import grid_tilings, matching_count_by_edge_subsets, random_orientation
+from util import (
+    bit_stream,
+    eval_matrix_poly,
+    grid_tilings,
+    matching_count_by_edge_subsets,
+    random_orientation,
+)
 
 
 def star(leaves: int) -> Graph:
@@ -186,6 +195,29 @@ def test_formulas_agree_with_brute_on_random_trees():
             ).count
 
 
+def test_formulas_match_dense_matrix_polynomial_determinants():
+    # the dense route det(p(A)), with an exact square root for P3 and P4,
+    # is the oracle for the characteristic-polynomial route
+    bits = bit_stream(2024)
+    for _ in range(16):
+        t = random_tree(1 + next(bits) % 60, next(bits))
+        a = adjacency_matrix(t)
+        c4_det = det_bareiss(eval_matrix_poly(a, [2, 0, 1]))
+        p4_det = det_bareiss(eval_matrix_poly(a, [1, 0, 3, 0, 1]))
+        c4, p4 = count_c4_tree(t), count_p4_tree(t)
+        assert (c4.count, c4.determinant) == (c4_det, c4_det)
+        assert (p4.count, p4.determinant) == (integer_sqrt_exact(p4_det), p4_det)
+    matched = 0
+    while matched < 8:
+        t = random_tree(2 * (1 + next(bits) % 30), next(bits))
+        if not has_perfect_matching(t):
+            continue
+        matched += 1
+        det = det_bareiss(eval_matrix_poly(adjacency_matrix(t), [2, 0, 1]))
+        p3 = count_p3_tree(t)
+        assert (p3.count, p3.determinant) == (integer_sqrt_exact(det), det)
+
+
 def test_formula_and_pfaffian_routes_coincide():
     for seed in range(8):
         t = random_tree(1 + seed % 5, seed + 31)
@@ -216,6 +248,14 @@ def test_c4_path_tracks_exact_to_30():
         assert abs(result.float_estimate - result.count) <= 1e-9 * result.count
 
 
+def test_c4_path_beyond_float_range():
+    # the product overflows a float near n = 500; the check stays in log space
+    result = count_c4_path(700)
+    assert result.count == count_c4_tree(path_graph(700)).count
+    assert result.float_estimate is None
+    assert count_c4_path(400).float_estimate is not None
+
+
 def test_c4_path_rejects_zero():
     with pytest.raises(InvalidSizeError):
         count_c4_path(0)
@@ -243,6 +283,33 @@ def test_grid_dimer_matches_dp_oracle():
 
 def test_grid_dimer_symmetric():
     assert count_grid_dimer(2, 6).count == count_grid_dimer(6, 2).count
+
+
+def test_grid_dimer_exact_beyond_two_to_the_53():
+    # a rounded float got these wrong: ...820 and ...959456
+    assert count_grid_dimer(10, 12).count == 65743732590821
+    assert count_grid_dimer(12, 12).count == 53060477521960000
+    assert count_grid_dimer(12, 10).count == 65743732590821
+
+
+def test_grid_dimer_beyond_float_range():
+    result = count_grid_dimer(60, 60)
+    assert len(str(result.count)) == 449
+    assert result.float_estimate is None
+    assert str(result.count).startswith("130919334199094226")
+
+
+def test_grid_dimer_long_strip_is_fibonacci():
+    a, b = 0, 1
+    for _ in range(1001):
+        a, b = b, a + b
+    assert count_grid_dimer(2, 1000).count == a
+    assert count_grid_dimer(1000, 2).count == a
+
+
+def test_grid_dimer_odd_short_side():
+    for m, n in ((3, 8), (8, 3), (5, 6), (1, 10), (10, 1), (7, 4)):
+        assert count_grid_dimer(m, n).count == grid_tilings(m, n), (m, n)
 
 
 def test_grid_dimer_rejects_bad_sides():

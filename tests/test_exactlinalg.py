@@ -11,17 +11,15 @@ from pfmatch import (
     char_poly_tree,
     cycle_graph,
     det_bareiss,
-    eval_matrix_poly,
     has_perfect_matching,
-    identity_matrix,
     integer_sqrt_exact,
     matchings_by_size,
     orient_c4_tree,
     orient_lexicographic,
     path_graph,
     random_tree,
+    root_product,
     skew_adjacency,
-    skew_char_poly,
     validate_tree,
 )
 
@@ -29,7 +27,10 @@ from util import (
     bit_stream,
     char_poly_by_interpolation,
     det_cofactor,
+    eval_matrix_poly,
+    identity_matrix,
     random_orientation,
+    skew_char_poly,
 )
 
 
@@ -218,6 +219,41 @@ def test_integer_sqrt_huge():
     assert integer_sqrt_exact(v) == 10**50 + 7
     with pytest.raises(NotAPerfectSquareError):
         integer_sqrt_exact(v + 1)
+
+
+def _sylvester_resultant(q: list[int], p: list[int]) -> int:
+    """Res(q, p) from the full (deg q + deg p)-square Sylvester matrix, by cofactors."""
+    dq, dp = len(q) - 1, len(p) - 1
+    size = dq + dp
+    rows = [[0] * i + q[::-1] + [0] * (size - dq - 1 - i) for i in range(dp)]
+    rows += [[0] * i + p[::-1] + [0] * (size - dp - 1 - i) for i in range(dq)]
+    return det_cofactor(rows)
+
+
+def test_root_product_small_cases():
+    assert root_product([2, 1], [5, -3, 1]) == 5 + 6 + 4  # p(-2)
+    assert root_product([1], [7, 7, 7]) == 1  # no roots: empty product
+    assert root_product([0, 0, 1], [3, 1]) == 9  # double root 0
+    assert root_product([-1, 0, 1], [0, 1]) == -1  # roots +-1
+    assert root_product([1, 3, 1], [4, 2]) == 2 * 2 - 3 * 2 * 4 + 4 * 4  # a^2 - 3ab + b^2
+    assert root_product([1, 3, 1], []) == 0
+
+
+def test_root_product_matches_full_sylvester_resultant():
+    bits = bit_stream(909)
+    for _ in range(200):
+        dq = next(bits) % 4
+        dp = next(bits) % 5
+        q = [next(bits) % 11 - 5 for _ in range(dq)] + [1]
+        p = [next(bits) % 11 - 5 for _ in range(dp)] + [1 + next(bits) % 4]
+        assert root_product(q, p) == _sylvester_resultant(q, p), (q, p)
+
+
+def test_root_product_rejects_non_monic():
+    with pytest.raises(ValueError):
+        root_product([1, 2], [1])
+    with pytest.raises(ValueError):
+        root_product([], [1])
 
 
 def test_char_poly_accepts_plain_graph_that_is_a_tree():

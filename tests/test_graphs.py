@@ -16,10 +16,12 @@ from pfmatch import (
     parse_edge_list,
     path_graph,
     random_tree,
+    tree_has_perfect_matching,
     validate_tree,
 )
+from pfmatch.brute import has_perfect_matching
 
-from util import bit_stream, cycle_census_by_subsets
+from util import bit_stream, cycle_census_by_subsets, trees_up_to
 
 
 def test_path_graph_degenerate():
@@ -190,3 +192,45 @@ def test_edge_list_parse_errors():
 def test_edge_list_ignores_comments_and_blanks():
     g = parse_edge_list("# a path\n\n3 2\n0 1\n# middle\n1 2\n")
     assert g.n == 3 and g.edges == frozenset({(0, 1), (1, 2)})
+
+
+def _corona(t: Graph, pendant_at: list[int]) -> Graph:
+    """t plus one pendant vertex on each vertex in pendant_at.
+
+    Block-labelled: t keeps vertices 0..n-1 and the pendants follow as
+    one block n, n+1, ..., so each pendant's label is far from its
+    neighbor's.
+    """
+    edges = list(t.edges) + [(v, t.n + i) for i, v in enumerate(pendant_at)]
+    return Graph.from_edges(t.n + len(pendant_at), edges)
+
+
+def test_tree_matching_agrees_with_backtracking_on_small_trees():
+    # every tree shape up to 7 vertices, and every 8-vertex shape as one
+    # of them plus a leaf (enumerating trees_up_to(8) directly takes ~20 s)
+    for t in trees_up_to(7):
+        grown = [_corona(t, [v]) for v in range(t.n)] if t.n == 7 else []
+        for g in [t] + grown:
+            assert tree_has_perfect_matching(g) == has_perfect_matching(g), g.edges
+
+
+def test_tree_matching_agrees_with_backtracking_on_coronas():
+    bits = bit_stream(77)
+    for seed in range(40):
+        t = random_tree(1 + seed % 9, seed)
+        full = _corona(t, list(range(t.n)))
+        assert tree_has_perfect_matching(full) and has_perfect_matching(full)
+        partial = _corona(t, [v for v in range(t.n) if next(bits) % 3])
+        assert tree_has_perfect_matching(partial) == has_perfect_matching(partial), partial.edges
+
+
+def test_tree_matching_linear_on_large_trees():
+    assert not tree_has_perfect_matching(random_tree(200, 7))
+    assert tree_has_perfect_matching(path_graph(10_000))
+    assert not tree_has_perfect_matching(path_graph(9_999))
+    assert tree_has_perfect_matching(_corona(random_tree(3_000, 5), list(range(3_000))))
+
+
+def test_tree_matching_rejects_non_tree():
+    with pytest.raises(NotATreeError):
+        tree_has_perfect_matching(cycle_graph(4))

@@ -17,7 +17,6 @@ from pfmatch import (
     enumerate_cycles,
     format_oriented_edge_list,
     has_perfect_matching,
-    identity_matrix,
     is_nice_cycle,
     is_oddly_oriented,
     orient_c4_tree,
@@ -31,7 +30,13 @@ from pfmatch import (
     validate_tree,
 )
 
-from util import matching_count_by_edge_subsets, induced_subgraph, random_orientation, trees_up_to
+from util import (
+    identity_matrix,
+    induced_subgraph,
+    matching_count_by_edge_subsets,
+    random_orientation,
+    trees_up_to,
+)
 
 
 def star(leaves: int) -> Graph:

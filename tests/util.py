@@ -3,7 +3,9 @@
 Every oracle here deliberately uses a different algorithm from the code
 it checks: cycles come from vertex subsets, matchings from edge subsets,
 grid counts from a broken-profile DP, determinants from cofactor
-expansion, and characteristic polynomials from exact interpolation.
+expansion, characteristic polynomials from exact interpolation or the
+Faddeev-LeVerrier recurrence, and closed forms from dense matrix
+polynomials.
 """
 
 from __future__ import annotations
@@ -11,7 +13,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from pfmatch import Graph, OrientedGraph, Tree, validate_tree
+from pfmatch import (
+    Graph,
+    IntMatrix,
+    IntPolynomial,
+    OrientedGraph,
+    Tree,
+    skew_adjacency,
+    validate_tree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +267,59 @@ def char_poly_by_interpolation(mat: list[list[int]]) -> list[int]:
             coeffs[p] += c / denom
     assert all(c.denominator == 1 for c in coeffs)
     return [int(c) for c in coeffs]
+
+
+# ---------------------------------------------------------------------------
+# oracle: dense matrix polynomials and the Faddeev-LeVerrier char poly
+# ---------------------------------------------------------------------------
+
+def identity_matrix(n: int) -> IntMatrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    n = len(a)
+    bt = list(zip(*b))  # column access by row of the transpose
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _char_poly_leverrier(a: IntMatrix) -> IntPolynomial:
+    """det(xI - A) by Faddeev-LeVerrier; exact for integer matrices."""
+    n = len(a)
+    mat = identity_matrix(n)
+    coeffs_high = [1]  # x^n downwards
+    for k in range(1, n + 1):
+        am = mat_mul(a, mat)
+        trace = sum(am[i][i] for i in range(n))
+        c, rem = divmod(-trace, k)
+        if rem:  # cannot happen for integer input; guards against misuse
+            raise ValueError("Faddeev-LeVerrier division was inexact; non-integer input?")
+        coeffs_high.append(c)
+        for i in range(n):
+            am[i][i] += c
+        mat = am
+    return list(reversed(coeffs_high))
+
+
+def skew_char_poly(d: OrientedGraph) -> IntPolynomial:
+    """det(xI - A(T^e)) for an oriented tree, computed from the matrix itself.
+
+    Independent of char_poly_tree on purpose: the two are compared in
+    tests (the skew coefficients equal the absolute values of the tree's
+    characteristic-polynomial coefficients, for any orientation).
+    """
+    validate_tree(d.base)
+    return _char_poly_leverrier(skew_adjacency(d))
+
+
+def eval_matrix_poly(a: IntMatrix, coeffs: list[int]) -> IntMatrix:
+    """Horner evaluation of sum coeffs[k] * a^k, with a^0 the identity."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix polynomial evaluation needs a square matrix")
+    result = [[0] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        result = mat_mul(result, a)
+        for i in range(n):
+            result[i][i] += c
+    return result
