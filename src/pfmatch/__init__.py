@@ -11,15 +11,17 @@ The package has four layers:
                 of a small monic one) and integer square roots
 - counting:     brute-force oracle, Pfaffian counting, and the closed-form
                 eigenvalue-product counts, each evaluated exactly from the
-                tree characteristic polynomial through root_product
+                tree characteristic polynomial through root_product;
+                count_product chooses among them (formula, then a proven
+                Pfaffian orientation, then brute force)
 
-plus a command-line front end (pfmatch.cli / the `pfmatch` script).
+plus a command-line front end (pfmatch.cli / the `pfmatch` script) that
+only parses arguments and renders reports.
 """
 
 from .brute import (
     count_perfect_matchings,
     has_perfect_matching,
-    matchings_by_size,
     max_matching_size,
 )
 from .counting import (
@@ -34,6 +36,7 @@ from .counting import (
     count_p3_tree,
     count_p4_tree,
     count_pfaffian,
+    count_product,
     squarish_decompose,
     verify_identities,
 )
@@ -77,12 +80,10 @@ from .graphs import (
     validate_tree,
 )
 from .orientation import (
-    Matching,
     OrientedGraph,
     PfaffianReport,
     check_pfaffian,
     converse,
-    doubling_matching,
     format_oriented_edge_list,
     is_nice_cycle,
     is_oddly_oriented,
@@ -108,7 +109,6 @@ __all__ = [
     "IntPolynomial",
     "InvalidCycleError",
     "InvalidSizeError",
-    "Matching",
     "NotAPerfectSquareError",
     "NotATreeError",
     "NotPfaffianError",
@@ -135,9 +135,9 @@ __all__ = [
     "count_p4_tree",
     "count_perfect_matchings",
     "count_pfaffian",
+    "count_product",
     "cycle_graph",
     "det_bareiss",
-    "doubling_matching",
     "enumerate_cycles",
     "format_edge_list",
     "format_oriented_edge_list",
@@ -146,7 +146,6 @@ __all__ = [
     "is_cycle_of",
     "is_nice_cycle",
     "is_oddly_oriented",
-    "matchings_by_size",
     "max_matching_size",
     "orient_c4_tree",
     "orient_double",

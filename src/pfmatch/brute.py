@@ -95,25 +95,3 @@ def max_matching_size(g: Graph) -> int:
 
     return best((1 << g.n) - 1)
 
-
-def matchings_by_size(g: Graph) -> list[int]:
-    """counts[k] = number of k-edge matchings of g (counts[0] is always 1).
-
-    Enumerates edge subsets with disjointness pruning; meant for the
-    coefficient cross-checks on small graphs, not for large inputs.
-    """
-    edges = sorted(g.edges)
-    counts = [0] * (g.n // 2 + 1)
-
-    def rec(i: int, covered: int, size: int) -> None:
-        if i == len(edges):
-            counts[size] += 1
-            return
-        rec(i + 1, covered, size)
-        u, v = edges[i]
-        bits = (1 << u) | (1 << v)
-        if not covered & bits:
-            rec(i + 1, covered | bits, size + 1)
-
-    rec(0, 0, 0)
-    return counts

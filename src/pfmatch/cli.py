@@ -22,18 +22,14 @@ from typing import Optional
 
 from .counting import (
     DEFAULT_BRUTE_GUARD,
-    CountResult,
     count_brute,
-    count_c4_tree,
     count_grid_dimer,
-    count_p3_tree,
-    count_p4_tree,
     count_pfaffian,
+    count_product,
     verify_identities,
 )
 from .errors import (
     EdgeListParseError,
-    InvalidSizeError,
     NotAPerfectSquareError,
     NotPfaffianError,
     NotSquarishError,
@@ -51,7 +47,6 @@ from .graphs import (
     parse_edge_list,
     path_graph,
     random_tree,
-    tree_has_perfect_matching,
     validate_tree,
 )
 from .orientation import (
@@ -138,94 +133,27 @@ def _normalize_product_kind(kind: str) -> tuple[str, int]:
     if kind in ("p2", "p3", "p4"):
         return ("pm", int(kind[1]))
     if kind.startswith("pm:"):
-        m = _spec_int(kind, kind[3:])
-        if m < 1:
-            raise InvalidSizeError(f"need at least 1 layer, got {m}")
-        return ("pm", m)
+        return ("pm", _spec_int(kind, kind[3:]))
     raise EdgeListParseError(
         f"unknown product kind {kind!r}: want c4, p2, p3, p4, or pm:M"
     )
 
 
-def _base_orientation(tree, args: argparse.Namespace) -> OrientedGraph:
-    """Tree orientation fed to the constructors: a file's, or lexicographic."""
-    if getattr(args, "orient_file", None):
-        d = parse_oriented_edge_list(_read_text(args.orient_file))
-        if d.base != Graph(n=tree.n, edges=tree.edges):
-            raise PreconditionError("--orient-file does not orient the given tree")
-        return d
-    return orient_lexicographic(tree)
+def _orient_file(args: argparse.Namespace, g: Graph) -> Optional[OrientedGraph]:
+    """The orientation in --orient-file, checked against g; None without the flag."""
+    if not args.orient_file:
+        return None
+    d = parse_oriented_edge_list(_read_text(args.orient_file))
+    if not d.orients(g):
+        raise PreconditionError("--orient-file does not orient the given graph")
+    return d
 
 
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
 
-def _count_product(kind: str, m: int, tree, method: str, args: argparse.Namespace) -> CountResult:
-    brute_guard = _guard(args, DEFAULT_BRUTE_GUARD)
-
-    def formula() -> Optional[CountResult]:
-        if kind == "c4":
-            return count_c4_tree(tree)
-        if m == 4:
-            return count_p4_tree(tree)
-        if m == 3 and tree_has_perfect_matching(tree):
-            return count_p3_tree(tree)
-        return None
-
-    def pfaffian() -> Optional[CountResult]:
-        d = _pfaffian_constructor(kind, m, tree, args)
-        if d is None:
-            return None
-        return count_pfaffian(d.base, d)
-
-    def brute() -> CountResult:
-        factor = cycle_graph(4) if kind == "c4" else path_graph(m)
-        return count_brute(cartesian_product(factor, tree), max_vertices=brute_guard)
-
-    if method == "auto":
-        result = formula()
-        if result is None:
-            result = pfaffian()
-        if result is None:
-            result = brute()
-        return result
-    if method == "formula":
-        result = formula()
-        if result is None:
-            raise PreconditionError(
-                "no closed form applies to this product/tree combination; "
-                "try --method brute"
-            )
-        return result
-    if method == "pfaffian":
-        result = pfaffian()
-        if result is None:
-            raise PreconditionError(
-                "no verified Pfaffian orientation constructor applies here; "
-                "try --method brute"
-            )
-        return result
-    return brute()
-
-
-def _pfaffian_constructor(kind: str, m: int, tree, args: argparse.Namespace) -> Optional[OrientedGraph]:
-    """The orientations with a proven Pfaffian guarantee, else None."""
-    base = _base_orientation(tree, args)
-    if kind == "c4":
-        return orient_c4_tree(base)
-    if m == 1:
-        return base  # a tree has no cycles at all
-    if m == 2:
-        return orient_double(base)
-    if m == 3:
-        return orient_layered(base, 3) if tree_has_perfect_matching(tree) else None
-    if m == 4:
-        return orient_layered(base, 4)
-    return None  # m > 4: open territory, only brute force is trusted
-
-
-def cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_count(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     request = {
         "command": "count",
         "method": args.method,
@@ -254,18 +182,18 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
             raise EdgeListParseError("--product needs --tree SPEC")
         kind, m = _normalize_product_kind(args.product)
         tree = validate_tree(parse_graph_spec(args.tree))
-        result = _count_product(kind, m, tree, args.method, args)
+        result = count_product(kind, m, tree, args.method,
+                               max_vertices=_guard(args, DEFAULT_BRUTE_GUARD),
+                               base=_orient_file(args, tree))
     elif args.graph is not None:
         g = parse_graph_spec(args.graph)
+        d = _orient_file(args, g)  # checked on every route, used by one
         if args.method == "pfaffian":
-            if not args.orient_file:
+            if d is None:
                 raise PreconditionError(
                     "--method pfaffian on a plain graph needs --orient-file "
                     "(Pfaffian-ness is the caller's responsibility)"
                 )
-            d = parse_oriented_edge_list(_read_text(args.orient_file))
-            if d.base != g:
-                raise PreconditionError("--orient-file does not orient the given graph")
             result = count_pfaffian(g, d)
         elif args.method == "formula":
             raise PreconditionError(
@@ -283,7 +211,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, int]:
         "violations": [],
     }
     lines = [f"method: {result.method}", f"count: {result.count}"]
-    return _with_payload(report, lines), EXIT_OK
+    return report, lines, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -298,28 +226,21 @@ def _build_orientation(args: argparse.Namespace) -> tuple[OrientedGraph, str]:
     if args.double:
         if args.graph is not None:
             g = parse_graph_spec(args.graph)
-            base = (
-                parse_oriented_edge_list(_read_text(args.orient_file))
-                if args.orient_file
-                else orient_lexicographic(g)
-            )
-            if base.base != g:
-                raise PreconditionError("--orient-file does not orient the given graph")
         elif args.tree is not None:
-            base = _base_orientation(validate_tree(parse_graph_spec(args.tree)), args)
+            g = validate_tree(parse_graph_spec(args.tree))
         else:
             raise EdgeListParseError("--double needs --graph or --tree")
-        return orient_double(base), "double"
+        return orient_double(_orient_file(args, g) or orient_lexicographic(g)), "double"
     if args.tree is None:
         raise EdgeListParseError("--c4/--layers need --tree SPEC")
     tree = validate_tree(parse_graph_spec(args.tree))
-    base = _base_orientation(tree, args)
+    base = _orient_file(args, tree) or orient_lexicographic(tree)
     if args.c4:
         return orient_c4_tree(base), "c4-tree"
     return orient_layered(base, args.layers), f"layered:{args.layers}"
 
 
-def cmd_orient(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_orient(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     request = {
         "command": "orient",
         "double": args.double,
@@ -337,9 +258,6 @@ def cmd_orient(args: argparse.Namespace) -> tuple[dict, int]:
             "vertex numbering is layer-major: copy index * copy size + vertex",
         ],
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
     report = {
         "request": request,
         "method": tag,
@@ -347,15 +265,14 @@ def cmd_orient(args: argparse.Namespace) -> tuple[dict, int]:
         "violations": [],
         "arcs": [f"{u} -> {v}" for u, v in sorted(oriented.arcs)],
     }
-    lines = [text.rstrip("\n")] if not args.output else [f"wrote {args.output}"]
-    return _with_payload(report, lines), EXIT_OK
+    return report, _emit(text, args.output), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     request = {
         "command": "verify",
         "pfaffian": args.pfaffian,
@@ -392,17 +309,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             lines.append(f"count P4xT: {ident.p4_count}")
         lines.append(f"checks run: {', '.join(ident.checks)}")
         lines.append(f"verdict: {'pass' if ident.passed else 'FAIL ' + ', '.join(ident.failures)}")
-        return _with_payload(report, lines), EXIT_OK if ident.passed else EXIT_VIOLATION
+        return report, lines, EXIT_OK if ident.passed else EXIT_VIOLATION
 
     if args.graph is not None and not (args.double or args.c4 or args.layers is not None):
         # explicit graph + orientation file, no constructor
         if not args.orient_file:
             raise EdgeListParseError("verify --pfaffian --graph needs --orient-file")
-        g = parse_graph_spec(args.graph)
-        oriented = parse_oriented_edge_list(_read_text(args.orient_file))
-        if oriented.base != g:
-            raise PreconditionError("--orient-file does not orient the given graph")
-        tag = "file"
+        oriented, tag = _orient_file(args, parse_graph_spec(args.graph)), "file"
     else:
         oriented, tag = _build_orientation(args)
     result = check_pfaffian(oriented, max_vertices=_guard(args, DEFAULT_CYCLE_GUARD))
@@ -419,14 +332,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     ]
     for c in result.violations:
         lines.append("violation: " + "-".join(str(v) for v in c))
-    return _with_payload(report, lines), EXIT_OK if result.passed else EXIT_VIOLATION
+    return report, lines, EXIT_OK if result.passed else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
 # product
 # ---------------------------------------------------------------------------
 
-def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_product(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     request = {"command": "product", "factors": [args.factor1, args.factor2]}
     g = parse_graph_spec(args.factor1)
     h = parse_graph_spec(args.factor2)
@@ -438,9 +351,6 @@ def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
             f"vertex (i, j) of ({args.factor1}) x ({args.factor2}) is i*{h.n} + j (layer-major)",
         ],
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
     report = {
         "request": request,
         "method": "cartesian-product",
@@ -449,17 +359,23 @@ def cmd_product(args: argparse.Namespace) -> tuple[dict, int]:
         "edges": [f"{u} {v}" for u, v in sorted(product.edges)],
         "vertices": product.n,
     }
-    lines = [text.rstrip("\n")] if not args.output else [f"wrote {args.output}"]
-    return _with_payload(report, lines), EXIT_OK
+    return report, _emit(text, args.output), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _with_payload(report: dict, lines: list[str]) -> dict:
-    report["_human_lines"] = lines
-    return report
+def _emit(text: str, output: Optional[str]) -> list[str]:
+    """Human lines for an emitted file: the text itself, or where it was written."""
+    if not output:
+        return [text.rstrip("\n")]
+    try:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {output!r}: {exc}") from exc
+    return [f"wrote {output}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,12 +460,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
-        report, code = args.func(args)
+        report, lines, code = args.func(args)
     except PfmatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    lines = report.pop("_human_lines")
     report["elapsed_ms"] = elapsed_ms
     if args.json:
         print(json.dumps(report))

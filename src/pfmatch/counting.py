@@ -38,13 +38,15 @@ from .errors import (
 from .exactlinalg import IntPolynomial, char_poly_tree, det_bareiss, integer_sqrt_exact, root_product
 from .graphs import (
     Graph,
+    Tree,
     cartesian_product,
     cycle_graph,
     path_graph,
     tree_has_perfect_matching,
     validate_tree,
 )
-from .orientation import OrientedGraph, skew_adjacency
+from .orientation import (OrientedGraph, orient_c4_tree, orient_layered, orient_lexicographic,
+                          skew_adjacency)
 
 #: Default vertex guard for the backtracking counter.
 DEFAULT_BRUTE_GUARD = 40
@@ -107,7 +109,7 @@ def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
     squared count; a non-square determinant proves the orientation was
     not Pfaffian and raises NotPfaffianError.
     """
-    if d.base != g:
+    if not d.orients(g):
         raise PreconditionError("orientation is not over the given graph")
     if g.n % 2:
         return CountResult(count=0, method="pfaffian", dimension=g.n, determinant=0,
@@ -162,9 +164,75 @@ def count_p3_tree(t: Graph) -> CountResult:
             "tree has no perfect matching: no closed form is available for "
             "P_3 x T in that case (open problem); use count_brute instead"
         )
+    return _count_p3_matched(tree)
+
+
+def _count_p3_matched(tree: Tree) -> CountResult:
+    """count_p3_tree for a tree already known to have a perfect matching."""
     count = abs(root_product([2, 1], _psi(tree)))
     return CountResult(count=count, method="formula-p3t", dimension=tree.n,
                        determinant=count * count)
+
+
+#: Why a forced method of count_product does not apply.
+_NO_ROUTE = {
+    "formula": "no closed form applies to this product/tree combination; try --method brute",
+    "pfaffian": "no verified Pfaffian orientation constructor applies here; try --method brute",
+}
+
+
+def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
+                  base: Optional[OrientedGraph] = None,
+                  max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+    """Perfect matchings of C_4 x T (kind "c4", m = 4) or P_m x T (kind "pm").
+
+    "auto" takes the first route that applies: the closed form (C_4, P_4,
+    and P_3 when T has a perfect matching); count_pfaffian over a proven
+    orientation built from base, lexicographic by default (orient_c4_tree,
+    or orient_layered for m <= 4 with m = 3 again only when T has a
+    perfect matching); count_brute under max_vertices.  "formula",
+    "pfaffian" and "brute" force one route, and raise PreconditionError
+    where it does not apply.
+    """
+    if kind not in ("c4", "pm") or method not in ("auto", "brute", *_NO_ROUTE):
+        raise PreconditionError(f"unknown product kind {kind!r} or method {method!r}")
+    if (kind == "c4" and m != 4) or m < 1:
+        raise InvalidSizeError(f"no {m}-layer product of kind {kind!r}")
+    tree = validate_tree(tree)
+    if base is not None and not base.orients(tree):
+        raise PreconditionError("base orientation does not orient the given tree")
+    # P_3 x T has a closed form and a proven orientation only when T has a perfect matching
+    proven = m != 3 or tree_has_perfect_matching(tree)
+
+    def formula() -> Optional[CountResult]:
+        if kind == "c4":
+            return count_c4_tree(tree)
+        if m == 4:
+            return count_p4_tree(tree)
+        return _count_p3_matched(tree) if m == 3 and proven else None
+
+    def pfaffian() -> Optional[CountResult]:
+        d = base or orient_lexicographic(tree)
+        if kind == "c4":
+            d = orient_c4_tree(d)
+        elif m <= 4 and proven:
+            d = orient_layered(d, m)
+        else:
+            return None
+        return count_pfaffian(d.base, d)
+
+    def brute() -> CountResult:
+        factor = cycle_graph(4) if kind == "c4" else path_graph(m)
+        return count_brute(cartesian_product(factor, tree), max_vertices=max_vertices)
+
+    if method == "auto":
+        return formula() or pfaffian() or brute()
+    if method == "brute":
+        return brute()
+    result = formula() if method == "formula" else pfaffian()
+    if result is None:
+        raise PreconditionError(_NO_ROUTE[method])
+    return result
 
 
 def _float_estimate(log_value: float) -> Optional[float]:
@@ -314,7 +382,7 @@ def verify_identities(t: Graph, max_product_vertices: int = DEFAULT_BRUTE_GUARD)
 
     p3_count: Optional[int] = None
     if matched:
-        p3_count = count_p3_tree(tree).count
+        p3_count = _count_p3_matched(tree).count
         checks.append("square-root")
         if p3_count * p3_count != c4:
             failures.append("square-root")

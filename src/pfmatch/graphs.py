@@ -335,11 +335,16 @@ def is_cycle_of(g: Graph, c: CycleSeq) -> bool:
 
 # ---------------------------------------------------------------------------
 # Edge-list text format (shared with the CLI): '#' comments, "n m" header,
-# then m lines "u v" with 0-based indices.
+# then m lines with 0-based indices, "u v" for an edge or "u -> v" for an
+# arc.  A pair may appear once, in either direction.
 # ---------------------------------------------------------------------------
 
-def parse_edge_list(text: str) -> Graph:
-    lines = _payload_lines(text)
+def parse_edge_lines(text: str, arrows: bool = False) -> tuple[int, list[Edge]]:
+    """(n, pairs in file order) from edge-list text with "u v" lines, or
+    "u -> v" lines when arrows is set; EdgeListParseError names the line
+    of a bad header, line, endpoint, self-loop or repeated pair."""
+    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(i, line) for i, line in lines if line and not line.startswith("#")]
     if not lines:
         raise EdgeListParseError("empty edge list: missing 'n m' header")
     (lineno, header), body = lines[0], lines[1:]
@@ -350,24 +355,34 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise EdgeListParseError(f"line {lineno}: non-integer header {header!r}") from exc
-    if len(body) != m:
-        raise EdgeListParseError(f"header promises {m} edges, found {len(body)} edge lines")
-    edges = []
+    if n < 0 or len(body) != m:
+        raise EdgeListParseError(
+            f"line {lineno}: header {header!r} does not match the {len(body)} lines after it")
+    shape = "u -> v" if arrows else "u v"
+    pairs: list[Edge] = []
+    seen: set[Edge] = set()
     for lineno, line in body:
         fields = line.split()
+        if arrows:
+            fields = fields[::2] if len(fields) == 3 and fields[1] == "->" else []
         if len(fields) != 2:
-            raise EdgeListParseError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise EdgeListParseError(f"line {lineno}: expected {shape!r}, got {line!r}")
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError as exc:
             raise EdgeListParseError(f"line {lineno}: non-integer endpoint in {line!r}") from exc
         if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise EdgeListParseError(f"line {lineno}: bad edge {u} {v} for n={n}")
-        edges.append((u, v))
-    try:
-        return Graph.from_edges(n, edges)
-    except ValueError as exc:
-        raise EdgeListParseError(str(exc)) from exc
+            raise EdgeListParseError(f"line {lineno}: bad pair {line!r} for n={n}")
+        if _sorted_edge(u, v) in seen:
+            raise EdgeListParseError(f"line {lineno}: pair {line!r} repeats an earlier line")
+        seen.add(_sorted_edge(u, v))
+        pairs.append((u, v))
+    return n, pairs
+
+
+def parse_edge_list(text: str) -> Graph:
+    """The Graph of "u v" edge-list text (see parse_edge_lines)."""
+    return Graph.from_edges(*parse_edge_lines(text))
 
 
 def format_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
@@ -375,13 +390,3 @@ def format_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
     out.append(f"{g.n} {g.m}")
     out.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(out) + "\n"
-
-
-def _payload_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, stripped content) for non-blank, non-comment lines."""
-    result = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            result.append((i, line))
-    return result

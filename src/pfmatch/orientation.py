@@ -25,7 +25,6 @@ from typing import Iterable
 
 from .brute import has_perfect_matching
 from .errors import (
-    EdgeListParseError,
     InvalidCycleError,
     InvalidSizeError,
     OddCycleParityError,
@@ -34,11 +33,11 @@ from .graphs import (
     DEFAULT_CYCLE_GUARD,
     CycleSeq,
     Graph,
-    _payload_lines,
     _sorted_edge,
     cartesian_product,
     enumerate_cycles,
     is_cycle_of,
+    parse_edge_lines,
     path_graph,
     validate_tree,
 )
@@ -62,29 +61,14 @@ class OrientedGraph:
     def n(self) -> int:
         return self.base.n
 
-    def has_arc(self, tail: int, head: int) -> bool:
-        return (tail, head) in self.arcs
+    def orients(self, g: Graph) -> bool:
+        """True iff this orients g: the same vertex count and edge set.
 
-
-@dataclass(frozen=True)
-class Matching:
-    """A set of pairwise vertex-disjoint edges of a host graph."""
-
-    host: Graph
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        covered: set[int] = set()
-        for u, v in self.edges:
-            if _sorted_edge(u, v) not in self.host.edges:
-                raise ValueError(f"matching edge ({u}, {v}) is not in the host graph")
-            if u in covered or v in covered:
-                raise ValueError(f"matching edges share vertex on ({u}, {v})")
-            covered.update((u, v))
-
-    @property
-    def is_perfect(self) -> bool:
-        return 2 * len(self.edges) == self.host.n
+        Structural on purpose: a Tree and a plain Graph with the same
+        vertices and edges are the same graph here, although dataclass
+        equality tells them apart.
+        """
+        return self.base.n == g.n and self.base.edges == g.edges
 
 
 @dataclass(frozen=True)
@@ -109,46 +93,38 @@ def converse(d: OrientedGraph) -> OrientedGraph:
     return OrientedGraph(base=d.base, arcs=frozenset((v, u) for u, v in d.arcs))
 
 
-def orient_double(d: OrientedGraph) -> OrientedGraph:
-    """Orient P_2 x G: left copy keeps d, right copy gets its converse,
-    and every rung v .. n+v points left to right."""
-    n = d.n
-    product = cartesian_product(path_graph(2), d.base)
-    arcs: set[Arc] = set()
-    for u, v in d.arcs:
-        arcs.add((u, v))            # left copy: as oriented
-        arcs.add((n + v, n + u))    # right copy: reversed
-    for j in range(n):
-        arcs.add((j, n + j))
-    return OrientedGraph(base=product, arcs=frozenset(arcs))
-
-
-def orient_layered(d: OrientedGraph, m: int) -> OrientedGraph:
-    """Orient P_m x T by stacking m copies of the tree orientation d.
-
-    Layer i (0-based) keeps d when i is even and its converse when i is
-    odd; every rung points from layer i to layer i+1.  orient_layered(d, 2)
-    coincides with orient_double(d), and m = 1 returns d itself.
-    """
-    validate_tree(d.base)
-    if m < 1:
-        raise InvalidSizeError(f"need at least 1 layer, got {m}")
-    if m == 1:
-        return d
+def _stack(d: OrientedGraph, m: int) -> OrientedGraph:
+    """Orient P_m x G with m copies of d: layer i (0-based) keeps d when i
+    is even and gets its converse when i is odd; every rung points from
+    layer i to layer i+1."""
     n = d.n
     product = cartesian_product(path_graph(m), d.base)
     arcs: set[Arc] = set()
     for i in range(m):
         off = i * n
         for u, v in d.arcs:
-            if i % 2 == 0:
-                arcs.add((off + u, off + v))
-            else:
-                arcs.add((off + v, off + u))
-    for i in range(m - 1):
-        for j in range(n):
-            arcs.add((i * n + j, (i + 1) * n + j))
+            arcs.add((off + u, off + v) if i % 2 == 0 else (off + v, off + u))
+    arcs.update((k, k + n) for k in range((m - 1) * n))  # the rungs
     return OrientedGraph(base=product, arcs=frozenset(arcs))
+
+
+def orient_double(d: OrientedGraph) -> OrientedGraph:
+    """Orient P_2 x G for any graph G: left copy keeps d, right copy gets
+    its converse, and every rung v .. n+v points left to right."""
+    return _stack(d, 2)
+
+
+def orient_layered(d: OrientedGraph, m: int) -> OrientedGraph:
+    """Orient P_m x T by stacking m copies of the tree orientation d.
+
+    The layers alternate d and its converse, with every rung pointing to
+    the next layer, so orient_layered(d, 2) is orient_double(d); m = 1
+    returns d itself.
+    """
+    validate_tree(d.base)
+    if m < 1:
+        raise InvalidSizeError(f"need at least 1 layer, got {m}")
+    return d if m == 1 else _stack(d, m)
 
 
 def orient_c4_tree(d: OrientedGraph) -> OrientedGraph:
@@ -160,12 +136,6 @@ def orient_c4_tree(d: OrientedGraph) -> OrientedGraph:
     """
     validate_tree(d.base)
     return orient_double(orient_double(d))
-
-
-def doubling_matching(base: Graph) -> Matching:
-    """The left-right rung matching of P_2 x base (always perfect)."""
-    product = cartesian_product(path_graph(2), base)
-    return Matching(host=product, edges=frozenset((j, base.n + j) for j in range(base.n)))
 
 
 def skew_adjacency(d: OrientedGraph) -> list[list[int]]:
@@ -224,40 +194,13 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
 
 
 # ---------------------------------------------------------------------------
-# Oriented edge-list text format: '#' comments, "n m" header, m lines "u -> v".
+# Oriented edge-list text: the edge-list format of graphs.parse_edge_lines
+# with "u -> v" lines.
 # ---------------------------------------------------------------------------
 
 def parse_oriented_edge_list(text: str) -> OrientedGraph:
-    lines = _payload_lines(text)
-    if not lines:
-        raise EdgeListParseError("empty oriented edge list: missing 'n m' header")
-    (lineno, header), body = lines[0], lines[1:]
-    parts = header.split()
-    if len(parts) != 2:
-        raise EdgeListParseError(f"line {lineno}: header must be 'n m', got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise EdgeListParseError(f"line {lineno}: non-integer header {header!r}") from exc
-    if len(body) != m:
-        raise EdgeListParseError(f"header promises {m} arcs, found {len(body)} arc lines")
-    arcs = []
-    for lineno, line in body:
-        fields = line.split()
-        if len(fields) != 3 or fields[1] != "->":
-            raise EdgeListParseError(f"line {lineno}: expected 'u -> v', got {line!r}")
-        try:
-            u, v = int(fields[0]), int(fields[2])
-        except ValueError as exc:
-            raise EdgeListParseError(f"line {lineno}: non-integer endpoint in {line!r}") from exc
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise EdgeListParseError(f"line {lineno}: bad arc {u} -> {v} for n={n}")
-        arcs.append((u, v))
-    try:
-        base = Graph.from_edges(n, arcs)
-        return OrientedGraph(base=base, arcs=frozenset(arcs))
-    except ValueError as exc:
-        raise EdgeListParseError(str(exc)) from exc
+    n, arcs = parse_edge_lines(text, arrows=True)
+    return OrientedGraph(base=Graph.from_edges(n, arcs), arcs=frozenset(arcs))
 
 
 def format_oriented_edge_list(d: OrientedGraph, comments: Iterable[str] = ()) -> str:

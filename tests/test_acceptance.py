@@ -23,12 +23,10 @@ from pfmatch import (
     count_pfaffian,
     cycle_graph,
     det_bareiss,
-    doubling_matching,
     enumerate_cycles,
     has_perfect_matching,
     integer_sqrt_exact,
     is_nice_cycle,
-    matchings_by_size,
     max_matching_size,
     orient_c4_tree,
     orient_double,
@@ -40,7 +38,15 @@ from pfmatch import (
     squarish_decompose,
 )
 
-from util import bit_stream, grid_tilings, random_orientation, skew_char_poly, trees_up_to
+from util import (
+    bit_stream,
+    doubling_matching,
+    grid_tilings,
+    matchings_by_size,
+    random_orientation,
+    skew_char_poly,
+    trees_up_to,
+)
 
 
 def _conclude(name: str, failures: list) -> None:

@@ -289,3 +289,34 @@ def test_count_longer_than_int_digit_limit(capsys):
     assert len(expected) == 801
     assert f"count: {expected}\n" in out
     assert payload["count"] == expected
+
+
+def test_orient_file_for_a_path_spec_is_accepted(tmp_path, capsys):
+    # path: and tree-random: specs give a Tree; the file gives a plain Graph
+    arc = tmp_path / "arc.txt"
+    arc.write_text("2 1\n0 -> 1\n")
+    code, out, _ = run(capsys, "verify", "--pfaffian", "--graph", "path:2",
+                       "--orient-file", str(arc))
+    assert code == EXIT_OK and "verdict: pass" in out
+    path4 = tmp_path / "path4.txt"
+    path4.write_text("4 3\n0 -> 1\n2 -> 1\n2 -> 3\n")
+    code, payload, _ = run_json(capsys, "count", "--graph", "path:4", "--method", "pfaffian",
+                                "--orient-file", str(path4))
+    assert code == EXIT_OK and payload["count"] == "1"
+    code, payload, _ = run_json(capsys, "orient", "--double", "--graph", "path:4",
+                                "--orient-file", str(path4))
+    assert code == EXIT_OK and len(payload["arcs"]) == 10
+
+
+def test_repeated_edge_line_is_a_parse_error(tmp_path, capsys):
+    dup = tmp_path / "dup.txt"
+    dup.write_text("3 2\n0 1\n1 0\n")
+    code, out, err = run(capsys, "product", str(dup), "path:1")
+    assert code == EXIT_PARSE and "line 3" in err and not out
+
+
+def test_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "out.txt"
+    for argv in (["orient", "--c4", "--tree", "path:2"], ["product", "path:2", "path:2"]):
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == EXIT_PRECONDITION and "cannot write" in err and not out

@@ -1,0 +1,123 @@
+"""CLI fuzzing: every call ends in a documented exit code, never a traceback.
+
+Inputs are generator specs, edge-list and oriented edge-list text
+(malformed and repeated lines included) written to files, and flag
+combinations of count, orient, verify and product, with output files
+that can and cannot be written.  Sizes stay small (trees and files up
+to 6 vertices, grids up to 6 x 6, Pfaffian checks under a vertex guard
+of at most 16) so the whole run takes a few seconds.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
+
+from pfmatch.cli import main  # noqa: E402
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}
+
+
+# hypothesis leans towards the first option of a choice: valid inputs come first
+
+def _spec():
+    n = st.integers(1, 6).map(str)
+    return st.one_of(
+        st.builds("tree-random:{}:{}".format, n, st.integers(0, 9)),
+        st.builds("path:{}".format, n),
+        st.sampled_from(["@graph", "@arcs"]),
+        st.builds("cycle:{}".format, n),
+        st.sampled_from(["path:0", "cycle:2", "tree-random:-1:0", "path:x", "tree-random:3",
+                         "tree-random:a:1", "@missing"]),
+    )
+
+
+@st.composite
+def _edge_text(draw, arrows: bool) -> str:
+    n = draw(st.one_of(st.integers(1, 6), st.integers(-1, 0)))
+    end = st.integers(0, max(n, 0))  # n itself is out of range
+    shape = "{} -> {}" if arrows else "{} {}"
+    lines = [shape.format(u, v) for u, v in draw(st.lists(st.tuples(end, end), max_size=6))]
+    if lines and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines)))  # a repeated line
+    junk = st.sampled_from(["# comment", "", "0 -> 1", "1 0", "0", "0 ->", "a b", "1 - 2",
+                            "0 1 2"])
+    lines += draw(st.lists(junk, max_size=1))
+    m = draw(st.one_of(st.just(len(lines)), st.integers(-1, 7)))
+    header = draw(st.sampled_from(["{} {}", "{}", "{} {} x"])).format(n, m)
+    return "\n".join([header] + draw(st.permutations(lines))) + "\n"
+
+
+def _maybe(flag: str, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _flags(head: list, *parts):
+    return st.tuples(*parts).map(lambda drawn: head + sum(drawn, []))
+
+
+_TREE = _spec().map(lambda t: ["--tree", t])
+_GRAPH = _spec().map(lambda g: ["--graph", g])
+_ORIENT = _maybe("--orient-file", st.sampled_from(["@arcs", "@graph", "@missing"]))
+_OUTPUT = _maybe("--output", st.sampled_from(["@out", "@missing/out"]))
+_KIND = st.sampled_from(["c4", "p3", "p2", "p4", "pm:1", "pm:5", "pm:0", "pm:x", "c5"])
+_CONSTRUCTION = st.sampled_from([["--double"], ["--c4"], ["--layers", "1"], ["--layers", "3"],
+                                 ["--layers", "4"], [], ["--layers", "0"], ["--double", "--c4"]])
+
+_COUNT = _flags(
+    ["count"],
+    st.one_of(
+        _flags(["--product"], _KIND.map(lambda k: [k]), _TREE),
+        st.tuples(st.integers(1, 6), st.integers(-1, 6)).map(lambda mn: ["--grid", *map(str, mn)]),
+        _GRAPH,
+        st.just(["--product", "c4"]),
+    ),
+    _maybe("--method", st.sampled_from(["auto", "brute", "pfaffian", "formula"])),
+    _ORIENT,
+    _maybe("--max-vertices", st.sampled_from(["0", "8", "16", "-1"])),
+)
+_ORIENT_CMD = _flags(["orient"], _CONSTRUCTION, st.one_of(_TREE, _GRAPH), _ORIENT, _OUTPUT)
+# cycle enumeration is exponential: verify always runs under a small guard
+_VERIFY = _flags(
+    ["verify"],
+    st.sampled_from([["--pfaffian"], ["--identities"], ["--pfaffian", "--identities"]]),
+    _CONSTRUCTION,
+    st.one_of(_TREE, _GRAPH),
+    _ORIENT,
+    st.sampled_from(["0", "8", "16", "-1"]).map(lambda v: ["--max-vertices", v]),
+)
+_PRODUCT_CMD = _flags(["product"], _spec().map(lambda a: [a]), _spec().map(lambda b: [b]), _OUTPUT)
+_ARGV = st.one_of(
+    _COUNT, _ORIENT_CMD, _VERIFY, _PRODUCT_CMD,
+    st.lists(st.sampled_from(["count", "orient", "--json", "--grid", "2", "-x"]), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@example(argv=["orient", "--c4", "--tree", "path:2", "--output", "@missing/out"],
+         graph_text="", arcs_text="", as_json=False)
+@example(argv=["count", "--graph", "@graph", "--method", "brute"],
+         graph_text="-1 0\n", arcs_text="", as_json=True)
+@example(argv=["product", "@graph", "path:1"],
+         graph_text="3 2\n0 1\n1 0\n", arcs_text="", as_json=False)
+@example(argv=["count", "--product", "p4", "--tree", "path:2", "--method", "pfaffian",
+               "--orient-file", "@arcs"],
+         graph_text="", arcs_text="2 1\n1 -> 0\n", as_json=True)
+@given(argv=_ARGV, graph_text=_edge_text(arrows=False), arcs_text=_edge_text(arrows=True),
+       as_json=st.booleans())
+def test_cli_exits_with_a_documented_code(tmp_path, argv, graph_text, arcs_text, as_json):
+    (tmp_path / "graph").write_text(graph_text)
+    (tmp_path / "arcs").write_text(arcs_text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    if as_json:
+        argv.append("--json")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert code in DOCUMENTED_EXIT_CODES, argv

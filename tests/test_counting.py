@@ -18,12 +18,14 @@ from pfmatch import (
     count_p3_tree,
     count_p4_tree,
     count_pfaffian,
+    count_product,
     cycle_graph,
     det_bareiss,
     has_perfect_matching,
     integer_sqrt_exact,
     orient_c4_tree,
     orient_lexicographic,
+    parse_oriented_edge_list,
     path_graph,
     random_tree,
     squarish_decompose,
@@ -36,6 +38,7 @@ from util import (
     grid_tilings,
     matching_count_by_edge_subsets,
     random_orientation,
+    trees_up_to,
 )
 
 
@@ -373,3 +376,66 @@ def test_count_result_never_negative():
     with pytest.raises(ValueError):
         from pfmatch import CountResult
         CountResult(count=-1, method="brute")
+
+
+PRODUCT_KINDS = [("c4", 4)] + [("pm", m) for m in range(1, 6)]
+
+
+def _expected_routes(kind: str, m: int, tree: Graph) -> tuple[bool, bool]:
+    """(closed form applies, proven orientation applies), from the paper's
+    statements, with the backtracking matching test as the P_3 condition."""
+    p3_ok = m != 3 or has_perfect_matching(tree)
+    return kind == "c4" or m == 4 or (m == 3 and p3_ok), m <= 4 and p3_ok
+
+
+def test_count_product_every_method_matches_brute_force():
+    for tree in trees_up_to(6):
+        for kind, m in PRODUCT_KINDS:
+            factor = cycle_graph(4) if kind == "c4" else path_graph(m)
+            expected = count_brute(cartesian_product(factor, tree)).count
+            formula_ok, pfaffian_ok = _expected_routes(kind, m, tree)
+            auto = count_product(kind, m, tree)
+            assert auto.count == expected, (kind, m, tree.edges)
+            if formula_ok:
+                assert auto.method.startswith("formula-")
+            else:
+                assert auto.method == ("pfaffian" if pfaffian_ok else "brute")
+            for method, applies in (("formula", formula_ok), ("pfaffian", pfaffian_ok),
+                                    ("brute", True)):
+                if applies:
+                    result = count_product(kind, m, tree, method)
+                    assert result.count == expected, (kind, m, method, tree.edges)
+                else:
+                    with pytest.raises(PreconditionError, match="try --method brute"):
+                        count_product(kind, m, tree, method)
+
+
+def test_count_product_pfaffian_route_from_any_base_orientation():
+    for seed, tree in enumerate(trees_up_to(5)):
+        base = random_orientation(Graph(n=tree.n, edges=tree.edges), seed)
+        for kind, m in PRODUCT_KINDS:
+            if _expected_routes(kind, m, tree)[1]:
+                result = count_product(kind, m, tree, "pfaffian", base=base)
+                assert result.count == count_product(kind, m, tree, "brute").count
+
+
+def test_count_product_rejects_bad_requests():
+    tree = path_graph(4)
+    with pytest.raises(PreconditionError, match="orient"):
+        count_product("c4", 4, tree, base=orient_lexicographic(path_graph(3)))
+    with pytest.raises(PreconditionError):
+        count_product("c5", 5, tree)
+    with pytest.raises(PreconditionError):
+        count_product("pm", 2, tree, "fastest")
+    with pytest.raises(InvalidSizeError):
+        count_product("c4", 3, tree)
+    with pytest.raises(InvalidSizeError):
+        count_product("pm", 0, tree)
+    with pytest.raises(SizeLimitError):
+        count_product("pm", 5, path_graph(9), max_vertices=40)
+
+
+def test_count_pfaffian_accepts_orientation_file_of_a_path():
+    # a Tree and the plain Graph parsed from a file are the same graph
+    d = parse_oriented_edge_list("4 3\n0 -> 1\n1 -> 2\n2 -> 3\n")
+    assert count_pfaffian(path_graph(4), d).count == 1

@@ -13,7 +13,6 @@ from pfmatch import (
     det_bareiss,
     has_perfect_matching,
     integer_sqrt_exact,
-    matchings_by_size,
     orient_c4_tree,
     orient_lexicographic,
     path_graph,
@@ -29,6 +28,7 @@ from util import (
     det_cofactor,
     eval_matrix_poly,
     identity_matrix,
+    matchings_by_size,
     random_orientation,
     skew_char_poly,
 )

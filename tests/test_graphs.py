@@ -187,6 +187,12 @@ def test_edge_list_parse_errors():
         parse_edge_list("3 1\n0 5\n")  # endpoint out of range
     with pytest.raises(EdgeListParseError):
         parse_edge_list("3 1\n1 1\n")  # self-loop
+    with pytest.raises(EdgeListParseError, match="line 3"):
+        parse_edge_list("3 2\n0 1\n1 0\n")  # repeated pair, reversed
+    with pytest.raises(EdgeListParseError, match="line 4"):
+        parse_edge_list("# dup\n3 2\n1 2\n1 2\n")  # repeated pair, same way
+    with pytest.raises(EdgeListParseError):
+        parse_edge_list("-1 0\n")  # negative vertex count
 
 
 def test_edge_list_ignores_comments_and_blanks():

@@ -3,9 +3,9 @@
 import pytest
 
 from pfmatch import (
+    EdgeListParseError,
     Graph,
     InvalidCycleError,
-    Matching,
     NotATreeError,
     OddCycleParityError,
     OrientedGraph,
@@ -13,7 +13,6 @@ from pfmatch import (
     check_pfaffian,
     converse,
     cycle_graph,
-    doubling_matching,
     enumerate_cycles,
     format_oriented_edge_list,
     has_perfect_matching,
@@ -31,6 +30,8 @@ from pfmatch import (
 )
 
 from util import (
+    Matching,
+    doubling_matching,
     identity_matrix,
     induced_subgraph,
     matching_count_by_edge_subsets,
@@ -347,6 +348,10 @@ def test_oriented_edge_list_roundtrip():
 def test_oriented_edge_list_rejects_conflicting_arcs():
     with pytest.raises(ValueError):
         parse_oriented_edge_list("2 2\n0 -> 1\n1 -> 0\n")
+    with pytest.raises(EdgeListParseError, match="line 3"):
+        parse_oriented_edge_list("2 2\n0 -> 1\n0 -> 1\n")  # repeated arc
+    with pytest.raises(EdgeListParseError, match="line 2"):
+        parse_oriented_edge_list("2 1\n0 1\n")  # an edge line where an arc belongs
 
 
 def test_validate_tree_witness_survives_orientation_constructors():

@@ -11,6 +11,7 @@ polynomials.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from pfmatch import (
@@ -19,6 +20,8 @@ from pfmatch import (
     IntPolynomial,
     OrientedGraph,
     Tree,
+    cartesian_product,
+    path_graph,
     skew_adjacency,
     validate_tree,
 )
@@ -173,6 +176,56 @@ def matching_count_by_edge_subsets(g: Graph) -> int:
         else:
             total += 1
     return total
+
+
+def matchings_by_size(g: Graph) -> list[int]:
+    """counts[k] = number of k-edge matchings of g (counts[0] is always 1).
+
+    Enumerates edge subsets with disjointness pruning; meant for the
+    coefficient cross-checks on small graphs, not for large inputs.
+    """
+    edges = sorted(g.edges)
+    counts = [0] * (g.n // 2 + 1)
+
+    def rec(i: int, covered: int, size: int) -> None:
+        if i == len(edges):
+            counts[size] += 1
+            return
+        rec(i + 1, covered, size)
+        u, v = edges[i]
+        bits = (1 << u) | (1 << v)
+        if not covered & bits:
+            rec(i + 1, covered | bits, size + 1)
+
+    rec(0, 0, 0)
+    return counts
+
+
+@dataclass(frozen=True)
+class Matching:
+    """A set of pairwise vertex-disjoint edges of a host graph."""
+
+    host: Graph
+    edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        covered: set[int] = set()
+        for u, v in self.edges:
+            if (min(u, v), max(u, v)) not in self.host.edges:
+                raise ValueError(f"matching edge ({u}, {v}) is not in the host graph")
+            if u in covered or v in covered:
+                raise ValueError(f"matching edges share vertex on ({u}, {v})")
+            covered.update((u, v))
+
+    @property
+    def is_perfect(self) -> bool:
+        return 2 * len(self.edges) == self.host.n
+
+
+def doubling_matching(base: Graph) -> Matching:
+    """The left-right rung matching of P_2 x base (always perfect)."""
+    product = cartesian_product(path_graph(2), base)
+    return Matching(host=product, edges=frozenset((j, base.n + j) for j in range(base.n)))
 
 
 def induced_subgraph(g: Graph, keep: list[int]) -> Graph:
