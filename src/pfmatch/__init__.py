@@ -5,7 +5,8 @@ The package has four layers:
 - graphs:       paths, cycles, trees, Cartesian products, cycle enumeration,
                 and the linear-time perfect-matching test for trees
 - orientation:  the doubled / layered / four-layer orientations and the
-                nice-even-cycle Pfaffian check
+                Pfaffian check over the M-alternating cycles of one
+                perfect matching M
 - exactlinalg:  fraction-free determinants, tree characteristic polynomials,
                 root_product (the product of a polynomial over the roots
                 of a small monic one) and integer square roots
@@ -21,11 +22,13 @@ only parses arguments and renders reports.
 
 from .brute import (
     count_perfect_matchings,
+    find_perfect_matching,
     has_perfect_matching,
     max_matching_size,
 )
 from .counting import (
     DEFAULT_BRUTE_GUARD,
+    DEFAULT_PFAFFIAN_GUARD,
     CountResult,
     IdentityReport,
     SquarishDecomposition,
@@ -102,6 +105,7 @@ __all__ = [
     "CycleSeq",
     "DEFAULT_BRUTE_GUARD",
     "DEFAULT_CYCLE_GUARD",
+    "DEFAULT_PFAFFIAN_GUARD",
     "EdgeListParseError",
     "Graph",
     "IdentityReport",
@@ -139,6 +143,7 @@ __all__ = [
     "cycle_graph",
     "det_bareiss",
     "enumerate_cycles",
+    "find_perfect_matching",
     "format_edge_list",
     "format_oriented_edge_list",
     "has_perfect_matching",

@@ -7,9 +7,9 @@ which keeps the intended desk-scale inputs (a few dozen vertices) fast.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .graphs import Graph
+from .graphs import Edge, Graph
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
@@ -49,26 +49,35 @@ def count_perfect_matchings(g: Graph, excluding: Iterable[int] = ()) -> int:
     return rec(free)
 
 
-def has_perfect_matching(g: Graph, excluding: Iterable[int] = ()) -> bool:
-    """Early-exit variant of count_perfect_matchings (stops at the first one)."""
+def find_perfect_matching(g: Graph, excluding: Iterable[int] = ()) -> Optional[tuple[Edge, ...]]:
+    """A perfect matching of g (or of g minus `excluding`) as sorted edges in
+    ascending order, or None; the search stops at the first one found."""
     free = _free_mask(g, excluding)
     if bin(free).count("1") % 2:
-        return False
+        return None
     nbr = _neighbor_masks(g)
 
-    def rec(free: int) -> bool:
+    def rec(free: int) -> Optional[list[Edge]]:
         if not free:
-            return True
+            return []
         v = (free & -free).bit_length() - 1
         choices = nbr[v] & free
         while choices:
             wbit = choices & -choices
             choices ^= wbit
-            if rec(free & ~(wbit | (1 << v))):
-                return True
-        return False
+            rest = rec(free & ~(wbit | (1 << v)))
+            if rest is not None:
+                rest.append((v, wbit.bit_length() - 1))
+                return rest
+        return None
 
-    return rec(free)
+    found = rec(free)
+    return None if found is None else tuple(reversed(found))
+
+
+def has_perfect_matching(g: Graph, excluding: Iterable[int] = ()) -> bool:
+    """True iff g (or g minus `excluding`) has a perfect matching."""
+    return find_perfect_matching(g, excluding) is not None
 
 
 def max_matching_size(g: Graph) -> int:

@@ -325,9 +325,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "count": None,
         "violations": [list(c) for c in result.violations],
     }
+    kind = "M-alternating" if result.route == "alternating" else "nice even"
     lines = [
         f"orientation: {tag}",
-        f"nice even cycles: {result.nice_even_cycles}",
+        f"route: {result.route}",
+        f"cycles checked: {result.nice_even_cycles} {kind}",
         f"verdict: {'pass' if result.passed else 'FAIL'}",
     ]
     for c in result.violations:
@@ -421,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     orient.set_defaults(func=cmd_orient)
 
     verify = sub.add_parser("verify", help="run the verification suites")
-    verify.add_argument("--pfaffian", action="store_true", help="nice-even-cycle parity check")
+    verify.add_argument("--pfaffian", action="store_true",
+                        help="Pfaffian check over the M-alternating cycles of one perfect matching M")
     verify.add_argument("--identities", action="store_true", help="count identity cross-checks")
     verify.add_argument("--double", action="store_true")
     verify.add_argument("--c4", action="store_true")

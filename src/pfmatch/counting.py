@@ -51,6 +51,9 @@ from .orientation import (OrientedGraph, orient_c4_tree, orient_layered, orient_
 #: Default vertex guard for the backtracking counter.
 DEFAULT_BRUTE_GUARD = 40
 
+#: Vertex guard for count_pfaffian's O(n^3) determinant (600: about 8 s).
+DEFAULT_PFAFFIAN_GUARD = 600
+
 
 @dataclass(frozen=True)
 class CountResult:
@@ -107,13 +110,18 @@ def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
     The caller vouches for Pfaffian-ness (check_pfaffian can verify it at
     desk scale).  The determinant of the skew adjacency matrix is the
     squared count; a non-square determinant proves the orientation was
-    not Pfaffian and raises NotPfaffianError.
+    not Pfaffian and raises NotPfaffianError.  An even graph above
+    DEFAULT_PFAFFIAN_GUARD vertices raises SizeLimitError.
     """
     if not d.orients(g):
         raise PreconditionError("orientation is not over the given graph")
     if g.n % 2:
         return CountResult(count=0, method="pfaffian", dimension=g.n, determinant=0,
                            note="odd vertex count")
+    if g.n > DEFAULT_PFAFFIAN_GUARD:
+        raise SizeLimitError(
+            f"Pfaffian determinant guard: {g.n} vertices > limit {DEFAULT_PFAFFIAN_GUARD}"
+        )
     det = det_bareiss(skew_adjacency(d))
     try:
         root = integer_sqrt_exact(det)

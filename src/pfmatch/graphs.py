@@ -290,6 +290,15 @@ def _prufer_decode(seq: list[int], n: int) -> list[Edge]:
     return edges
 
 
+def _cycle_guard(g: Graph, max_vertices: int) -> None:
+    """SizeLimitError when g is too large for a cycle scan."""
+    if g.n > max_vertices:
+        raise SizeLimitError(
+            f"cycle enumeration guard: {g.n} vertices > limit {max_vertices}; "
+            "raise the limit explicitly or use the brute-force counting route"
+        )
+
+
 def enumerate_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_GUARD) -> list[CycleSeq]:
     """Every simple cycle of g exactly once (up to rotation/reflection).
 
@@ -298,11 +307,7 @@ def enumerate_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_GUARD) -> list[
     interior vertices all exceed the start vertex, so no cycle repeats.
     Exponential in general; guarded by max_vertices.
     """
-    if g.n > max_vertices:
-        raise SizeLimitError(
-            f"cycle enumeration guard: {g.n} vertices > limit {max_vertices}; "
-            "raise the limit explicitly or use the brute-force counting route"
-        )
+    _cycle_guard(g, max_vertices)
     adj = g.adjacency
     cycles: list[CycleSeq] = []
     path: list[int] = []

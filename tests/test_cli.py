@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -170,6 +171,26 @@ def test_product_roundtrips_through_parser(capsys, tmp_path):
 def test_verify_pfaffian_random_tree(capsys):
     code, out, _ = run(capsys, "verify", "--pfaffian", "--c4", "--tree", "tree-random:5:42")
     assert code == EXIT_OK and "verdict: pass" in out
+
+
+def test_verify_pfaffian_names_route_and_cycles_checked(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--pfaffian", "--c4", "--tree", "path:2")
+    assert code == EXIT_OK
+    assert "route: alternating" in out and "cycles checked: 6 M-alternating" in out
+    bad = tmp_path / "allforward.txt"
+    bad.write_text("4 4\n0 -> 1\n1 -> 2\n2 -> 3\n3 -> 0\n")
+    code, out, _ = run(capsys, "verify", "--pfaffian", "--graph", "cycle:4", "--orient-file", str(bad))
+    assert code == EXIT_VIOLATION
+    assert "route: nice-cycles" in out and "cycles checked: 1 nice even" in out
+
+
+def test_count_pfaffian_size_guard(capsys):
+    # 151-vertex tree: a 604-square determinant, above DEFAULT_PFAFFIAN_GUARD
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count", "--product", "c4", "--method", "pfaffian",
+                       "--tree", "tree-random:151:1")
+    assert code == EXIT_SIZE_LIMIT and "guard" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_identities_path4(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from pfmatch import (
+    DEFAULT_PFAFFIAN_GUARD,
     Graph,
     InvalidSizeError,
     NotSquarishError,
@@ -125,6 +126,17 @@ def test_pfaffian_odd_graph_counts_zero():
 def test_pfaffian_rejects_mismatched_orientation():
     with pytest.raises(PreconditionError):
         count_pfaffian(cycle_graph(4), orient_lexicographic(path_graph(4)))
+
+
+def test_pfaffian_size_guard():
+    # the guard covers the determinant only: an odd graph still counts 0
+    big = path_graph(DEFAULT_PFAFFIAN_GUARD + 2)
+    with pytest.raises(SizeLimitError):
+        count_pfaffian(big, orient_lexicographic(big))
+    odd = path_graph(DEFAULT_PFAFFIAN_GUARD + 1)
+    assert count_pfaffian(odd, orient_lexicographic(odd)).count == 0
+    with pytest.raises(SizeLimitError):
+        count_product("pm", 2, random_tree(DEFAULT_PFAFFIAN_GUARD // 2 + 1, 3))
 
 
 def test_pfaffian_all_forward_c6_undercounts():

@@ -12,8 +12,10 @@ from pfmatch import (
     cartesian_product,
     check_pfaffian,
     converse,
+    count_perfect_matchings,
     cycle_graph,
     enumerate_cycles,
+    find_perfect_matching,
     format_oriented_edge_list,
     has_perfect_matching,
     is_nice_cycle,
@@ -31,10 +33,14 @@ from pfmatch import (
 
 from util import (
     Matching,
+    bit_stream,
+    cycles_by_subsets,
+    det_cofactor,
     doubling_matching,
     identity_matrix,
     induced_subgraph,
     matching_count_by_edge_subsets,
+    pfaffian_violations_by_subsets,
     random_orientation,
     trees_up_to,
 )
@@ -276,10 +282,71 @@ def test_check_pfaffian_report_counts_nice_even_cycles():
     cube = orient_c4_tree(orient_lexicographic(path_graph(2)))
     report = check_pfaffian(cube)
     assert report.passed and report.violations == ()
+    # M is the four tree edges; the M-alternating cycles are the four
+    # squares through two of them and the two Hamiltonian cycles
+    # alternating with them
+    assert report.route == "alternating"
+    assert report.matching == ((0, 1), (2, 3), (4, 5), (6, 7))
+    assert report.nice_even_cycles == 6
+    # one flipped arc fails the check, and the failure runs the full scan:
     # all 28 cycles of the cube are even; the 24 nice ones: every 4-cycle
     # and 8-cycle, and 12 of the 16 hexagons (a hexagon's 2-vertex
     # remainder must be one of the 12 edges)
-    assert report.nice_even_cycles == 24
+    flipped = OrientedGraph(base=cube.base, arcs=cube.arcs - {(0, 1)} | {(1, 0)})
+    broken = check_pfaffian(flipped)
+    assert not broken.passed and broken.route == "nice-cycles"
+    assert broken.nice_even_cycles == 24
+
+
+def _connected(g: Graph) -> bool:
+    seen, stack = {0}, [0]
+    while stack:
+        for w in g.adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
+def _alternates(c: tuple[int, ...], matching) -> bool:
+    k = len(c)
+    used = [tuple(sorted((c[i], c[(i + 1) % k]))) in matching for i in range(k)]
+    return k % 2 == 0 and all(used[i] != used[(i + 1) % k] for i in range(k))
+
+
+def test_check_pfaffian_agrees_with_determinant_and_subset_oracles():
+    # an orientation is Pfaffian iff all perfect matchings carry one sign,
+    # i.e. iff det(skew adjacency) == (number of perfect matchings)^2;
+    # random graphs on 1..8 vertices under random orientations
+    bits = bit_stream(404)
+    seen = {"non-pfaffian": 0, "odd": 0, "disconnected": 0, "unmatchable": 0}
+    for _ in range(600):
+        n = 1 + next(bits) % 8
+        density = next(bits) % 101
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if next(bits) % 100 < density])
+        d = random_orientation(g, next(bits))
+        count = matching_count_by_edge_subsets(g)
+        report = check_pfaffian(d)
+        assert report.passed == (det_cofactor(skew_adjacency(d)) == count ** 2), sorted(d.arcs)
+
+        found = find_perfect_matching(g)
+        assert (found is not None) == (count_perfect_matchings(g) > 0)
+        if found is not None:
+            assert set(found) <= g.edges and sorted(v for e in found for v in e) == list(range(n))
+        assert report.matching == (found or ())
+
+        if report.passed:
+            # every M-alternating cycle was examined exactly once
+            assert report.nice_even_cycles == sum(
+                1 for c in cycles_by_subsets(g) if _alternates(c, report.matching))
+        else:
+            assert sorted(report.violations) == pfaffian_violations_by_subsets(d)
+        seen["non-pfaffian"] += not report.passed
+        seen["odd"] += n % 2
+        seen["disconnected"] += not _connected(g)
+        seen["unmatchable"] += count == 0
+    assert seen["non-pfaffian"] >= 50 and min(seen.values()) > 0, seen
 
 
 def test_doubling_cycles_use_two_rungs_and_are_nice():

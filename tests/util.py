@@ -10,6 +10,7 @@ polynomials.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,14 +109,26 @@ def _ahu_canonical(t: Graph) -> str:
     return min(rooted(c, -1) for c in alive)
 
 
-def nonisomorphic_trees(n: int) -> list[Tree]:
-    """One representative per isomorphism class of trees on n vertices."""
-    seen: dict[str, Tree] = {}
-    for t in labeled_trees(n):
-        key = _ahu_canonical(t)
-        if key not in seen:
-            seen[key] = t
-    return [seen[k] for k in sorted(seen)]
+@functools.lru_cache(maxsize=None)
+def nonisomorphic_trees(n: int) -> tuple[Tree, ...]:
+    """One representative per isomorphism class of trees on n vertices: the
+    first labeled tree of the class in Prüfer order.
+
+    The classes come from adding a leaf to each vertex of each smaller
+    representative (every tree is a smaller one plus a leaf), so the
+    Prüfer scan stops as soon as every class has its first tree.
+    """
+    if n <= 2:
+        return tuple(labeled_trees(n))
+    classes = {_ahu_canonical(Graph.from_edges(n, [*t.edges, (v, n - 1)]))
+               for t in nonisomorphic_trees(n - 1) for v in range(n - 1)}
+    seen: dict[str, Graph] = {}
+    for seq in itertools.product(range(n), repeat=n - 2):
+        g = Graph.from_edges(n, _prufer_decode(list(seq), n))
+        seen.setdefault(_ahu_canonical(g), g)
+        if len(seen) == len(classes):
+            break
+    return tuple(validate_tree(seen[k]) for k in sorted(seen))
 
 
 def trees_up_to(n: int) -> list[Tree]:
@@ -126,37 +139,65 @@ def trees_up_to(n: int) -> list[Tree]:
 # oracle: simple cycles counted via vertex subsets
 # ---------------------------------------------------------------------------
 
-def cycle_census_by_subsets(g: Graph) -> dict[int, int]:
-    """length -> number of simple cycles, one per rotation/reflection class.
+def hamiltonian_cycles(g: Graph, subset: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Hamiltonian cycles of the subgraph induced by a sorted vertex subset,
+    started at its first vertex and directed so that the second vertex is
+    below the last (the form enumerate_cycles uses)."""
+    size, sset, start = len(subset), set(subset), subset[0]
+    found: list[tuple[int, ...]] = []
 
-    For each vertex subset, counts Hamiltonian cycles of the induced
-    subgraph (start fixed at the subset's first vertex, direction fixed
-    by comparing the two neighbors of the start).
-    """
-    counts: dict[int, int] = {}
+    def ham(path: list[int], used: set[int]) -> None:
+        v = path[-1]
+        if len(path) == size:
+            if g.has_edge(v, start) and path[1] < path[-1]:
+                found.append(tuple(path))
+            return
+        for w in g.adjacency[v]:
+            if w in sset and w not in used:
+                used.add(w)
+                path.append(w)
+                ham(path, used)
+                path.pop()
+                used.remove(w)
+
+    ham([start], {start})
+    return found
+
+
+def cycles_by_subsets(g: Graph):
+    """Every simple cycle of g once, one per rotation/reflection class, as
+    the Hamiltonian cycles of each vertex subset of 3 or more."""
     for size in range(3, g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
-            sset = set(subset)
-            start = subset[0]
+            yield from hamiltonian_cycles(g, subset)
 
-            def ham(path: list[int], used: set[int]) -> int:
-                v = path[-1]
-                if len(path) == size:
-                    return 1 if g.has_edge(v, start) and path[1] < path[-1] else 0
-                total = 0
-                for w in g.adjacency[v]:
-                    if w in sset and w not in used:
-                        used.add(w)
-                        path.append(w)
-                        total += ham(path, used)
-                        path.pop()
-                        used.remove(w)
-                return total
 
-            found = ham([start], {start})
-            if found:
-                counts[size] = counts.get(size, 0) + found
+def cycle_census_by_subsets(g: Graph) -> dict[int, int]:
+    """length -> number of simple cycles, one per rotation/reflection class."""
+    counts: dict[int, int] = {}
+    for c in cycles_by_subsets(g):
+        counts[len(c)] = counts.get(len(c), 0) + 1
     return counts
+
+
+def pfaffian_violations_by_subsets(d: OrientedGraph) -> list[tuple[int, ...]]:
+    """The nice even cycles of d's base with an even forward-arc count, sorted.
+
+    Cycles come from vertex subsets, niceness from the edge subsets of
+    the remainder, and the forward arcs are counted around the cycle.
+    """
+    g = d.base
+    found = []
+    for size in range(4, g.n + 1, 2):
+        for subset in itertools.combinations(range(g.n), size):
+            rest = [v for v in range(g.n) if v not in subset]
+            if not matching_count_by_edge_subsets(induced_subgraph(g, rest)):
+                continue
+            for c in hamiltonian_cycles(g, subset):
+                forward = sum(1 for i in range(size) if (c[i], c[(i + 1) % size]) in d.arcs)
+                if forward % 2 == 0:
+                    found.append(c)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
