@@ -7,14 +7,16 @@ The package has four layers:
 - orientation:  the doubled / layered / four-layer orientations and the
                 Pfaffian check over the M-alternating cycles of one
                 perfect matching M
-- exactlinalg:  fraction-free determinants, tree characteristic polynomials,
-                root_product (the product of a polynomial over the roots
-                of a small monic one) and integer square roots
-- counting:     brute-force oracle, Pfaffian counting, and the closed-form
-                eigenvalue-product counts, each evaluated exactly from the
-                tree characteristic polynomial through root_product;
-                count_product chooses among them (formula, then a proven
-                Pfaffian orientation, then brute force)
+- exactlinalg:  fraction-free determinants, tree characteristic polynomials
+                by the bridge recurrence, root_product (the product of a
+                polynomial over the roots of a small monic one, as the
+                determinant of a multiplication matrix) and integer
+                square roots
+- counting:     brute-force oracle, Pfaffian counting, and one closed form,
+                P_s x T = |root_product(q_s, psi_T)| with q_s read off the
+                path P_s, whose instances are the C_4, P_3, P_4, grid and
+                lattice counts; count_product chooses among them (formula,
+                then a proven Pfaffian orientation, then brute force)
 
 plus a command-line front end (pfmatch.cli / the `pfmatch` script) that
 only parses arguments and renders reports.
@@ -28,6 +30,7 @@ from .brute import (
 )
 from .counting import (
     DEFAULT_BRUTE_GUARD,
+    DEFAULT_GRID_GUARD,
     DEFAULT_PFAFFIAN_GUARD,
     CountResult,
     IdentityReport,
@@ -105,6 +108,7 @@ __all__ = [
     "CycleSeq",
     "DEFAULT_BRUTE_GUARD",
     "DEFAULT_CYCLE_GUARD",
+    "DEFAULT_GRID_GUARD",
     "DEFAULT_PFAFFIAN_GUARD",
     "EdgeListParseError",
     "Graph",

@@ -30,9 +30,7 @@ from .counting import (
 )
 from .errors import (
     EdgeListParseError,
-    NotAPerfectSquareError,
     NotPfaffianError,
-    NotSquarishError,
     NumericalConsistencyError,
     PfmatchError,
     PreconditionError,
@@ -61,28 +59,16 @@ from .orientation import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_SIZE_LIMIT = 4
-EXIT_VIOLATION = 5
-EXIT_NUMERIC = 6
+EXIT_PARSE = EdgeListParseError.exit_code
+EXIT_PRECONDITION = PfmatchError.exit_code
+EXIT_SIZE_LIMIT = SizeLimitError.exit_code
+EXIT_VIOLATION = NotPfaffianError.exit_code
+EXIT_NUMERIC = NumericalConsistencyError.exit_code
 
 #: Environment variable overriding the default guards (flag still wins).
 GUARD_ENV_VAR = "PFMATCH_MAX_VERTICES"
 
 _GENERATOR_PREFIXES = ("path:", "cycle:", "tree-random:")
-
-
-def _exit_code_for(exc: PfmatchError) -> int:
-    if isinstance(exc, EdgeListParseError):
-        return EXIT_PARSE
-    if isinstance(exc, SizeLimitError):
-        return EXIT_SIZE_LIMIT
-    if isinstance(exc, NumericalConsistencyError):
-        return EXIT_NUMERIC
-    if isinstance(exc, (NotPfaffianError, NotSquarishError, NotAPerfectSquareError)):
-        return EXIT_VIOLATION
-    return EXIT_PRECONDITION
 
 
 def parse_graph_spec(spec: str) -> Graph:
@@ -466,7 +452,7 @@ def _run(args: argparse.Namespace) -> int:
         report, lines, code = args.func(args)
     except PfmatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     report["elapsed_ms"] = elapsed_ms
     if args.json:

@@ -1,22 +1,20 @@
 """Perfect-matching counts: brute force, Pfaffian determinants, closed forms.
 
-Every closed form here is an eigenvalue product over the spectrum of a
-tree T, evaluated exactly from its characteristic polynomial.  The
-spectrum is symmetric about zero, so phi_T(x) = x^e * psi(x^2) with
-e = n mod 2, and psi has a root t^2 for every eigenvalue pair +-t.
-With root_product(q, p), the product of p over the roots of a monic q:
+Every closed form here is one eigenvalue product over the spectrum of a
+tree T, evaluated exactly from its characteristic polynomial
+phi_T(x) = x^e * psi_T(x^2), e = n mod 2 (the spectrum is symmetric
+about zero).  With root_product(q, p), the product of p over the roots
+of a monic q, and q_s(y) = (-1)^floor(s/2) * psi_{P_s}(-y) read off the
+path P_s:
 
-    C_4 x T :  prod_j (2 + t_j^2)             =  2^e * psi(-2)^2
-    P_3 x T :  prod_{t > 0} (2 + t^2)          =  |psi(-2)|   (T needs a
-                                                  perfect matching, which
-                                                  forces corank zero)
-    P_4 x T :  prod_{t >= 0} (1 + 3t^2 + t^4)  =  |root_product(y^2 + 3y + 1, psi)|
-    P_m x P_n: Kasteleyn's product             =  see count_grid_dimer
+    P_s x T  =  |root_product(q_s, psi_T)|
 
-where psi(-2) = root_product(y + 2, psi).  No route takes a square root
-or rounds a float.  The trigonometric product formulas of the 2 x 2 x n
-lattice and the m x n grid are evaluated in log space, as cross-checks
-of the exact counts with explicit tolerances.
+This counts P_3 x T (q_3 = y + 2; T needs a perfect matching), P_4 x T
+(q_4 = y^2 + 3y + 1) and the m x n grid (T = P_L).  C_4 x T is
+2^e * (P_3 x T form)^2 for every tree, and the 2 x 2 x n lattice is its
+case T = P_n.  No route takes a square root or rounds a float.  The
+trigonometric products of the lattice and the grid are cross-checks,
+evaluated in log space with explicit tolerances.
 """
 
 from __future__ import annotations
@@ -35,10 +33,9 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .exactlinalg import IntPolynomial, char_poly_tree, det_bareiss, integer_sqrt_exact, root_product
+from .exactlinalg import char_poly_tree, det_bareiss, integer_sqrt_exact, root_product
 from .graphs import (
     Graph,
-    Tree,
     cartesian_product,
     cycle_graph,
     path_graph,
@@ -53,6 +50,12 @@ DEFAULT_BRUTE_GUARD = 40
 
 #: Vertex guard for count_pfaffian's O(n^3) determinant (600: about 8 s).
 DEFAULT_PFAFFIAN_GUARD = 600
+
+#: Guard for count_grid_dimer on sides s <= L: L * (s^2 + L) may not exceed
+#: it.  The norm's time grows about as (s^2 L)^2 and the long path's
+#: characteristic polynomial as L^2.3, so both stay in seconds: at the
+#: limit 150 x 150 takes about 3 s, 130 x 200 about 4 s, 2 x 1868 about 1.2 s.
+DEFAULT_GRID_GUARD = 3_500_000
 
 
 @dataclass(frozen=True)
@@ -133,28 +136,35 @@ def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
     return CountResult(count=root, method="pfaffian", dimension=g.n, determinant=det)
 
 
-def _psi(t: Graph) -> IntPolynomial:
-    """psi with char_poly_tree(t)(x) == x^e * psi(x^2), where e = n mod 2."""
-    return char_poly_tree(t)[t.n % 2::2]
+def _path_product(s: int, t: Graph) -> int:
+    """|root_product(q_s, psi_T)|, the closed form of P_s x T.
+
+    psi comes from phi(x) = x^e * psi(x^2) for the tree T and the path
+    P_s.  q_s(y) = (-1)^floor(s/2) * psi_{P_s}(-y) is monic, with a root
+    -r^2 for each positive eigenvalue r of P_s, so the value is the
+    product of |psi_T(-r^2)| over those r.  It counts the perfect
+    matchings of P_s x T for s = 4, for s = 3 when T has a perfect
+    matching, and for the grid (T = P_L) when s * L is even.
+    """
+    psi_s, psi_t = (char_poly_tree(g)[g.n % 2::2] for g in (path_graph(s), t))
+    d = len(psi_s) - 1
+    q_s = [(-1) ** (j + d) * c for j, c in enumerate(psi_s)]
+    return abs(root_product(q_s, psi_t))
 
 
 def count_c4_tree(t: Graph) -> CountResult:
-    """Perfect matchings of C_4 x T, exactly, as det(2I + A^2) = 2^e * psi(-2)^2."""
-    tree = validate_tree(t)
-    count = 2 ** (tree.n % 2) * root_product([2, 1], _psi(tree)) ** 2
-    return CountResult(count=count, method="formula-c4t", dimension=tree.n, determinant=count)
+    """Perfect matchings of C_4 x T, exactly, as det(2I + A^2) = 2^e * (P_3 x T form)^2."""
+    count = 2 ** (t.n % 2) * _path_product(3, t) ** 2
+    return CountResult(count=count, method="formula-c4t", dimension=t.n, determinant=count)
 
 
 def count_p4_tree(t: Graph) -> CountResult:
-    """Perfect matchings of P_4 x T, exactly, as |root_product(y^2 + 3y + 1, psi)|.
+    """Perfect matchings of P_4 x T, exactly, as |root_product(q_4, psi)|.
 
-    Each nonzero eigenvalue pair +-t contributes 1 + 3t^2 + t^4 once,
-    which is q(t^2) for q = y^2 + 3y + 1; the product of q over the roots
-    of psi equals the product of psi over the roots of q.
+    Each eigenvalue pair +-t contributes q_4(t^2) = 1 + 3t^2 + t^4 once.
     """
-    tree = validate_tree(t)
-    count = abs(root_product([1, 3, 1], _psi(tree)))
-    return CountResult(count=count, method="formula-p4t", dimension=tree.n,
+    count = _path_product(4, t)
+    return CountResult(count=count, method="formula-p4t", dimension=t.n,
                        determinant=count * count)
 
 
@@ -166,18 +176,17 @@ def count_p3_tree(t: Graph) -> CountResult:
     Trees without a perfect matching have no known closed form and are
     rejected; use the brute-force route.
     """
-    tree = validate_tree(t)
-    if not tree_has_perfect_matching(tree):
+    if not tree_has_perfect_matching(t):
         raise PreconditionError(
             "tree has no perfect matching: no closed form is available for "
             "P_3 x T in that case (open problem); use count_brute instead"
         )
-    return _count_p3_matched(tree)
+    return _count_p3_matched(t)
 
 
-def _count_p3_matched(tree: Tree) -> CountResult:
+def _count_p3_matched(tree: Graph) -> CountResult:
     """count_p3_tree for a tree already known to have a perfect matching."""
-    count = abs(root_product([2, 1], _psi(tree)))
+    count = _path_product(3, tree)
     return CountResult(count=count, method="formula-p3t", dimension=tree.n,
                        determinant=count * count)
 
@@ -279,13 +288,13 @@ def count_c4_path(n: int) -> CountResult:
 def count_grid_dimer(m: int, n: int) -> CountResult:
     """Perfect matchings (dimer coverings) of the m x n grid P_m x P_n.
 
-    Exact: for sides s <= L, the count is |root_product(q_s, psi_L)|,
-    where psi_s and psi_L belong to the paths P_s and P_L and
-    q_s(y) = (-1)^floor(s/2) * psi_s(-y) has a root -t^2 for each
-    positive eigenvalue t of P_s.  This is Kasteleyn's product halved
-    over the eigenvalue pairs of both paths; the zero eigenvalue of an
-    odd side drops out because an even path has |psi(0)| = 1.  The cost
-    grows with s cubed, so q comes from the short side.
+    Exact: for sides s <= L, the count is the P_s x T closed form with
+    T = P_L, |root_product(q_s, psi_L)|.  This is Kasteleyn's product
+    halved over the eigenvalue pairs of both paths; the zero eigenvalue
+    of an odd side drops out because an even path has |psi(0)| = 1.
+    The norm is a (s/2)-square determinant, so q comes from the short
+    side.  Grids with L * (s^2 + L) above DEFAULT_GRID_GUARD raise
+    SizeLimitError before any polynomial work.
 
     Kasteleyn's trigonometric form
 
@@ -303,10 +312,9 @@ def count_grid_dimer(m: int, n: int) -> CountResult:
     if (m * n) % 2:
         return CountResult(count=0, method="kasteleyn-grid", note="odd vertex count")
     short_side, long_side = sorted((m, n))
-    psi_s = _psi(path_graph(short_side))
-    d = len(psi_s) - 1
-    q_s = [(-1) ** (j + d) * c for j, c in enumerate(psi_s)]
-    exact = abs(root_product(q_s, _psi(path_graph(long_side))))
+    if long_side * (short_side ** 2 + long_side) > DEFAULT_GRID_GUARD:
+        raise SizeLimitError(f"grid guard: {m} x {n} has L*(s^2+L) > {DEFAULT_GRID_GUARD}")
+    exact = _path_product(short_side, path_graph(long_side))
     log_total = (m * n / 2.0) * math.log(2.0) + 0.25 * math.fsum(
         math.log(
             math.cos(math.pi * k / (m + 1)) ** 2 + math.cos(math.pi * l / (n + 1)) ** 2

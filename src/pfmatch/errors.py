@@ -1,12 +1,17 @@
 """Exception types shared across the package.
 
-One class per failure category so that callers (and the CLI exit-code
-mapping) can distinguish them without string matching.
+One class per failure category so that callers can distinguish them
+without string matching.  Each class carries the exit code the CLI
+returns for it: 2 parse error, 3 precondition or structure error (the
+default), 4 size-limit guard, 5 verification violation, 6
+numerical-consistency error.
 """
 
 
 class PfmatchError(Exception):
     """Base class for everything raised deliberately by this package."""
+
+    exit_code = 3
 
 
 class InvalidSizeError(PfmatchError, ValueError):
@@ -18,7 +23,9 @@ class NotATreeError(PfmatchError, ValueError):
 
 
 class SizeLimitError(PfmatchError):
-    """An exponential-time step was asked to run above its vertex guard."""
+    """A costly step (exponential, O(n^3) or a large grid) was asked to run above its guard."""
+
+    exit_code = 4
 
 
 class InvalidCycleError(PfmatchError, ValueError):
@@ -36,18 +43,28 @@ class PreconditionError(PfmatchError):
 class NotAPerfectSquareError(PfmatchError, ArithmeticError):
     """Exact square root requested of a non-square integer."""
 
+    exit_code = 5
+
 
 class NotPfaffianError(PfmatchError):
     """A determinant-based count exposed that the orientation was not Pfaffian."""
+
+    exit_code = 5
 
 
 class NotSquarishError(PfmatchError, ArithmeticError):
     """An integer is neither a perfect square nor twice one."""
 
+    exit_code = 5
+
 
 class NumericalConsistencyError(PfmatchError):
     """A floating-point evaluation strayed too far from the exact value."""
 
+    exit_code = 6
+
 
 class EdgeListParseError(PfmatchError, ValueError):
     """Malformed edge-list text (bad header, bad line, index out of range)."""
+
+    exit_code = 2

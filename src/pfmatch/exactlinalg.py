@@ -3,14 +3,15 @@
 Matrices and polynomials are plain lists of Python ints and nothing here
 ever rounds: determinants use fraction-free (Bareiss) elimination, whose
 intermediate divisions are exact by construction, and tree
-characteristic polynomials come from the leaf-deletion recurrence.
+characteristic polynomials come from the bridge recurrence.
 
 This is the machinery that turns spectral product formulas into exact
 integers.  For a monic integer polynomial q and an integer polynomial p,
 root_product(q, p) is prod p(rho) over the roots rho of q, that is the
-resultant Res(q, p), so the irrational eigenvalues of a tree never need
-to be computed: the counting module pairs the tree's characteristic
-polynomial with a small fixed q.
+resultant Res(q, p), taken as the determinant of multiplication by p
+on Z[y]/(q).  The irrational eigenvalues of a tree never need to be
+computed: the counting module pairs the tree's characteristic
+polynomial with a small q read off a path.
 """
 
 from __future__ import annotations
@@ -75,44 +76,30 @@ def _poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return out
 
 
-def _poly_sub(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    out = list(p) + [0] * (len(q) - len(p))
-    for j, qj in enumerate(q):
-        out[j] -= qj
-    return out
-
-
 def char_poly_tree(t: Graph) -> IntPolynomial:
-    """det(xI - A) for a tree, by the leaf-deletion recurrence.
+    """det(xI - A) for a tree, by the bridge recurrence.
 
-    Rooted form: with children polynomials p_c (subtree) and q_c (subtree
-    minus its root), a vertex v satisfies
+    Joining two graphs by a bridge uv gives
 
-        p_v = x * prod_c p_c  -  sum_c q_c * prod_{c' != c} p_{c'}
-        q_v = prod_c p_c
+        phi(G1 + G2 + uv) = phi(G1) * phi(G2) - phi(G1 - u) * phi(G2 - v)
 
-    which is the repeated application of  phi(T) = x*phi(T-v) - phi(T-v-u)
-    for a leaf v with neighbor u.  Coefficients are returned constant
-    first and alternate in sign: x^n - a1 x^(n-2) + a2 x^(n-4) - ...
+    (Godsil, Algebraic Combinatorics, ch. 1).  Each vertex v keeps the
+    pair (p, q) = (phi of its subtree so far, phi of that subtree minus
+    v), starts from (x, 1) and folds in its children one at a time:
+    p, q = p * p_c - q * q_c, q * p_c.  Coefficients are returned
+    constant first and alternate in sign: x^n - a1 x^(n-2) + a2 x^(n-4) - ...
     """
     tree: Tree = validate_tree(t)
     children = tree.children()
     p: list[IntPolynomial] = [[] for _ in range(tree.n)]
     q: list[IntPolynomial] = [[] for _ in range(tree.n)]
     for v in tree.postorder():
-        kids = children[v]
-        prefix = [[1]]
-        for c in kids:
-            prefix.append(_poly_mul(prefix[-1], p[c]))
-        suffix = [[1]] * (len(kids) + 1)
-        for idx in range(len(kids) - 1, -1, -1):
-            suffix[idx] = _poly_mul(p[kids[idx]], suffix[idx + 1])
-        prod = prefix[-1]
-        pv = _poly_mul([0, 1], prod)  # x * prod
-        for idx, c in enumerate(kids):
-            pv = _poly_sub(pv, _poly_mul(q[c], _poly_mul(prefix[idx], suffix[idx + 1])))
-        p[v] = pv
-        q[v] = prod
+        pv, qv = [0, 1], [1]
+        for c in children[v]:
+            pv, minus, qv = _poly_mul(pv, p[c]), _poly_mul(qv, q[c]), _poly_mul(qv, p[c])
+            for j, mj in enumerate(minus):  # minus has the lower degree
+                pv[j] -= mj
+        p[v], q[v] = pv, qv
     return p[tree.root]
 
 
@@ -120,27 +107,26 @@ def root_product(q: IntPolynomial, p: IntPolynomial) -> int:
     """prod p(rho) over the roots rho of the monic polynomial q, exactly.
 
     The roots are counted with multiplicity, and the product equals the
-    resultant Res(q, p).  Since q is monic, p reduces modulo q without
-    fractions in O(deg p * deg q) steps, and p(rho) = r(rho) for the
-    remainder r.  With d = deg q, the product over the roots is then the
-    determinant of the (2d-1)-square Sylvester matrix of q and r
-    (r taken at formal degree d-1): d-1 shifted rows of q above d
-    shifted rows of r.  For d = 1 that matrix is the remainder itself,
-    and for d = 0 the product is empty.  Cost grows with deg q cubed, so
-    q should be the small side.
+    resultant Res(q, p).  It is the norm of p in Z[y]/(q): the
+    determinant of multiplication by p on the basis 1, y, ..., y^(d-1),
+    d = deg q, whose rows are p, y*p, ..., y^(d-1)*p reduced modulo q
+    (without fractions, since q is monic).  For d = 0 the matrix is
+    empty and the product is 1.  Cost grows with d cubed, so q should be
+    the small side.
     """
     d = len(q) - 1
     if d < 0 or q[-1] != 1:
         raise ValueError("root_product needs a monic polynomial q")
-    r = list(p) + [0] * (d - len(p))
-    for k in range(len(r) - 1, d - 1, -1):
-        c = r.pop()
-        if c:
+    rows: IntMatrix = []
+    r = list(p)
+    for _ in range(d):
+        r += [0] * (d - len(r))
+        for k in range(len(r) - 1, d - 1, -1):
+            c = r.pop()
             for j in range(d):
                 r[k - d + j] -= c * q[j]
-    q_high, r_high = q[::-1], r[::-1]
-    rows = [[0] * i + q_high + [0] * (d - 2 - i) for i in range(d - 1)]
-    rows += [[0] * i + r_high + [0] * (d - 1 - i) for i in range(d)]
+        rows.append(r)
+        r = [0] + r
     return det_bareiss(rows)
 
 

@@ -193,6 +193,24 @@ def test_count_pfaffian_size_guard(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_count_grid_size_guard(capsys):
+    # both would compute for far longer than a second: the guard refuses them first
+    for sides in (("200", "200"), ("2", "20000")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "count", "--grid", *sides)
+        assert code == EXIT_SIZE_LIMIT and "guard" in err
+        assert time.perf_counter() - start < 1.0
+
+
+def test_every_error_class_owns_an_exit_code():
+    import pfmatch
+    classes = [getattr(pfmatch, name) for name in pfmatch.__all__]
+    errors = [c for c in classes if isinstance(c, type) and issubclass(c, pfmatch.PfmatchError)]
+    codes = {c.exit_code for c in errors}
+    assert codes == {2, 3, 4, 5, 6}
+    assert codes == {EXIT_PARSE, EXIT_PRECONDITION, EXIT_SIZE_LIMIT, EXIT_VIOLATION, EXIT_NUMERIC}
+
+
 def test_verify_identities_path4(capsys):
     code, out, _ = run(capsys, "verify", "--identities", "--tree", "path:4")
     assert code == EXIT_OK

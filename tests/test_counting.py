@@ -3,6 +3,7 @@
 import pytest
 
 from pfmatch import (
+    DEFAULT_GRID_GUARD,
     DEFAULT_PFAFFIAN_GUARD,
     Graph,
     InvalidSizeError,
@@ -330,6 +331,28 @@ def test_grid_dimer_odd_short_side():
 def test_grid_dimer_rejects_bad_sides():
     with pytest.raises(InvalidSizeError):
         count_grid_dimer(0, 4)
+
+
+def test_grid_dimer_equals_layered_product_route():
+    # the grid is P_s x T with T = P_L; for L < s the grid takes q from
+    # P_L instead, and the Pfaffian route shares no polynomial code
+    for s in (3, 4):
+        for n in range(1, 41):
+            if (s * n) % 2 == 0:
+                grid_count = count_grid_dimer(s, n).count
+                assert grid_count == count_product("pm", s, path_graph(n)).count, (s, n)
+                if n <= 12:
+                    pfaffian = count_product("pm", s, path_graph(n), method="pfaffian")
+                    assert grid_count == pfaffian.count, (s, n)
+
+
+def test_grid_dimer_size_guard():
+    # L * (s^2 + L) for sides s <= L; odd areas still count 0 at once
+    for m, n in ((200, 200), (2, 20000), (20000, 2), (152, 152), (2, 1870)):
+        assert max(m, n) * (min(m, n) ** 2 + max(m, n)) > DEFAULT_GRID_GUARD
+        with pytest.raises(SizeLimitError):
+            count_grid_dimer(m, n)
+    assert count_grid_dimer(201, 201).count == 0
 
 
 # ---------------------------------------------------------------------------

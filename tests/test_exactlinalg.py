@@ -1,6 +1,11 @@
 """Exact determinants, characteristic polynomials, matrix polynomials, isqrt."""
 
+import ast
+import math
+
 import pytest
+
+import pfmatch.exactlinalg
 
 from pfmatch import (
     Graph,
@@ -90,6 +95,50 @@ def test_char_poly_p3():
 def test_char_poly_star():
     assert char_poly_tree(star(3)) == [0, 0, -3, 0, 1]  # x^4 - 3x^2
     assert char_poly_by_interpolation(adjacency_matrix(star(3))) == [0, 0, -3, 0, 1]
+
+
+def caterpillar(legs: list[int], reverse: bool = False) -> Graph:
+    """A spine path with legs[i] leaves on spine vertex i; reverse relabels v -> n-1-v.
+
+    Vertex 0 is the root char_poly_tree folds towards: a spine end, or
+    with reverse the last leaf, so a hub folds in its leaves near the
+    root in one labelling and deep in the other.
+    """
+    edges = [(i, i + 1) for i in range(len(legs) - 1)]
+    n = len(legs)
+    for i, count in enumerate(legs):
+        edges += [(i, n + j) for j in range(count)]
+        n += count
+    if reverse:
+        edges = [(n - 1 - u, n - 1 - v) for u, v in edges]
+    return Graph.from_edges(n, edges)
+
+
+def test_char_poly_of_path_is_the_binomial_sum():
+    # phi(P_n) = sum_k (-1)^k C(n-k, k) x^(n-2k); every n <= 100 and five
+    # longer paths (all n <= 300 take about 2.5 s)
+    for n in [*range(1, 101), 150, 200, 250, 299, 300]:
+        expected = [0] * (n + 1)
+        for k in range(n // 2 + 1):
+            expected[n - 2 * k] = (-1) ** k * math.comb(n - k, k)
+        assert char_poly_tree(path_graph(n)) == expected, n
+
+
+def test_char_poly_of_high_degree_trees():
+    # stars, double stars and caterpillars, where a vertex folds in many
+    # children: against interpolation while its cofactor determinants stay
+    # cheap, then against the signed matching counts up to degree 50
+    for legs in ([1], [5], [12], [3, 4], [6, 6], [2, 0, 5], [4, 1, 0, 3], [0, 9, 0]):
+        for reverse in (False, True):
+            t = caterpillar(legs, reverse)
+            assert char_poly_tree(t) == char_poly_by_interpolation(adjacency_matrix(t)), legs
+    for legs in ([50], [49, 1], [25, 25], [1, 48, 0, 2], [10, 0, 48, 3], [3, 0, 0, 0, 49]):
+        for reverse in (False, True):
+            t = caterpillar(legs, reverse)
+            expected = [0] * (t.n + 1)
+            for i, count in enumerate(matchings_by_size(t)):
+                expected[t.n - 2 * i] = (-1) ** i * count
+            assert char_poly_tree(t) == expected, legs
 
 
 def test_char_poly_rejects_non_tree():
@@ -259,3 +308,26 @@ def test_root_product_rejects_non_monic():
 def test_char_poly_accepts_plain_graph_that_is_a_tree():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert char_poly_tree(g) == char_poly_tree(validate_tree(g))
+
+
+def test_exactlinalg_has_no_float_arithmetic():
+    # no integer may come from rounding a float: the exact core has no
+    # float literal, no true division and no call that makes or rounds one
+    banned_calls = {"float", "round"}
+    banned_math = {"sqrt", "log", "exp"}
+    with open(pfmatch.exactlinalg.__file__, encoding="utf-8") as handle:
+        module = ast.parse(handle.read())
+    for node in ast.walk(module):
+        where = getattr(node, "lineno", None)
+        if isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), where
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.Div), where
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            assert not {alias.name for alias in node.names} & banned_math, where
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                assert func.id not in banned_calls, where
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                assert not (func.value.id == "math" and func.attr in banned_math), where
