@@ -8,15 +8,17 @@ The package has four layers:
                 Pfaffian check over the M-alternating cycles of one
                 perfect matching M
 - exactlinalg:  fraction-free determinants, tree characteristic polynomials
-                by the bridge recurrence, root_product (the product of a
-                polynomial over the roots of a small monic one, as the
-                determinant of a multiplication matrix) and integer
-                square roots
+                folded by the bridge recurrence modulo a small monic
+                polynomial (O(n) ring operations), root_product (the
+                product of a polynomial over the roots of a small monic
+                one, as the determinant of a multiplication matrix) and
+                integer square roots
 - counting:     brute-force oracle, Pfaffian counting, and one closed form,
                 P_s x T = |root_product(q_s, psi_T)| with q_s read off the
-                path P_s, whose instances are the C_4, P_3, P_4, grid and
-                lattice counts; count_product chooses among them (formula,
-                then a proven Pfaffian orientation, then brute force)
+                path P_s and psi_T folded modulo q_s(x^2), whose
+                instances are the C_4, P_3, P_4, grid and lattice counts;
+                count_product chooses among them (formula, then a proven
+                Pfaffian orientation, then brute force)
 
 plus a command-line front end (pfmatch.cli / the `pfmatch` script) that
 only parses arguments and renders reports.
@@ -64,7 +66,7 @@ from .exactlinalg import (
     IntMatrix,
     IntPolynomial,
     adjacency_matrix,
-    char_poly_tree,
+    char_poly_tree_mod,
     det_bareiss,
     integer_sqrt_exact,
     root_product,
@@ -132,7 +134,7 @@ __all__ = [
     "Tree",
     "adjacency_matrix",
     "cartesian_product",
-    "char_poly_tree",
+    "char_poly_tree_mod",
     "check_pfaffian",
     "converse",
     "count_brute",

@@ -68,9 +68,6 @@ EXIT_NUMERIC = NumericalConsistencyError.exit_code
 #: Environment variable overriding the default guards (flag still wins).
 GUARD_ENV_VAR = "PFMATCH_MAX_VERTICES"
 
-_GENERATOR_PREFIXES = ("path:", "cycle:", "tree-random:")
-
-
 def parse_graph_spec(spec: str) -> Graph:
     """Generator spec or edge-list file path -> Graph."""
     if spec.startswith("path:"):

@@ -4,17 +4,19 @@ Every closed form here is one eigenvalue product over the spectrum of a
 tree T, evaluated exactly from its characteristic polynomial
 phi_T(x) = x^e * psi_T(x^2), e = n mod 2 (the spectrum is symmetric
 about zero).  With root_product(q, p), the product of p over the roots
-of a monic q, and q_s(y) = (-1)^floor(s/2) * psi_{P_s}(-y) read off the
-path P_s:
+of a monic q, and q_s(y) = sum_k C(s-k, k) y^(d-k), d = floor(s/2), whose
+roots are -r^2 for the positive eigenvalues r of the path P_s:
 
     P_s x T  =  |root_product(q_s, psi_T)|
 
 This counts P_3 x T (q_3 = y + 2; T needs a perfect matching), P_4 x T
 (q_4 = y^2 + 3y + 1) and the m x n grid (T = P_L).  C_4 x T is
 2^e * (P_3 x T form)^2 for every tree, and the 2 x 2 x n lattice is its
-case T = P_n.  No route takes a square root or rounds a float.  The
-trigonometric products of the lattice and the grid are cross-checks,
-evaluated in log space with explicit tolerances.
+case T = P_n.  psi_T is only ever known modulo q_s: char_poly_tree_mod
+folds the tree modulo q_s(x^2) in O(n) ring operations of degree 2d.
+No route takes a square root or rounds a float.  The trigonometric
+products of the lattice and the grid are cross-checks, evaluated in log
+space with explicit tolerances.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .exactlinalg import char_poly_tree, det_bareiss, integer_sqrt_exact, root_product
+from .exactlinalg import char_poly_tree_mod, det_bareiss, integer_sqrt_exact, root_product
 from .graphs import (
     Graph,
     cartesian_product,
@@ -51,10 +53,12 @@ DEFAULT_BRUTE_GUARD = 40
 #: Vertex guard for count_pfaffian's O(n^3) determinant (600: about 8 s).
 DEFAULT_PFAFFIAN_GUARD = 600
 
-#: Guard for count_grid_dimer on sides s <= L: L * (s^2 + L) may not exceed
-#: it.  The norm's time grows about as (s^2 L)^2 and the long path's
-#: characteristic polynomial as L^2.3, so both stay in seconds: at the
-#: limit 150 x 150 takes about 3 s, 130 x 200 about 4 s, 2 x 1868 about 1.2 s.
+#: Guard for count_grid_dimer on sides s <= L: s * L * (s + L/5000) may
+#: not exceed it.  s^2 L follows the norm, a (s/2)-square determinant of
+#: L-bit entries whose time grows about as (s^2 L)^2; s L^2 / 5000
+#: follows the fold along the long path, L shifts of s/2 operations on
+#: numbers of up to about L bits.  At the limit 100 x 349 takes about 4 s,
+#: 150 x 150 about 3 s, 40 x 2164 about 2 s and 2 x 88674 under 1 s.
 DEFAULT_GRID_GUARD = 3_500_000
 
 
@@ -140,16 +144,21 @@ def _path_product(s: int, t: Graph) -> int:
     """|root_product(q_s, psi_T)|, the closed form of P_s x T.
 
     psi comes from phi(x) = x^e * psi(x^2) for the tree T and the path
-    P_s.  q_s(y) = (-1)^floor(s/2) * psi_{P_s}(-y) is monic, with a root
-    -r^2 for each positive eigenvalue r of P_s, so the value is the
-    product of |psi_T(-r^2)| over those r.  It counts the perfect
-    matchings of P_s x T for s = 4, for s = 3 when T has a perfect
-    matching, and for the grid (T = P_L) when s * L is even.
+    P_s.  q_s(y) = (-1)^floor(s/2) * psi_{P_s}(-y) = sum_k C(s-k, k) y^(d-k),
+    d = floor(s/2), is monic, with a root -r^2 for each positive
+    eigenvalue r of P_s, so the value is the product of |psi_T(-r^2)|
+    over those r.  psi_T itself is never formed: the tree's
+    characteristic polynomial is folded modulo Q_s(x) = q_s(x^2), of
+    degree 2d, and since e + 2(d-1) < 2d the remainder is x^e * r(x^2)
+    with r = psi_T mod q_s, which has the same root product.  It counts
+    the perfect matchings of P_s x T for s = 4, for s = 3 when T has a
+    perfect matching, and for the grid (T = P_L) when s * L is even.
     """
-    psi_s, psi_t = (char_poly_tree(g)[g.n % 2::2] for g in (path_graph(s), t))
-    d = len(psi_s) - 1
-    q_s = [(-1) ** (j + d) * c for j, c in enumerate(psi_s)]
-    return abs(root_product(q_s, psi_t))
+    d = s // 2
+    q_s = [math.comb(s - d + j, d - j) for j in range(d + 1)]
+    q_big = [0] * (2 * d + 1)
+    q_big[::2] = q_s
+    return abs(root_product(q_s, char_poly_tree_mod(t, q_big)[t.n % 2::2]))
 
 
 def count_c4_tree(t: Graph) -> CountResult:
@@ -293,7 +302,7 @@ def count_grid_dimer(m: int, n: int) -> CountResult:
     halved over the eigenvalue pairs of both paths; the zero eigenvalue
     of an odd side drops out because an even path has |psi(0)| = 1.
     The norm is a (s/2)-square determinant, so q comes from the short
-    side.  Grids with L * (s^2 + L) above DEFAULT_GRID_GUARD raise
+    side.  Grids with s * L * (s + L/5000) above DEFAULT_GRID_GUARD raise
     SizeLimitError before any polynomial work.
 
     Kasteleyn's trigonometric form
@@ -312,8 +321,8 @@ def count_grid_dimer(m: int, n: int) -> CountResult:
     if (m * n) % 2:
         return CountResult(count=0, method="kasteleyn-grid", note="odd vertex count")
     short_side, long_side = sorted((m, n))
-    if long_side * (short_side ** 2 + long_side) > DEFAULT_GRID_GUARD:
-        raise SizeLimitError(f"grid guard: {m} x {n} has L*(s^2+L) > {DEFAULT_GRID_GUARD}")
+    if short_side * long_side * (5000 * short_side + long_side) > 5000 * DEFAULT_GRID_GUARD:
+        raise SizeLimitError(f"grid guard: {m} x {n} has s*L*(s+L/5000) > {DEFAULT_GRID_GUARD}")
     exact = _path_product(short_side, path_graph(long_side))
     log_total = (m * n / 2.0) * math.log(2.0) + 0.25 * math.fsum(
         math.log(

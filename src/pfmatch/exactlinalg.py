@@ -2,16 +2,18 @@
 
 Matrices and polynomials are plain lists of Python ints and nothing here
 ever rounds: determinants use fraction-free (Bareiss) elimination, whose
-intermediate divisions are exact by construction, and tree
-characteristic polynomials come from the bridge recurrence.
+intermediate divisions are exact by construction, and a tree's
+characteristic polynomial is folded by the bridge recurrence modulo a
+small monic polynomial, in O(n) ring operations.
 
 This is the machinery that turns spectral product formulas into exact
 integers.  For a monic integer polynomial q and an integer polynomial p,
 root_product(q, p) is prod p(rho) over the roots rho of q, that is the
 resultant Res(q, p), taken as the determinant of multiplication by p
 on Z[y]/(q).  The irrational eigenvalues of a tree never need to be
-computed: the counting module pairs the tree's characteristic
-polynomial with a small q read off a path.
+computed, and neither does its whole characteristic polynomial: the
+counting module reduces it modulo q(x^2) for a small q read off a path,
+which keeps the resultant.
 """
 
 from __future__ import annotations
@@ -67,38 +69,71 @@ def det_bareiss(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
+def _reduce(r: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
+    """r modulo the monic m, in place; r needs at least deg m coefficients."""
+    dm = len(m) - 1
+    for k in range(len(r) - 1, dm - 1, -1):
+        c = r.pop()
+        if c:
+            for j, mj in enumerate(m[:dm]):
+                if mj:
+                    r[k - dm + j] -= c * mj
+    return r
 
 
-def char_poly_tree(t: Graph) -> IntPolynomial:
-    """det(xI - A) for a tree, by the bridge recurrence.
+def char_poly_tree_mod(t: Graph, m: IntPolynomial) -> IntPolynomial:
+    """det(xI - A) of a tree reduced modulo the monic polynomial m.
 
-    Joining two graphs by a bridge uv gives
+    The bridge recurrence
 
         phi(G1 + G2 + uv) = phi(G1) * phi(G2) - phi(G1 - u) * phi(G2 - v)
 
-    (Godsil, Algebraic Combinatorics, ch. 1).  Each vertex v keeps the
-    pair (p, q) = (phi of its subtree so far, phi of that subtree minus
-    v), starts from (x, 1) and folds in its children one at a time:
-    p, q = p * p_c - q * q_c, q * p_c.  Coefficients are returned
-    constant first and alternate in sign: x^n - a1 x^(n-2) + a2 x^(n-4) - ...
+    (Godsil, Algebraic Combinatorics, ch. 1) uses only ring operations,
+    so it runs in Z[x]/(m) from the start and no coefficient of the full
+    polynomial is ever formed.  Each vertex v keeps the pair (p, q) =
+    (phi of its subtree so far, phi of that subtree minus v), starts
+    from (x, 1) and folds in its children one at a time:
+    p, q = p * p_c - q * q_c, q * p_c.  The first child needs no product,
+    only a shift: p, q = x * p_c - q_c, p_c.  A tree costs O(n) ring
+    operations, each O(deg m) for a shift and O(deg m ^ 2) for a product;
+    a path needs shifts only.  Returns the deg m coefficients of the
+    remainder, constant first.
     """
     tree: Tree = validate_tree(t)
+    dm = len(m) - 1
+    if dm < 0 or m[-1] != 1:
+        raise ValueError("char_poly_tree_mod needs a monic polynomial m")
+
+    def mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+        out = [0] * (2 * dm - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] += ai * bj
+        return _reduce(out, m)
+
+    x = _reduce([0, 1] + [0] * (dm - 2), m)
+    one = _reduce([1] + [0] * (dm - 1), m)
     children = tree.children()
     p: list[IntPolynomial] = [[] for _ in range(tree.n)]
     q: list[IntPolynomial] = [[] for _ in range(tree.n)]
     for v in tree.postorder():
-        pv, qv = [0, 1], [1]
-        for c in children[v]:
-            pv, minus, qv = _poly_mul(pv, p[c]), _poly_mul(qv, q[c]), _poly_mul(qv, p[c])
-            for j, mj in enumerate(minus):  # minus has the lower degree
+        kids = children[v]
+        if not kids:
+            p[v], q[v] = x, one
+            continue
+        first = kids[0]
+        pv = _reduce([0] + p[first], m)
+        for j, c in enumerate(q[first]):
+            pv[j] -= c
+        qv = p[first]
+        for c in kids[1:]:
+            pv, minus, qv = mul(pv, p[c]), mul(qv, q[c]), mul(qv, p[c])
+            for j, mj in enumerate(minus):
                 pv[j] -= mj
+        for c in kids:  # only unfinished vertices keep their pairs
+            p[c] = q[c] = []
         p[v], q[v] = pv, qv
     return p[tree.root]
 
@@ -118,14 +153,9 @@ def root_product(q: IntPolynomial, p: IntPolynomial) -> int:
     if d < 0 or q[-1] != 1:
         raise ValueError("root_product needs a monic polynomial q")
     rows: IntMatrix = []
-    r = list(p)
+    r = list(p) + [0] * (d - len(p))
     for _ in range(d):
-        r += [0] * (d - len(r))
-        for k in range(len(r) - 1, d - 1, -1):
-            c = r.pop()
-            for j in range(d):
-                r[k - d + j] -= c * q[j]
-        rows.append(r)
+        rows.append(_reduce(r, q))
         r = [0] + r
     return det_bareiss(rows)
 

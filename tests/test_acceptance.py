@@ -12,7 +12,6 @@ import pytest
 
 from pfmatch import (
     cartesian_product,
-    char_poly_tree,
     check_pfaffian,
     count_brute,
     count_c4_path,
@@ -40,6 +39,7 @@ from pfmatch import (
 
 from util import (
     bit_stream,
+    char_poly_tree,
     doubling_matching,
     grid_tilings,
     matchings_by_size,

@@ -195,11 +195,21 @@ def test_count_pfaffian_size_guard(capsys):
 
 def test_count_grid_size_guard(capsys):
     # both would compute for far longer than a second: the guard refuses them first
-    for sides in (("200", "200"), ("2", "20000")):
+    for sides in (("200", "200"), ("2", "100000")):
         start = time.perf_counter()
         code, _, err = run(capsys, "count", "--grid", *sides)
         assert code == EXIT_SIZE_LIMIT and "guard" in err
         assert time.perf_counter() - start < 1.0
+
+
+def test_count_product_on_ten_thousand_vertices(capsys):
+    # the closed forms fold the tree in O(n) ring operations; a route
+    # through the whole characteristic polynomial takes minutes here
+    for product in ("p4", "c4"):
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "count", "--product", product, "--tree", "tree-random:10000:7")
+        assert code == EXIT_OK
+        assert time.perf_counter() - start < 2.0
 
 
 def test_every_error_class_owns_an_exit_code():

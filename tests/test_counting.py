@@ -39,6 +39,7 @@ from util import (
     eval_matrix_poly,
     grid_tilings,
     matching_count_by_edge_subsets,
+    p3_form_by_matchings,
     random_orientation,
     trees_up_to,
 )
@@ -174,6 +175,15 @@ def test_c4_tree_p3():
 def test_c4_tree_star():
     assert count_c4_tree(star(3)).count == 100
     assert count_brute(cartesian_product(cycle_graph(4), star(3))).count == 100
+
+
+def test_c4_tree_at_ten_thousand_vertices():
+    # squarish, with factor 2^e and root the P3 form, here summed over
+    # the tree's matchings without any polynomial
+    for n in (10000, 10001):
+        t = random_tree(n, 7)
+        dec = squarish_decompose(count_c4_tree(t).count)
+        assert (dec.factor, dec.root) == (2 ** (n % 2), p3_form_by_matchings(t)), n
 
 
 def test_p4_tree_spots():
@@ -323,6 +333,26 @@ def test_grid_dimer_long_strip_is_fibonacci():
     assert count_grid_dimer(1000, 2).count == a
 
 
+def test_grid_dimer_longest_strip_is_fibonacci():
+    # 2 x L has F_(L+1) tilings; L = 88674 is the longest strip the guard admits
+    with pytest.raises(SizeLimitError):
+        count_grid_dimer(2, 88675)
+    a, b = 0, 1
+    for _ in range(88675):
+        a, b = b, a + b
+    assert count_grid_dimer(2, 88674).count == a
+
+
+def test_grid_dimer_three_wide_follows_its_recurrence():
+    # 3 x 2k: a_k = 4 a_(k-1) - a_(k-2), a_0 = 1, a_1 = 3; every k <= 60,
+    # then a sample up to 2k = 2000
+    seq = [1, 3]
+    while len(seq) <= 1000:
+        seq.append(4 * seq[-1] - seq[-2])
+    for k in [*range(1, 61), *range(97, 1000, 53), 1000]:
+        assert count_grid_dimer(3, 2 * k).count == seq[k], k
+
+
 def test_grid_dimer_odd_short_side():
     for m, n in ((3, 8), (8, 3), (5, 6), (1, 10), (10, 1), (7, 4)):
         assert count_grid_dimer(m, n).count == grid_tilings(m, n), (m, n)
@@ -347,9 +377,10 @@ def test_grid_dimer_equals_layered_product_route():
 
 
 def test_grid_dimer_size_guard():
-    # L * (s^2 + L) for sides s <= L; odd areas still count 0 at once
-    for m, n in ((200, 200), (2, 20000), (20000, 2), (152, 152), (2, 1870)):
-        assert max(m, n) * (min(m, n) ** 2 + max(m, n)) > DEFAULT_GRID_GUARD
+    # s * L * (s + L/5000) for sides s <= L; odd areas still count 0 at once
+    for m, n in ((200, 200), (2, 100000), (100000, 2), (152, 152), (2, 88676)):
+        s, L = sorted((m, n))
+        assert s * L * (5000 * s + L) > 5000 * DEFAULT_GRID_GUARD
         with pytest.raises(SizeLimitError):
             count_grid_dimer(m, n)
     assert count_grid_dimer(201, 201).count == 0

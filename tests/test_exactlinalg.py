@@ -7,13 +7,14 @@ import pytest
 
 import pfmatch.exactlinalg
 
+from pfmatch.counting import _path_product
 from pfmatch import (
     Graph,
     NotAPerfectSquareError,
     NotATreeError,
     PreconditionError,
     adjacency_matrix,
-    char_poly_tree,
+    char_poly_tree_mod,
     cycle_graph,
     det_bareiss,
     has_perfect_matching,
@@ -30,10 +31,12 @@ from pfmatch import (
 from util import (
     bit_stream,
     char_poly_by_interpolation,
+    char_poly_tree,
     det_cofactor,
     eval_matrix_poly,
     identity_matrix,
     matchings_by_size,
+    poly_remainder,
     random_orientation,
     skew_char_poly,
 )
@@ -308,6 +311,48 @@ def test_root_product_rejects_non_monic():
 def test_char_poly_accepts_plain_graph_that_is_a_tree():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert char_poly_tree(g) == char_poly_tree(validate_tree(g))
+
+
+def test_fold_is_the_remainder_of_the_whole_char_poly():
+    # any monic modulus: odd coefficients, degrees 0 and 1 included
+    bits = bit_stream(4242)
+    for seed in range(150):
+        t = random_tree(1 + seed % 30, seed + 77)
+        phi = char_poly_tree(t)
+        for _ in range(3):
+            dm = next(bits) % 7
+            m = [next(bits) % 9 - 4 for _ in range(dm)] + [1]
+            assert char_poly_tree_mod(t, m) == poly_remainder(phi, m), (sorted(t.edges), m)
+
+
+def test_fold_rejects_non_monic_modulus_and_non_tree():
+    with pytest.raises(ValueError):
+        char_poly_tree_mod(path_graph(3), [1, 2])
+    with pytest.raises(ValueError):
+        char_poly_tree_mod(path_graph(3), [])
+    with pytest.raises(NotATreeError):
+        char_poly_tree_mod(cycle_graph(5), [2, 0, 1])
+
+
+def test_fold_equals_whole_char_poly_route():
+    # P_s x T for s = 2..8 by the fold modulo q_s(x^2), against
+    # root_product over the whole characteristic polynomials with q_s
+    # read off P_s: 200 random trees up to 400 vertices, then stars,
+    # double stars and caterpillars with the hub at the root and deep,
+    # where one vertex folds in 50 or more children
+    q = {}
+    for s in range(2, 9):
+        psi_s = char_poly_tree(path_graph(s))[s % 2::2]
+        d = len(psi_s) - 1
+        q[s] = [(-1) ** (j + d) * c for j, c in enumerate(psi_s)]
+    bits = bit_stream(2718)
+    trees = [random_tree(1 + next(bits) % 400, seed) for seed in range(200)]
+    for legs in ([50], [60], [49, 1], [25, 50], [1, 48, 0, 2], [10, 0, 55, 3], [3, 0, 0, 0, 52]):
+        trees += [caterpillar(legs, reverse) for reverse in (False, True)]
+    for t in trees:
+        psi_t = char_poly_tree(t)[t.n % 2::2]
+        for s in range(2, 9):
+            assert _path_product(s, t) == abs(root_product(q[s], psi_t)), (t.n, s)
 
 
 def test_exactlinalg_has_no_float_arithmetic():

@@ -5,7 +5,8 @@ it checks: cycles come from vertex subsets, matchings from edge subsets,
 grid counts from a broken-profile DP, determinants from cofactor
 expansion, characteristic polynomials from exact interpolation or the
 Faddeev-LeVerrier recurrence, and closed forms from dense matrix
-polynomials.
+polynomials, from the whole tree characteristic polynomial over Z[x], or
+(P_3 x T) from a weighted matching count.
 """
 
 from __future__ import annotations
@@ -393,6 +394,77 @@ def _char_poly_leverrier(a: IntMatrix) -> IntPolynomial:
             am[i][i] += c
         mat = am
     return list(reversed(coeffs_high))
+
+
+def _poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        if pi:
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+    return out
+
+
+def char_poly_tree(t: Graph) -> IntPolynomial:
+    """det(xI - A) for a tree, by the bridge recurrence over Z[x].
+
+    Joining two graphs by a bridge uv gives
+
+        phi(G1 + G2 + uv) = phi(G1) * phi(G2) - phi(G1 - u) * phi(G2 - v)
+
+    (Godsil, Algebraic Combinatorics, ch. 1).  Each vertex v keeps the
+    pair (p, q) = (phi of its subtree so far, phi of that subtree minus
+    v), starts from (x, 1) and folds in its children one at a time:
+    p, q = p * p_c - q * q_c, q * p_c.  Coefficients are returned
+    constant first and alternate in sign: x^n - a1 x^(n-2) + a2 x^(n-4) - ...
+    O(n^2) big-integer work: the whole polynomial, which the package's
+    fold (char_poly_tree_mod) never forms.
+    """
+    tree: Tree = validate_tree(t)
+    children = tree.children()
+    p: list[IntPolynomial] = [[] for _ in range(tree.n)]
+    q: list[IntPolynomial] = [[] for _ in range(tree.n)]
+    for v in tree.postorder():
+        pv, qv = [0, 1], [1]
+        for c in children[v]:
+            pv, minus, qv = _poly_mul(pv, p[c]), _poly_mul(qv, q[c]), _poly_mul(qv, p[c])
+            for j, mj in enumerate(minus):  # minus has the lower degree
+                pv[j] -= mj
+        p[v], q[v] = pv, qv
+    return p[tree.root]
+
+
+def poly_remainder(p: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
+    """p modulo the monic m by schoolbook long division, padded to deg m coefficients."""
+    dm = len(m) - 1
+    r = list(p) + [0] * max(0, dm - len(p))
+    for k in range(len(r) - 1, dm - 1, -1):
+        c = r.pop()
+        for j in range(dm):
+            r[k - dm + j] -= c * m[j]
+    return r
+
+
+def p3_form_by_matchings(t: Graph) -> int:
+    """|psi_T(-2)|, the P_3 x T form, as the weighted matching count sum_k m_k 2^(h-k).
+
+    For a tree phi_T(x) = sum_k (-1)^k m_k x^(n-2k), m_k the k-edge
+    matchings and h = floor(n/2), so |psi_T(-2)| needs no polynomial: a
+    postorder dynamic program sums 2^(size - k) over the matchings of
+    each subtree, split by whether its root is matched, in O(n) steps.
+    """
+    tree = validate_tree(t)
+    children = tree.children()
+    free = [0] * tree.n    # root of the subtree left unmatched
+    taken = [0] * tree.n   # root of the subtree matched to a child
+    for v in tree.postorder():
+        f, m = 2, 0
+        for c in children[v]:
+            both = free[c] + taken[c]
+            # matching v to c adds an edge: one factor 2 fewer (f and free[c] are even)
+            f, m = f * both, m * both + f * free[c] // 2
+        free[v], taken[v] = f, m
+    return (free[tree.root] + taken[tree.root]) >> (tree.n - tree.n // 2)
 
 
 def skew_char_poly(d: OrientedGraph) -> IntPolynomial:
