@@ -27,7 +27,7 @@ def main():
                 assert pf.count_brute(g, max_vertices=30).count == count
         print("".join(row))
     print()
-    print("entries with mn <= 30 were re-counted by exhaustive backtracking.")
+    print("entries with mn <= 30 were re-counted by brute-force enumeration.")
 
     print()
     print("floating accuracy of the trigonometric grid product (distance to the exact count):")

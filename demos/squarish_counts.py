@@ -3,9 +3,10 @@
 
 Which of the two happens is governed by the tree's corank
 s = n - 2r (vertex count minus twice the maximum matching size):
-the count is a perfect square exactly when s is even, and for a tree
-that means s = 0, i.e. T has a perfect matching.  The square root is
-then the P3 x T count.
+the count is 2^(s mod 2) times a square, and s has the parity of n, so
+every tree of even order gives a square, whether or not it has a
+perfect matching (the star with 3 leaves gives 100 = 10^2).  When T has
+a perfect matching (s = 0) the square root is the P3 x T count.
 """
 
 import pfmatch as pf

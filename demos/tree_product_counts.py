@@ -55,7 +55,7 @@ def main():
             oracle = brute(factor, t)
             if oracle is not None:
                 assert oracle == result.count, (name, oracle, result)
-    print("\nevery closed form above was re-derived by exhaustive backtracking.")
+    print("\nevery closed form above was re-derived by brute-force enumeration.")
 
     print()
     print("=" * 72)

@@ -18,13 +18,17 @@ The package has four layers:
                 path P_s and psi_T folded modulo q_s(x^2), whose
                 instances are the C_4, P_3, P_4, grid and lattice counts;
                 count_product chooses among them (formula, then a proven
-                Pfaffian orientation, then brute force)
+                Pfaffian orientation, then brute force), count_grid and
+                count_graph do the same for grids and plain graphs; brute
+                force is a dynamic program over free-vertex masks in a
+                bandwidth-reducing vertex order (brute)
 
 plus a command-line front end (pfmatch.cli / the `pfmatch` script) that
 only parses arguments and renders reports.
 """
 
 from .brute import (
+    DEFAULT_BRUTE_STATE_GUARD,
     count_perfect_matchings,
     find_perfect_matching,
     has_perfect_matching,
@@ -40,6 +44,8 @@ from .counting import (
     count_brute,
     count_c4_path,
     count_c4_tree,
+    count_graph,
+    count_grid,
     count_grid_dimer,
     count_p3_tree,
     count_p4_tree,
@@ -109,6 +115,7 @@ __all__ = [
     "CountResult",
     "CycleSeq",
     "DEFAULT_BRUTE_GUARD",
+    "DEFAULT_BRUTE_STATE_GUARD",
     "DEFAULT_CYCLE_GUARD",
     "DEFAULT_GRID_GUARD",
     "DEFAULT_PFAFFIAN_GUARD",
@@ -140,6 +147,8 @@ __all__ = [
     "count_brute",
     "count_c4_path",
     "count_c4_tree",
+    "count_graph",
+    "count_grid",
     "count_grid_dimer",
     "count_p3_tree",
     "count_p4_tree",

@@ -22,9 +22,8 @@ from typing import Optional
 
 from .counting import (
     DEFAULT_BRUTE_GUARD,
-    count_brute,
-    count_grid_dimer,
-    count_pfaffian,
+    count_graph,
+    count_grid,
     count_product,
     verify_identities,
 )
@@ -147,19 +146,8 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "max_vertices": args.max_vertices,
     }
     if args.grid is not None:
-        m, n = args.grid
-        if args.method in ("auto", "formula"):
-            result = count_grid_dimer(m, n)
-        elif args.method == "brute":
-            result = count_brute(
-                cartesian_product(path_graph(m), path_graph(n)),
-                max_vertices=_guard(args, DEFAULT_BRUTE_GUARD),
-            )
-        else:
-            raise PreconditionError(
-                "--grid supports auto, formula, or brute; for the Pfaffian "
-                "route use --product p2/p3/p4 with --tree path:N"
-            )
+        result = count_grid(*args.grid, method=args.method,
+                            max_vertices=_guard(args, DEFAULT_BRUTE_GUARD))
     elif args.product is not None:
         if args.tree is None:
             raise EdgeListParseError("--product needs --tree SPEC")
@@ -170,20 +158,9 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, list[str], int]:
                                base=_orient_file(args, tree))
     elif args.graph is not None:
         g = parse_graph_spec(args.graph)
-        d = _orient_file(args, g)  # checked on every route, used by one
-        if args.method == "pfaffian":
-            if d is None:
-                raise PreconditionError(
-                    "--method pfaffian on a plain graph needs --orient-file "
-                    "(Pfaffian-ness is the caller's responsibility)"
-                )
-            result = count_pfaffian(g, d)
-        elif args.method == "formula":
-            raise PreconditionError(
-                "no closed form applies to a plain graph; try --method brute"
-            )
-        else:
-            result = count_brute(g, max_vertices=_guard(args, DEFAULT_BRUTE_GUARD))
+        # the orientation file is checked on every route, used by one
+        result = count_graph(g, args.method, _orient_file(args, g),
+                             max_vertices=_guard(args, DEFAULT_BRUTE_GUARD))
     else:
         raise EdgeListParseError("count needs one of --graph, --product, or --grid")
 

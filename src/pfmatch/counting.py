@@ -47,7 +47,7 @@ from .graphs import (
 from .orientation import (OrientedGraph, orient_c4_tree, orient_layered, orient_lexicographic,
                           skew_adjacency)
 
-#: Default vertex guard for the backtracking counter.
+#: Default vertex guard for the brute-force counter (count_brute).
 DEFAULT_BRUTE_GUARD = 40
 
 #: Vertex guard for count_pfaffian's O(n^3) determinant (600: about 8 s).
@@ -103,7 +103,14 @@ class SquarishDecomposition:
 
 
 def count_brute(g: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
-    """Exact count by backtracking over the lowest-index uncovered vertex."""
+    """Exact count by enumerating matchings, with no linear algebra.
+
+    count_perfect_matchings matches the lowest free vertex to each free
+    neighbour, as a forward dynamic program over free-vertex masks in a
+    breadth-first Cuthill-McKee order.  Graphs above max_vertices
+    vertices raise SizeLimitError, and so does a sweep that would hold
+    more than DEFAULT_BRUTE_STATE_GUARD states at once.
+    """
     if g.n > max_vertices:
         raise SizeLimitError(
             f"brute-force guard: {g.n} vertices > limit {max_vertices}"
@@ -261,6 +268,40 @@ def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
     return result
 
 
+def count_grid(m: int, n: int, method: str = "auto",
+               max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+    """Perfect matchings of the m x n grid: "auto" and "formula" take
+    count_grid_dimer, "brute" count_brute under max_vertices."""
+    if method in ("auto", "formula"):
+        return count_grid_dimer(m, n)
+    if method == "brute":
+        return count_brute(cartesian_product(path_graph(m), path_graph(n)),
+                           max_vertices=max_vertices)
+    raise PreconditionError(
+        "--grid supports auto, formula, or brute; for the Pfaffian "
+        "route use --product p2/p3/p4 with --tree path:N"
+    )
+
+
+def count_graph(g: Graph, method: str = "auto", d: Optional[OrientedGraph] = None,
+                max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+    """Perfect matchings of a plain graph: "pfaffian" takes count_pfaffian
+    over the caller's orientation d, "auto" and "brute" count_brute under
+    max_vertices; no closed form applies."""
+    if method == "pfaffian":
+        if d is None:
+            raise PreconditionError(
+                "--method pfaffian on a plain graph needs --orient-file "
+                "(Pfaffian-ness is the caller's responsibility)"
+            )
+        return count_pfaffian(g, d)
+    if method == "formula":
+        raise PreconditionError("no closed form applies to a plain graph; try --method brute")
+    if method not in ("auto", "brute"):
+        raise PreconditionError(f"unknown method {method!r}")
+    return count_brute(g, max_vertices=max_vertices)
+
+
 def _float_estimate(log_value: float) -> Optional[float]:
     """exp(log_value), or None where that overflows a float."""
     try:
@@ -360,13 +401,15 @@ class IdentityReport:
 
     Clauses checked (failures carry the clause name):
       squarish            the C_4 x T count is a square or double a square
-      squarish-factor     factor 1 exactly when T has a perfect matching*
+      squarish-factor     factor 1 when T has a perfect matching
       square-root         count(P_3 x T)^2 == count(C_4 x T)   [matched T]
       brute-c4 / brute-p3 / brute-p4
                           formula equals brute force on the product graph
                           (run when the product is within the size guard)
-    *only the "perfect matching => factor 1" direction is a theorem; the
-    converse direction for trees follows from corank parity.
+    The factor is 2^(n mod 2): it follows the parity of the tree's order,
+    not its matching, so an even tree without a perfect matching also
+    gives a square (the star K_{1,3}: 100 = 10^2).  Only "perfect
+    matching => square, with root count(P_3 x T)" is checked.
     """
 
     tree_vertices: int

@@ -1,0 +1,112 @@
+"""The brute-force counter: a sweep over free-vertex masks in Cuthill-McKee order."""
+
+import math
+import time
+
+from pfmatch import (
+    Graph,
+    cartesian_product,
+    count_c4_tree,
+    count_perfect_matchings,
+    cycle_graph,
+    path_graph,
+    random_tree,
+)
+from pfmatch.brute import _cuthill_mckee
+
+from util import (
+    bit_stream,
+    count_by_backtracking,
+    induced_subgraph,
+    matching_count_by_edge_subsets,
+    trees_up_to,
+)
+
+
+def _random_graph(bits, n: int) -> Graph:
+    """n vertices; each pair is an edge with a per-graph probability in
+    {0, 1/8, ..., 5/8}, or every pair for a small complete graph."""
+    density = next(bits) % 6 if n > 10 or next(bits) % 8 else 8
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if next(bits) % 8 < density])
+
+
+def _relabelled(g: Graph, perm: list[int]) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _shuffled(bits, n: int) -> list[int]:
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = next(bits) % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def _connected(g: Graph) -> bool:
+    reached = {0} if g.n else set()
+    frontier = list(reached)
+    while frontier:
+        fresh = {w for v in frontier for w in g.adjacency[v]} - reached
+        reached |= fresh
+        frontier = list(fresh)
+    return len(reached) == g.n
+
+
+def test_sweep_equals_backtracking_and_edge_subsets_on_random_graphs():
+    bits = bit_stream(2027)
+    kinds = {"odd": 0, "disconnected": 0, "edgeless": 0, "excluding": 0, "edge-subsets": 0}
+    for case in range(600):
+        n = case % 17
+        g = _random_graph(bits, n)
+        excluding = [v for v in range(n) if next(bits) % 5 == 0] if case % 3 == 0 else []
+        expected = count_by_backtracking(g, excluding)
+        assert count_perfect_matchings(g, excluding) == expected, (case, g.edges, excluding)
+        perm = _shuffled(bits, n)
+        assert count_perfect_matchings(_relabelled(g, perm), [perm[v] for v in excluding]) \
+            == expected, (case, perm)
+        rest = induced_subgraph(g, [v for v in range(n) if v not in excluding])
+        if math.comb(rest.m, rest.n // 2) <= 20_000:
+            assert matching_count_by_edge_subsets(rest) == expected, (case, g.edges, excluding)
+            kinds["edge-subsets"] += 1
+        kinds["odd"] += rest.n % 2
+        kinds["edgeless"] += not g.m
+        kinds["excluding"] += bool(excluding)
+        kinds["disconnected"] += not _connected(rest)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_sweep_equals_backtracking_on_products_with_small_trees():
+    for tree in trees_up_to(6):
+        for factor in (cycle_graph(4), path_graph(4), path_graph(5)):
+            g = cartesian_product(factor, tree)
+            assert count_perfect_matchings(g) == count_by_backtracking(g), (factor.n, tree.edges)
+
+
+def test_cuthill_mckee_order_is_deterministic_and_narrow():
+    # a path under any labelling is walked from one end: consecutive positions are adjacent
+    bits = bit_stream(5)
+    for n in (1, 2, 9, 30):
+        perm = _shuffled(bits, n)
+        g = _relabelled(path_graph(n), perm)
+        order = _cuthill_mckee(g, (1 << n) - 1)
+        assert sorted(order) == list(range(n))
+        assert all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
+        assert order[0] == min(v for v in range(n) if g.degree(v) <= 1)
+    # neighbours are queued by ascending degree, not label: the leaf 4 before 2
+    assert _cuthill_mckee(Graph.from_edges(5, [(0, 1), (1, 4), (1, 2), (2, 3)]), 0b11111) \
+        == [0, 1, 4, 2, 3]
+    # excluded vertices are left out, and degrees count free neighbours only
+    star = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
+    assert _cuthill_mckee(star, 0b1110) == [1, 3, 2]
+    assert _cuthill_mckee(path_graph(4), 0b1110) == [1, 2, 3]
+    assert _cuthill_mckee(Graph.from_edges(5, []), 0b11111) == [0, 1, 2, 3, 4]
+
+
+def test_forty_vertex_product_is_fast():
+    tree = random_tree(10, 3)
+    g = cartesian_product(cycle_graph(4), tree)
+    started = time.perf_counter()
+    count = count_perfect_matchings(g)
+    assert time.perf_counter() - started < 0.1
+    assert count == count_c4_tree(tree).count

@@ -202,6 +202,20 @@ def test_count_grid_size_guard(capsys):
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("edges", [
+    [(u, v) for u in range(40) for v in range(u + 1, 40)],
+    [(u, v) for u in range(20) for v in range(20, 40)],
+], ids=["K40", "K20,20"])
+def test_count_brute_dense_graph_hits_state_guard(tmp_path, capsys, edges):
+    # within the 40-vertex guard, but with far too many matchings to enumerate
+    path = tmp_path / "dense.txt"
+    path.write_text(f"40 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count", "--graph", str(path), "--method", "brute")
+    assert code == EXIT_SIZE_LIMIT and "state guard" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_count_product_on_ten_thousand_vertices(capsys):
     # the closed forms fold the tree in O(n) ring operations; a route
     # through the whole characteristic polynomial takes minutes here

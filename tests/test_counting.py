@@ -16,6 +16,8 @@ from pfmatch import (
     count_brute,
     count_c4_path,
     count_c4_tree,
+    count_graph,
+    count_grid,
     count_grid_dimer,
     count_p3_tree,
     count_p4_tree,
@@ -41,6 +43,7 @@ from util import (
     matching_count_by_edge_subsets,
     p3_form_by_matchings,
     random_orientation,
+    tree_shapes,
     trees_up_to,
 )
 
@@ -438,6 +441,18 @@ def test_verify_identities_random_sample():
         assert report.passed, report
 
 
+def test_squarish_factor_follows_the_parity_of_the_tree():
+    # C4 x T = 2^(n mod 2) * (P3 x T form)^2: the factor is 1 for every
+    # even tree, matched or not (the star K_{1,3} gives 100 = 10^2), and 2
+    # for every odd one; every brute-force clause runs, up to 40 vertices
+    for n in range(1, 11):
+        for tree in tree_shapes(n):
+            report = verify_identities(tree)
+            assert report.passed and report.factor == 1 + tree.n % 2, (tree.edges, report)
+            assert "brute-c4" in report.checks and "brute-p4" in report.checks
+    assert not has_perfect_matching(star(3)) and verify_identities(star(3)).factor == 1
+
+
 def test_count_result_never_negative():
     with pytest.raises(ValueError):
         from pfmatch import CountResult
@@ -499,6 +514,33 @@ def test_count_product_rejects_bad_requests():
         count_product("pm", 0, tree)
     with pytest.raises(SizeLimitError):
         count_product("pm", 5, path_graph(9), max_vertices=40)
+
+
+def test_count_grid_routes():
+    assert count_grid(6, 6).method == "kasteleyn-grid"
+    assert count_grid(6, 6, "formula").count == count_grid(6, 6, "brute").count == 6728
+    assert count_grid(5, 8, "brute").count == grid_tilings(5, 8)
+    with pytest.raises(SizeLimitError):
+        count_grid(7, 6, "brute")
+    assert count_grid(7, 6, "brute", max_vertices=42).count == grid_tilings(7, 6)
+    with pytest.raises(PreconditionError, match="--grid supports auto, formula, or brute"):
+        count_grid(2, 2, "pfaffian")
+
+
+def test_count_graph_routes():
+    c4 = cycle_graph(4)
+    d = parse_oriented_edge_list("4 4\n0 -> 1\n1 -> 2\n2 -> 3\n0 -> 3\n")
+    assert count_graph(c4).method == count_graph(c4, "brute", d).method == "brute"
+    assert count_graph(c4, "pfaffian", d).method == "pfaffian"
+    assert {count_graph(c4, m, d).count for m in ("auto", "brute", "pfaffian")} == {2}
+    with pytest.raises(PreconditionError, match="needs --orient-file"):
+        count_graph(c4, "pfaffian")
+    with pytest.raises(PreconditionError, match="no closed form applies to a plain graph"):
+        count_graph(c4, "formula")
+    with pytest.raises(PreconditionError):
+        count_graph(c4, "fastest")
+    with pytest.raises(SizeLimitError):
+        count_graph(path_graph(41))
 
 
 def test_count_pfaffian_accepts_orientation_file_of_a_path():

@@ -21,7 +21,14 @@ from pfmatch import (
 )
 from pfmatch.brute import has_perfect_matching
 
-from util import bit_stream, cycle_census_by_subsets, trees_up_to
+from util import (
+    _ahu_canonical,
+    bit_stream,
+    cycle_census_by_subsets,
+    nonisomorphic_trees,
+    tree_shapes,
+    trees_up_to,
+)
 
 
 def test_path_graph_degenerate():
@@ -209,6 +216,16 @@ def _corona(t: Graph, pendant_at: list[int]) -> Graph:
     """
     edges = list(t.edges) + [(v, t.n + i) for i, v in enumerate(pendant_at)]
     return Graph.from_edges(t.n + len(pendant_at), edges)
+
+
+def test_tree_shapes_are_the_tree_classes():
+    # unlabelled trees on n vertices: 1, 1, 1, 2, 3, 6, 11, 23, 47, 106 (OEIS A000055)
+    assert [len(tree_shapes(n)) for n in range(1, 11)] == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+    for n in range(1, 11):
+        assert len({_ahu_canonical(t) for t in tree_shapes(n)}) == len(tree_shapes(n))
+    for n in range(1, 8):
+        assert {_ahu_canonical(t) for t in tree_shapes(n)} \
+            == {_ahu_canonical(t) for t in nonisomorphic_trees(n)}
 
 
 def test_tree_matching_agrees_with_backtracking_on_small_trees():
