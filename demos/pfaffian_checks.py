@@ -48,7 +48,7 @@ def main():
     spider = pf.validate_tree(
         pf.Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)])
     )
-    assert pf.has_perfect_matching(spider)
+    assert pf.tree_has_perfect_matching(spider)
     print()
     print("matched tree for the 3-layer construction:", sorted(spider.edges))
     show("layered, 3 copies (P3 x T)", pf.orient_layered(pf.orient_lexicographic(spider), 3))

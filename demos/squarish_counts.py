@@ -1,15 +1,24 @@
 #!/usr/bin/env python3
 """Pm(C4 x T) is always a square or double a square ("squarish").
 
-Which of the two happens is governed by the tree's corank
-s = n - 2r (vertex count minus twice the maximum matching size):
-the count is 2^(s mod 2) times a square, and s has the parity of n, so
-every tree of even order gives a square, whether or not it has a
-perfect matching (the star with 3 leaves gives 100 = 10^2).  When T has
-a perfect matching (s = 0) the square root is the P3 x T count.
+Which of the two happens is governed by the tree's corank s, the
+multiplicity of the eigenvalue 0, which for a tree is n - 2r (vertex
+count minus twice the maximum matching size); the demo reads it off the
+characteristic polynomial as the index of its lowest nonzero
+coefficient.  The count is 2^(s mod 2) times a square, and s has the
+parity of n, so every tree of even order gives a square, whether or not
+it has a perfect matching (the star with 3 leaves gives 100 = 10^2).
+When T has a perfect matching (s = 0) the square root is the P3 x T
+count.
 """
 
 import pfmatch as pf
+
+
+def corank(t):
+    """Multiplicity of 0 as an eigenvalue of the tree's adjacency matrix."""
+    phi = pf.char_poly_tree_mod(t, [0] * (t.n + 1) + [1])
+    return next(k for k, c in enumerate(phi) if c)
 
 
 def main():
@@ -19,18 +28,18 @@ def main():
         t = pf.random_tree(2 + seed % 8, seed * 37 + 11)
         count = pf.count_c4_tree(t).count
         dec = pf.squarish_decompose(count)
-        corank = t.n - 2 * pf.max_matching_size(t)
+        s = corank(t)
         shape = f"{dec.factor} * {dec.root}^2"
         edges = ",".join(f"{u}{v}" for u, v in sorted(t.edges)) or "-"
-        print(f"{edges:44} {count:>10}  {shape:14} {corank:>5}")
+        print(f"{edges:44} {count:>10}  {shape:14} {s:>5}")
         assert dec.value == count
-        assert (dec.factor == 1) == (corank % 2 == 0)
+        assert (dec.factor == 1) == (s % 2 == 0)
 
     print()
     print("when T has a perfect matching the square root is itself a count:")
     for seed in (3, 8, 21):
         t = pf.random_tree(6, seed)
-        if not pf.has_perfect_matching(t):
+        if not pf.tree_has_perfect_matching(t):
             continue
         c4 = pf.count_c4_tree(t).count
         p3 = pf.count_p3_tree(t).count

@@ -45,7 +45,7 @@ def main():
     for name, t in TREES.items():
         c4 = pf.count_c4_tree(t)
         p4 = pf.count_p4_tree(t)
-        if pf.has_perfect_matching(t):
+        if pf.tree_has_perfect_matching(t):
             p3_text = str(pf.count_p3_tree(t).count)
         else:
             p3_text = "(no pm)"

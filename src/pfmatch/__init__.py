@@ -32,7 +32,6 @@ from .brute import (
     count_perfect_matchings,
     find_perfect_matching,
     has_perfect_matching,
-    max_matching_size,
 )
 from .counting import (
     DEFAULT_BRUTE_GUARD,
@@ -56,14 +55,12 @@ from .counting import (
 )
 from .errors import (
     EdgeListParseError,
-    InvalidCycleError,
     InvalidSizeError,
     NotAPerfectSquareError,
     NotATreeError,
     NotPfaffianError,
     NotSquarishError,
     NumericalConsistencyError,
-    OddCycleParityError,
     PfmatchError,
     PreconditionError,
     SizeLimitError,
@@ -86,7 +83,6 @@ from .graphs import (
     cycle_graph,
     enumerate_cycles,
     format_edge_list,
-    is_cycle_of,
     parse_edge_list,
     path_graph,
     random_tree,
@@ -97,10 +93,7 @@ from .orientation import (
     OrientedGraph,
     PfaffianReport,
     check_pfaffian,
-    converse,
     format_oriented_edge_list,
-    is_nice_cycle,
-    is_oddly_oriented,
     orient_c4_tree,
     orient_double,
     orient_layered,
@@ -124,14 +117,12 @@ __all__ = [
     "IdentityReport",
     "IntMatrix",
     "IntPolynomial",
-    "InvalidCycleError",
     "InvalidSizeError",
     "NotAPerfectSquareError",
     "NotATreeError",
     "NotPfaffianError",
     "NotSquarishError",
     "NumericalConsistencyError",
-    "OddCycleParityError",
     "OrientedGraph",
     "PfaffianReport",
     "PfmatchError",
@@ -143,7 +134,6 @@ __all__ = [
     "cartesian_product",
     "char_poly_tree_mod",
     "check_pfaffian",
-    "converse",
     "count_brute",
     "count_c4_path",
     "count_c4_tree",
@@ -163,10 +153,6 @@ __all__ = [
     "format_oriented_edge_list",
     "has_perfect_matching",
     "integer_sqrt_exact",
-    "is_cycle_of",
-    "is_nice_cycle",
-    "is_oddly_oriented",
-    "max_matching_size",
     "orient_c4_tree",
     "orient_double",
     "orient_layered",

@@ -125,55 +125,32 @@ def count_perfect_matchings(g: Graph, excluding: Iterable[int] = ()) -> int:
 
 def find_perfect_matching(g: Graph, excluding: Iterable[int] = ()) -> Optional[tuple[Edge, ...]]:
     """A perfect matching of g (or of g minus `excluding`) as sorted edges in
-    ascending order, or None; the search stops at the first one found."""
+    ascending order, or None; the search stops at the first one found.
+
+    Depth-first with an explicit stack, so the depth is not bounded by
+    Python's recursion limit: entry i holds the i-th pair chosen, as
+    (vertex bit, partner bit, partners of the vertex still to try).
+    """
     free = _free_mask(g, excluding)
     if bin(free).count("1") % 2:
         return None
     nbr = _neighbor_masks(g)
-
-    def rec(free: int) -> Optional[list[Edge]]:
-        if not free:
-            return []
-        v = (free & -free).bit_length() - 1
-        choices = nbr[v] & free
-        while choices:
-            wbit = choices & -choices
-            choices ^= wbit
-            rest = rec(free & ~(wbit | (1 << v)))
-            if rest is not None:
-                rest.append((v, wbit.bit_length() - 1))
-                return rest
-        return None
-
-    found = rec(free)
-    return None if found is None else tuple(reversed(found))
+    stack: list[tuple[int, int, int]] = []
+    while free:
+        vbit = free & -free
+        choices = nbr[vbit.bit_length() - 1] & free
+        while not choices:
+            if not stack:
+                return None
+            vbit, wbit, choices = stack.pop()
+            free |= vbit | wbit
+        wbit = choices & -choices
+        stack.append((vbit, wbit, choices ^ wbit))
+        free ^= vbit | wbit
+    return tuple((vbit.bit_length() - 1, wbit.bit_length() - 1) for vbit, wbit, _ in stack)
 
 
 def has_perfect_matching(g: Graph, excluding: Iterable[int] = ()) -> bool:
     """True iff g (or g minus `excluding`) has a perfect matching."""
     return find_perfect_matching(g, excluding) is not None
 
-
-def max_matching_size(g: Graph) -> int:
-    """Maximum number of edges in a matching, by memoized branch-and-skip."""
-    nbr = _neighbor_masks(g)
-    memo: dict[int, int] = {}
-
-    def best(free: int) -> int:
-        if not free:
-            return 0
-        cached = memo.get(free)
-        if cached is not None:
-            return cached
-        v = (free & -free).bit_length() - 1
-        rest = free & ~(1 << v)
-        result = best(rest)  # leave v unmatched
-        choices = nbr[v] & rest
-        while choices:
-            wbit = choices & -choices
-            choices ^= wbit
-            result = max(result, 1 + best(rest & ~wbit))
-        memo[free] = result
-        return result
-
-    return best((1 << g.n) - 1)

@@ -28,14 +28,6 @@ class SizeLimitError(PfmatchError):
     exit_code = 4
 
 
-class InvalidCycleError(PfmatchError, ValueError):
-    """A vertex sequence is not a simple cycle of the host graph."""
-
-
-class OddCycleParityError(PfmatchError, ValueError):
-    """Odd orientation is only defined for even-length cycles."""
-
-
 class PreconditionError(PfmatchError):
     """An operation's mathematical precondition does not hold for the input."""
 

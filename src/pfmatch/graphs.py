@@ -305,37 +305,30 @@ def enumerate_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_GUARD) -> list[
     Each cycle is reported starting at its smallest vertex, traversed
     toward its smaller neighbor on the cycle.  DFS grows paths whose
     interior vertices all exceed the start vertex, so no cycle repeats.
+    Iterative, so the depth is not bounded by Python's recursion limit.
     Exponential in general; guarded by max_vertices.
     """
     _cycle_guard(g, max_vertices)
     adj = g.adjacency
     cycles: list[CycleSeq] = []
-    path: list[int] = []
-
-    def extend(v: int, start: int, onpath: int) -> None:
-        for w in adj[v]:
-            if w == start:
-                if len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(tuple(path))
-            elif w > start and not (onpath >> w) & 1:
-                path.append(w)
-                extend(w, start, onpath | (1 << w))
-                path.pop()
-
     for s in range(g.n):
         path = [s]
-        extend(s, s, 1 << s)
+        onpath = 1 << s
+        stack = [iter(adj[s])]
+        while stack:
+            for w in stack[-1]:
+                if w == s:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        cycles.append(tuple(path))
+                elif w > s and not (onpath >> w) & 1:
+                    path.append(w)
+                    onpath |= 1 << w
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                onpath &= ~(1 << path.pop())
     return cycles
-
-
-def is_cycle_of(g: Graph, c: CycleSeq) -> bool:
-    """True iff c lists >= 3 distinct vertices forming a closed walk in g."""
-    k = len(c)
-    if k < 3 or len(set(c)) != k:
-        return False
-    if any(not (0 <= v < g.n) for v in c):
-        return False
-    return all(g.has_edge(c[i], c[(i + 1) % k]) for i in range(k))
 
 
 # ---------------------------------------------------------------------------

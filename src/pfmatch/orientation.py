@@ -28,11 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .brute import find_perfect_matching, has_perfect_matching
-from .errors import (
-    InvalidCycleError,
-    InvalidSizeError,
-    OddCycleParityError,
-)
+from .errors import InvalidSizeError
 from .graphs import (
     DEFAULT_CYCLE_GUARD,
     CycleSeq,
@@ -42,7 +38,6 @@ from .graphs import (
     _sorted_edge,
     cartesian_product,
     enumerate_cycles,
-    is_cycle_of,
     parse_edge_lines,
     path_graph,
     validate_tree,
@@ -81,32 +76,30 @@ class OrientedGraph:
 class PfaffianReport:
     """Outcome of check_pfaffian.
 
-    route is "alternating" when every M-alternating cycle of the perfect
-    matching `matching` (empty when the graph has none) was oddly
-    oriented, and "nice-cycles" when one was not and the exhaustive scan
-    listed the violations.  nice_even_cycles counts the nice even cycles
-    the route examined.
+    The check passes when no violation was found: every M-alternating
+    cycle of the perfect matching `matching` (empty when the graph has
+    none) was oddly oriented, and route is then "alternating".  A
+    failure ran the exhaustive scan, which listed the violations, and
+    route is "nice-cycles".  nice_even_cycles counts the nice even
+    cycles the route examined.
     """
 
-    passed: bool
     nice_even_cycles: int
     violations: tuple[CycleSeq, ...]
-    route: str
     matching: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        assert self.passed == (not self.violations)
-        assert self.route == ("alternating" if self.passed else "nice-cycles")
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    @property
+    def route(self) -> str:
+        return "alternating" if self.passed else "nice-cycles"
 
 
 def orient_lexicographic(g: Graph) -> OrientedGraph:
     """Direct every edge from its lower to its higher endpoint."""
     return OrientedGraph(base=g, arcs=frozenset(g.edges))
-
-
-def converse(d: OrientedGraph) -> OrientedGraph:
-    """Reverse every arc (an involution)."""
-    return OrientedGraph(base=d.base, arcs=frozenset((v, u) for u, v in d.arcs))
 
 
 def _stack(d: OrientedGraph, m: int) -> OrientedGraph:
@@ -147,7 +140,7 @@ def orient_c4_tree(d: OrientedGraph) -> OrientedGraph:
     """Orient a graph isomorphic to C_4 x T by doubling the doubling.
 
     The four tree layers, in the cyclic order they sit around the
-    4-cycle, carry d, converse(d), d, converse(d); the resulting skew
+    4-cycle, carry d, its converse, d, its converse; the resulting skew
     adjacency matrix has the block form shown in the module docstring.
     """
     validate_tree(d.base)
@@ -164,29 +157,12 @@ def skew_adjacency(d: OrientedGraph) -> list[list[int]]:
     return a
 
 
-def is_nice_cycle(g: Graph, c: CycleSeq) -> bool:
-    """True iff deleting c's vertices leaves a graph with a perfect matching."""
-    if not is_cycle_of(g, c):
-        raise InvalidCycleError(f"{c} is not a simple cycle of the graph")
-    return has_perfect_matching(g, excluding=c)
-
-
-def is_oddly_oriented(d: OrientedGraph, c: CycleSeq) -> bool:
-    """True iff an even cycle has an odd number of arcs along each direction.
-
-    For even k the two traversal directions have co-directed counts f and
-    k - f, which share parity, so one traversal suffices.
-    """
-    if not is_cycle_of(d.base, c):
-        raise InvalidCycleError(f"{c} is not a simple cycle of the base graph")
-    k = len(c)
-    if k % 2:
-        raise OddCycleParityError(f"odd orientation is undefined for odd cycle length {k}")
-    return _odd_forward(d.arcs, c)
-
-
 def _odd_forward(arcs: frozenset[Arc], c: CycleSeq) -> bool:
-    """True iff an odd number of c's consecutive pairs, wrapping around, are arcs."""
+    """True iff an odd number of c's consecutive pairs, wrapping around, are arcs.
+
+    For an even cycle of length k the two traversal directions count f
+    and k - f arcs, which share parity, so one traversal suffices.
+    """
     return sum((u, v) in arcs for u, v in zip(c, c[1:] + c[:1])) % 2 == 1
 
 
@@ -246,8 +222,7 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
             break
         checked += 1
     else:
-        return PfaffianReport(passed=True, nice_even_cycles=checked, violations=(),
-                              route="alternating", matching=matching)
+        return PfaffianReport(nice_even_cycles=checked, violations=(), matching=matching)
     violations: list[CycleSeq] = []
     nice_even = 0
     for c in enumerate_cycles(base, max_vertices):
@@ -256,8 +231,8 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
         nice_even += 1
         if not _odd_forward(d.arcs, c):
             violations.append(c)
-    return PfaffianReport(passed=False, nice_even_cycles=nice_even, violations=tuple(violations),
-                          route="nice-cycles", matching=matching)
+    return PfaffianReport(nice_even_cycles=nice_even, violations=tuple(violations),
+                          matching=matching)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ from pfmatch import (
     enumerate_cycles,
     has_perfect_matching,
     integer_sqrt_exact,
-    is_nice_cycle,
-    max_matching_size,
     orient_c4_tree,
     orient_double,
     orient_layered,
@@ -40,6 +38,7 @@ from pfmatch import (
 from util import (
     bit_stream,
     char_poly_tree,
+    count_by_backtracking,
     doubling_matching,
     grid_tilings,
     matchings_by_size,
@@ -143,7 +142,7 @@ def test_criterion_5_squarish_decomposition():
         except Exception:
             failures.append(("squarish", t.edges))
             continue
-        corank = t.n - 2 * max_matching_size(t)
+        corank = t.n - 2 * max(k for k, ways in enumerate(matchings_by_size(t)) if ways)
         if (dec.factor == 1) != (corank % 2 == 0):
             failures.append(("factor", t.edges, dec.factor, corank))
     if squarish_decompose(count_c4_tree(path_graph(3)).count) != squarish_decompose(32):
@@ -224,7 +223,7 @@ def test_criterion_7_pfaffian_checks():
             crossings = sum(
                 1 for i in range(k) if tuple(sorted((c[i], c[(i + 1) % k]))) in rungs
             )
-            if crossings != 2 or not is_nice_cycle(product, c):
+            if crossings != 2 or not count_by_backtracking(product, excluding=c):
                 failures.append(("rungs", t.edges, c))
     _conclude("criterion 7: constructed orientations pass the Pfaffian check", failures)
 

@@ -250,6 +250,26 @@ def test_verify_pfaffian_file_failure(tmp_path, capsys):
     assert payload["violations"] == [[0, 1, 2, 3]]
 
 
+def test_verify_pfaffian_long_path_is_not_bounded_by_recursion(tmp_path, capsys):
+    # the matching search is deeper than Python's recursion limit
+    arcs = tmp_path / "path.txt"
+    arcs.write_text("2000 1999\n" + "".join(f"{i} -> {i + 1}\n" for i in range(1999)))
+    code, out, err = run(capsys, "verify", "--pfaffian", "--graph", "path:2000",
+                         "--orient-file", str(arcs), "--max-vertices", "2000")
+    assert code == EXIT_OK and "verdict: pass" in out and err == ""
+
+
+def test_verify_pfaffian_long_cycle_lists_its_one_violation(tmp_path, capsys):
+    # 1200 forward arcs: the cycle is nice and evenly oriented, and the
+    # failure scan walks it deeper than Python's recursion limit
+    arcs = tmp_path / "cycle.txt"
+    arcs.write_text("1200 1200\n" + "".join(f"{i} -> {(i + 1) % 1200}\n" for i in range(1200)))
+    code, payload, err = run_json(capsys, "verify", "--pfaffian", "--graph", "cycle:1200",
+                                  "--orient-file", str(arcs), "--max-vertices", "1200")
+    assert code == EXIT_VIOLATION and err == ""
+    assert payload["violations"] == [list(range(1200))]
+
+
 def test_verify_layers_3_matched_tree(capsys):
     code, out, _ = run(capsys, "verify", "--pfaffian", "--layers", "3", "--tree", "path:4")
     assert code == EXIT_OK and "verdict: pass" in out

@@ -1,25 +1,19 @@
-"""Orientation constructors, skew adjacency, nice cycles, the Pfaffian check."""
+"""Orientation constructors, skew adjacency, the Pfaffian check."""
 
 import pytest
 
 from pfmatch import (
     EdgeListParseError,
     Graph,
-    InvalidCycleError,
     NotATreeError,
-    OddCycleParityError,
     OrientedGraph,
     cartesian_product,
     check_pfaffian,
-    converse,
     count_perfect_matchings,
     cycle_graph,
     enumerate_cycles,
     find_perfect_matching,
     format_oriented_edge_list,
-    has_perfect_matching,
-    is_nice_cycle,
-    is_oddly_oriented,
     orient_c4_tree,
     orient_double,
     orient_layered,
@@ -34,11 +28,11 @@ from pfmatch import (
 from util import (
     Matching,
     bit_stream,
+    count_by_backtracking,
     cycles_by_subsets,
     det_cofactor,
     doubling_matching,
     identity_matrix,
-    induced_subgraph,
     matching_count_by_edge_subsets,
     pfaffian_violations_by_subsets,
     random_orientation,
@@ -58,16 +52,6 @@ def test_orient_lexicographic():
     assert orient_lexicographic(path_graph(3)).arcs == frozenset({(0, 1), (1, 2)})
     assert orient_lexicographic(path_graph(2)).arcs == frozenset({(0, 1)})
     assert orient_lexicographic(star(3)).arcs == frozenset({(0, 3), (1, 3), (2, 3)})
-
-
-def test_converse_involution():
-    d = OrientedGraph(base=path_graph(2), arcs=frozenset({(0, 1)}))
-    assert converse(d).arcs == frozenset({(1, 0)})
-    for seed in range(6):
-        d = random_orientation(random_tree(6, seed), seed)
-        assert converse(converse(d)) == d
-    empty = OrientedGraph(base=Graph(n=3, edges=frozenset()), arcs=frozenset())
-    assert converse(empty) == empty
 
 
 def test_orientation_rejects_incomplete_or_double_arcs():
@@ -97,7 +81,7 @@ def test_orient_double_arc_count():
 
 def test_orient_double_self_converse_under_half_swap():
     # exchanging the halves realizes the converse of the whole doubling;
-    # equivalently, the doublings of d and converse(d) agree on both
+    # equivalently, the doublings of d and of its converse agree on both
     # copies and differ exactly by reversing every rung arc
     for seed in range(5):
         t = random_tree(5, seed)
@@ -106,11 +90,12 @@ def test_orient_double_self_converse_under_half_swap():
         swap = {v: (v + n) % (2 * n) for v in range(2 * n)}
         doubled = orient_double(d)
         swapped = frozenset((swap[u], swap[v]) for u, v in doubled.arcs)
-        assert swapped == converse(doubled).arcs
+        assert swapped == frozenset((v, u) for u, v in doubled.arcs)
         rungs_reversed = frozenset(
             (v, u) if abs(u - v) == n else (u, v) for u, v in swapped
         )
-        assert rungs_reversed == orient_double(converse(d)).arcs
+        reversed_d = OrientedGraph(base=d.base, arcs=frozenset((v, u) for u, v in d.arcs))
+        assert rungs_reversed == orient_double(reversed_d).arcs
 
 
 def test_orient_layered_m1_and_m2():
@@ -216,62 +201,6 @@ def test_skew_adjacency_antisymmetric():
         assert all(a[i][j] == -a[j][i] for i in range(n) for j in range(n))
 
 
-def test_is_nice_cycle_c4_itself():
-    c4 = cycle_graph(4)
-    assert is_nice_cycle(c4, (0, 1, 2, 3))  # empty remainder has the empty matching
-
-
-def test_is_nice_cycle_cube_squares():
-    cube = cartesian_product(cycle_graph(4), path_graph(2))
-    for c in enumerate_cycles(cube):
-        if len(c) == 4:
-            assert is_nice_cycle(cube, c)
-            remainder = induced_subgraph(cube, [v for v in range(8) if v not in c])
-            assert matching_count_by_edge_subsets(remainder) >= 1
-
-
-def test_is_nice_cycle_grid_odd_components():
-    # deleting the middle square of the 3x4 grid leaves two 3-vertex paths
-    grid = cartesian_product(path_graph(3), path_graph(4))
-    middle = (1, 2, 6, 10, 9, 5)
-    assert not is_nice_cycle(grid, middle)
-    remainder = induced_subgraph(grid, [v for v in range(12) if v not in middle])
-    assert matching_count_by_edge_subsets(remainder) == 0
-
-
-def test_is_nice_cycle_rejects_non_cycle():
-    with pytest.raises(InvalidCycleError):
-        is_nice_cycle(cycle_graph(4), (0, 1, 3))
-
-
-def test_is_oddly_oriented_all_forward_false():
-    assert not is_oddly_oriented(all_forward_c4(), (0, 1, 2, 3))
-
-
-def test_is_oddly_oriented_direct_count():
-    d = OrientedGraph(base=cycle_graph(4), arcs=frozenset([(0, 1), (2, 1), (2, 3), (3, 0)]))
-    assert is_oddly_oriented(d, (0, 1, 2, 3))  # forward arcs 0->1, 2->3, 3->0
-
-
-def test_is_oddly_oriented_double_square():
-    d = orient_double(orient_lexicographic(path_graph(2)))
-    (cycle,) = enumerate_cycles(d.base)
-    assert is_oddly_oriented(d, cycle)
-
-
-def test_is_oddly_oriented_direction_independent():
-    d = orient_double(orient_lexicographic(path_graph(3)))
-    for c in enumerate_cycles(d.base):
-        reversed_c = (c[0],) + tuple(reversed(c[1:]))
-        assert is_oddly_oriented(d, c) == is_oddly_oriented(d, reversed_c)
-
-
-def test_is_oddly_oriented_rejects_odd_cycle():
-    tri = orient_lexicographic(cycle_graph(3))
-    with pytest.raises(OddCycleParityError):
-        is_oddly_oriented(tri, (0, 1, 2))
-
-
 def test_check_pfaffian_all_forward_c4_fails():
     report = check_pfaffian(all_forward_c4())
     assert not report.passed
@@ -362,7 +291,7 @@ def test_doubling_cycles_use_two_rungs_and_are_nice():
                 if tuple(sorted((c[i], c[(i + 1) % k]))) in rungs.edges
             )
             assert crossing == 2
-            assert is_nice_cycle(product, c)
+            assert count_by_backtracking(product, excluding=c) > 0
 
 
 def test_every_even_cycle_of_doubling_oddly_oriented():
@@ -371,20 +300,21 @@ def test_every_even_cycle_of_doubling_oddly_oriented():
     # up to 5 vertices, then sampled at 6
     import itertools
 
+    doublings = []
     for t in trees_up_to(5):
         edges = sorted(t.edges)
         for flips in itertools.product((False, True), repeat=len(edges)):
             arcs = frozenset(
                 (v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)
             )
-            doubled = orient_double(OrientedGraph(base=Graph(n=t.n, edges=t.edges), arcs=arcs))
-            for c in enumerate_cycles(doubled.base):
-                assert len(c) % 2 == 0
-                assert is_oddly_oriented(doubled, c)
+            doublings.append(orient_double(OrientedGraph(base=Graph(n=t.n, edges=t.edges), arcs=arcs)))
     for seed in range(8):
-        doubled = orient_double(random_orientation(random_tree(6, seed), seed + 77))
+        doublings.append(orient_double(random_orientation(random_tree(6, seed), seed + 77)))
+    for doubled in doublings:
         for c in enumerate_cycles(doubled.base):
-            assert is_oddly_oriented(doubled, c)
+            k = len(c)
+            forward = sum((c[i], c[(i + 1) % k]) in doubled.arcs for i in range(k))
+            assert k % 2 == 0 and forward % 2 == 1
 
 
 def test_matching_validation():
@@ -396,14 +326,6 @@ def test_matching_validation():
     perfect = Matching(host=g, edges=frozenset({(0, 1), (2, 3)}))
     assert perfect.is_perfect
     assert not Matching(host=g, edges=frozenset({(1, 2)})).is_perfect
-
-
-def test_nice_cycle_uses_matching_existence():
-    # P2 x P3 = 2x3 grid: has_perfect_matching and the nice 4-cycles agree
-    grid = cartesian_product(path_graph(2), path_graph(3))
-    assert has_perfect_matching(grid)
-    for c in enumerate_cycles(grid):
-        assert is_nice_cycle(grid, c) == has_perfect_matching(grid, excluding=c)
 
 
 def test_oriented_edge_list_roundtrip():

@@ -1,0 +1,48 @@
+"""The public surface: every exported name has a caller outside the tests."""
+
+import ast
+import pathlib
+
+import pfmatch
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pfmatch"
+
+
+def _uses() -> list[tuple[str, set[str]]]:
+    """(owner, identifiers read) per top-level statement of the demos and
+    of the package modules other than __init__.py.
+
+    The owner is the name a top-level def or class binds, and "" for any
+    other statement.  A name counts where it is loaded or read as an
+    attribute (pf.name); its own def, class or assignment, its import
+    and docstrings do not.
+    """
+    files = sorted((ROOT / "demos").glob("*.py"))
+    files += [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    uses = []
+    for path in files:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(stmt, "name", "")
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            uses.append((owner, names - {owner}))
+    return uses
+
+
+def test_every_exported_name_has_a_caller():
+    # an exported name read only inside exported code that has no caller
+    # has no caller either, so drop such bodies until nothing changes
+    exported = set(pfmatch.__all__)
+    uses = _uses()
+    unused: set[str] = set()
+    while True:
+        read = set().union(*(names for owner, names in uses if owner not in unused))
+        if exported - read == unused:
+            break
+        unused = exported - read
+    assert not unused, f"exported without a caller: {sorted(unused)}"
