@@ -7,7 +7,8 @@ The package has four layers:
 - orientation:  the doubled / layered / four-layer orientations and the
                 Pfaffian check over the M-alternating cycles of one
                 perfect matching M
-- exactlinalg:  fraction-free determinants, tree characteristic polynomials
+- exactlinalg:  fraction-free determinants, sparse skew determinants modulo
+                primes recombined exactly by CRT, tree characteristic polynomials
                 folded by the bridge recurrence modulo a small monic
                 polynomial (O(n) ring operations), root_product (the
                 product of a polynomial over the roots of a small monic
@@ -66,11 +67,13 @@ from .errors import (
     SizeLimitError,
 )
 from .exactlinalg import (
+    DEFAULT_PFAFFIAN_UPDATE_GUARD,
     IntMatrix,
     IntPolynomial,
     adjacency_matrix,
     char_poly_tree_mod,
     det_bareiss,
+    det_skew,
     integer_sqrt_exact,
     root_product,
 )
@@ -99,7 +102,6 @@ from .orientation import (
     orient_layered,
     orient_lexicographic,
     parse_oriented_edge_list,
-    skew_adjacency,
 )
 
 __version__ = "0.1.0"
@@ -112,6 +114,7 @@ __all__ = [
     "DEFAULT_CYCLE_GUARD",
     "DEFAULT_GRID_GUARD",
     "DEFAULT_PFAFFIAN_GUARD",
+    "DEFAULT_PFAFFIAN_UPDATE_GUARD",
     "EdgeListParseError",
     "Graph",
     "IdentityReport",
@@ -147,6 +150,7 @@ __all__ = [
     "count_product",
     "cycle_graph",
     "det_bareiss",
+    "det_skew",
     "enumerate_cycles",
     "find_perfect_matching",
     "format_edge_list",
@@ -162,7 +166,6 @@ __all__ = [
     "path_graph",
     "random_tree",
     "root_product",
-    "skew_adjacency",
     "squarish_decompose",
     "tree_has_perfect_matching",
     "validate_tree",

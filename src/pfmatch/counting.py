@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .exactlinalg import char_poly_tree_mod, det_bareiss, integer_sqrt_exact, root_product
+from .exactlinalg import char_poly_tree_mod, det_skew, integer_sqrt_exact, root_product
 from .graphs import (
     Graph,
     cartesian_product,
@@ -44,14 +44,15 @@ from .graphs import (
     tree_has_perfect_matching,
     validate_tree,
 )
-from .orientation import (OrientedGraph, orient_c4_tree, orient_layered, orient_lexicographic,
-                          skew_adjacency)
+from .orientation import OrientedGraph, orient_c4_tree, orient_layered, orient_lexicographic
 
 #: Default vertex guard for the brute-force counter (count_brute).
 DEFAULT_BRUTE_GUARD = 40
 
-#: Vertex guard for count_pfaffian's O(n^3) determinant (600: about 8 s).
-DEFAULT_PFAFFIAN_GUARD = 600
+#: Vertex guard for count_pfaffian.  Each prime of det_skew costs about
+#: O(n) on a product, and the number of primes grows with n: at the limit
+#: C_4 x T and P_4 x T take 6-8 s, 2,000 vertices about 1 s.
+DEFAULT_PFAFFIAN_GUARD = 5000
 
 #: Guard for count_grid_dimer on sides s <= L: s * L * (s + L/5000) may
 #: not exceed it.  s^2 L follows the norm, a (s/2)-square determinant of
@@ -122,10 +123,17 @@ def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
     """Count via the skew adjacency determinant of a Pfaffian orientation d.
 
     The caller vouches for Pfaffian-ness (check_pfaffian can verify it at
-    desk scale).  The determinant of the skew adjacency matrix is the
-    squared count; a non-square determinant proves the orientation was
-    not Pfaffian and raises NotPfaffianError.  An even graph above
-    DEFAULT_PFAFFIAN_GUARD vertices raises SizeLimitError.
+    desk scale).  det_skew computes the determinant of the skew adjacency
+    matrix exactly, by sparse elimination modulo primes and the Chinese
+    remainder theorem; for a Pfaffian orientation it is the squared
+    count.  Any skew integer matrix has det = Pf^2 (Cayley), so a
+    non-Pfaffian orientation shows up as a wrong square, an undercount,
+    not as a non-square.  The square-root check guards the
+    reconstruction: a non-square would mean the residues were combined
+    wrongly, and raises NotPfaffianError.  An even graph above
+    DEFAULT_PFAFFIAN_GUARD vertices (C_4 x T with |T| = 1,250 takes
+    6-8 s), or one whose eliminations would pass det_skew's
+    DEFAULT_PFAFFIAN_UPDATE_GUARD, raises SizeLimitError.
     """
     if not d.orients(g):
         raise PreconditionError("orientation is not over the given graph")
@@ -136,13 +144,13 @@ def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
         raise SizeLimitError(
             f"Pfaffian determinant guard: {g.n} vertices > limit {DEFAULT_PFAFFIAN_GUARD}"
         )
-    det = det_bareiss(skew_adjacency(d))
+    det = det_skew(d)
     try:
         root = integer_sqrt_exact(det)
     except NotAPerfectSquareError as exc:
         raise NotPfaffianError(
-            f"skew adjacency determinant {det} is not a perfect square; "
-            "the orientation cannot be Pfaffian"
+            f"skew adjacency determinant {det} is not a perfect square, "
+            "which no skew integer matrix has: the modular reconstruction failed"
         ) from exc
     return CountResult(count=root, method="pfaffian", dimension=g.n, determinant=det)
 

@@ -39,7 +39,12 @@ class NotAPerfectSquareError(PfmatchError, ArithmeticError):
 
 
 class NotPfaffianError(PfmatchError):
-    """A determinant-based count exposed that the orientation was not Pfaffian."""
+    """A Pfaffian count's determinant was not a perfect square.
+
+    No skew integer matrix has such a determinant (det = Pf^2), so this
+    means its modular reconstruction failed; a non-Pfaffian orientation
+    shows up as an undercount instead.
+    """
 
     exit_code = 5
 

@@ -68,9 +68,6 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and _sorted_edge(u, v) in self.edges
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

@@ -1,4 +1,4 @@
-"""Edge orientations, skew adjacency matrices, and the Pfaffian criterion.
+"""Edge orientations and the Pfaffian criterion.
 
 The constructors here realize one idea at increasing depth: orient a
 graph, place copies side by side with every copy's orientation reversed
@@ -145,16 +145,6 @@ def orient_c4_tree(d: OrientedGraph) -> OrientedGraph:
     """
     validate_tree(d.base)
     return orient_double(orient_double(d))
-
-
-def skew_adjacency(d: OrientedGraph) -> list[list[int]]:
-    """Antisymmetric 0/1/-1 matrix: entry (u, v) is 1 iff the arc u->v exists."""
-    n = d.n
-    a = [[0] * n for _ in range(n)]
-    for u, v in d.arcs:
-        a[u][v] = 1
-        a[v][u] = -1
-    return a
 
 
 def _odd_forward(arcs: frozenset[Arc], c: CycleSeq) -> bool:

@@ -31,7 +31,6 @@ from pfmatch import (
     orient_lexicographic,
     path_graph,
     random_tree,
-    skew_adjacency,
     squarish_decompose,
 )
 
@@ -43,6 +42,7 @@ from util import (
     grid_tilings,
     matchings_by_size,
     random_orientation,
+    skew_adjacency,
     skew_char_poly,
     trees_up_to,
 )
@@ -240,7 +240,8 @@ def test_criterion_8_pfaffian_counting_engine():
         brute = count_brute(oriented.base, max_vertices=24).count
         if root != brute:
             failures.append((tag, oriented.n, root, brute))
-        if count_pfaffian(oriented.base, oriented).count != brute:
+        result = count_pfaffian(oriented.base, oriented)
+        if (result.count, result.determinant) != (brute, det):
             failures.append((tag, oriented.n, "count_pfaffian"))
     _conclude("criterion 8: determinant counting == brute force on verified orientations", failures)
 

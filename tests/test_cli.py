@@ -185,10 +185,10 @@ def test_verify_pfaffian_names_route_and_cycles_checked(tmp_path, capsys):
 
 
 def test_count_pfaffian_size_guard(capsys):
-    # 151-vertex tree: a 604-square determinant, above DEFAULT_PFAFFIAN_GUARD
+    # 1,251-vertex tree: a 5,004-vertex product, above DEFAULT_PFAFFIAN_GUARD
     start = time.perf_counter()
     code, _, err = run(capsys, "count", "--product", "c4", "--method", "pfaffian",
-                       "--tree", "tree-random:151:1")
+                       "--tree", "tree-random:1251:1")
     assert code == EXIT_SIZE_LIMIT and "guard" in err
     assert time.perf_counter() - start < 1.0
 

@@ -5,6 +5,7 @@ import pytest
 from pfmatch import (
     DEFAULT_GRID_GUARD,
     DEFAULT_PFAFFIAN_GUARD,
+    DEFAULT_PFAFFIAN_UPDATE_GUARD,
     Graph,
     InvalidSizeError,
     NotSquarishError,
@@ -33,6 +34,7 @@ from pfmatch import (
     path_graph,
     random_tree,
     squarish_decompose,
+    validate_tree,
     verify_identities,
 )
 
@@ -144,6 +146,16 @@ def test_pfaffian_size_guard():
         count_product("pm", 2, random_tree(DEFAULT_PFAFFIAN_GUARD // 2 + 1, 3))
 
 
+def test_pfaffian_update_guard_refuses_fill_heavy_graphs():
+    # K_300 is far below the vertex guard, but each of its 20 primes
+    # would need about n^3 / 3 = 9 million updates
+    n = 300
+    k = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    assert n < DEFAULT_PFAFFIAN_GUARD and 20 * n ** 3 // 3 > DEFAULT_PFAFFIAN_UPDATE_GUARD
+    with pytest.raises(SizeLimitError, match="guard"):
+        count_graph(k, "pfaffian", random_orientation(k, 2))
+
+
 def test_pfaffian_all_forward_c6_undercounts():
     # det of a skew adjacency matrix is always the squared (signed) matching
     # sum, so bad orientations surface as undercounts, not as exceptions
@@ -252,6 +264,25 @@ def test_formula_and_pfaffian_routes_coincide():
         t = random_tree(1 + seed % 5, seed + 31)
         d = orient_c4_tree(random_orientation(t, seed))
         assert count_pfaffian(d.base, d).count == count_c4_tree(t).count
+
+
+def corona(t: Graph) -> Graph:
+    """t with a pendant leaf on every vertex: a tree with a perfect matching."""
+    return validate_tree(Graph.from_edges(2 * t.n, list(t.edges) + [(v, t.n + v) for v in range(t.n)]))
+
+
+def test_pfaffian_route_agrees_with_closed_forms_at_hundreds_of_vertices():
+    # the sparse determinant reaches the formula's scale: C4, P4 and P3 on
+    # matched trees of 150 to 500 vertices
+    cases = [("c4", 4, random_tree(150, 11)), ("c4", 4, random_tree(500, 12)),
+             ("pm", 4, random_tree(300, 13)),
+             ("pm", 3, corona(random_tree(75, 14))), ("pm", 3, corona(random_tree(250, 15)))]
+    for kind, m, tree in cases:
+        formula = count_product(kind, m, tree, "formula")
+        pfaffian = count_product(kind, m, tree, "pfaffian")
+        assert pfaffian.method == "pfaffian" and pfaffian.dimension == m * tree.n
+        assert pfaffian.count == formula.count > 1
+        assert pfaffian.determinant == formula.count ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,22 @@ from pfmatch import (
     Graph,
     NotAPerfectSquareError,
     NotATreeError,
+    OrientedGraph,
     PreconditionError,
     adjacency_matrix,
     char_poly_tree_mod,
+    count_perfect_matchings,
     cycle_graph,
     det_bareiss,
+    det_skew,
     has_perfect_matching,
     integer_sqrt_exact,
     orient_c4_tree,
+    orient_layered,
     orient_lexicographic,
     path_graph,
     random_tree,
     root_product,
-    skew_adjacency,
     validate_tree,
 )
 
@@ -35,9 +38,11 @@ from util import (
     det_cofactor,
     eval_matrix_poly,
     identity_matrix,
+    is_prime_by_certificate,
     matchings_by_size,
     poly_remainder,
     random_orientation,
+    skew_adjacency,
     skew_char_poly,
 )
 
@@ -85,6 +90,66 @@ def test_det_agrees_with_cofactor_expansion():
         n = next(bits) % 7
         mat = [[next(bits) % 19 - 9 for _ in range(n)] for _ in range(n)]
         assert det_bareiss(mat) == det_cofactor(mat)
+
+
+# ---------------------------------------------------------------------------
+# sparse skew determinants modulo primes, against dense Bareiss
+# ---------------------------------------------------------------------------
+
+def _reachable(g: Graph, start: int) -> set[int]:
+    seen, stack = {start}, [start]
+    while stack:
+        for w in g.adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def test_det_skew_equals_bareiss_on_random_skew_matrices():
+    # random orientations of random graphs up to 14 vertices, from empty
+    # to complete: every kind below has to turn up
+    bits = bit_stream(91)
+    kinds = dict.fromkeys(("singular", "odd", "disconnected", "edgeless", "non-pfaffian"), 0)
+    for seed in range(300):
+        n, density = 1 + next(bits) % 14, next(bits) % 101
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if next(bits) % 100 < density])
+        d = random_orientation(g, seed)
+        det = det_bareiss(skew_adjacency(d))
+        assert det_skew(d) == det, (n, sorted(d.arcs))
+        kinds["singular"] += det == 0
+        kinds["odd"] += n % 2
+        kinds["disconnected"] += len(_reachable(g, 0)) < n
+        kinds["edgeless"] += not g.edges
+        kinds["non-pfaffian"] += det != count_perfect_matchings(g) ** 2
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_det_skew_of_the_empty_and_a_single_arc():
+    assert det_skew(OrientedGraph(base=Graph(n=0, edges=frozenset()), arcs=frozenset())) == 1
+    assert det_skew(orient_lexicographic(path_graph(2))) == 1
+
+
+def test_det_skew_equals_bareiss_on_product_orientations():
+    # C4 x T and P2 x T from 20 to 160 vertices; at 160 the determinant
+    # exceeds the product of the two largest primes, so CRT combines three
+    for n, seed in ((5, 1), (10, 2), (20, 3), (40, 4)):
+        base = orient_lexicographic(random_tree(n, seed))
+        for d in (orient_c4_tree(base), orient_layered(base, 2)):
+            assert det_skew(d) == det_bareiss(skew_adjacency(d))
+    d = orient_c4_tree(orient_lexicographic(random_tree(40, 4)))
+    prime = pfmatch.exactlinalg._skew_prime
+    assert det_skew(d) > prime(0) * prime(1)
+
+
+def test_skew_primes_are_the_primes_below_two_to_the_62():
+    primes = [pfmatch.exactlinalg._skew_prime(k) for k in range(12)]
+    assert primes[0] == 2 ** 62 - 57
+    assert all(is_prime_by_certificate(p) for p in primes)
+    # largest first, none skipped
+    assert all(not is_prime_by_certificate(m)
+               for hi, lo in zip(primes, primes[1:]) for m in range(lo + 1, hi))
 
 
 def test_char_poly_k2():

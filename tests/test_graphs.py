@@ -88,9 +88,9 @@ def test_product_layer_major_numbering():
     # vertex (i, j) of g x h is i*|h| + j: copies of h are contiguous
     g, h = path_graph(2), path_graph(3)
     prod = cartesian_product(g, h)
-    assert prod.has_edge(0, 1) and prod.has_edge(1, 2)      # layer 0 copy of h
-    assert prod.has_edge(3, 4) and prod.has_edge(4, 5)      # layer 1 copy of h
-    assert all(prod.has_edge(j, 3 + j) for j in range(3))   # rungs
+    assert {(0, 1), (1, 2)} <= prod.edges                   # layer 0 copy of h
+    assert {(3, 4), (4, 5)} <= prod.edges                   # layer 1 copy of h
+    assert all((j, 3 + j) in prod.edges for j in range(3))  # rungs
 
 
 def test_product_rejects_empty_factor():

@@ -21,7 +21,6 @@ from pfmatch import (
     parse_oriented_edge_list,
     path_graph,
     random_tree,
-    skew_adjacency,
     validate_tree,
 )
 
@@ -36,6 +35,7 @@ from util import (
     matching_count_by_edge_subsets,
     pfaffian_violations_by_subsets,
     random_orientation,
+    skew_adjacency,
     trees_up_to,
 )
 

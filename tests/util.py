@@ -3,7 +3,8 @@
 Every oracle here deliberately uses a different algorithm from the code
 it checks: cycles come from vertex subsets, matchings from edge subsets
 or plain backtracking, grid counts from a broken-profile DP,
-determinants from cofactor expansion, characteristic polynomials from
+determinants from cofactor expansion, primes from Lucas certificates,
+characteristic polynomials from
 exact interpolation or the Faddeev-LeVerrier recurrence, and closed
 forms from dense matrix polynomials, from the whole tree characteristic
 polynomial over Z[x], or (P_3 x T) from a weighted matching count.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +26,6 @@ from pfmatch import (
     Tree,
     cartesian_product,
     path_graph,
-    skew_adjacency,
     validate_tree,
 )
 
@@ -167,7 +168,7 @@ def hamiltonian_cycles(g: Graph, subset: tuple[int, ...]) -> list[tuple[int, ...
     def ham(path: list[int], used: set[int]) -> None:
         v = path[-1]
         if len(path) == size:
-            if g.has_edge(v, start) and path[1] < path[-1]:
+            if (start, v) in g.edges and path[1] < path[-1]:
                 found.append(tuple(path))
             return
         for w in g.adjacency[v]:
@@ -370,6 +371,16 @@ def grid_tilings(m: int, n: int) -> int:
 # oracle: determinants by cofactor expansion, char polys by interpolation
 # ---------------------------------------------------------------------------
 
+def skew_adjacency(d: OrientedGraph) -> IntMatrix:
+    """The dense skew adjacency matrix: entry (u, v) is 1 iff the arc u->v
+    exists and -1 iff v->u does; the oracle input for det_bareiss."""
+    a = [[0] * d.n for _ in range(d.n)]
+    for u, v in d.arcs:
+        a[u][v] = 1
+        a[v][u] = -1
+    return a
+
+
 def det_cofactor(mat: list[list[int]]) -> int:
     n = len(mat)
     if n == 0:
@@ -535,3 +546,59 @@ def eval_matrix_poly(a: IntMatrix, coeffs: list[int]) -> IntMatrix:
         for i in range(n):
             result[i][i] += c
     return result
+
+
+# ---------------------------------------------------------------------------
+# oracle: primality by certificate (the package uses Miller-Rabin)
+# ---------------------------------------------------------------------------
+
+def _rho_factor(m: int) -> int:
+    """A nontrivial factor of the odd composite m, by Pollard's rho."""
+    for c in itertools.count(1):
+        x = y = 2
+        f = 1
+        while f == 1:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            f = math.gcd(x - y, m)
+        if f != m:
+            return f
+    raise AssertionError("unreachable")
+
+
+def prime_factors(m: int) -> set[int]:
+    """The distinct prime factors of m >= 1, each proven prime."""
+    found = set()
+    for q in range(2, 1000):
+        while m % q == 0:
+            found.add(q)
+            m //= q
+    stack = [m] if m > 1 else []
+    while stack:
+        x = stack.pop()
+        if is_prime_by_certificate(x):
+            found.add(x)
+        else:
+            f = _rho_factor(x)
+            stack += [f, x // f]
+    return found
+
+
+def is_prime_by_certificate(p: int) -> bool:
+    """Lucas's test: p is prime iff some a has multiplicative order p - 1.
+
+    The order is checked against every prime factor of p - 1, which are
+    themselves proven the same way (a Pratt certificate), so a True is a
+    proof and not a probable answer.  Small p use trial division.
+    """
+    if p < 1 << 20:
+        return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+    factors = None
+    for a in itertools.count(2):
+        if math.gcd(a, p) > 1 or pow(a, p - 1, p) != 1:
+            return False
+        factors = factors or prime_factors(p - 1)
+        if all(pow(a, (p - 1) // q, p) != 1 for q in factors):
+            return True
+    raise AssertionError("unreachable")
