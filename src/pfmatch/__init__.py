@@ -2,11 +2,12 @@
 
 The package has four layers:
 
-- graphs:       paths, cycles, trees, Cartesian products, cycle enumeration,
-                and the linear-time perfect-matching test for trees
+- graphs:       paths, cycles, trees, Cartesian products, edge lists, and
+                the linear-time perfect-matching test for trees
 - orientation:  the doubled / layered / four-layer orientations and the
                 Pfaffian check over the M-alternating cycles of one
-                perfect matching M
+                perfect matching M (of every one, to list a failure's
+                violations)
 - exactlinalg:  fraction-free determinants, sparse skew determinants modulo
                 primes recombined exactly by CRT, tree characteristic polynomials
                 folded by the bridge recurrence modulo a small monic
@@ -31,8 +32,7 @@ only parses arguments and renders reports.
 from .brute import (
     DEFAULT_BRUTE_STATE_GUARD,
     count_perfect_matchings,
-    find_perfect_matching,
-    has_perfect_matching,
+    perfect_matchings,
 )
 from .counting import (
     DEFAULT_BRUTE_GUARD,
@@ -78,13 +78,10 @@ from .exactlinalg import (
     root_product,
 )
 from .graphs import (
-    DEFAULT_CYCLE_GUARD,
-    CycleSeq,
     Graph,
     Tree,
     cartesian_product,
     cycle_graph,
-    enumerate_cycles,
     format_edge_list,
     parse_edge_list,
     path_graph,
@@ -93,6 +90,8 @@ from .graphs import (
     validate_tree,
 )
 from .orientation import (
+    DEFAULT_CYCLE_GUARD,
+    CycleSeq,
     OrientedGraph,
     PfaffianReport,
     check_pfaffian,
@@ -151,11 +150,8 @@ __all__ = [
     "cycle_graph",
     "det_bareiss",
     "det_skew",
-    "enumerate_cycles",
-    "find_perfect_matching",
     "format_edge_list",
     "format_oriented_edge_list",
-    "has_perfect_matching",
     "integer_sqrt_exact",
     "orient_c4_tree",
     "orient_double",
@@ -164,6 +160,7 @@ __all__ = [
     "parse_edge_list",
     "parse_oriented_edge_list",
     "path_graph",
+    "perfect_matchings",
     "random_tree",
     "root_product",
     "squarish_decompose",

@@ -1,35 +1,40 @@
-"""Matching counters by plain enumeration, the oracle everything else is checked against.
+"""Perfect matchings by plain enumeration: the count everything else is
+checked against, and the matchings the Pfaffian check walks.
 
-No linear algebra here: every counter matches the lowest free vertex
+No linear algebra here: both functions match the lowest free vertex
 against each free neighbour.  Vertex sets are bitmasks.
 
-count_perfect_matchings runs that branching as a forward dynamic
-program instead of a search.  It first relabels the vertices in a
-breadth-first Cuthill-McKee order, which keeps each vertex's neighbours
-close to it in the order, then sweeps the positions of that order.
-Partial matchings that leave the same set of vertices free share one
-state {free mask: number of ways}, kept in a bucket per lowest free
-position; bucket v is expanded by matching v to each free neighbour and
-then dropped.  A vertex matched so far is a neighbour of a position
-below v, which the order keeps close to v, so states differ only in a
-narrow frontier after v: the sweep holds about 2^frontier states where
-the search visited one node per partial matching.  At most
-DEFAULT_BRUTE_STATE_GUARD states may be live at once.
+perfect_matchings runs that branching as a depth-first search and
+yields every perfect matching, one at a time.
+
+count_perfect_matchings runs it as a forward dynamic program instead.
+It first relabels the vertices in a breadth-first Cuthill-McKee order,
+which keeps each vertex's neighbours close to it in the order, then
+sweeps the positions of that order.  Partial matchings that leave the
+same set of vertices free share one state {free mask: number of ways},
+kept in a bucket per lowest free position; bucket v is expanded by
+matching v to each free neighbour and then dropped.  A vertex matched so
+far is a neighbour of a position below v, which the order keeps close to
+v, so states differ only in a narrow frontier after v: the sweep holds
+about 2^frontier states where the search visited one node per partial
+matching.  At most DEFAULT_BRUTE_STATE_GUARD states may be created over
+the whole sweep, which bounds its time as well as its memory.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import SizeLimitError
 from .graphs import Edge, Graph
 
-#: Most live states count_perfect_matchings may hold at once.  K_40
-#: reaches the limit in about 0.35 s, with the whole CLI process at a
-#: peak RSS of about 24 MiB (16 MiB for a trivial count).  The widest
-#: product of the identity checks, C_4 x T for the star on 10 vertices,
-#: holds about 75,000.
-DEFAULT_BRUTE_STATE_GUARD = 100_000
+#: Most states count_perfect_matchings may create in one sweep.  The
+#: widest product of the identity checks, C_4 x T for the star on 10
+#: vertices, creates 177,258.  K_40 and K_20,20 reach the limit in about
+#: 0.6 s, and the 40-vertex band |i - j| <= 17 in about 0.8 s (Python
+#: 3.11 on a shared 2-core host): the band creates 573,439 states in all
+#: but never holds 100,000 at once.
+DEFAULT_BRUTE_STATE_GUARD = 200_000
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
@@ -80,8 +85,8 @@ def count_perfect_matchings(g: Graph, excluding: Iterable[int] = ()) -> int:
     """Number of perfect matchings of g (or of g minus `excluding`).
 
     A forward sweep over free-vertex masks in Cuthill-McKee order (see
-    the module docstring).  Raises SizeLimitError as soon as more than
-    DEFAULT_BRUTE_STATE_GUARD states would be live at once.
+    the module docstring).  Raises SizeLimitError as soon as the sweep
+    would create more than DEFAULT_BRUTE_STATE_GUARD states.
     """
     free = _free_mask(g, excluding)
     if bin(free).count("1") % 2:
@@ -94,7 +99,7 @@ def count_perfect_matchings(g: Graph, excluding: Iterable[int] = ()) -> int:
     nbr = [sum(1 << position[w] for w in g.adjacency[v] if w in position) for v in order]
     buckets: list[Optional[dict[int, int]]] = [{} for _ in range(k)]
     buckets[0] = {(1 << k) - 1: 1}
-    live, total = 1, 0
+    created, total = 1, 0
     for v in range(k):
         bucket, buckets[v] = buckets[v], None
         vbit = 1 << v
@@ -113,44 +118,41 @@ def count_perfect_matchings(g: Graph, excluding: Iterable[int] = ()) -> int:
                     target[left] += ways
                     continue
                 target[left] = ways
-                live += 1
-                if live > DEFAULT_BRUTE_STATE_GUARD:
+                created += 1
+                if created > DEFAULT_BRUTE_STATE_GUARD:
                     raise SizeLimitError(
                         f"brute-force state guard: more than {DEFAULT_BRUTE_STATE_GUARD} "
-                        f"live matching states on {k} vertices"
+                        f"matching states created on {k} vertices"
                     )
-        live -= len(bucket)
     return total
 
 
-def find_perfect_matching(g: Graph, excluding: Iterable[int] = ()) -> Optional[tuple[Edge, ...]]:
-    """A perfect matching of g (or of g minus `excluding`) as sorted edges in
-    ascending order, or None; the search stops at the first one found.
+def perfect_matchings(g: Graph) -> Iterator[tuple[Edge, ...]]:
+    """Every perfect matching of g once, each as sorted edges in ascending order.
 
     Depth-first with an explicit stack, so the depth is not bounded by
     Python's recursion limit: entry i holds the i-th pair chosen, as
-    (vertex bit, partner bit, partners of the vertex still to try).
+    (vertex bit, partner bit, partners of the vertex still to try).  The
+    lowest free vertex is matched to each free neighbour in ascending
+    order, so the matchings come in lexicographic order.
     """
-    free = _free_mask(g, excluding)
-    if bin(free).count("1") % 2:
-        return None
+    free = (1 << g.n) - 1
+    if g.n % 2:
+        return
     nbr = _neighbor_masks(g)
     stack: list[tuple[int, int, int]] = []
-    while free:
-        vbit = free & -free
-        choices = nbr[vbit.bit_length() - 1] & free
+    while True:
+        if free:
+            vbit = free & -free
+            choices = nbr[vbit.bit_length() - 1] & free
+        else:
+            yield tuple((vbit.bit_length() - 1, wbit.bit_length() - 1) for vbit, wbit, _ in stack)
+            choices = 0
         while not choices:
             if not stack:
-                return None
+                return
             vbit, wbit, choices = stack.pop()
             free |= vbit | wbit
         wbit = choices & -choices
         stack.append((vbit, wbit, choices ^ wbit))
         free ^= vbit | wbit
-    return tuple((vbit.bit_length() - 1, wbit.bit_length() - 1) for vbit, wbit, _ in stack)
-
-
-def has_perfect_matching(g: Graph, excluding: Iterable[int] = ()) -> bool:
-    """True iff g (or g minus `excluding`) has a perfect matching."""
-    return find_perfect_matching(g, excluding) is not None
-

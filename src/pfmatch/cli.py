@@ -36,7 +36,6 @@ from .errors import (
     SizeLimitError,
 )
 from .graphs import (
-    DEFAULT_CYCLE_GUARD,
     Graph,
     cartesian_product,
     cycle_graph,
@@ -47,6 +46,7 @@ from .graphs import (
     validate_tree,
 )
 from .orientation import (
+    DEFAULT_CYCLE_GUARD,
     OrientedGraph,
     check_pfaffian,
     format_oriented_edge_list,
@@ -97,7 +97,7 @@ def _read_text(path: str) -> str:
 
 
 def _guard(args: argparse.Namespace, default: int) -> int:
-    if getattr(args, "max_vertices", None) is not None:
+    if args.max_vertices is not None:
         return args.max_vertices
     env = os.environ.get(GUARD_ENV_VAR)
     if env is not None:
@@ -349,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
+
+    def add_guard(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-vertices",
             type=int,
@@ -369,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     count.add_argument("--orient-file", help="oriented edge-list file (pfaffian method)")
     add_common(count)
+    add_guard(count)
     count.set_defaults(func=cmd_count)
 
     orient = sub.add_parser("orient", help="emit a constructed orientation")
@@ -393,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tree", help="tree spec")
     verify.add_argument("--orient-file", help="orientation to verify")
     add_common(verify)
+    add_guard(verify)
     verify.set_defaults(func=cmd_verify)
 
     product = sub.add_parser("product", help="emit a Cartesian product edge list")

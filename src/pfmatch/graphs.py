@@ -19,16 +19,9 @@ from .errors import (
     EdgeListParseError,
     InvalidSizeError,
     NotATreeError,
-    SizeLimitError,
 )
 
 Edge = tuple[int, int]
-
-#: A simple cycle c0 c1 ... c_{k-1} c0, stored as the k distinct vertices.
-CycleSeq = tuple[int, ...]
-
-#: Default vertex guard for cycle enumeration and other exponential steps.
-DEFAULT_CYCLE_GUARD = 24
 
 
 def _sorted_edge(u: int, v: int) -> Edge:
@@ -285,47 +278,6 @@ def _prufer_decode(seq: list[int], n: int) -> list[Edge]:
     v = heapq.heappop(leaves)
     edges.append(_sorted_edge(u, v))
     return edges
-
-
-def _cycle_guard(g: Graph, max_vertices: int) -> None:
-    """SizeLimitError when g is too large for a cycle scan."""
-    if g.n > max_vertices:
-        raise SizeLimitError(
-            f"cycle enumeration guard: {g.n} vertices > limit {max_vertices}; "
-            "raise the limit explicitly or use the brute-force counting route"
-        )
-
-
-def enumerate_cycles(g: Graph, max_vertices: int = DEFAULT_CYCLE_GUARD) -> list[CycleSeq]:
-    """Every simple cycle of g exactly once (up to rotation/reflection).
-
-    Each cycle is reported starting at its smallest vertex, traversed
-    toward its smaller neighbor on the cycle.  DFS grows paths whose
-    interior vertices all exceed the start vertex, so no cycle repeats.
-    Iterative, so the depth is not bounded by Python's recursion limit.
-    Exponential in general; guarded by max_vertices.
-    """
-    _cycle_guard(g, max_vertices)
-    adj = g.adjacency
-    cycles: list[CycleSeq] = []
-    for s in range(g.n):
-        path = [s]
-        onpath = 1 << s
-        stack = [iter(adj[s])]
-        while stack:
-            for w in stack[-1]:
-                if w == s:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        cycles.append(tuple(path))
-                elif w > s and not (onpath >> w) & 1:
-                    path.append(w)
-                    onpath |= 1 << w
-                    stack.append(iter(adj[w]))
-                    break
-            else:
-                stack.pop()
-                onpath &= ~(1 << path.pop())
-    return cycles
 
 
 # ---------------------------------------------------------------------------

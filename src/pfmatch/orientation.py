@@ -15,35 +15,41 @@ in the tree's skew adjacency A:
 
 An orientation is Pfaffian when every nice even cycle (one whose
 removal leaves a perfectly matchable remainder) contains an odd number
-of arcs agreeing with each traversal direction.  `check_pfaffian` fixes
-one perfect matching M and tests only the M-alternating cycles, which
-suffices (Lovász & Plummer, *Matching Theory*, ch. 8; R. Thomas, "A
-survey of Pfaffian orientations of graphs", ICM 2006); the exhaustive
-nice-even-cycle scan runs only to list the violations of a failure.
+of arcs agreeing with each traversal direction.  A cycle is nice and
+even exactly when it alternates with some perfect matching: add every
+other edge of the cycle to a matching of the remainder.  `check_pfaffian`
+fixes one perfect matching M and tests only the M-alternating cycles,
+which suffices (Lovász & Plummer, *Matching Theory*, ch. 8; R. Thomas,
+"A survey of Pfaffian orientations of graphs", ICM 2006); to list the
+violations of a failure it walks the alternating cycles of every
+perfect matching.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .brute import find_perfect_matching, has_perfect_matching
-from .errors import InvalidSizeError
+from .brute import perfect_matchings
+from .errors import InvalidSizeError, SizeLimitError
 from .graphs import (
-    DEFAULT_CYCLE_GUARD,
-    CycleSeq,
     Edge,
     Graph,
-    _cycle_guard,
     _sorted_edge,
     cartesian_product,
-    enumerate_cycles,
     parse_edge_lines,
     path_graph,
     validate_tree,
 )
 
 Arc = tuple[int, int]
+
+#: A simple cycle c0 c1 ... c_{k-1} c0, stored as the k distinct vertices.
+CycleSeq = tuple[int, ...]
+
+#: Default vertex guard of check_pfaffian, which is exponential.
+DEFAULT_CYCLE_GUARD = 24
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,10 @@ class PfaffianReport:
     The check passes when no violation was found: every M-alternating
     cycle of the perfect matching `matching` (empty when the graph has
     none) was oddly oriented, and route is then "alternating".  A
-    failure ran the exhaustive scan, which listed the violations, and
-    route is "nice-cycles".  nice_even_cycles counts the nice even
-    cycles the route examined.
+    failure walked the alternating cycles of every perfect matching,
+    which are all the nice even cycles, and listed the violations among
+    them in lexicographic order; route is then "nice-cycles".
+    nice_even_cycles counts the distinct cycles the route examined.
     """
 
     nice_even_cycles: int
@@ -193,19 +200,25 @@ def _alternating_cycles(g: Graph, matching: Iterable[Edge]) -> Iterator[CycleSeq
 def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) -> PfaffianReport:
     """Test the Pfaffian property at desk scale.
 
-    Fixes one perfect matching M of the base graph.  The orientation is
-    Pfaffian iff every M-alternating cycle is oddly oriented (Lovász &
-    Plummer, *Matching Theory*, ch. 8; R. Thomas, "A survey of Pfaffian
-    orientations of graphs", ICM 2006).  Every such cycle is nice, since
-    M covers what it leaves, so a pass needs no matching search per
-    cycle; a graph without M has no nice cycle and passes vacuously.
-    Only a failure runs the exhaustive scan, which enumerates every
-    cycle, keeps the nice even ones and reports each that is not oddly
-    oriented.  Graphs above max_vertices raise SizeLimitError first.
+    Fixes the first perfect matching M of the base graph.  The
+    orientation is Pfaffian iff every M-alternating cycle is oddly
+    oriented (Lovász & Plummer, *Matching Theory*, ch. 8; R. Thomas, "A
+    survey of Pfaffian orientations of graphs", ICM 2006).  Every such
+    cycle is nice, since M covers what it leaves, so a pass needs no
+    matching search per cycle; a graph without M has no nice cycle and
+    passes vacuously.  A failure goes on through every perfect matching:
+    the cycles alternating with some matching are exactly the nice even
+    cycles, and each that is not oddly oriented is a violation.  Graphs
+    above max_vertices raise SizeLimitError first.
     """
     base = d.base
-    _cycle_guard(base, max_vertices)
-    matching = find_perfect_matching(base) or ()
+    if base.n > max_vertices:
+        raise SizeLimitError(
+            f"Pfaffian check guard: {base.n} vertices > limit {max_vertices}; "
+            "raise the limit explicitly or use the brute-force counting route"
+        )
+    matchings = perfect_matchings(base)
+    matching = next(matchings, ())
     checked = 0
     for c in _alternating_cycles(base, matching):
         if not _odd_forward(d.arcs, c):
@@ -213,16 +226,13 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
         checked += 1
     else:
         return PfaffianReport(nice_even_cycles=checked, violations=(), matching=matching)
-    violations: list[CycleSeq] = []
-    nice_even = 0
-    for c in enumerate_cycles(base, max_vertices):
-        if len(c) % 2 or not has_perfect_matching(base, excluding=c):
-            continue
-        nice_even += 1
-        if not _odd_forward(d.arcs, c):
-            violations.append(c)
-    return PfaffianReport(nice_even_cycles=nice_even, violations=tuple(violations),
-                          matching=matching)
+    nice: set[CycleSeq] = set()
+    for m in itertools.chain([matching], matchings):
+        for c in _alternating_cycles(base, m):
+            # one direction per cycle: toward the start's smaller neighbour
+            nice.add(c if c[1] < c[-1] else c[:1] + c[:0:-1])
+    violations = tuple(sorted(c for c in nice if not _odd_forward(d.arcs, c)))
+    return PfaffianReport(nice_even_cycles=len(nice), violations=violations, matching=matching)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,14 @@ def test_orient_rejects_non_tree(capsys):
     assert code == EXIT_PRECONDITION and "tree" in err
 
 
+@pytest.mark.parametrize("command", [["orient", "--c4", "--tree", "path:2"],
+                                     ["product", "path:2", "path:2"]])
+def test_max_vertices_is_refused_where_nothing_reads_it(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--max-vertices", "5"])
+    assert exc.value.code == EXIT_PARSE and "--max-vertices" in capsys.readouterr().err
+
+
 def test_orient_output_file(tmp_path, capsys):
     target = tmp_path / "oriented.txt"
     code, out, _ = run(capsys, "orient", "--c4", "--tree", "path:2", "--output", str(target))
@@ -202,18 +210,22 @@ def test_count_grid_size_guard(capsys):
         assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("edges", [
-    [(u, v) for u in range(40) for v in range(u + 1, 40)],
-    [(u, v) for u in range(20) for v in range(20, 40)],
-], ids=["K40", "K20,20"])
-def test_count_brute_dense_graph_hits_state_guard(tmp_path, capsys, edges):
+@pytest.mark.parametrize("edges, seconds", [
+    ([(u, v) for u in range(40) for v in range(u + 1, 40)], 1.0),
+    ([(u, v) for u in range(20) for v in range(20, 40)], 1.0),
+    # the band |i - j| <= 17 never holds many states at once, but creates
+    # 573,439 over the sweep (about 4 s to count); each state has up to
+    # 17 choices to expand, so reaching the guard takes longer than on K40
+    ([(u, v) for u in range(40) for v in range(u + 1, min(u + 18, 40))], 2.0),
+], ids=["K40", "K20,20", "band17"])
+def test_count_brute_dense_graph_hits_state_guard(tmp_path, capsys, edges, seconds):
     # within the 40-vertex guard, but with far too many matchings to enumerate
     path = tmp_path / "dense.txt"
     path.write_text(f"40 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     start = time.perf_counter()
     code, _, err = run(capsys, "count", "--graph", str(path), "--method", "brute")
     assert code == EXIT_SIZE_LIMIT and "state guard" in err
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < seconds
 
 
 def test_count_product_on_ten_thousand_vertices(capsys):

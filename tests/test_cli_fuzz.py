@@ -80,7 +80,7 @@ _COUNT = _flags(
     _maybe("--max-vertices", st.sampled_from(["0", "8", "16", "-1"])),
 )
 _ORIENT_CMD = _flags(["orient"], _CONSTRUCTION, st.one_of(_TREE, _GRAPH), _ORIENT, _OUTPUT)
-# cycle enumeration is exponential: verify always runs under a small guard
+# the Pfaffian check is exponential: verify always runs under a small guard
 _VERIFY = _flags(
     ["verify"],
     st.sampled_from([["--pfaffian"], ["--identities"], ["--pfaffian", "--identities"]]),

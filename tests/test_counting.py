@@ -26,7 +26,6 @@ from pfmatch import (
     count_product,
     cycle_graph,
     det_bareiss,
-    has_perfect_matching,
     integer_sqrt_exact,
     orient_c4_tree,
     orient_lexicographic,
@@ -40,6 +39,7 @@ from pfmatch import (
 
 from util import (
     bit_stream,
+    count_by_backtracking,
     eval_matrix_poly,
     grid_tilings,
     matching_count_by_edge_subsets,
@@ -230,7 +230,7 @@ def test_formulas_agree_with_brute_on_random_trees():
         assert count_p4_tree(t).count == count_brute(
             cartesian_product(path_graph(4), t), max_vertices=24
         ).count
-        if has_perfect_matching(t):
+        if count_by_backtracking(t) > 0:
             assert count_p3_tree(t).count == count_brute(
                 cartesian_product(path_graph(3), t), max_vertices=24
             ).count
@@ -251,7 +251,7 @@ def test_formulas_match_dense_matrix_polynomial_determinants():
     matched = 0
     while matched < 8:
         t = random_tree(2 * (1 + next(bits) % 30), next(bits))
-        if not has_perfect_matching(t):
+        if not count_by_backtracking(t):
             continue
         matched += 1
         det = det_bareiss(eval_matrix_poly(adjacency_matrix(t), [2, 0, 1]))
@@ -481,7 +481,7 @@ def test_squarish_factor_follows_the_parity_of_the_tree():
             report = verify_identities(tree)
             assert report.passed and report.factor == 1 + tree.n % 2, (tree.edges, report)
             assert "brute-c4" in report.checks and "brute-p4" in report.checks
-    assert not has_perfect_matching(star(3)) and verify_identities(star(3)).factor == 1
+    assert not count_by_backtracking(star(3)) and verify_identities(star(3)).factor == 1
 
 
 def test_count_result_never_negative():
@@ -496,7 +496,7 @@ PRODUCT_KINDS = [("c4", 4)] + [("pm", m) for m in range(1, 6)]
 def _expected_routes(kind: str, m: int, tree: Graph) -> tuple[bool, bool]:
     """(closed form applies, proven orientation applies), from the paper's
     statements, with the backtracking matching test as the P_3 condition."""
-    p3_ok = m != 3 or has_perfect_matching(tree)
+    p3_ok = m != 3 or count_by_backtracking(tree) > 0
     return kind == "c4" or m == 4 or (m == 3 and p3_ok), m <= 4 and p3_ok
 
 

@@ -20,7 +20,6 @@ from pfmatch import (
     cycle_graph,
     det_bareiss,
     det_skew,
-    has_perfect_matching,
     integer_sqrt_exact,
     orient_c4_tree,
     orient_layered,
@@ -35,6 +34,7 @@ from util import (
     bit_stream,
     char_poly_by_interpolation,
     char_poly_tree,
+    count_by_backtracking,
     det_cofactor,
     eval_matrix_poly,
     identity_matrix,
@@ -308,7 +308,7 @@ def test_matched_tree_determinant_is_square():
     # det(2I + A^2) is a perfect square whenever the tree has a perfect matching
     for seed in range(40):
         t = random_tree(2 * (1 + seed % 5), seed)
-        if not has_perfect_matching(t):
+        if not count_by_backtracking(t):
             continue
         det = det_bareiss(eval_matrix_poly(adjacency_matrix(t), [2, 0, 1]))
         root = integer_sqrt_exact(det)

@@ -11,8 +11,6 @@ from pfmatch import (
     check_pfaffian,
     count_perfect_matchings,
     cycle_graph,
-    enumerate_cycles,
-    find_perfect_matching,
     format_oriented_edge_list,
     orient_c4_tree,
     orient_double,
@@ -20,6 +18,7 @@ from pfmatch import (
     orient_lexicographic,
     parse_oriented_edge_list,
     path_graph,
+    perfect_matchings,
     random_tree,
     validate_tree,
 )
@@ -31,8 +30,10 @@ from util import (
     cycles_by_subsets,
     det_cofactor,
     doubling_matching,
+    enumerate_cycles,
     identity_matrix,
     matching_count_by_edge_subsets,
+    pfaffian_scan,
     pfaffian_violations_by_subsets,
     random_orientation,
     skew_adjacency,
@@ -227,6 +228,30 @@ def test_check_pfaffian_report_counts_nice_even_cycles():
     assert broken.nice_even_cycles == 24
 
 
+def _lowest_arc_flipped(d: OrientedGraph) -> OrientedGraph:
+    u, v = min(d.arcs)
+    return OrientedGraph(base=d.base, arcs=d.arcs - {(u, v)} | {(v, u)})
+
+
+_K55 = Graph.from_edges(10, [(u, v) for u in range(5) for v in range(5, 10)])
+
+
+@pytest.mark.parametrize("oriented, violations, nice", [
+    pytest.param(_lowest_arc_flipped(orient_c4_tree(orient_lexicographic(random_tree(4, 1)))),
+                 420, 940, id="c4-tree-4"),
+    pytest.param(_lowest_arc_flipped(orient_c4_tree(orient_lexicographic(random_tree(5, 1)))),
+                 1_616, 3_993, id="c4-tree-5"),
+    pytest.param(random_orientation(_K55, 139), 1_980, 3_940, id="k5,5"),
+])
+def test_check_pfaffian_failure_lists_match_the_cycle_scan(oriented, violations, nice):
+    # the alternating cycles of every perfect matching are exactly the
+    # nice even cycles: the listing equals the exhaustive scan, order included
+    report = check_pfaffian(oriented)
+    assert report.route == "nice-cycles"
+    assert (len(report.violations), report.nice_even_cycles) == (violations, nice)
+    assert (report.nice_even_cycles, list(report.violations)) == pfaffian_scan(oriented)
+
+
 def _connected(g: Graph) -> bool:
     seen, stack = {0}, [0]
     while stack:
@@ -259,18 +284,21 @@ def test_check_pfaffian_agrees_with_determinant_and_subset_oracles():
         report = check_pfaffian(d)
         assert report.passed == (det_cofactor(skew_adjacency(d)) == count ** 2), sorted(d.arcs)
 
-        found = find_perfect_matching(g)
-        assert (found is not None) == (count_perfect_matchings(g) > 0)
-        if found is not None:
+        # every perfect matching once, in lexicographic order; the first is M
+        matchings = list(perfect_matchings(g))
+        assert len(matchings) == count_perfect_matchings(g) == count
+        assert matchings == sorted(set(matchings))
+        for found in matchings:
             assert set(found) <= g.edges and sorted(v for e in found for v in e) == list(range(n))
-        assert report.matching == (found or ())
+        assert report.matching == (matchings[0] if matchings else ())
 
         if report.passed:
             # every M-alternating cycle was examined exactly once
             assert report.nice_even_cycles == sum(
                 1 for c in cycles_by_subsets(g) if _alternates(c, report.matching))
         else:
-            assert sorted(report.violations) == pfaffian_violations_by_subsets(d)
+            assert list(report.violations) == pfaffian_violations_by_subsets(d)
+            assert (report.nice_even_cycles, list(report.violations)) == pfaffian_scan(d)
         seen["non-pfaffian"] += not report.passed
         seen["odd"] += n % 2
         seen["disconnected"] += not _connected(g)

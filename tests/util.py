@@ -1,10 +1,11 @@
 """Shared test helpers: independent oracles and deterministic generators.
 
 Every oracle here deliberately uses a different algorithm from the code
-it checks: cycles come from vertex subsets, matchings from edge subsets
-or plain backtracking, grid counts from a broken-profile DP,
-determinants from cofactor expansion, primes from Lucas certificates,
-characteristic polynomials from
+it checks: cycles come from vertex subsets or a depth-first scan over
+all simple cycles, nice cycles from a backtracking matching count of
+the remainder, matchings from edge subsets or plain backtracking, grid
+counts from a broken-profile DP, determinants from cofactor expansion,
+primes from Lucas certificates, characteristic polynomials from
 exact interpolation or the Faddeev-LeVerrier recurrence, and closed
 forms from dense matrix polynomials, from the whole tree characteristic
 polynomial over Z[x], or (P_3 x T) from a weighted matching count.
@@ -19,10 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from pfmatch import (
+    CycleSeq,
     Graph,
     IntMatrix,
     IntPolynomial,
     OrientedGraph,
+    SizeLimitError,
     Tree,
     cartesian_product,
     path_graph,
@@ -217,6 +220,55 @@ def pfaffian_violations_by_subsets(d: OrientedGraph) -> list[tuple[int, ...]]:
                 if forward % 2 == 0:
                     found.append(c)
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the exhaustive scan over every simple cycle
+# ---------------------------------------------------------------------------
+
+def enumerate_cycles(g: Graph, max_vertices: int = 24) -> list[CycleSeq]:
+    """Every simple cycle of g exactly once (up to rotation/reflection),
+    in lexicographic order.
+
+    Each cycle is reported starting at its smallest vertex, traversed
+    toward its smaller neighbor on the cycle.  DFS grows paths whose
+    interior vertices all exceed the start vertex, so no cycle repeats.
+    Iterative, so the depth is not bounded by Python's recursion limit.
+    Exponential in general; graphs above max_vertices raise SizeLimitError.
+    """
+    if g.n > max_vertices:
+        raise SizeLimitError(f"cycle scan: {g.n} vertices > limit {max_vertices}")
+    adj = g.adjacency
+    cycles: list[CycleSeq] = []
+    for s in range(g.n):
+        path = [s]
+        onpath = 1 << s
+        stack = [iter(adj[s])]
+        while stack:
+            for w in stack[-1]:
+                if w == s:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        cycles.append(tuple(path))
+                elif w > s and not (onpath >> w) & 1:
+                    path.append(w)
+                    onpath |= 1 << w
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                onpath &= ~(1 << path.pop())
+    return cycles
+
+
+def pfaffian_scan(d: OrientedGraph, max_vertices: int = 24) -> tuple[int, list[CycleSeq]]:
+    """(number of nice even cycles, the violations among them in enumerate_cycles
+    order) of d's base: every cycle is scanned, and an even one is nice when
+    its remainder has a perfect matching by count_by_backtracking."""
+    nice = [c for c in enumerate_cycles(d.base, max_vertices)
+            if len(c) % 2 == 0 and count_by_backtracking(d.base, excluding=c) > 0]
+    violations = [c for c in nice
+                  if sum((u, v) in d.arcs for u, v in zip(c, c[1:] + c[:1])) % 2 == 0]
+    return len(nice), violations
 
 
 # ---------------------------------------------------------------------------
