@@ -7,8 +7,8 @@ along each traversal direction.  When that holds, the determinant of the
 skew adjacency matrix is the squared number of perfect matchings.  It is
 enough to test the cycles that alternate with one fixed perfect matching
 M; only a failing orientation goes on through the cycles that alternate
-with every perfect matching, which are all the nice even cycles, and
-lists the violations among them.
+with every other perfect matching, which are all the nice even cycles,
+and lists the violations among them.
 
 The constructions demonstrated:
   - doubling:   two mirrored copies of an oriented graph, rungs all

@@ -14,6 +14,7 @@ non-Pfaffian orientation), 6 numerical-consistency error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -340,7 +341,13 @@ def _emit(text: str, output: Optional[str]) -> list[str]:
     return [f"wrote {output}"]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pfmatch argument parser, built on the first call and shared after.
+
+    Sharing is safe because every default is immutable and each
+    parse_args call returns a fresh Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="pfmatch",
         description="Exact perfect-matching counts for path/cycle-by-tree products",
@@ -410,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # Counts are printed in full however long they are: lift Python's
     # int-to-str digit limit (where the interpreter has one) for this call.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

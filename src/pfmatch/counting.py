@@ -68,12 +68,17 @@ class CountResult:
     """A matching count plus how it was obtained.
 
     method is one of: brute | pfaffian | formula-c4t | formula-p3t |
-    formula-p4t | narumi-hosoya | kasteleyn-grid.  dimension and
-    determinant record the matrix provenance where one was involved: for
-    the tree formulas it is det(p(A)), the count for C_4 x T and the
-    count squared for P_3 x T and P_4 x T.  float_estimate carries the
-    value of the trigonometric product formulas, or None where that
-    value overflows a float.
+    formula-p4t | narumi-hosoya | kasteleyn-grid.  dimension is the
+    vertex count the route worked on: the graph's for brute and
+    pfaffian, the tree's for the tree formulas, n for narumi-hosoya,
+    None for grids.  determinant is, for pfaffian, the skew adjacency
+    determinant det_skew computed (the count squared, or 0 for an odd
+    graph); for the tree formulas and narumi-hosoya it is derived from
+    the count, not computed from a matrix: the value of det(p(A)) the
+    closed form equals, the count for C_4 x T and C_4 x P_n and the
+    count squared for P_3 x T and P_4 x T.  brute and grids leave it
+    None.  float_estimate carries the value of the trigonometric product
+    formulas, or None where that value overflows a float.
     """
 
     count: int

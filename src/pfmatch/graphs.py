@@ -96,14 +96,23 @@ class Tree(Graph):
             raise NotATreeError("parent array is not connected to the root")
 
     def children(self) -> tuple[tuple[int, ...], ...]:
+        """Child lists, ascending; computed once per tree."""
+        return self._children
+
+    def postorder(self) -> tuple[int, ...]:
+        """Every vertex once, each child before its parent; computed once per tree."""
+        return self._postorder
+
+    @cached_property
+    def _children(self) -> tuple[tuple[int, ...], ...]:
         kids: list[list[int]] = [[] for _ in range(self.n)]
         for v, p in enumerate(self.parent):
             if p is not None:
                 kids[p].append(v)
         return tuple(tuple(k) for k in kids)
 
-    def postorder(self) -> list[int]:
-        """Every vertex once, each child before its parent."""
+    @cached_property
+    def _postorder(self) -> tuple[int, ...]:
         children = self.children()
         order: list[int] = []
         stack = [self.root]
@@ -112,7 +121,7 @@ class Tree(Graph):
             order.append(v)
             stack.extend(children[v])
         order.reverse()
-        return order
+        return tuple(order)
 
 
 def path_graph(m: int) -> Tree:

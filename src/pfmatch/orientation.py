@@ -21,13 +21,12 @@ other edge of the cycle to a matching of the remainder.  `check_pfaffian`
 fixes one perfect matching M and tests only the M-alternating cycles,
 which suffices (Lovász & Plummer, *Matching Theory*, ch. 8; R. Thomas,
 "A survey of Pfaffian orientations of graphs", ICM 2006); to list the
-violations of a failure it walks the alternating cycles of every
+violations of a failure it walks the alternating cycles of every other
 perfect matching.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -85,9 +84,10 @@ class PfaffianReport:
     The check passes when no violation was found: every M-alternating
     cycle of the perfect matching `matching` (empty when the graph has
     none) was oddly oriented, and route is then "alternating".  A
-    failure walked the alternating cycles of every perfect matching,
-    which are all the nice even cycles, and listed the violations among
-    them in lexicographic order; route is then "nice-cycles".
+    failure walked the alternating cycles of every other perfect
+    matching, which are all the nice even cycles, and listed the
+    violations among them in lexicographic order; route is then
+    "nice-cycles".
     nice_even_cycles counts the distinct cycles the route examined.
     """
 
@@ -206,10 +206,12 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
     survey of Pfaffian orientations of graphs", ICM 2006).  Every such
     cycle is nice, since M covers what it leaves, so a pass needs no
     matching search per cycle; a graph without M has no nice cycle and
-    passes vacuously.  A failure goes on through every perfect matching:
-    the cycles alternating with some matching are exactly the nice even
-    cycles, and each that is not oddly oriented is a violation.  Graphs
-    above max_vertices raise SizeLimitError first.
+    passes vacuously.  A failure goes on through every other perfect
+    matching: the cycles alternating with some matching are exactly the
+    nice even cycles, each also alternates with a matching other than M
+    (swap the matching along the cycle), and each that is not oddly
+    oriented is a violation.  Graphs above max_vertices raise
+    SizeLimitError first.
     """
     base = d.base
     if base.n > max_vertices:
@@ -226,8 +228,10 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
         checked += 1
     else:
         return PfaffianReport(nice_even_cycles=checked, violations=(), matching=matching)
+    # A cycle C alternating with a matching M' also alternates with M' xor C,
+    # so the matchings after M alone reach every nice even cycle.
     nice: set[CycleSeq] = set()
-    for m in itertools.chain([matching], matchings):
+    for m in matchings:
         for c in _alternating_cycles(base, m):
             # one direction per cycle: toward the start's smaller neighbour
             nice.add(c if c[1] < c[-1] else c[:1] + c[:0:-1])

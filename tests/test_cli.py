@@ -1,6 +1,9 @@
 """CLI surface: dispatch, formats, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 
@@ -415,3 +418,38 @@ def test_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys):
     for argv in (["orient", "--c4", "--tree", "path:2"], ["product", "path:2", "path:2"]):
         code, out, err = run(capsys, *argv, "--output", str(target))
         assert code == EXIT_PRECONDITION and "cannot write" in err and not out
+
+
+def test_repeated_calls_do_not_carry_flags_over(capsys):
+    # one parser serves every call of a process; each call parses afresh
+    code, first, _ = run_json(capsys, "count", "--grid", "2", "2", "--method", "brute",
+                              "--max-vertices", "10")
+    assert code == EXIT_OK and first["request"]["method"] == "brute"
+    code, second, _ = run_json(capsys, "count", "--grid", "2", "2")
+    assert code == EXIT_OK
+    assert second["request"]["method"] == "auto" and second["request"]["max_vertices"] is None
+    code, first, _ = run_json(capsys, "verify", "--pfaffian", "--layers", "3", "--tree", "path:4")
+    assert code == EXIT_OK and first["request"]["layers"] == 3
+    code, second, _ = run_json(capsys, "verify", "--pfaffian", "--c4", "--tree", "path:4")
+    assert code == EXIT_OK
+    assert second["request"]["layers"] is None and second["method"] == "pfaffian-check:c4-tree"
+
+
+def test_call_after_parse_error_and_help_matches_a_first_call(capsys):
+    argv = ["count", "--product", "p4", "--tree", "tree-random:9:4", "--json"]
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "pfmatch.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == EXIT_OK, fresh.stderr
+    for bad, exit_code in ((["count", "--grid", "2"], EXIT_PARSE), (["--help"], EXIT_OK)):
+        with pytest.raises(SystemExit) as stop:
+            main(bad)
+        assert stop.value.code == exit_code
+    capsys.readouterr()
+    code, payload, _ = run_json(capsys, *argv[:-1])
+    expected = json.loads(fresh.stdout)
+    payload.pop("elapsed_ms")
+    expected.pop("elapsed_ms")
+    assert code == EXIT_OK and json.dumps(payload) == json.dumps(expected)

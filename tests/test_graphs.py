@@ -17,14 +17,17 @@ from pfmatch import (
     tree_has_perfect_matching,
     validate_tree,
 )
+from pfmatch.exactlinalg import char_poly_tree_mod
 from util import (
     _ahu_canonical,
     bit_stream,
+    char_poly_tree,
     count_by_backtracking,
     cycle_census_by_subsets,
     cycles_by_subsets,
     enumerate_cycles,
     nonisomorphic_trees,
+    poly_remainder,
     tree_shapes,
     trees_up_to,
 )
@@ -252,3 +255,38 @@ def test_tree_matching_linear_on_large_trees():
 def test_tree_matching_rejects_non_tree():
     with pytest.raises(NotATreeError):
         tree_has_perfect_matching(cycle_graph(4))
+
+
+def _traversal_from_parents(t):
+    """(children, postorder) rebuilt from t.parent: child lists by a scan
+    over the parent array, postorder by a walk of (vertex, next child) frames."""
+    kids = tuple(tuple(w for w in range(t.n) if t.parent[w] == v) for v in range(t.n))
+    order = []
+    frames = [[t.root, 0]]
+    while frames:
+        v, i = frames[-1]
+        if i < len(kids[v]):
+            frames[-1][1] += 1
+            frames.append([kids[v][i], 0])
+        else:
+            order.append(frames.pop()[0])
+    return kids, tuple(order)
+
+
+def test_tree_traversal_is_computed_once_and_shared_by_the_tree_routes():
+    # children() and postorder() are tuples built once per tree; the tree's
+    # validation, tree_has_perfect_matching and char_poly_tree_mod all walk
+    # them, and none of them can change them
+    big = random_tree(2000, 3)
+    moduli = ([1], [0, 1], [5, 2, 0, 1], [1, 0, -3, 0, 1])
+    for t in trees_up_to(7) + [big]:
+        phi = char_poly_tree(t)
+        # the constant term of a tree's char poly is +-(its perfect matchings)
+        assert tree_has_perfect_matching(t) == (phi[0] != 0), t.parent
+        for m in moduli:
+            assert char_poly_tree_mod(t, m) == poly_remainder(phi, m), (t.parent, m)
+        kids, order = _traversal_from_parents(t)
+        assert type(t.children()) is tuple and all(type(k) is tuple for k in t.children())
+        assert type(t.postorder()) is tuple
+        assert (t.children(), t.postorder()) == (kids, order), t.parent
+    assert big.children() is big.children() and big.postorder() is big.postorder()

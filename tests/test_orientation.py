@@ -236,12 +236,24 @@ def _lowest_arc_flipped(d: OrientedGraph) -> OrientedGraph:
 _K55 = Graph.from_edges(10, [(u, v) for u in range(5) for v in range(5, 10)])
 
 
+def _grid_3x4_last_arc_flipped() -> OrientedGraph:
+    """Kasteleyn's orientation of the 3 x 4 grid (rows left to right, columns
+    alternately down and up) with the arc 10 -> 11 reversed: the first
+    matching's fourth alternating cycle is the first violation."""
+    rows = [(i * 4 + j, i * 4 + j + 1) for i in range(3) for j in range(3)]
+    columns = [(i * 4 + j, (i + 1) * 4 + j) if j % 2 == 0 else ((i + 1) * 4 + j, i * 4 + j)
+               for i in range(2) for j in range(4)]
+    arcs = frozenset(rows + columns) - {(10, 11)} | {(11, 10)}
+    return OrientedGraph(base=Graph.from_edges(12, arcs), arcs=arcs)
+
+
 @pytest.mark.parametrize("oriented, violations, nice", [
     pytest.param(_lowest_arc_flipped(orient_c4_tree(orient_lexicographic(random_tree(4, 1)))),
                  420, 940, id="c4-tree-4"),
     pytest.param(_lowest_arc_flipped(orient_c4_tree(orient_lexicographic(random_tree(5, 1)))),
                  1_616, 3_993, id="c4-tree-5"),
     pytest.param(random_orientation(_K55, 139), 1_980, 3_940, id="k5,5"),
+    pytest.param(_grid_3x4_last_arc_flipped(), 12, 25, id="grid-3x4"),
 ])
 def test_check_pfaffian_failure_lists_match_the_cycle_scan(oriented, violations, nice):
     # the alternating cycles of every perfect matching are exactly the
