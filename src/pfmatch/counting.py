@@ -50,8 +50,9 @@ from .orientation import OrientedGraph, orient_c4_tree, orient_layered, orient_l
 DEFAULT_BRUTE_GUARD = 40
 
 #: Vertex guard for count_pfaffian.  Each prime of det_skew costs about
-#: O(n) on a product, and the number of primes grows with n: at the limit
-#: C_4 x T and P_4 x T take 6-8 s, 2,000 vertices about 1 s.
+#: O(n) on a product, which is bipartite and so eliminated at half size,
+#: and the number of primes grows with n: at the limit C_4 x T and
+#: P_4 x T take 0.5-1.5 s, 2,000 vertices about 0.2 s.
 DEFAULT_PFAFFIAN_GUARD = 5000
 
 #: Guard for count_grid_dimer on sides s <= L: s * L * (s + L/5000) may
@@ -133,11 +134,13 @@ def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
     remainder theorem; for a Pfaffian orientation it is the squared
     count.  Any skew integer matrix has det = Pf^2 (Cayley), so a
     non-Pfaffian orientation shows up as a wrong square, an undercount,
-    not as a non-square.  The square-root check guards the
-    reconstruction: a non-square would mean the residues were combined
+    not as a non-square.  On a bipartite graph det_skew returns det(B)^2
+    for the half-size biadjacency matrix B, a square by construction, so
+    the square-root check guards only the reconstruction of a graph with
+    an odd cycle: a non-square would mean its residues were combined
     wrongly, and raises NotPfaffianError.  An even graph above
     DEFAULT_PFAFFIAN_GUARD vertices (C_4 x T with |T| = 1,250 takes
-    6-8 s), or one whose eliminations would pass det_skew's
+    about 1.4 s), or one whose eliminations would pass det_skew's
     DEFAULT_PFAFFIAN_UPDATE_GUARD, raises SizeLimitError.
     """
     if not d.orients(g):

@@ -4,10 +4,12 @@ Matrices and polynomials are plain lists of Python ints and nothing here
 ever rounds: dense determinants use fraction-free (Bareiss) elimination,
 whose intermediate divisions are exact by construction; the skew
 adjacency determinant of an orientation (det_skew) is eliminated
-sparsely modulo primes and recombined by the Chinese remainder theorem
-past the Hadamard bound, which is exact because it is never negative;
-and a tree's characteristic polynomial is folded by the bridge
-recurrence modulo a small monic polynomial, in O(n) ring operations.
+sparsely modulo primes, as the square of the half-size biadjacency
+determinant when the graph is bipartite, and recombined by the Chinese
+remainder theorem in the symmetric range past twice the Hadamard bound,
+which is exact whatever the sign; and a tree's characteristic
+polynomial is folded by the bridge recurrence modulo a small monic
+polynomial, in O(n) ring operations.
 
 This is the machinery that turns spectral product formulas into exact
 integers.  For a monic integer polynomial q and an integer polynomial p,
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterator
+from typing import Optional
 
 from .errors import NotAPerfectSquareError, PreconditionError, SizeLimitError
 from .graphs import Graph, Tree, validate_tree
@@ -76,9 +78,10 @@ def det_bareiss(m: IntMatrix) -> int:
 
 
 #: Work guard for det_skew on fill-heavy inputs: its eliminations may
-#: together count at most this many updates (see _det_skew_mod), about
-#: 8 s.  The complete graph K_150 counts 6.7 million, a C_4 x T product
-#: at count_pfaffian's 5,000-vertex guard about 3.6 million.
+#: together count at most this many updates (see _det_mod), about 6 s.
+#: The complete graph K_150 counts 7.4 million, as does K_150,150 on its
+#: half-size matrix; a C_4 x T product at count_pfaffian's 5,000-vertex
+#: guard counts about 0.9 million.
 DEFAULT_PFAFFIAN_UPDATE_GUARD = 10_000_000
 
 #: Miller-Rabin bases that decide primality for every n < 3.3 * 10^24.
@@ -121,26 +124,26 @@ def _skew_prime(k: int) -> int:
     return _SKEW_PRIMES[k]
 
 
-def _det_skew_mod(d: OrientedGraph, p: int, max_updates: int) -> int:
-    """det of the skew adjacency matrix of d modulo the prime p.
+def _det_mod(signed: list[dict[int, int]], p: int, max_updates: int) -> int:
+    """det of a square sparse matrix modulo the prime p.
 
-    Rows are dicts {column: entry}.  Each step takes the Markowitz pivot:
-    the live column with the fewest nonzeros (a lazy heap keyed by
-    count), then the row in it with the fewest nonzeros, and clears the
-    column from the other rows.  Permuted by the pivots, the matrix is
-    then upper triangular, so the determinant is the product of the
-    pivots times the sign of the row-to-column pivot permutation.  A
-    pivot with c nonzeros in its column and r in its row counts c * r
-    updates, which bounds the entries its step touches; an elimination
-    whose count would pass max_updates raises SizeLimitError before that
-    step runs.
+    The matrix comes as rows {column: entry}, with columns numbered like
+    the rows.  Each step takes the Markowitz pivot: the live column with
+    the fewest nonzeros (a lazy heap keyed by count), then the row in it
+    with the fewest nonzeros, and clears the column from the other rows.
+    Permuted by the pivots, the matrix is then upper triangular, so the
+    determinant is the product of the pivots times the sign of the
+    row-to-column pivot permutation.  A pivot with c nonzeros in its
+    column and r in its row counts c * r updates, which bounds the
+    entries its step touches; an elimination whose count would pass
+    max_updates raises SizeLimitError before that step runs.
     """
-    n = d.n
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for u, v in d.arcs:
-        rows[u][v] = 1
-        rows[v][u] = p - 1
-    cols = [set(row) for row in rows]  # the pattern is symmetric
+    n = len(signed)
+    rows = [{j: v % p for j, v in row.items()} for row in signed]
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
     heap = [(len(c), j) for j, c in enumerate(cols)]
     heapq.heapify(heap)
     done = [False] * n
@@ -195,35 +198,82 @@ def _det_skew_mod(d: OrientedGraph, p: int, max_updates: int) -> int:
     return det % p
 
 
-def det_skew(d: OrientedGraph) -> int:
-    """det of the skew adjacency matrix of d, exactly, from its arcs alone.
+def _two_colouring(g: Graph) -> Optional[list[int]]:
+    """The side, 0 or 1, of every vertex by breadth-first search, or None
+    if g has an odd cycle.  The smallest vertex of each component gets
+    side 0, so a vertex of degree 0 is always on side 0."""
+    side = [-1] * g.n
+    for s in range(g.n):
+        if side[s] < 0:
+            side[s] = 0
+            queue = [s]
+            for v in queue:
+                for w in g.adjacency[v]:
+                    if side[w] < 0:
+                        side[w] = 1 - side[v]
+                        queue.append(w)
+                    elif side[w] == side[v]:
+                        return None
+    return side
 
-    The matrix has entry 1 at (u, v) and -1 at (v, u) for each arc u->v;
-    it is never built densely.  Sparse elimination runs modulo primes
-    just below 2^62, and the residues are combined by the Chinese
-    remainder theorem until the modulus M exceeds the Hadamard bound
-    prod sqrt(deg v), which bounds |det|.  A real skew matrix has
-    det = Pf^2 >= 0, so the residue in [0, M) is the determinant itself:
-    exact and deterministic.  Odd order gives 0, as does a vertex of
-    degree 0.  Each elimination gets an equal share of
+
+def det_skew(d: OrientedGraph) -> int:
+    """det of the skew adjacency matrix A of d, exactly, from its arcs alone.
+
+    A has entry 1 at (u, v) and -1 at (v, u) for each arc u->v; it is
+    never built densely.  A bipartite graph (a two-colouring finds its
+    sides X and Y) needs only the signed biadjacency matrix B, of half
+    the order: B[x][y] is 1 for an arc x->y and -1 for an arc y->x, and
+    with X listed before Y, A = [[0, B], [-B^T, 0]], so det A = det(B)^2
+    (Kasteleyn's form of the method).  Sides of unequal size give 0, as
+    there is no perfect matching.  A graph with an odd cycle eliminates
+    A itself.  Sparse elimination of that matrix runs modulo primes just
+    below 2^62, and the residues are combined by the Chinese remainder
+    theorem into the symmetric range (-M/2, M/2) until M^2 exceeds
+    4 * prod(row lengths).  By Hadamard's bound, with every entry +-1,
+    that product is at least det^2, so the residue is the determinant
+    itself, sign included: exact and deterministic.  Odd order gives 0,
+    as does a vertex of degree 0 (an empty row; a product of 0 needs no
+    prime).  Each elimination gets an equal share of
     DEFAULT_PFAFFIAN_UPDATE_GUARD, so a graph whose fill passes the
     guard raises SizeLimitError within its first elimination.
     """
     g = d.base
     if g.n % 2:
         return 0
-    limit = math.isqrt(math.prod(g.degree(v) for v in range(g.n)))  # det <= limit
+    side = _two_colouring(g)
+    if side is None:
+        rows: list[dict[int, int]] = [{} for _ in range(g.n)]
+        for u, v in d.arcs:
+            rows[u][v] = 1
+            rows[v][u] = -1
+    else:
+        index, sizes = [0] * g.n, [0, 0]
+        for v in range(g.n):  # number each side in increasing order
+            index[v] = sizes[side[v]]
+            sizes[side[v]] += 1
+        if sizes[0] != sizes[1]:
+            return 0
+        rows = [{} for _ in range(sizes[0])]
+        for u, v in d.arcs:
+            if side[u]:
+                rows[index[v]][index[u]] = -1
+            else:
+                rows[index[u]][index[v]] = 1
+    bound = 4 * math.prod(len(row) for row in rows)  # (2 det)^2 <= bound
     primes, modulus = 0, 1
-    while modulus <= limit:
+    while modulus * modulus <= bound:
         modulus *= _skew_prime(primes)
         primes += 1
     det, modulus = 0, 1
     for k in range(primes):
         p = _skew_prime(k)
-        residue = _det_skew_mod(d, p, DEFAULT_PFAFFIAN_UPDATE_GUARD // primes)
+        residue = _det_mod(rows, p, DEFAULT_PFAFFIAN_UPDATE_GUARD // primes)
         det += modulus * ((residue - det) * pow(modulus, -1, p) % p)
         modulus *= p
-    return det
+    if 2 * det > modulus:
+        det -= modulus
+    return det if side is None else det * det
 
 
 def _reduce(r: IntPolynomial, m: IntPolynomial) -> IntPolynomial:

@@ -16,6 +16,8 @@ from pfmatch import (
     PreconditionError,
     adjacency_matrix,
     char_poly_tree_mod,
+    count_c4_tree,
+    count_p4_tree,
     count_perfect_matchings,
     cycle_graph,
     det_bareiss,
@@ -126,14 +128,42 @@ def test_det_skew_equals_bareiss_on_random_skew_matrices():
     assert min(kinds.values()) >= 10, kinds
 
 
+def test_det_skew_equals_bareiss_on_random_bipartite_orientations():
+    # random orientations of random bipartite graphs up to 14 vertices,
+    # the sides scattered over the labels: det_skew eliminates the
+    # half-size biadjacency matrix, or answers 0 for sides of unequal
+    # size, and every kind below has to turn up
+    bits = bit_stream(92)
+    kinds = dict.fromkeys(("balanced", "unbalanced", "disconnected", "isolated vertex",
+                           "non-pfaffian"), 0)
+    for seed in range(300):
+        n, density = 1 + next(bits) % 14, next(bits) % 101
+        side = [next(bits) % 2 for _ in range(n)]
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if side[u] != side[v] and next(bits) % 100 < density])
+        d = random_orientation(g, seed)
+        det = det_bareiss(skew_adjacency(d))
+        assert det_skew(d) == det, (n, sorted(d.arcs))
+        # a connected graph has one two-colouring, the sides drawn here
+        connected = len(_reachable(g, 0)) == n
+        even = n % 2 == 0
+        kinds["balanced"] += connected and even and 2 * sum(side) == n
+        kinds["unbalanced"] += connected and even and 2 * sum(side) != n
+        kinds["disconnected"] += not connected
+        kinds["isolated vertex"] += n > 1 and any(not g.adjacency[v] for v in range(n))
+        kinds["non-pfaffian"] += det != count_perfect_matchings(g) ** 2
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_det_skew_of_the_empty_and_a_single_arc():
     assert det_skew(OrientedGraph(base=Graph(n=0, edges=frozenset()), arcs=frozenset())) == 1
     assert det_skew(orient_lexicographic(path_graph(2))) == 1
 
 
 def test_det_skew_equals_bareiss_on_product_orientations():
-    # C4 x T and P2 x T from 20 to 160 vertices; at 160 the determinant
-    # exceeds the product of the two largest primes, so CRT combines three
+    # C4 x T and P2 x T from 20 to 160 vertices, bipartite, so det_skew
+    # squares det B; at 160 the determinant exceeds the product of the two
+    # largest primes, while |det B|, its root, needs only two of them
     for n, seed in ((5, 1), (10, 2), (20, 3), (40, 4)):
         base = orient_lexicographic(random_tree(n, seed))
         for d in (orient_c4_tree(base), orient_layered(base, 2)):
@@ -141,6 +171,22 @@ def test_det_skew_equals_bareiss_on_product_orientations():
     d = orient_c4_tree(orient_lexicographic(random_tree(40, 4)))
     prime = pfmatch.exactlinalg._skew_prime
     assert det_skew(d) > prime(0) * prime(1)
+
+
+def test_det_skew_past_two_primes_on_the_half_size_route():
+    # C4 x T and P4 x T of 400 and 1,000 vertices, where |det B| itself
+    # exceeds the product of the two largest primes, so CRT combines at
+    # least three; the closed forms are an independent route, and dense
+    # Bareiss would be too slow here
+    prime = pfmatch.exactlinalg._skew_prime
+    for n, seed in ((100, 5), (250, 6)):
+        t = random_tree(n, seed)
+        base = orient_lexicographic(t)
+        for d, count in ((orient_c4_tree(base), count_c4_tree(t).count),
+                         (orient_layered(base, 4), count_p4_tree(t).count)):
+            det = det_skew(d)
+            assert math.isqrt(det) > prime(0) * prime(1)
+            assert det == count ** 2
 
 
 def test_skew_primes_are_the_primes_below_two_to_the_62():
