@@ -4,21 +4,24 @@
 Which of the two happens is governed by the tree's corank s, the
 multiplicity of the eigenvalue 0, which for a tree is n - 2r (vertex
 count minus twice the maximum matching size); the demo reads it off the
-characteristic polynomial as the index of its lowest nonzero
-coefficient.  The count is 2^(s mod 2) times a square, and s has the
-parity of n, so every tree of even order gives a square, whether or not
-it has a perfect matching (the star with 3 leaves gives 100 = 10^2).
-When T has a perfect matching (s = 0) the square root is the P3 x T
-count.
+characteristic polynomial phi(x) = x^e * psi(x^2), e = n mod 2, as e
+plus twice the index of the lowest nonzero coefficient of psi.  The
+count is 2^(s mod 2) times a square, and s has the parity of n, so
+every tree of even order gives a square, whether or not it has a
+perfect matching (the star with 3 leaves gives 100 = 10^2).  When T has
+a perfect matching (s = 0) the square root is the P3 x T count.
 """
 
 import pfmatch as pf
 
 
 def corank(t):
-    """Multiplicity of 0 as an eigenvalue of the tree's adjacency matrix."""
-    phi = pf.char_poly_tree_mod(t, [0] * (t.n + 1) + [1])
-    return next(k for k, c in enumerate(phi) if c)
+    """Multiplicity of 0 as an eigenvalue of the tree's adjacency matrix.
+
+    psi has degree n // 2, so psi modulo y^(n//2 + 1) is psi itself.
+    """
+    psi = pf.psi_tree_mod(t, [0] * (t.n // 2 + 1) + [1])
+    return t.n % 2 + 2 * next(k for k, c in enumerate(psi) if c)
 
 
 def main():

@@ -9,16 +9,17 @@ The package has four layers:
                 perfect matching M (of every one, to list a failure's
                 violations)
 - exactlinalg:  fraction-free determinants, sparse skew determinants modulo
-                primes recombined exactly by CRT, tree characteristic polynomials
-                folded by the bridge recurrence modulo a small monic
-                polynomial (O(n) ring operations), root_product (the
+                primes recombined exactly by CRT, psi_T of a tree
+                (phi_T(x) = x^e psi_T(x^2)) folded by the bridge recurrence
+                modulo a small monic polynomial q(y) (O(n) ring
+                operations, plain integers when deg q = 1), root_product (the
                 product of a polynomial over the roots of a small monic
                 one, as the determinant of a multiplication matrix) and
                 integer square roots
 - counting:     brute-force oracle, Pfaffian counting, and one closed form,
                 P_s x T = |root_product(q_s, psi_T)| with q_s read off the
-                path P_s and psi_T folded modulo q_s(x^2), whose
-                instances are the C_4, P_3, P_4, grid and lattice counts;
+                path P_s and psi_T folded modulo q_s, whose instances are
+                the C_4, P_2, P_3, P_4, grid and lattice counts;
                 count_product chooses among them (formula, then a proven
                 Pfaffian orientation, then brute force), count_grid and
                 count_graph do the same for grids and plain graphs; brute
@@ -71,10 +72,10 @@ from .exactlinalg import (
     IntMatrix,
     IntPolynomial,
     adjacency_matrix,
-    char_poly_tree_mod,
     det_bareiss,
     det_skew,
     integer_sqrt_exact,
+    psi_tree_mod,
     root_product,
 )
 from .graphs import (
@@ -134,7 +135,6 @@ __all__ = [
     "Tree",
     "adjacency_matrix",
     "cartesian_product",
-    "char_poly_tree_mod",
     "check_pfaffian",
     "count_brute",
     "count_c4_path",
@@ -161,6 +161,7 @@ __all__ = [
     "parse_oriented_edge_list",
     "path_graph",
     "perfect_matchings",
+    "psi_tree_mod",
     "random_tree",
     "root_product",
     "squarish_decompose",

@@ -9,11 +9,13 @@ roots are -r^2 for the positive eigenvalues r of the path P_s:
 
     P_s x T  =  |root_product(q_s, psi_T)|
 
-This counts P_3 x T (q_3 = y + 2; T needs a perfect matching), P_4 x T
-(q_4 = y^2 + 3y + 1) and the m x n grid (T = P_L).  C_4 x T is
-2^e * (P_3 x T form)^2 for every tree, and the 2 x 2 x n lattice is its
-case T = P_n.  psi_T is only ever known modulo q_s: char_poly_tree_mod
-folds the tree modulo q_s(x^2) in O(n) ring operations of degree 2d.
+This counts P_2 x T (q_2 = y + 1), P_3 x T (q_3 = y + 2; T needs a
+perfect matching), P_4 x T (q_4 = y^2 + 3y + 1) and the m x n grid
+(T = P_L).  C_4 x T is 2^e * (P_3 x T form)^2 for every tree, and the
+2 x 2 x n lattice is its case T = P_n.  psi_T is only ever known modulo
+q_s: psi_tree_mod folds the tree in Z[y]/(q_s) in O(n) ring operations
+of degree d, which for P_2, P_3 and C_4 (d = 1) are integer operations,
+so those counts are one evaluation psi_T(y0) at the root y0 of q_s.
 No route takes a square root or rounds a float.  The trigonometric
 products of the lattice and the grid are cross-checks, evaluated in log
 space with explicit tolerances.
@@ -35,7 +37,7 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .exactlinalg import char_poly_tree_mod, det_skew, integer_sqrt_exact, root_product
+from .exactlinalg import det_skew, integer_sqrt_exact, psi_tree_mod, root_product
 from .graphs import (
     Graph,
     cartesian_product,
@@ -59,8 +61,8 @@ DEFAULT_PFAFFIAN_GUARD = 5000
 #: not exceed it.  s^2 L follows the norm, a (s/2)-square determinant of
 #: L-bit entries whose time grows about as (s^2 L)^2; s L^2 / 5000
 #: follows the fold along the long path, L shifts of s/2 operations on
-#: numbers of up to about L bits.  At the limit 100 x 349 takes about 4 s,
-#: 150 x 150 about 3 s, 40 x 2164 about 2 s and 2 x 88674 under 1 s.
+#: numbers of up to about L bits.  At the limit 100 x 349 takes 4-5 s,
+#: 150 x 150 about 3 s, 40 x 2164 about 2 s and 2 x 88674 about 0.8 s.
 DEFAULT_GRID_GUARD = 3_500_000
 
 
@@ -68,18 +70,19 @@ DEFAULT_GRID_GUARD = 3_500_000
 class CountResult:
     """A matching count plus how it was obtained.
 
-    method is one of: brute | pfaffian | formula-c4t | formula-p3t |
-    formula-p4t | narumi-hosoya | kasteleyn-grid.  dimension is the
-    vertex count the route worked on: the graph's for brute and
-    pfaffian, the tree's for the tree formulas, n for narumi-hosoya,
-    None for grids.  determinant is, for pfaffian, the skew adjacency
-    determinant det_skew computed (the count squared, or 0 for an odd
-    graph); for the tree formulas and narumi-hosoya it is derived from
-    the count, not computed from a matrix: the value of det(p(A)) the
-    closed form equals, the count for C_4 x T and C_4 x P_n and the
-    count squared for P_3 x T and P_4 x T.  brute and grids leave it
-    None.  float_estimate carries the value of the trigonometric product
-    formulas, or None where that value overflows a float.
+    method is one of: brute | pfaffian | formula-c4t | formula-p2t |
+    formula-p3t | formula-p4t | narumi-hosoya | kasteleyn-grid.
+    dimension is the vertex count the route worked on: the graph's for
+    brute and pfaffian, the tree's for the tree formulas, n for
+    narumi-hosoya, None for grids.  determinant is, for pfaffian, the
+    skew adjacency determinant det_skew computed (the count squared, or
+    0 for an odd graph); for the tree formulas and narumi-hosoya it is
+    derived from the count, not computed from a matrix: the value of
+    det(p(A)) the closed form equals, the count for C_4 x T and C_4 x P_n
+    and the count squared for P_2 x T, P_3 x T and P_4 x T.  brute and
+    grids leave it None.  float_estimate carries the value of the
+    trigonometric product formulas, or None where that value overflows
+    a float.
     """
 
     count: int
@@ -109,6 +112,11 @@ class SquarishDecomposition:
         return self.factor * self.root * self.root
 
 
+def _check_brute_guard(n: int, max_vertices: int) -> None:
+    if n > max_vertices:
+        raise SizeLimitError(f"brute-force guard: {n} vertices > limit {max_vertices}")
+
+
 def count_brute(g: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
     """Exact count by enumerating matchings, with no linear algebra.
 
@@ -118,10 +126,7 @@ def count_brute(g: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResul
     vertices raise SizeLimitError, and so does a sweep that would hold
     more than DEFAULT_BRUTE_STATE_GUARD states at once.
     """
-    if g.n > max_vertices:
-        raise SizeLimitError(
-            f"brute-force guard: {g.n} vertices > limit {max_vertices}"
-        )
+    _check_brute_guard(g.n, max_vertices)
     return CountResult(count=count_perfect_matchings(g), method="brute", dimension=g.n)
 
 
@@ -170,18 +175,16 @@ def _path_product(s: int, t: Graph) -> int:
     P_s.  q_s(y) = (-1)^floor(s/2) * psi_{P_s}(-y) = sum_k C(s-k, k) y^(d-k),
     d = floor(s/2), is monic, with a root -r^2 for each positive
     eigenvalue r of P_s, so the value is the product of |psi_T(-r^2)|
-    over those r.  psi_T itself is never formed: the tree's
-    characteristic polynomial is folded modulo Q_s(x) = q_s(x^2), of
-    degree 2d, and since e + 2(d-1) < 2d the remainder is x^e * r(x^2)
-    with r = psi_T mod q_s, which has the same root product.  It counts
-    the perfect matchings of P_s x T for s = 4, for s = 3 when T has a
-    perfect matching, and for the grid (T = P_L) when s * L is even.
+    over those r.  psi_T itself is never formed: psi_tree_mod returns
+    psi_T mod q_s, which has the same root product.  For s = 2 and 3,
+    q_s = y + s - 1 and the value is the integer |psi_T(1 - s)|; for
+    s = 1, q_1 = 1 has no root and the value is 1.  It counts the perfect
+    matchings of P_s x T for s = 2 and 4, for s = 3 when T has a perfect
+    matching, and for the grid (T = P_L) when s * L is even.
     """
     d = s // 2
     q_s = [math.comb(s - d + j, d - j) for j in range(d + 1)]
-    q_big = [0] * (2 * d + 1)
-    q_big[::2] = q_s
-    return abs(root_product(q_s, char_poly_tree_mod(t, q_big)[t.n % 2::2]))
+    return abs(root_product(q_s, psi_tree_mod(t, q_s)))
 
 
 def count_c4_tree(t: Graph) -> CountResult:
@@ -195,9 +198,7 @@ def count_p4_tree(t: Graph) -> CountResult:
 
     Each eigenvalue pair +-t contributes q_4(t^2) = 1 + 3t^2 + t^4 once.
     """
-    count = _path_product(4, t)
-    return CountResult(count=count, method="formula-p4t", dimension=t.n,
-                       determinant=count * count)
+    return _count_path_formula(4, t)
 
 
 def count_p3_tree(t: Graph) -> CountResult:
@@ -213,13 +214,14 @@ def count_p3_tree(t: Graph) -> CountResult:
             "tree has no perfect matching: no closed form is available for "
             "P_3 x T in that case (open problem); use count_brute instead"
         )
-    return _count_p3_matched(t)
+    return _count_path_formula(3, t)
 
 
-def _count_p3_matched(tree: Graph) -> CountResult:
-    """count_p3_tree for a tree already known to have a perfect matching."""
-    count = _path_product(3, tree)
-    return CountResult(count=count, method="formula-p3t", dimension=tree.n,
+def _count_path_formula(s: int, tree: Graph) -> CountResult:
+    """The P_s x T closed form as a CountResult, method formula-p<s>t; for
+    s = 3 the caller has checked that the tree has a perfect matching."""
+    count = _path_product(s, tree)
+    return CountResult(count=count, method=f"formula-p{s}t", dimension=tree.n,
                        determinant=count * count)
 
 
@@ -235,13 +237,14 @@ def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
                   max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
     """Perfect matchings of C_4 x T (kind "c4", m = 4) or P_m x T (kind "pm").
 
-    "auto" takes the first route that applies: the closed form (C_4, P_4,
-    and P_3 when T has a perfect matching); count_pfaffian over a proven
-    orientation built from base, lexicographic by default (orient_c4_tree,
-    or orient_layered for m <= 4 with m = 3 again only when T has a
-    perfect matching); count_brute under max_vertices.  "formula",
-    "pfaffian" and "brute" force one route, and raise PreconditionError
-    where it does not apply.
+    "auto" takes the first route that applies: the closed form (C_4,
+    P_2, P_4, and P_3 when T has a perfect matching); count_pfaffian over
+    a proven orientation built from base, lexicographic by default
+    (orient_c4_tree, or orient_layered for m <= 4 with m = 3 again only
+    when T has a perfect matching); count_brute under max_vertices,
+    checked before the product is built.  "formula", "pfaffian" and
+    "brute" force one route, and raise PreconditionError where it does
+    not apply.
     """
     if kind not in ("c4", "pm") or method not in ("auto", "brute", *_NO_ROUTE):
         raise PreconditionError(f"unknown product kind {kind!r} or method {method!r}")
@@ -256,9 +259,7 @@ def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
     def formula() -> Optional[CountResult]:
         if kind == "c4":
             return count_c4_tree(tree)
-        if m == 4:
-            return count_p4_tree(tree)
-        return _count_p3_matched(tree) if m == 3 and proven else None
+        return _count_path_formula(m, tree) if m in (2, 3, 4) and proven else None
 
     def pfaffian() -> Optional[CountResult]:
         d = base or orient_lexicographic(tree)
@@ -271,6 +272,7 @@ def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
         return count_pfaffian(d.base, d)
 
     def brute() -> CountResult:
+        _check_brute_guard(m * tree.n, max_vertices)
         factor = cycle_graph(4) if kind == "c4" else path_graph(m)
         return count_brute(cartesian_product(factor, tree), max_vertices=max_vertices)
 
@@ -426,6 +428,11 @@ class IdentityReport:
     not its matching, so an even tree without a perfect matching also
     gives a square (the star K_{1,3}: 100 = 10^2).  Only "perfect
     matching => square, with root count(P_3 x T)" is checked.
+
+    Only the brute-* clauses check independently.  squarish,
+    squarish-factor and square-root hold by construction: count_c4_tree
+    is computed as 2^e * (P_3 x T form)^2 from the same fold that gives
+    the P_3 x T count, so they can fail only if that arithmetic does.
     """
 
     tree_vertices: int
@@ -466,7 +473,7 @@ def verify_identities(t: Graph, max_product_vertices: int = DEFAULT_BRUTE_GUARD)
 
     p3_count: Optional[int] = None
     if matched:
-        p3_count = _count_p3_matched(tree).count
+        p3_count = _count_path_formula(3, tree).count
         checks.append("square-root")
         if p3_count * p3_count != c4:
             failures.append("square-root")

@@ -7,9 +7,10 @@ adjacency determinant of an orientation (det_skew) is eliminated
 sparsely modulo primes, as the square of the half-size biadjacency
 determinant when the graph is bipartite, and recombined by the Chinese
 remainder theorem in the symmetric range past twice the Hadamard bound,
-which is exact whatever the sign; and a tree's characteristic
-polynomial is folded by the bridge recurrence modulo a small monic
-polynomial, in O(n) ring operations.
+which is exact whatever the sign; and psi_T, read off a tree's
+characteristic polynomial as phi_T(x) = x^e * psi_T(x^2), is folded by the
+bridge recurrence modulo a small monic polynomial q(y), in O(n) ring
+operations of degree deg q.
 
 This is the machinery that turns spectral product formulas into exact
 integers.  For a monic integer polynomial q and an integer polynomial p,
@@ -17,7 +18,7 @@ root_product(q, p) is prod p(rho) over the roots rho of q, that is the
 resultant Res(q, p), taken as the determinant of multiplication by p
 on Z[y]/(q).  The irrational eigenvalues of a tree never need to be
 computed, and neither does its whole characteristic polynomial: the
-counting module reduces it modulo q(x^2) for a small q read off a path,
+counting module needs psi_T only modulo a small q read off a path,
 which keeps the resultant.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from typing import Optional
 
 from .errors import NotAPerfectSquareError, PreconditionError, SizeLimitError
@@ -279,70 +281,98 @@ def det_skew(d: OrientedGraph) -> int:
 def _reduce(r: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
     """r modulo the monic m, in place; r needs at least deg m coefficients."""
     dm = len(m) - 1
-    for k in range(len(r) - 1, dm - 1, -1):
+    low = m[:dm]
+    for k in range(len(r) - 1 - dm, -1, -1):
         c = r.pop()
         if c:
-            for j, mj in enumerate(m[:dm]):
+            for j, mj in enumerate(low, k):
                 if mj:
-                    r[k - dm + j] -= c * mj
+                    r[j] -= c * mj
     return r
 
 
-def char_poly_tree_mod(t: Graph, m: IntPolynomial) -> IntPolynomial:
-    """det(xI - A) of a tree reduced modulo the monic polynomial m.
+def psi_tree_mod(t: Graph, q: IntPolynomial) -> IntPolynomial:
+    """psi_T modulo the monic polynomial q(y), where phi_T(x) = x^e * psi_T(x^2).
 
     The bridge recurrence
 
         phi(G1 + G2 + uv) = phi(G1) * phi(G2) - phi(G1 - u) * phi(G2 - v)
 
-    (Godsil, Algebraic Combinatorics, ch. 1) uses only ring operations,
-    so it runs in Z[x]/(m) from the start and no coefficient of the full
-    polynomial is ever formed.  Each vertex v keeps the pair (p, q) =
-    (phi of its subtree so far, phi of that subtree minus v), starts
-    from (x, 1) and folds in its children one at a time:
-    p, q = p * p_c - q * q_c, q * p_c.  The first child needs no product,
-    only a shift: p, q = x * p_c - q_c, p_c.  A tree costs O(n) ring
-    operations, each O(deg m) for a shift and O(deg m ^ 2) for a product;
-    a path needs shifts only.  Returns the deg m coefficients of the
+    (Godsil, Algebraic Combinatorics, ch. 1) uses only ring operations.
+    A forest's characteristic polynomial is its matching polynomial, so
+    every subtree rooted at c has phi = x^odd_c * P_c(x^2) and
+    phi(subtree - c) = x^(1 - odd_c) * Q_c(x^2), odd_c the parity of its
+    order, and the recurrence runs on (P_c, Q_c) in Z[y]/(q), y = x^2,
+    of degree d = deg q.  No coefficient of the whole polynomial is ever
+    formed.  A leaf is (1, 1, odd).  The first child c of v needs no
+    product: P, Q = (y * P_c if odd_c else P_c) - Q_c, P_c, and v is odd
+    when c is even.  Each further child c folds in as
+
+        P <- y^[odd_v and odd_c] * P * P_c - y^[not odd_v and not odd_c] * Q * Q_c
+        Q <- y^[not odd_v and odd_c] * Q * P_c
+
+    and then odd_v flips when odd_c is set.  A tree costs O(n) ring
+    operations.  For d = 1 the ring is Z itself, y = -q[0], and elements
+    are plain ints; for d >= 2 they are lists of d coefficients, a
+    product costs O(d^2) and "times y" is a shift and one reduction
+    step; for d = 0 the ring is zero.  Returns the d coefficients of the
     remainder, constant first.
     """
     tree: Tree = validate_tree(t)
-    dm = len(m) - 1
-    if dm < 0 or m[-1] != 1:
-        raise ValueError("char_poly_tree_mod needs a monic polynomial m")
+    d = len(q) - 1
+    if d < 0 or q[-1] != 1:
+        raise ValueError("psi_tree_mod needs a monic polynomial q")
+    if d == 0:
+        return []
+    if d == 1:
+        one, mul, sub, times_y = 1, operator.mul, operator.sub, (-q[0]).__mul__
+    else:
+        one = [1] + [0] * (d - 1)
 
-    def mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-        out = [0] * (2 * dm - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return _reduce(out, m)
+        def mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+            out = [0] * (2 * d - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        out[j] += ai * bj
+            return _reduce(out, q)
 
-    x = _reduce([0, 1] + [0] * (dm - 2), m)
-    one = _reduce([1] + [0] * (dm - 1), m)
+        def sub(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+            return list(map(operator.sub, a, b))
+
+        def times_y(a: IntPolynomial) -> IntPolynomial:
+            return _reduce([0] + a, q)
+
     children = tree.children()
-    p: list[IntPolynomial] = [[] for _ in range(tree.n)]
-    q: list[IntPolynomial] = [[] for _ in range(tree.n)]
+    p: list = [None] * tree.n
+    rest: list = [None] * tree.n  # Q of each finished subtree
+    odd = [False] * tree.n
     for v in tree.postorder():
         kids = children[v]
         if not kids:
-            p[v], q[v] = x, one
+            p[v], rest[v], odd[v] = one, one, True
             continue
         first = kids[0]
-        pv = _reduce([0] + p[first], m)
-        for j, c in enumerate(q[first]):
-            pv[j] -= c
         qv = p[first]
+        pv = sub(times_y(qv) if odd[first] else qv, rest[first])
+        odd_v = not odd[first]
         for c in kids[1:]:
-            pv, minus, qv = mul(pv, p[c]), mul(qv, q[c]), mul(qv, p[c])
-            for j, mj in enumerate(minus):
-                pv[j] -= mj
+            pc, odd_c = p[c], odd[c]
+            plus, minus, qv = mul(pv, pc), mul(qv, rest[c]), mul(qv, pc)
+            if odd_c:
+                if odd_v:
+                    plus = times_y(plus)
+                else:
+                    qv = times_y(qv)
+            elif not odd_v:
+                minus = times_y(minus)
+            pv = sub(plus, minus)
+            odd_v ^= odd_c
         for c in kids:  # only unfinished vertices keep their pairs
-            p[c] = q[c] = []
-        p[v], q[v] = pv, qv
-    return p[tree.root]
+            p[c] = rest[c] = None
+        p[v], rest[v], odd[v] = pv, qv, odd_v
+    psi = p[tree.root]
+    return [psi] if d == 1 else psi
 
 
 def root_product(q: IntPolynomial, p: IntPolynomial) -> int:

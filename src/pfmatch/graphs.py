@@ -61,9 +61,6 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 @dataclass(frozen=True)
 class Tree(Graph):

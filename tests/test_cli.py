@@ -62,8 +62,12 @@ def test_count_p3_unmatched_tree_falls_back_to_brute(capsys):
     assert payload["method"] == "brute" and payload["count"] == "0"
 
 
-def test_count_p2_uses_pfaffian(capsys):
+def test_count_p2_uses_the_formula_and_pfaffian_on_request(capsys):
     code, payload, _ = run_json(capsys, "count", "--product", "p2", "--tree", "path:3")
+    assert code == EXIT_OK
+    assert payload["method"] == "formula-p2t" and payload["count"] == "3"
+    code, payload, _ = run_json(capsys, "count", "--product", "p2", "--method", "pfaffian",
+                                "--tree", "path:3")
     assert code == EXIT_OK
     assert payload["method"] == "pfaffian" and payload["count"] == "3"
 

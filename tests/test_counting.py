@@ -2,6 +2,7 @@
 
 import pytest
 
+import pfmatch.counting
 from pfmatch import (
     DEFAULT_GRID_GUARD,
     DEFAULT_PFAFFIAN_GUARD,
@@ -22,12 +23,14 @@ from pfmatch import (
     count_grid_dimer,
     count_p3_tree,
     count_p4_tree,
+    count_perfect_matchings,
     count_pfaffian,
     count_product,
     cycle_graph,
     det_bareiss,
     integer_sqrt_exact,
     orient_c4_tree,
+    orient_layered,
     orient_lexicographic,
     parse_oriented_edge_list,
     path_graph,
@@ -143,7 +146,7 @@ def test_pfaffian_size_guard():
     odd = path_graph(DEFAULT_PFAFFIAN_GUARD + 1)
     assert count_pfaffian(odd, orient_lexicographic(odd)).count == 0
     with pytest.raises(SizeLimitError):
-        count_product("pm", 2, random_tree(DEFAULT_PFAFFIAN_GUARD // 2 + 1, 3))
+        count_product("pm", 2, random_tree(DEFAULT_PFAFFIAN_GUARD // 2 + 1, 3), "pfaffian")
 
 
 def test_pfaffian_update_guard_refuses_fill_heavy_graphs():
@@ -497,7 +500,7 @@ def _expected_routes(kind: str, m: int, tree: Graph) -> tuple[bool, bool]:
     """(closed form applies, proven orientation applies), from the paper's
     statements, with the backtracking matching test as the P_3 condition."""
     p3_ok = m != 3 or count_by_backtracking(tree) > 0
-    return kind == "c4" or m == 4 or (m == 3 and p3_ok), m <= 4 and p3_ok
+    return kind == "c4" or m in (2, 4) or (m == 3 and p3_ok), m <= 4 and p3_ok
 
 
 def test_count_product_every_method_matches_brute_force():
@@ -529,6 +532,35 @@ def test_count_product_pfaffian_route_from_any_base_orientation():
             if _expected_routes(kind, m, tree)[1]:
                 result = count_product(kind, m, tree, "pfaffian", base=base)
                 assert result.count == count_product(kind, m, tree, "brute").count
+
+
+def test_p2_formula_is_the_prism_count_and_the_layered_pfaffian():
+    # |psi_T(-1)| against the mask sweep on every tree up to 8 vertices,
+    # and against |Pf| of the layered orientation (commuting blocks) at
+    # 200 and 2,000 vertices
+    for tree in trees_up_to(8):
+        result = count_product("pm", 2, tree)
+        assert result.method == "formula-p2t" and result.dimension == tree.n
+        expected = count_perfect_matchings(cartesian_product(path_graph(2), tree))
+        assert result.count == expected and result.determinant == expected ** 2, tree.parent
+    for n in (100, 1000):
+        tree = random_tree(n, n + 5)
+        d = orient_layered(orient_lexicographic(tree), 2)
+        expected = count_pfaffian(d.base, d).count
+        assert expected > 1 and count_product("pm", 2, tree, "formula").count == expected
+
+
+def test_count_product_refuses_brute_force_before_building_the_product(monkeypatch):
+    def no_product(*graphs):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr(pfmatch.counting, "cartesian_product", no_product)
+    # the star has no perfect matching: P_3 x star has no formula and no proven orientation
+    for kind, m, tree, method, vertices in (("pm", 5, path_graph(9), "auto", 45),
+                                            ("pm", 3, star(119), "auto", 360),
+                                            ("c4", 4, path_graph(11), "brute", 44)):
+        with pytest.raises(SizeLimitError, match=f"^brute-force guard: {vertices} vertices > limit 40$"):
+            count_product(kind, m, tree, method, max_vertices=40)
 
 
 def test_count_product_rejects_bad_requests():

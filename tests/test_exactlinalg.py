@@ -15,7 +15,6 @@ from pfmatch import (
     OrientedGraph,
     PreconditionError,
     adjacency_matrix,
-    char_poly_tree_mod,
     count_c4_tree,
     count_p4_tree,
     count_perfect_matchings,
@@ -27,6 +26,7 @@ from pfmatch import (
     orient_layered,
     orient_lexicographic,
     path_graph,
+    psi_tree_mod,
     random_tree,
     root_product,
     validate_tree,
@@ -46,6 +46,7 @@ from util import (
     random_orientation,
     skew_adjacency,
     skew_char_poly,
+    trees_up_to,
 )
 
 
@@ -425,28 +426,47 @@ def test_char_poly_accepts_plain_graph_that_is_a_tree():
 
 
 def test_fold_is_the_remainder_of_the_whole_char_poly():
-    # any monic modulus: odd coefficients, degrees 0 and 1 included
+    # psi_T, phi_T(x) = x^e psi_T(x^2), modulo any monic q of degree 0-6
+    # with odd coefficients; each tree also gets a degree-1 q, the ring Z,
+    # with q[0] running over -5..5
     bits = bit_stream(4242)
     for seed in range(150):
         t = random_tree(1 + seed % 30, seed + 77)
-        phi = char_poly_tree(t)
+        psi = char_poly_tree(t)[t.n % 2::2]
+        moduli = [[seed % 11 - 5, 1]]
         for _ in range(3):
-            dm = next(bits) % 7
-            m = [next(bits) % 9 - 4 for _ in range(dm)] + [1]
-            assert char_poly_tree_mod(t, m) == poly_remainder(phi, m), (sorted(t.edges), m)
+            dq = next(bits) % 7
+            moduli.append([next(bits) % 9 - 4 for _ in range(dq)] + [1])
+        for q in moduli:
+            assert psi_tree_mod(t, q) == poly_remainder(psi, q), (sorted(t.edges), q)
+
+
+def test_fold_in_the_integers_agrees_with_the_fold_in_pairs():
+    # (y + c)(y + c') is a degree-2 modulus, folded on coefficient lists;
+    # reduced modulo y + c, its remainder is the degree-1 fold in Z
+    trees = trees_up_to(7) + [random_tree(1 + seed * 29 % 400, seed) for seed in range(16)]
+    assert max(t.n for t in trees) > 350
+    for t in trees:
+        for c in range(-3, 4):
+            low = psi_tree_mod(t, [c, 1])
+            assert type(low) is list and type(low[0]) is int
+            for c2 in range(-3, 4):
+                pair = psi_tree_mod(t, [c * c2, c + c2, 1])
+                assert poly_remainder(pair, [c, 1]) == low, (t.parent, c, c2)
 
 
 def test_fold_rejects_non_monic_modulus_and_non_tree():
-    with pytest.raises(ValueError):
-        char_poly_tree_mod(path_graph(3), [1, 2])
-    with pytest.raises(ValueError):
-        char_poly_tree_mod(path_graph(3), [])
+    for q in ([1, 2], [2], [], [1, 0, 3]):
+        with pytest.raises(ValueError):
+            psi_tree_mod(path_graph(3), q)
     with pytest.raises(NotATreeError):
-        char_poly_tree_mod(cycle_graph(5), [2, 0, 1])
+        psi_tree_mod(cycle_graph(5), [2, 0, 1])
+    with pytest.raises(NotATreeError):
+        psi_tree_mod(cycle_graph(5), [2, 1])
 
 
 def test_fold_equals_whole_char_poly_route():
-    # P_s x T for s = 2..8 by the fold modulo q_s(x^2), against
+    # P_s x T for s = 2..8 by the fold modulo q_s, against
     # root_product over the whole characteristic polynomials with q_s
     # read off P_s: 200 random trees up to 400 vertices, then stars,
     # double stars and caterpillars with the hub at the root and deep,

@@ -93,7 +93,7 @@ def _ahu_canonical(t: Graph) -> str:
     if n == 1:
         return "()"
     # peel leaves to find the 1- or 2-vertex center
-    degree = [t.degree(v) for v in range(n)]
+    degree = [len(t.adjacency[v]) for v in range(n)]
     alive = set(range(n))
     layer = [v for v in alive if degree[v] == 1]
     while len(alive) > 2:
@@ -527,7 +527,7 @@ def char_poly_tree(t: Graph) -> IntPolynomial:
     p, q = p * p_c - q * q_c, q * p_c.  Coefficients are returned
     constant first and alternate in sign: x^n - a1 x^(n-2) + a2 x^(n-4) - ...
     O(n^2) big-integer work: the whole polynomial, which the package's
-    fold (char_poly_tree_mod) never forms.
+    fold (psi_tree_mod) never forms.
     """
     tree: Tree = validate_tree(t)
     children = tree.children()
