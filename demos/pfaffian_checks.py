@@ -57,7 +57,7 @@ def main():
     print()
     print("counting through a verified orientation (squared determinant):")
     oriented = pf.orient_c4_tree(d)
-    result = pf.count_pfaffian(oriented.base, oriented)
+    result = pf.count_pfaffian(oriented)
     brute = pf.count_brute(oriented.base, max_vertices=24)
     print(f"  det(skew adjacency) = {result.determinant} = {result.count}^2")
     print(f"  brute-force count   = {brute.count}")
@@ -69,7 +69,7 @@ def main():
     bad = pf.OrientedGraph(base=c4, arcs=frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
     report = show("all-forward C4", bad)
     print("  violating cycle:", "-".join(map(str, report.violations[0])))
-    wrong = pf.count_pfaffian(c4, bad)
+    wrong = pf.count_pfaffian(bad)
     print(f"  its determinant gives {wrong.count}, but the true count is "
           f"{pf.count_brute(c4).count}: signed matchings cancelled.")
 

@@ -38,7 +38,6 @@ from .brute import (
 from .counting import (
     DEFAULT_BRUTE_GUARD,
     DEFAULT_GRID_GUARD,
-    DEFAULT_PFAFFIAN_GUARD,
     CountResult,
     IdentityReport,
     SquarishDecomposition,
@@ -113,7 +112,6 @@ __all__ = [
     "DEFAULT_BRUTE_STATE_GUARD",
     "DEFAULT_CYCLE_GUARD",
     "DEFAULT_GRID_GUARD",
-    "DEFAULT_PFAFFIAN_GUARD",
     "DEFAULT_PFAFFIAN_UPDATE_GUARD",
     "EdgeListParseError",
     "Graph",

@@ -23,7 +23,7 @@ the whole sweep, which bounds its time as well as its memory.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import SizeLimitError
 from .graphs import Edge, Graph
@@ -43,13 +43,6 @@ def _neighbor_masks(g: Graph) -> list[int]:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
-
-
-def _free_mask(g: Graph, excluding: Iterable[int]) -> int:
-    mask = (1 << g.n) - 1
-    for v in excluding:
-        mask &= ~(1 << v)
-    return mask
 
 
 def _cuthill_mckee(g: Graph, free: int) -> list[int]:
@@ -81,17 +74,16 @@ def _cuthill_mckee(g: Graph, free: int) -> list[int]:
     return order
 
 
-def count_perfect_matchings(g: Graph, excluding: Iterable[int] = ()) -> int:
-    """Number of perfect matchings of g (or of g minus `excluding`).
+def count_perfect_matchings(g: Graph) -> int:
+    """Number of perfect matchings of g.
 
     A forward sweep over free-vertex masks in Cuthill-McKee order (see
     the module docstring).  Raises SizeLimitError as soon as the sweep
     would create more than DEFAULT_BRUTE_STATE_GUARD states.
     """
-    free = _free_mask(g, excluding)
-    if bin(free).count("1") % 2:
+    if g.n % 2:
         return 0
-    order = _cuthill_mckee(g, free)
+    order = _cuthill_mckee(g, (1 << g.n) - 1)
     k = len(order)
     if not k:
         return 1

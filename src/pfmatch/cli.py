@@ -16,18 +16,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from typing import Optional
 
-from .counting import (
-    DEFAULT_BRUTE_GUARD,
-    count_graph,
-    count_grid,
-    count_product,
-    verify_identities,
-)
+from .counting import count_graph, count_grid, count_product, verify_identities
 from .errors import (
     EdgeListParseError,
     NotPfaffianError,
@@ -47,7 +40,6 @@ from .graphs import (
     validate_tree,
 )
 from .orientation import (
-    DEFAULT_CYCLE_GUARD,
     OrientedGraph,
     check_pfaffian,
     format_oriented_edge_list,
@@ -64,9 +56,6 @@ EXIT_PRECONDITION = PfmatchError.exit_code
 EXIT_SIZE_LIMIT = SizeLimitError.exit_code
 EXIT_VIOLATION = NotPfaffianError.exit_code
 EXIT_NUMERIC = NumericalConsistencyError.exit_code
-
-#: Environment variable overriding the default guards (flag still wins).
-GUARD_ENV_VAR = "PFMATCH_MAX_VERTICES"
 
 def parse_graph_spec(spec: str) -> Graph:
     """Generator spec or edge-list file path -> Graph."""
@@ -95,18 +84,6 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise EdgeListParseError(f"cannot read {path!r}: {exc}") from exc
-
-
-def _guard(args: argparse.Namespace, default: int) -> int:
-    if args.max_vertices is not None:
-        return args.max_vertices
-    env = os.environ.get(GUARD_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise EdgeListParseError(f"{GUARD_ENV_VAR}={env!r} is not an integer")
-    return default
 
 
 def _normalize_product_kind(kind: str) -> tuple[str, int]:
@@ -146,22 +123,21 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "grid": args.grid,
         "max_vertices": args.max_vertices,
     }
+    # without --max-vertices the library's default guard applies
+    guard = {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
     if args.grid is not None:
-        result = count_grid(*args.grid, method=args.method,
-                            max_vertices=_guard(args, DEFAULT_BRUTE_GUARD))
+        result = count_grid(*args.grid, method=args.method, **guard)
     elif args.product is not None:
         if args.tree is None:
             raise EdgeListParseError("--product needs --tree SPEC")
         kind, m = _normalize_product_kind(args.product)
         tree = validate_tree(parse_graph_spec(args.tree))
-        result = count_product(kind, m, tree, args.method,
-                               max_vertices=_guard(args, DEFAULT_BRUTE_GUARD),
-                               base=_orient_file(args, tree))
+        result = count_product(kind, m, tree, args.method, base=_orient_file(args, tree),
+                               **guard)
     elif args.graph is not None:
         g = parse_graph_spec(args.graph)
         # the orientation file is checked on every route, used by one
-        result = count_graph(g, args.method, _orient_file(args, g),
-                             max_vertices=_guard(args, DEFAULT_BRUTE_GUARD))
+        result = count_graph(g, args.method, _orient_file(args, g), **guard)
     else:
         raise EdgeListParseError("count needs one of --graph, --product, or --grid")
 
@@ -246,6 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "orient_file": args.orient_file,
         "max_vertices": args.max_vertices,
     }
+    guard = {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
     if args.pfaffian == args.identities:
         raise EdgeListParseError("choose exactly one of --pfaffian, --identities")
 
@@ -253,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         if args.tree is None:
             raise EdgeListParseError("--identities needs --tree SPEC")
         tree = validate_tree(parse_graph_spec(args.tree))
-        ident = verify_identities(tree, max_product_vertices=_guard(args, DEFAULT_BRUTE_GUARD))
+        ident = verify_identities(tree, **guard)
         report = {
             "request": request,
             "method": "identities",
@@ -279,7 +256,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         oriented, tag = _orient_file(args, parse_graph_spec(args.graph)), "file"
     else:
         oriented, tag = _build_orientation(args)
-    result = check_pfaffian(oriented, max_vertices=_guard(args, DEFAULT_CYCLE_GUARD))
+    result = check_pfaffian(oriented, **guard)
     report = {
         "request": request,
         "method": f"pfaffian-check:{tag}",
@@ -362,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-vertices",
             type=int,
             default=None,
-            help=f"guard for exponential steps (default: ${GUARD_ENV_VAR} or built-in)",
+            help="guard for exponential steps (default: the library's)",
         )
 
     count = sub.add_parser("count", help="count perfect matchings")

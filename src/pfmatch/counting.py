@@ -51,12 +51,6 @@ from .orientation import OrientedGraph, orient_c4_tree, orient_layered, orient_l
 #: Default vertex guard for the brute-force counter (count_brute).
 DEFAULT_BRUTE_GUARD = 40
 
-#: Vertex guard for count_pfaffian.  Each prime of det_skew costs about
-#: O(n) on a product, which is bipartite and so eliminated at half size,
-#: and the number of primes grows with n: at the limit C_4 x T and
-#: P_4 x T take 0.5-1.5 s, 2,000 vertices about 0.2 s.
-DEFAULT_PFAFFIAN_GUARD = 5000
-
 #: Guard for count_grid_dimer on sides s <= L: s * L * (s + L/5000) may
 #: not exceed it.  s^2 L follows the norm, a (s/2)-square determinant of
 #: L-bit entries whose time grows about as (s^2 L)^2; s L^2 / 5000
@@ -74,15 +68,11 @@ class CountResult:
     formula-p3t | formula-p4t | narumi-hosoya | kasteleyn-grid.
     dimension is the vertex count the route worked on: the graph's for
     brute and pfaffian, the tree's for the tree formulas, n for
-    narumi-hosoya, None for grids.  determinant is, for pfaffian, the
-    skew adjacency determinant det_skew computed (the count squared, or
-    0 for an odd graph); for the tree formulas and narumi-hosoya it is
-    derived from the count, not computed from a matrix: the value of
-    det(p(A)) the closed form equals, the count for C_4 x T and C_4 x P_n
-    and the count squared for P_2 x T, P_3 x T and P_4 x T.  brute and
-    grids leave it None.  float_estimate carries the value of the
-    trigonometric product formulas, or None where that value overflows
-    a float.
+    narumi-hosoya, None for grids.  determinant is the skew adjacency
+    determinant that det_skew computed on the pfaffian route (the count
+    squared, or 0 for an odd graph), and None on every other route.
+    float_estimate carries the value of the trigonometric product
+    formulas, or None where that value overflows a float.
     """
 
     count: int
@@ -130,8 +120,8 @@ def count_brute(g: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResul
     return CountResult(count=count_perfect_matchings(g), method="brute", dimension=g.n)
 
 
-def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
-    """Count via the skew adjacency determinant of a Pfaffian orientation d.
+def count_pfaffian(d: OrientedGraph) -> CountResult:
+    """Count d.base via the skew adjacency determinant of its Pfaffian orientation d.
 
     The caller vouches for Pfaffian-ness (check_pfaffian can verify it at
     desk scale).  det_skew computes the determinant of the skew adjacency
@@ -143,20 +133,13 @@ def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
     for the half-size biadjacency matrix B, a square by construction, so
     the square-root check guards only the reconstruction of a graph with
     an odd cycle: a non-square would mean its residues were combined
-    wrongly, and raises NotPfaffianError.  An even graph above
-    DEFAULT_PFAFFIAN_GUARD vertices (C_4 x T with |T| = 1,250 takes
-    about 1.4 s), or one whose eliminations would pass det_skew's
-    DEFAULT_PFAFFIAN_UPDATE_GUARD, raises SizeLimitError.
+    wrongly, and raises NotPfaffianError.  A graph whose eliminations
+    would do more work than DEFAULT_PFAFFIAN_UPDATE_GUARD (see det_skew)
+    raises SizeLimitError within the first of them.
     """
-    if not d.orients(g):
-        raise PreconditionError("orientation is not over the given graph")
-    if g.n % 2:
-        return CountResult(count=0, method="pfaffian", dimension=g.n, determinant=0,
+    if d.n % 2:
+        return CountResult(count=0, method="pfaffian", dimension=d.n, determinant=0,
                            note="odd vertex count")
-    if g.n > DEFAULT_PFAFFIAN_GUARD:
-        raise SizeLimitError(
-            f"Pfaffian determinant guard: {g.n} vertices > limit {DEFAULT_PFAFFIAN_GUARD}"
-        )
     det = det_skew(d)
     try:
         root = integer_sqrt_exact(det)
@@ -165,7 +148,7 @@ def count_pfaffian(g: Graph, d: OrientedGraph) -> CountResult:
             f"skew adjacency determinant {det} is not a perfect square, "
             "which no skew integer matrix has: the modular reconstruction failed"
         ) from exc
-    return CountResult(count=root, method="pfaffian", dimension=g.n, determinant=det)
+    return CountResult(count=root, method="pfaffian", dimension=d.n, determinant=det)
 
 
 def _path_product(s: int, t: Graph) -> int:
@@ -190,7 +173,7 @@ def _path_product(s: int, t: Graph) -> int:
 def count_c4_tree(t: Graph) -> CountResult:
     """Perfect matchings of C_4 x T, exactly, as det(2I + A^2) = 2^e * (P_3 x T form)^2."""
     count = 2 ** (t.n % 2) * _path_product(3, t) ** 2
-    return CountResult(count=count, method="formula-c4t", dimension=t.n, determinant=count)
+    return CountResult(count=count, method="formula-c4t", dimension=t.n)
 
 
 def count_p4_tree(t: Graph) -> CountResult:
@@ -220,9 +203,7 @@ def count_p3_tree(t: Graph) -> CountResult:
 def _count_path_formula(s: int, tree: Graph) -> CountResult:
     """The P_s x T closed form as a CountResult, method formula-p<s>t; for
     s = 3 the caller has checked that the tree has a perfect matching."""
-    count = _path_product(s, tree)
-    return CountResult(count=count, method=f"formula-p{s}t", dimension=tree.n,
-                       determinant=count * count)
+    return CountResult(count=_path_product(s, tree), method=f"formula-p{s}t", dimension=tree.n)
 
 
 #: Why a forced method of count_product does not apply.
@@ -269,7 +250,7 @@ def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
             d = orient_layered(d, m)
         else:
             return None
-        return count_pfaffian(d.base, d)
+        return count_pfaffian(d)
 
     def brute() -> CountResult:
         _check_brute_guard(m * tree.n, max_vertices)
@@ -289,10 +270,14 @@ def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
 def count_grid(m: int, n: int, method: str = "auto",
                max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
     """Perfect matchings of the m x n grid: "auto" and "formula" take
-    count_grid_dimer, "brute" count_brute under max_vertices."""
+    count_grid_dimer, "brute" count_brute under max_vertices, checked
+    after the sides and before the grid is built."""
     if method in ("auto", "formula"):
         return count_grid_dimer(m, n)
     if method == "brute":
+        if m < 1 or n < 1:
+            raise InvalidSizeError(f"need positive grid sides, got {m} x {n}")
+        _check_brute_guard(m * n, max_vertices)
         return count_brute(cartesian_product(path_graph(m), path_graph(n)),
                            max_vertices=max_vertices)
     raise PreconditionError(
@@ -304,15 +289,18 @@ def count_grid(m: int, n: int, method: str = "auto",
 def count_graph(g: Graph, method: str = "auto", d: Optional[OrientedGraph] = None,
                 max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
     """Perfect matchings of a plain graph: "pfaffian" takes count_pfaffian
-    over the caller's orientation d, "auto" and "brute" count_brute under
-    max_vertices; no closed form applies."""
+    over the caller's orientation d, which must orient g (PreconditionError
+    otherwise), "auto" and "brute" count_brute under max_vertices; no
+    closed form applies."""
     if method == "pfaffian":
         if d is None:
             raise PreconditionError(
                 "--method pfaffian on a plain graph needs --orient-file "
                 "(Pfaffian-ness is the caller's responsibility)"
             )
-        return count_pfaffian(g, d)
+        if not d.orients(g):
+            raise PreconditionError("orientation is not over the given graph")
+        return count_pfaffian(d)
     if method == "formula":
         raise PreconditionError("no closed form applies to a plain graph; try --method brute")
     if method not in ("auto", "brute"):
@@ -350,7 +338,7 @@ def count_c4_path(n: int) -> CountResult:
             f"of the log of the exact count {exact}"
         )
     return CountResult(count=exact, method="narumi-hosoya", dimension=n,
-                       determinant=exact, float_estimate=_float_estimate(log_product))
+                       float_estimate=_float_estimate(log_product))
 
 
 def count_grid_dimer(m: int, n: int) -> CountResult:
@@ -450,7 +438,7 @@ class IdentityReport:
         return not self.failures
 
 
-def verify_identities(t: Graph, max_product_vertices: int = DEFAULT_BRUTE_GUARD) -> IdentityReport:
+def verify_identities(t: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> IdentityReport:
     """Run every applicable identity check on one tree; never raises on failure."""
     tree = validate_tree(t)
     checks: list[str] = []
@@ -480,14 +468,14 @@ def verify_identities(t: Graph, max_product_vertices: int = DEFAULT_BRUTE_GUARD)
 
     p4_count = count_p4_tree(tree).count
 
-    if 4 * tree.n <= max_product_vertices:
+    if 4 * tree.n <= max_vertices:
         checks.append("brute-c4")
         if count_perfect_matchings(cartesian_product(cycle_graph(4), tree)) != c4:
             failures.append("brute-c4")
         checks.append("brute-p4")
         if count_perfect_matchings(cartesian_product(path_graph(4), tree)) != p4_count:
             failures.append("brute-p4")
-    if matched and 3 * tree.n <= max_product_vertices:
+    if matched and 3 * tree.n <= max_vertices:
         checks.append("brute-p3")
         if count_perfect_matchings(cartesian_product(path_graph(3), tree)) != p3_count:
             failures.append("brute-p3")

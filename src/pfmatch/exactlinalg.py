@@ -79,12 +79,17 @@ def det_bareiss(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-#: Work guard for det_skew on fill-heavy inputs: its eliminations may
-#: together count at most this many updates (see _det_mod), about 6 s.
-#: The complete graph K_150 counts 7.4 million, as does K_150,150 on its
-#: half-size matrix; a C_4 x T product at count_pfaffian's 5,000-vertex
-#: guard counts about 0.9 million.
-DEFAULT_PFAFFIAN_UPDATE_GUARD = 10_000_000
+#: Work guard for det_skew, the only guard of the Pfaffian route: its
+#: eliminations may together do at most this much work (see _det_mod),
+#: c * r updates per pivot plus 20.  Fitted on a shared 2-core host
+#: (Python 3.11): an update costs about 0.74 us on K_150, where pivots
+#: are few, and a pivot as much as 9 updates on a lexicographic path and
+#: 18-22 on C_4 x T and P_4 x T, so a weight of 20 keeps every family at
+#: about 6 s or less at the limit: K_152 5.2 s (K_150, 7.57 million, is
+#: admitted), K_152,152 3.5 s on its half-size matrix, C_4 x T on 8,232
+#: to 8,356 vertices 5.5-5.8 s, P_4 x T on 8,820 vertices 4.9 s and the
+#: lexicographic path on 13,388 vertices 2.4 s.
+DEFAULT_PFAFFIAN_UPDATE_GUARD = 8_000_000
 
 #: Miller-Rabin bases that decide primality for every n < 3.3 * 10^24.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -126,7 +131,7 @@ def _skew_prime(k: int) -> int:
     return _SKEW_PRIMES[k]
 
 
-def _det_mod(signed: list[dict[int, int]], p: int, max_updates: int) -> int:
+def _det_mod(signed: list[dict[int, int]], p: int, max_work: int) -> int:
     """det of a square sparse matrix modulo the prime p.
 
     The matrix comes as rows {column: entry}, with columns numbered like
@@ -137,8 +142,9 @@ def _det_mod(signed: list[dict[int, int]], p: int, max_updates: int) -> int:
     determinant is the product of the pivots times the sign of the
     row-to-column pivot permutation.  A pivot with c nonzeros in its
     column and r in its row counts c * r updates, which bounds the
-    entries its step touches; an elimination whose count would pass
-    max_updates raises SizeLimitError before that step runs.
+    entries its step touches, plus 20 for the bookkeeping every pivot
+    pays; an elimination whose work would pass max_work raises
+    SizeLimitError before that step runs.
     """
     n = len(signed)
     rows = [{j: v % p for j, v in row.items()} for row in signed]
@@ -150,7 +156,7 @@ def _det_mod(signed: list[dict[int, int]], p: int, max_updates: int) -> int:
     heapq.heapify(heap)
     done = [False] * n
     pivot_col = [0] * n
-    det, updates = 1, 0
+    det, work = 1, 0
     for _ in range(n):
         count, c = heapq.heappop(heap)
         while done[c] or count != len(cols[c]):
@@ -160,10 +166,10 @@ def _det_mod(signed: list[dict[int, int]], p: int, max_updates: int) -> int:
         done[c] = True
         r = min(cols[c], key=lambda i: (len(rows[i]), i))
         pivot = rows[r]
-        updates += count * len(pivot)
-        if updates > max_updates:
+        work += count * len(pivot) + 20
+        if work > max_work:
             raise SizeLimitError(
-                f"sparse determinant guard: one elimination needs more than {max_updates} updates"
+                f"sparse determinant guard: one elimination needs over {max_work} units of work"
             )
         a = pivot.pop(c)
         det = det * a % p
@@ -236,9 +242,10 @@ def det_skew(d: OrientedGraph) -> int:
     that product is at least det^2, so the residue is the determinant
     itself, sign included: exact and deterministic.  Odd order gives 0,
     as does a vertex of degree 0 (an empty row; a product of 0 needs no
-    prime).  Each elimination gets an equal share of
-    DEFAULT_PFAFFIAN_UPDATE_GUARD, so a graph whose fill passes the
-    guard raises SizeLimitError within its first elimination.
+    prime).  Each elimination gets an equal share of the work budget
+    DEFAULT_PFAFFIAN_UPDATE_GUARD (updates plus a fixed charge per
+    pivot), so a graph above it raises SizeLimitError within its first
+    elimination.
     """
     g = d.base
     if g.n % 2:

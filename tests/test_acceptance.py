@@ -239,7 +239,7 @@ def test_criterion_8_pfaffian_counting_engine():
         brute = count_brute(oriented.base, max_vertices=24).count
         if root != brute:
             failures.append((tag, oriented.n, root, brute))
-        result = count_pfaffian(oriented.base, oriented)
+        result = count_pfaffian(oriented)
         if (result.count, result.determinant) != (brute, det):
             failures.append((tag, oriented.n, "count_pfaffian"))
     _conclude("criterion 8: determinant counting == brute force on verified orientations", failures)

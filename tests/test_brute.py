@@ -61,11 +61,12 @@ def test_sweep_equals_backtracking_and_edge_subsets_on_random_graphs():
         g = _random_graph(bits, n)
         excluding = [v for v in range(n) if next(bits) % 5 == 0] if case % 3 == 0 else []
         expected = count_by_backtracking(g, excluding)
-        assert count_perfect_matchings(g, excluding) == expected, (case, g.edges, excluding)
-        perm = _shuffled(bits, n)
-        assert count_perfect_matchings(_relabelled(g, perm), [perm[v] for v in excluding]) \
-            == expected, (case, perm)
-        rest = induced_subgraph(g, [v for v in range(n) if v not in excluding])
+        kept = [v for v in range(n) if v not in excluding]
+        rest = induced_subgraph(g, kept)
+        assert count_perfect_matchings(rest) == expected, (case, g.edges, excluding)
+        perm = _shuffled(bits, n)  # rest again, numbered in the order perm gives it
+        shuffled = induced_subgraph(_relabelled(g, perm), sorted(perm[v] for v in kept))
+        assert count_perfect_matchings(shuffled) == expected, (case, perm)
         if math.comb(rest.m, rest.n // 2) <= 20_000:
             assert matching_count_by_edge_subsets(rest) == expected, (case, g.edges, excluding)
             kinds["edge-subsets"] += 1

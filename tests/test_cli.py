@@ -16,11 +16,10 @@ from pfmatch.cli import (
     EXIT_PRECONDITION,
     EXIT_SIZE_LIMIT,
     EXIT_VIOLATION,
-    GUARD_ENV_VAR,
     main,
     parse_graph_spec,
 )
-from pfmatch import parse_edge_list, parse_oriented_edge_list
+from pfmatch import count_c4_tree, parse_edge_list, parse_oriented_edge_list, random_tree
 
 
 def run(capsys, *argv):
@@ -200,12 +199,21 @@ def test_verify_pfaffian_names_route_and_cycles_checked(tmp_path, capsys):
 
 
 def test_count_pfaffian_size_guard(capsys):
-    # 1,251-vertex tree: a 5,004-vertex product, above DEFAULT_PFAFFIAN_GUARD
+    # a 10,000-vertex product needs about 10.7 million units of work, above
+    # DEFAULT_PFAFFIAN_UPDATE_GUARD: refused within the first elimination
     start = time.perf_counter()
     code, _, err = run(capsys, "count", "--product", "c4", "--method", "pfaffian",
-                       "--tree", "tree-random:1251:1")
+                       "--tree", "tree-random:2500:1")
     assert code == EXIT_SIZE_LIMIT and "guard" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_count_pfaffian_counts_five_thousand_vertex_product(capsys):
+    # 5,004 vertices: within the work budget, and equal to the closed form
+    code, payload, _ = run_json(capsys, "count", "--product", "c4", "--method", "pfaffian",
+                                "--tree", "tree-random:1251:1")
+    assert code == EXIT_OK and payload["method"] == "pfaffian"
+    assert payload["count"] == str(count_c4_tree(random_tree(1251, 1)).count)
 
 
 def test_count_grid_size_guard(capsys):
@@ -320,15 +328,6 @@ def test_size_limit_exit_code_and_flag_override(capsys):
     code, payload, _ = run_json(capsys, "count", "--graph", "path:50", "--method", "brute",
                                 "--max-vertices", "60")
     assert code == EXIT_OK and payload["count"] == "1"
-
-
-def test_guard_env_var(monkeypatch, capsys):
-    monkeypatch.setenv(GUARD_ENV_VAR, "60")
-    code, payload, _ = run_json(capsys, "count", "--graph", "path:50", "--method", "brute")
-    assert code == EXIT_OK and payload["count"] == "1"
-    monkeypatch.setenv(GUARD_ENV_VAR, "not-a-number")
-    code, _, _ = run(capsys, "count", "--graph", "path:50", "--method", "brute")
-    assert code == EXIT_PARSE
 
 
 def test_pfaffian_method_with_orient_file(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 import pfmatch.counting
 from pfmatch import (
     DEFAULT_GRID_GUARD,
-    DEFAULT_PFAFFIAN_GUARD,
     DEFAULT_PFAFFIAN_UPDATE_GUARD,
     Graph,
     InvalidSizeError,
@@ -109,13 +108,13 @@ def test_brute_guard():
 
 def test_pfaffian_k2():
     k2 = path_graph(2)
-    result = count_pfaffian(k2, orient_lexicographic(k2))
+    result = count_pfaffian(orient_lexicographic(k2))
     assert result.count == 1 and result.determinant == 1
 
 
 def test_pfaffian_cube():
     d = orient_c4_tree(orient_lexicographic(path_graph(2)))
-    result = count_pfaffian(d.base, d)
+    result = count_pfaffian(d)
     assert result.count == 9 and result.determinant == 81
 
 
@@ -124,29 +123,31 @@ def test_pfaffian_all_forward_c4_gives_wrong_count():
     # only by disagreeing with the brute count of 2
     c4 = cycle_graph(4)
     bad = OrientedGraph(base=c4, arcs=frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
-    assert count_pfaffian(c4, bad).count == 0
+    assert count_pfaffian(bad).count == 0
     assert count_brute(c4).count == 2
 
 
 def test_pfaffian_odd_graph_counts_zero():
     p3 = path_graph(3)
-    assert count_pfaffian(p3, orient_lexicographic(p3)).count == 0
+    assert count_pfaffian(orient_lexicographic(p3)).count == 0
 
 
 def test_pfaffian_rejects_mismatched_orientation():
-    with pytest.raises(PreconditionError):
-        count_pfaffian(cycle_graph(4), orient_lexicographic(path_graph(4)))
+    with pytest.raises(PreconditionError, match="orientation is not over the given graph"):
+        count_graph(cycle_graph(4), "pfaffian", orient_lexicographic(path_graph(4)))
 
 
 def test_pfaffian_size_guard():
-    # the guard covers the determinant only: an odd graph still counts 0
-    big = path_graph(DEFAULT_PFAFFIAN_GUARD + 2)
-    with pytest.raises(SizeLimitError):
-        count_pfaffian(big, orient_lexicographic(big))
-    odd = path_graph(DEFAULT_PFAFFIAN_GUARD + 1)
-    assert count_pfaffian(odd, orient_lexicographic(odd)).count == 0
-    with pytest.raises(SizeLimitError):
-        count_product("pm", 2, random_tree(DEFAULT_PFAFFIAN_GUARD // 2 + 1, 3), "pfaffian")
+    # the work budget admits the lexicographic path up to 13,388 vertices
+    # and P_2 x T on random_tree(n, 3) up to n = 5,208; it covers the
+    # determinant only, so an odd graph still counts 0
+    big = path_graph(20002)
+    with pytest.raises(SizeLimitError, match="guard"):
+        count_pfaffian(orient_lexicographic(big))
+    odd = path_graph(20001)
+    assert count_pfaffian(orient_lexicographic(odd)).count == 0
+    with pytest.raises(SizeLimitError, match="guard"):
+        count_product("pm", 2, random_tree(7000, 3), "pfaffian")
 
 
 def test_pfaffian_update_guard_refuses_fill_heavy_graphs():
@@ -154,7 +155,7 @@ def test_pfaffian_update_guard_refuses_fill_heavy_graphs():
     # would need about n^3 / 3 = 9 million updates
     n = 300
     k = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    assert n < DEFAULT_PFAFFIAN_GUARD and 20 * n ** 3 // 3 > DEFAULT_PFAFFIAN_UPDATE_GUARD
+    assert 20 * n ** 3 // 3 > DEFAULT_PFAFFIAN_UPDATE_GUARD
     with pytest.raises(SizeLimitError, match="guard"):
         count_graph(k, "pfaffian", random_orientation(k, 2))
 
@@ -164,7 +165,7 @@ def test_pfaffian_all_forward_c6_undercounts():
     # sum, so bad orientations surface as undercounts, not as exceptions
     c6 = cycle_graph(6)
     bad = OrientedGraph(base=c6, arcs=frozenset((i, (i + 1) % 6) for i in range(6)))
-    assert count_pfaffian(c6, bad).count < count_brute(c6).count == 2
+    assert count_pfaffian(bad).count < count_brute(c6).count == 2
 
 
 def test_pfaffian_sampled_orientations_never_overcount():
@@ -173,7 +174,7 @@ def test_pfaffian_sampled_orientations_never_overcount():
         g = cartesian_product(path_graph(2), random_tree(4, seed))
         d = random_orientation(g, seed + 3)
         brute = count_brute(g).count
-        assert count_pfaffian(g, d).count <= brute
+        assert count_pfaffian(d).count <= brute
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +250,8 @@ def test_formulas_match_dense_matrix_polynomial_determinants():
         c4_det = det_bareiss(eval_matrix_poly(a, [2, 0, 1]))
         p4_det = det_bareiss(eval_matrix_poly(a, [1, 0, 3, 0, 1]))
         c4, p4 = count_c4_tree(t), count_p4_tree(t)
-        assert (c4.count, c4.determinant) == (c4_det, c4_det)
-        assert (p4.count, p4.determinant) == (integer_sqrt_exact(p4_det), p4_det)
+        assert c4.count == c4_det
+        assert p4.count == integer_sqrt_exact(p4_det)
     matched = 0
     while matched < 8:
         t = random_tree(2 * (1 + next(bits) % 30), next(bits))
@@ -259,14 +260,14 @@ def test_formulas_match_dense_matrix_polynomial_determinants():
         matched += 1
         det = det_bareiss(eval_matrix_poly(adjacency_matrix(t), [2, 0, 1]))
         p3 = count_p3_tree(t)
-        assert (p3.count, p3.determinant) == (integer_sqrt_exact(det), det)
+        assert p3.count == integer_sqrt_exact(det)
 
 
 def test_formula_and_pfaffian_routes_coincide():
     for seed in range(8):
         t = random_tree(1 + seed % 5, seed + 31)
         d = orient_c4_tree(random_orientation(t, seed))
-        assert count_pfaffian(d.base, d).count == count_c4_tree(t).count
+        assert count_pfaffian(d).count == count_c4_tree(t).count
 
 
 def corona(t: Graph) -> Graph:
@@ -447,7 +448,7 @@ def test_squarish_rejects():
 
 
 def test_verify_identities_k2():
-    report = verify_identities(path_graph(2), max_product_vertices=24)
+    report = verify_identities(path_graph(2), max_vertices=24)
     assert report.passed
     assert report.c4_count == 9 and report.factor == 1 and report.root == 3
     assert report.p3_count == 3
@@ -455,7 +456,7 @@ def test_verify_identities_k2():
 
 
 def test_verify_identities_p3():
-    report = verify_identities(path_graph(3), max_product_vertices=24)
+    report = verify_identities(path_graph(3), max_vertices=24)
     assert report.passed
     assert report.factor == 2 and report.root == 4
     assert report.p3_count is None  # no perfect matching: square-root clause skipped
@@ -463,7 +464,7 @@ def test_verify_identities_p3():
 
 
 def test_verify_identities_p4():
-    report = verify_identities(path_graph(4), max_product_vertices=24)
+    report = verify_identities(path_graph(4), max_vertices=24)
     assert report.passed
     assert report.c4_count == 121 and report.factor == 1 and report.root == 11
     assert report.p3_count == 11
@@ -471,7 +472,7 @@ def test_verify_identities_p4():
 
 def test_verify_identities_random_sample():
     for seed in range(10):
-        report = verify_identities(random_tree(1 + seed % 6, seed * 13 + 5), max_product_vertices=24)
+        report = verify_identities(random_tree(1 + seed % 6, seed * 13 + 5), max_vertices=24)
         assert report.passed, report
 
 
@@ -542,11 +543,11 @@ def test_p2_formula_is_the_prism_count_and_the_layered_pfaffian():
         result = count_product("pm", 2, tree)
         assert result.method == "formula-p2t" and result.dimension == tree.n
         expected = count_perfect_matchings(cartesian_product(path_graph(2), tree))
-        assert result.count == expected and result.determinant == expected ** 2, tree.parent
+        assert result.count == expected, tree.parent
     for n in (100, 1000):
         tree = random_tree(n, n + 5)
         d = orient_layered(orient_lexicographic(tree), 2)
-        expected = count_pfaffian(d.base, d).count
+        expected = count_pfaffian(d).count
         assert expected > 1 and count_product("pm", 2, tree, "formula").count == expected
 
 
@@ -561,6 +562,18 @@ def test_count_product_refuses_brute_force_before_building_the_product(monkeypat
                                             ("c4", 4, path_graph(11), "brute", 44)):
         with pytest.raises(SizeLimitError, match=f"^brute-force guard: {vertices} vertices > limit 40$"):
             count_product(kind, m, tree, method, max_vertices=40)
+
+
+def test_count_grid_refuses_brute_force_before_building_the_grid(monkeypatch):
+    def no_product(*graphs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(pfmatch.counting, "cartesian_product", no_product)
+    for m, n in ((2, 100000), (200, 200)):
+        with pytest.raises(SizeLimitError, match=f"^brute-force guard: {m * n} vertices > limit 40$"):
+            count_grid(m, n, "brute")
+    with pytest.raises(InvalidSizeError):
+        count_grid(0, 5, "brute")
 
 
 def test_count_product_rejects_bad_requests():
@@ -609,4 +622,4 @@ def test_count_graph_routes():
 def test_count_pfaffian_accepts_orientation_file_of_a_path():
     # a Tree and the plain Graph parsed from a file are the same graph
     d = parse_oriented_edge_list("4 3\n0 -> 1\n1 -> 2\n2 -> 3\n")
-    assert count_pfaffian(path_graph(4), d).count == 1
+    assert count_graph(path_graph(4), "pfaffian", d).count == 1

@@ -1,6 +1,8 @@
-"""The public surface: every exported name has a caller outside the tests."""
+"""The public surface: every exported name has a caller outside the tests,
+no module reads the environment, and every vertex guard is max_vertices."""
 
 import ast
+import inspect
 import pathlib
 
 import pfmatch
@@ -46,3 +48,31 @@ def test_every_exported_name_has_a_caller():
             break
         unused = exported - read
     assert not unused, f"exported without a caller: {sorted(unused)}"
+
+
+def test_no_module_reads_the_environment():
+    # every guard is set by a parameter (the CLI's --max-vertices), never
+    # by an environment variable
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            readers += [(path.name, name) for name in names if name in ("environ", "getenv")]
+    assert not readers
+
+
+def test_every_vertex_guard_is_named_max_vertices():
+    vertex_guards = {pfmatch.DEFAULT_BRUTE_GUARD, pfmatch.DEFAULT_CYCLE_GUARD}
+    guarded = set()
+    for name in pfmatch.__all__:
+        obj = getattr(pfmatch, name)
+        if not inspect.isfunction(obj):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if param.default in vertex_guards or "vertices" in param.name:
+                assert param.name == "max_vertices", (name, param.name)
+                guarded.add(name)
+    assert guarded == {"check_pfaffian", "count_brute", "count_graph", "count_grid",
+                       "count_product", "verify_identities"}
