@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .errors import SizeLimitError
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, _bfs_forest
 
 #: Most states count_perfect_matchings may create in one sweep.  The
 #: widest product of the identity checks, C_4 x T for the star on 10
@@ -45,50 +45,24 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _cuthill_mckee(g: Graph, free: int) -> list[int]:
-    """The vertices in free in breadth-first Cuthill-McKee order.
-
-    Components come in turn, each started from its vertex of least
-    degree; neighbours are queued by ascending (degree, label).  Degrees
-    count free neighbours only, and ties go to the lower label.
-    """
-    nbrs = {v: [w for w in g.adjacency[v] if free >> w & 1]
-            for v in range(g.n) if free >> v & 1}
-
-    def key(v: int) -> tuple[int, int]:
-        return (len(nbrs[v]), v)
-
-    order: list[int] = []
-    placed: set[int] = set()
-    for start in sorted(nbrs, key=key):
-        if start in placed:
-            continue
-        placed.add(start)
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            fresh = sorted((w for w in nbrs[order[head]] if w not in placed), key=key)
-            placed.update(fresh)
-            order.extend(fresh)
-            head += 1
-    return order
-
-
 def count_perfect_matchings(g: Graph) -> int:
     """Number of perfect matchings of g.
 
     A forward sweep over free-vertex masks in Cuthill-McKee order (see
-    the module docstring).  Raises SizeLimitError as soon as the sweep
-    would create more than DEFAULT_BRUTE_STATE_GUARD states.
+    the module docstring): breadth-first, each component from its vertex
+    of least degree, neighbours by ascending (degree, label).  Raises
+    SizeLimitError as soon as the sweep would create more than
+    DEFAULT_BRUTE_STATE_GUARD states.
     """
     if g.n % 2:
         return 0
-    order = _cuthill_mckee(g, (1 << g.n) - 1)
+    adjacency = g.adjacency
+    order = _bfs_forest(g, key=lambda v: (len(adjacency[v]), v))[0]
     k = len(order)
     if not k:
         return 1
     position = {v: i for i, v in enumerate(order)}
-    nbr = [sum(1 << position[w] for w in g.adjacency[v] if w in position) for v in order]
+    nbr = [sum(1 << position[w] for w in adjacency[v]) for v in order]
     buckets: list[Optional[dict[int, int]]] = [{} for _ in range(k)]
     buckets[0] = {(1 << k) - 1: 1}
     created, total = 1, 0

@@ -130,10 +130,12 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     elif args.product is not None:
         if args.tree is None:
             raise EdgeListParseError("--product needs --tree SPEC")
+        if args.orient_file:  # every base orientation of a tree gives the same count
+            raise EdgeListParseError(
+                "--orient-file is for count --graph, orient and verify --pfaffian")
         kind, m = _normalize_product_kind(args.product)
         tree = validate_tree(parse_graph_spec(args.tree))
-        result = count_product(kind, m, tree, args.method, base=_orient_file(args, tree),
-                               **guard)
+        result = count_product(kind, m, tree, args.method, **guard)
     elif args.graph is not None:
         g = parse_graph_spec(args.graph)
         # the orientation file is checked on every route, used by one
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="auto prefers formula, then a proven orientation, then brute",
     )
-    count.add_argument("--orient-file", help="oriented edge-list file (pfaffian method)")
+    count.add_argument("--orient-file", help="oriented edge-list file (pfaffian method, --graph)")
     add_common(count)
     add_guard(count)
     count.set_defaults(func=cmd_count)

@@ -214,26 +214,24 @@ _NO_ROUTE = {
 
 
 def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
-                  base: Optional[OrientedGraph] = None,
                   max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
     """Perfect matchings of C_4 x T (kind "c4", m = 4) or P_m x T (kind "pm").
 
     "auto" takes the first route that applies: the closed form (C_4,
     P_2, P_4, and P_3 when T has a perfect matching); count_pfaffian over
-    a proven orientation built from base, lexicographic by default
-    (orient_c4_tree, or orient_layered for m <= 4 with m = 3 again only
-    when T has a perfect matching); count_brute under max_vertices,
-    checked before the product is built.  "formula", "pfaffian" and
-    "brute" force one route, and raise PreconditionError where it does
-    not apply.
+    a proven orientation on the lexicographic base (orient_c4_tree, or
+    orient_layered for m <= 4 with m = 3 again only when T has a perfect
+    matching; every base gives the same count, as two orientations of a
+    tree differ by switching vertex signs); count_brute under
+    max_vertices, checked before the product is built.  "formula",
+    "pfaffian" and "brute" force one route, and raise PreconditionError
+    where it does not apply.
     """
     if kind not in ("c4", "pm") or method not in ("auto", "brute", *_NO_ROUTE):
         raise PreconditionError(f"unknown product kind {kind!r} or method {method!r}")
     if (kind == "c4" and m != 4) or m < 1:
         raise InvalidSizeError(f"no {m}-layer product of kind {kind!r}")
     tree = validate_tree(tree)
-    if base is not None and not base.orients(tree):
-        raise PreconditionError("base orientation does not orient the given tree")
     # P_3 x T has a closed form and a proven orientation only when T has a perfect matching
     proven = m != 3 or tree_has_perfect_matching(tree)
 
@@ -243,14 +241,11 @@ def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
         return _count_path_formula(m, tree) if m in (2, 3, 4) and proven else None
 
     def pfaffian() -> Optional[CountResult]:
-        d = base or orient_lexicographic(tree)
         if kind == "c4":
-            d = orient_c4_tree(d)
-        elif m <= 4 and proven:
-            d = orient_layered(d, m)
-        else:
-            return None
-        return count_pfaffian(d)
+            return count_pfaffian(orient_c4_tree(orient_lexicographic(tree)))
+        if m <= 4 and proven:
+            return count_pfaffian(orient_layered(orient_lexicographic(tree), m))
+        return None
 
     def brute() -> CountResult:
         _check_brute_guard(m * tree.n, max_vertices)

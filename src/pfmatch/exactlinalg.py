@@ -27,10 +27,9 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from typing import Optional
 
 from .errors import NotAPerfectSquareError, PreconditionError, SizeLimitError
-from .graphs import Graph, Tree, validate_tree
+from .graphs import Graph, Tree, _bfs_forest, validate_tree
 from .orientation import OrientedGraph
 
 IntMatrix = list[list[int]]
@@ -206,43 +205,25 @@ def _det_mod(signed: list[dict[int, int]], p: int, max_work: int) -> int:
     return det % p
 
 
-def _two_colouring(g: Graph) -> Optional[list[int]]:
-    """The side, 0 or 1, of every vertex by breadth-first search, or None
-    if g has an odd cycle.  The smallest vertex of each component gets
-    side 0, so a vertex of degree 0 is always on side 0."""
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] < 0:
-            side[s] = 0
-            queue = [s]
-            for v in queue:
-                for w in g.adjacency[v]:
-                    if side[w] < 0:
-                        side[w] = 1 - side[v]
-                        queue.append(w)
-                    elif side[w] == side[v]:
-                        return None
-    return side
-
-
 def det_skew(d: OrientedGraph) -> int:
     """det of the skew adjacency matrix A of d, exactly, from its arcs alone.
 
     A has entry 1 at (u, v) and -1 at (v, u) for each arc u->v; it is
-    never built densely.  A bipartite graph (a two-colouring finds its
-    sides X and Y) needs only the signed biadjacency matrix B, of half
-    the order: B[x][y] is 1 for an arc x->y and -1 for an arc y->x, and
-    with X listed before Y, A = [[0, B], [-B^T, 0]], so det A = det(B)^2
-    (Kasteleyn's form of the method).  Sides of unequal size give 0, as
-    there is no perfect matching.  A graph with an odd cycle eliminates
-    A itself.  Sparse elimination of that matrix runs modulo primes just
-    below 2^62, and the residues are combined by the Chinese remainder
-    theorem into the symmetric range (-M/2, M/2) until M^2 exceeds
-    4 * prod(row lengths).  By Hadamard's bound, with every entry +-1,
-    that product is at least det^2, so the residue is the determinant
-    itself, sign included: exact and deterministic.  Odd order gives 0,
-    as does a vertex of degree 0 (an empty row; a product of 0 needs no
-    prime).  Each elimination gets an equal share of the work budget
+    never built densely.  A bipartite graph (its sides X and Y are the
+    parities of breadth-first depth, which no edge joins) needs only the
+    signed biadjacency matrix B, of half the order: B[x][y] is 1 for an
+    arc x->y and -1 for an arc y->x, and with X listed before Y,
+    A = [[0, B], [-B^T, 0]], so det A = det(B)^2 (Kasteleyn's form of
+    the method).  Sides of unequal size give 0, as there is no perfect
+    matching.  A graph with an odd cycle eliminates A itself.  Sparse
+    elimination of that matrix runs modulo primes just below 2^62, and
+    the residues are combined by the Chinese remainder theorem into the
+    symmetric range (-M/2, M/2) until M^2 exceeds 4 * prod(row lengths).
+    By Hadamard's bound, with every entry +-1, that product is at least
+    det^2, so the residue is the determinant itself, sign included:
+    exact and deterministic.  Odd order gives 0, as does a vertex of
+    degree 0 (an empty row; a product of 0 needs no prime).  Each
+    elimination gets an equal share of the work budget
     DEFAULT_PFAFFIAN_UPDATE_GUARD (updates plus a fixed charge per
     pivot), so a graph above it raises SizeLimitError within its first
     elimination.
@@ -250,8 +231,9 @@ def det_skew(d: OrientedGraph) -> int:
     g = d.base
     if g.n % 2:
         return 0
-    side = _two_colouring(g)
-    if side is None:
+    side = [depth % 2 for depth in _bfs_forest(g)[2]]
+    bipartite = all(side[u] != side[v] for u, v in g.edges)
+    if not bipartite:
         rows: list[dict[int, int]] = [{} for _ in range(g.n)]
         for u, v in d.arcs:
             rows[u][v] = 1
@@ -282,7 +264,7 @@ def det_skew(d: OrientedGraph) -> int:
         modulus *= p
     if 2 * det > modulus:
         det -= modulus
-    return det if side is None else det * det
+    return det * det if bipartite else det
 
 
 def _reduce(r: IntPolynomial, m: IntPolynomial) -> IntPolynomial:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .errors import (
     EdgeListParseError,
@@ -168,29 +168,48 @@ def validate_tree(g: Graph) -> Tree:
         return g
     if g.n == 0:
         raise NotATreeError("the empty graph is not a tree")
-    parent: list[Optional[int]] = [None] * g.n
-    seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                queue.append(w)
-            elif w != parent[v]:
-                cycle = _cycle_through(parent, v, w)
-                raise NotATreeError(
-                    "not a tree: contains cycle " + "-".join(str(x) for x in cycle)
-                )
-    if len(queue) != g.n:
+    order, parent, depth = _bfs_forest(g)
+    if g.m != g.n - 1 or parent.count(None) > 1:
+        # the component of 0 ends where the search starts its second root
+        reached = next((i for i in range(1, g.n) if parent[order[i]] is None), g.n)
+        for v in order[:reached]:
+            for w in g.adjacency[v]:
+                if w != parent[v] and parent[w] != v:
+                    cycle = _cycle_through(parent, depth, v, w)
+                    raise NotATreeError(
+                        "not a tree: contains cycle " + "-".join(str(x) for x in cycle)
+                    )
         raise NotATreeError(
-            f"not a tree: disconnected ({g.n - len(queue)} of {g.n} vertices unreachable)"
+            f"not a tree: disconnected ({g.n - reached} of {g.n} vertices unreachable)"
         )
     return Tree(n=g.n, edges=g.edges, root=0, parent=tuple(parent))
+
+
+def _bfs_forest(g: Graph, key: Optional[Callable[[int], Any]] = None
+                ) -> tuple[list[int], list[Optional[int]], list[int]]:
+    """(order, parent, depth) of a breadth-first search over every component.
+
+    Components come in turn, each searched from its least vertex under
+    key, and each vertex queues its unvisited neighbours in ascending key
+    order; key None orders by label.  A root has parent None and depth 0.
+    """
+    adjacency = g.adjacency if key is None else [sorted(a, key=key) for a in g.adjacency]
+    order: list[int] = []
+    parent: list[Optional[int]] = [None] * g.n
+    depth = [-1] * g.n
+    for start in sorted(range(g.n), key=key):
+        if depth[start] >= 0:
+            continue
+        depth[start] = 0
+        queue = [start]
+        for v in queue:
+            for w in adjacency[v]:
+                if depth[w] < 0:
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+        order += queue
+    return order, parent, depth
 
 
 def tree_has_perfect_matching(t: Graph) -> bool:
@@ -212,27 +231,20 @@ def tree_has_perfect_matching(t: Graph) -> bool:
     return True
 
 
-def _cycle_through(parent: list[Optional[int]], v: int, w: int) -> list[int]:
-    """Cycle formed by BFS-tree paths of v and w plus the edge {v, w}."""
-    ancestors_v: dict[int, int] = {}
-    x: Optional[int] = v
-    depth = 0
-    while x is not None:
-        ancestors_v[x] = depth
-        depth += 1
-        x = parent[x]
-    y: Optional[int] = w
-    w_side = []
-    while y is not None and y not in ancestors_v:
-        w_side.append(y)
-        y = parent[y]
-    assert y is not None  # BFS tree paths always meet
-    v_side = []
-    x = v
-    while x != y:
-        v_side.append(x)
-        x = parent[x]  # type: ignore[assignment]
-    return v_side + [y] + list(reversed(w_side))
+def _cycle_through(parent: list[Optional[int]], depth: list[int], v: int, w: int) -> list[int]:
+    """Cycle formed by BFS-tree paths of v and w plus the edge {v, w}:
+    the deeper side steps up until both meet at their lowest common
+    ancestor."""
+    v_side: list[int] = []
+    w_side: list[int] = []
+    while v != w:
+        if depth[v] >= depth[w]:
+            v_side.append(v)
+            v = parent[v]  # type: ignore[assignment]
+        else:
+            w_side.append(w)
+            w = parent[w]  # type: ignore[assignment]
+    return v_side + [v] + w_side[::-1]
 
 
 def _splitmix64(state: int):

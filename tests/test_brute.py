@@ -12,7 +12,7 @@ from pfmatch import (
     path_graph,
     random_tree,
 )
-from pfmatch.brute import _cuthill_mckee
+from pfmatch.graphs import _bfs_forest
 
 from util import (
     bit_stream,
@@ -84,24 +84,24 @@ def test_sweep_equals_backtracking_on_products_with_small_trees():
             assert count_perfect_matchings(g) == count_by_backtracking(g), (factor.n, tree.edges)
 
 
+def _cuthill_mckee(g: Graph) -> list[int]:
+    """The brute-force vertex order: breadth-first by (degree, label)."""
+    return _bfs_forest(g, key=lambda v: (len(g.adjacency[v]), v))[0]
+
+
 def test_cuthill_mckee_order_is_deterministic_and_narrow():
     # a path under any labelling is walked from one end: consecutive positions are adjacent
     bits = bit_stream(5)
     for n in (1, 2, 9, 30):
         perm = _shuffled(bits, n)
         g = _relabelled(path_graph(n), perm)
-        order = _cuthill_mckee(g, (1 << n) - 1)
+        order = _cuthill_mckee(g)
         assert sorted(order) == list(range(n))
         assert all((min(u, v), max(u, v)) in g.edges for u, v in zip(order, order[1:]))
         assert order[0] == min(v for v in range(n) if len(g.adjacency[v]) <= 1)
     # neighbours are queued by ascending degree, not label: the leaf 4 before 2
-    assert _cuthill_mckee(Graph.from_edges(5, [(0, 1), (1, 4), (1, 2), (2, 3)]), 0b11111) \
-        == [0, 1, 4, 2, 3]
-    # excluded vertices are left out, and degrees count free neighbours only
-    star = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
-    assert _cuthill_mckee(star, 0b1110) == [1, 3, 2]
-    assert _cuthill_mckee(path_graph(4), 0b1110) == [1, 2, 3]
-    assert _cuthill_mckee(Graph.from_edges(5, []), 0b11111) == [0, 1, 2, 3, 4]
+    assert _cuthill_mckee(Graph.from_edges(5, [(0, 1), (1, 4), (1, 2), (2, 3)])) == [0, 1, 4, 2, 3]
+    assert _cuthill_mckee(Graph.from_edges(5, [])) == [0, 1, 2, 3, 4]
 
 
 def test_forty_vertex_product_is_fast():

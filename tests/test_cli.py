@@ -358,6 +358,16 @@ def test_orient_file_mismatch_rejected(tmp_path, capsys):
     assert code == EXIT_PRECONDITION and "orient" in err
 
 
+def test_count_product_refuses_an_orientation_file(tmp_path, capsys):
+    # every base orientation of the tree gives the same product count
+    arcs = tmp_path / "path2.txt"
+    arcs.write_text("2 1\n1 -> 0\n")
+    code, _, err = run(capsys, "count", "--product", "c4", "--tree", "path:2",
+                       "--orient-file", str(arcs))
+    assert code == EXIT_PARSE
+    assert "--orient-file is for count --graph, orient and verify --pfaffian" in err
+
+
 def test_count_requires_an_input(capsys):
     code, _, _ = run(capsys, "count")
     assert code == EXIT_PARSE

@@ -1,5 +1,7 @@
 """Graph construction, products, trees, the cycle-scan oracle, edge-list I/O."""
 
+import itertools
+
 import pytest
 
 from pfmatch import (
@@ -113,6 +115,52 @@ def test_validate_tree_rejects_cycle_with_witness():
 def test_validate_tree_rejects_disconnected():
     with pytest.raises(NotATreeError, match="disconnected"):
         validate_tree(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def _distances_from_0(g: Graph) -> dict[int, int]:
+    """Edge distance from vertex 0 of every vertex reachable from it, by
+    relaxing every edge until nothing shortens."""
+    dist = {0: 0}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a in dist and dist[a] + 1 < dist.get(b, g.n):
+                    dist[b] = dist[a] + 1
+                    changed = True
+    return dist
+
+
+def test_validate_tree_on_every_labelled_graph_up_to_6_vertices():
+    # a tree comes back with a BFS tree from 0; a cycle in the component
+    # of 0 is named by a simple cycle of g; failing both, the error
+    # counts the vertices outside the component of 0
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            dist = _distances_from_0(g)
+            inside = sum(u in dist for u, _ in g.edges)
+            try:
+                t = validate_tree(g)
+            except NotATreeError as exc:
+                message = str(exc)
+            else:
+                assert len(dist) == n and g.m == n - 1 and t.root == 0 and t.edges == g.edges
+                assert t.parent[0] is None
+                assert all(dist[t.parent[v]] == dist[v] - 1 for v in range(1, n)), g.edges
+                continue
+            if inside >= len(dist):
+                prefix = "not a tree: contains cycle "
+                assert message.startswith(prefix), (g.edges, message)
+                cycle = [int(x) for x in message[len(prefix):].split("-")]
+                assert len(cycle) == len(set(cycle)) >= 3, (g.edges, message)
+                assert all((min(a, b), max(a, b)) in g.edges
+                           for a, b in zip(cycle, cycle[1:] + cycle[:1])), (g.edges, message)
+            else:
+                assert message == (f"not a tree: disconnected ({n - len(dist)} of {n} "
+                                   "vertices unreachable)"), g.edges
 
 
 def test_validate_tree_accepts_all_random_trees():

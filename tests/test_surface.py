@@ -1,5 +1,6 @@
-"""The public surface: every exported name has a caller outside the tests,
-no module reads the environment, and every vertex guard is max_vertices."""
+"""The public surface: every exported name and every top-level def has a
+caller outside the tests, no module reads the environment, and every
+vertex guard is max_vertices."""
 
 import ast
 import inspect
@@ -36,18 +37,34 @@ def _uses() -> list[tuple[str, set[str]]]:
     return uses
 
 
-def test_every_exported_name_has_a_caller():
-    # an exported name read only inside exported code that has no caller
-    # has no caller either, so drop such bodies until nothing changes
-    exported = set(pfmatch.__all__)
+def _unread(names: set[str]) -> set[str]:
+    """The names in names that nothing in src/ or demos/ reads.
+
+    A name read only inside the body of an unread name is unread too, so
+    such bodies are dropped until nothing changes.
+    """
     uses = _uses()
     unused: set[str] = set()
     while True:
-        read = set().union(*(names for owner, names in uses if owner not in unused))
-        if exported - read == unused:
-            break
-        unused = exported - read
+        read = set().union(*(found for owner, found in uses if owner not in unused))
+        if names - read == unused:
+            return unused
+        unused = names - read
+
+
+def test_every_exported_name_has_a_caller():
+    unused = _unread(set(pfmatch.__all__))
     assert not unused, f"exported without a caller: {sorted(unused)}"
+
+
+def test_every_def_has_a_reader_outside_the_tests():
+    # private helpers included: one that only its test keeps alive is dead code
+    defs = {stmt.name
+            for path in PACKAGE.glob("*.py")
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    unused = _unread(defs)
+    assert not unused, f"defined without a reader in src/ or demos/: {sorted(unused)}"
 
 
 def test_no_module_reads_the_environment():
