@@ -447,7 +447,7 @@ def verify_identities(t: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> Iden
     try:
         dec = squarish_decompose(c4)
         factor, root = dec.factor, dec.root
-    except NotSquarishError:
+    except (NotSquarishError, PreconditionError):  # the latter: c4 < 1
         failures.append("squarish")
     else:
         checks.append("squarish-factor")

@@ -6,14 +6,18 @@ vertex (i, j) of g x h becomes index i*|h| + j, i.e. one contiguous copy
 of h per vertex of g.  The orientation and linear-algebra modules rely
 on this convention: it is what makes the skew adjacency matrices of the
 product orientations fall into clean block form.
+
+A Tree is a Graph that passed the one tree check: building it runs a
+breadth-first search from vertex 0, which either yields the parent
+array every tree fold walks or raises NotATreeError.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, ClassVar, Iterable, Optional
 
 from .errors import (
     EdgeListParseError,
@@ -64,33 +68,38 @@ class Graph:
 
 @dataclass(frozen=True)
 class Tree(Graph):
-    """A connected acyclic Graph carrying a root and parent-array witness."""
+    """A connected acyclic Graph; building one is the check.
 
-    root: int
-    parent: tuple[Optional[int], ...]
+    Construction runs the breadth-first search from vertex 0 and raises
+    NotATreeError for the empty graph, for a cycle (named through BFS
+    parents) and for a disconnected graph (with the unreached count).
+    The search's parent array is kept: parent[v] is v's neighbour
+    towards the root 0, and parent[0] is None.
+    """
+
+    root: ClassVar[int] = 0
+    parent: tuple[Optional[int], ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         n = self.n
         if n == 0:
             raise NotATreeError("the empty graph is not a tree")
-        if len(self.edges) != n - 1:
-            raise NotATreeError(f"tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}")
-        if len(self.parent) != n or not (0 <= self.root < n):
-            raise NotATreeError("parent array / root do not match the vertex count")
-        if self.parent[self.root] is not None:
-            raise NotATreeError("root must have no parent")
-        witness = set()
-        for v, p in enumerate(self.parent):
-            if v == self.root:
-                continue
-            if p is None:
-                raise NotATreeError(f"non-root vertex {v} has no parent")
-            witness.add(_sorted_edge(v, p))
-        if witness != set(self.edges):
-            raise NotATreeError("parent array does not reconstruct the edge set")
-        if len(self.postorder()) != n:
-            raise NotATreeError("parent array is not connected to the root")
+        order, parent, depth = _bfs_forest(self)
+        if self.m != n - 1 or parent.count(None) > 1:
+            # the component of 0 ends where the search starts its second root
+            reached = next((i for i in range(1, n) if parent[order[i]] is None), n)
+            for v in order[:reached]:
+                for w in self.adjacency[v]:
+                    if w != parent[v] and parent[w] != v:
+                        cycle = _cycle_through(parent, depth, v, w)
+                        raise NotATreeError(
+                            "not a tree: contains cycle " + "-".join(str(x) for x in cycle)
+                        )
+            raise NotATreeError(
+                f"not a tree: disconnected ({n - reached} of {n} vertices unreachable)"
+            )
+        object.__setattr__(self, "parent", tuple(parent))
 
     def children(self) -> tuple[tuple[int, ...], ...]:
         """Child lists, ascending; computed once per tree."""
@@ -125,9 +134,7 @@ def path_graph(m: int) -> Tree:
     """The path P_m on vertices 0..m-1 with edges {i, i+1}."""
     if m < 1:
         raise InvalidSizeError(f"a path needs at least 1 vertex, got {m}")
-    edges = frozenset((i, i + 1) for i in range(m - 1))
-    parent: list[Optional[int]] = [None] + [i for i in range(m - 1)]
-    return Tree(n=m, edges=edges, root=0, parent=tuple(parent))
+    return Tree(n=m, edges=frozenset((i, i + 1) for i in range(m - 1)))
 
 
 def cycle_graph(m: int) -> Graph:
@@ -159,30 +166,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 
 def validate_tree(g: Graph) -> Tree:
-    """Return a rooted Tree witness, or raise NotATreeError.
-
-    A cycle, if present, is found via BFS parents and reported in the
-    error message; disconnection is reported with the unreached count.
-    """
-    if isinstance(g, Tree):
-        return g
-    if g.n == 0:
-        raise NotATreeError("the empty graph is not a tree")
-    order, parent, depth = _bfs_forest(g)
-    if g.m != g.n - 1 or parent.count(None) > 1:
-        # the component of 0 ends where the search starts its second root
-        reached = next((i for i in range(1, g.n) if parent[order[i]] is None), g.n)
-        for v in order[:reached]:
-            for w in g.adjacency[v]:
-                if w != parent[v] and parent[w] != v:
-                    cycle = _cycle_through(parent, depth, v, w)
-                    raise NotATreeError(
-                        "not a tree: contains cycle " + "-".join(str(x) for x in cycle)
-                    )
-        raise NotATreeError(
-            f"not a tree: disconnected ({g.n - reached} of {g.n} vertices unreachable)"
-        )
-    return Tree(n=g.n, edges=g.edges, root=0, parent=tuple(parent))
+    """g as a Tree, or NotATreeError: building the Tree is the check."""
+    return g if isinstance(g, Tree) else Tree(n=g.n, edges=g.edges)
 
 
 def _bfs_forest(g: Graph, key: Optional[Callable[[int], Any]] = None
@@ -268,7 +253,7 @@ def random_tree(n: int, seed: int) -> Tree:
     if n < 1:
         raise InvalidSizeError(f"a tree needs at least 1 vertex, got {n}")
     if n == 1:
-        return Tree(n=1, edges=frozenset(), root=0, parent=(None,))
+        return Tree(n=1, edges=frozenset())
     stream = _splitmix64(seed & ((1 << 64) - 1))
     limit = (1 << 64) - ((1 << 64) % n)
     digits = []
@@ -276,7 +261,7 @@ def random_tree(n: int, seed: int) -> Tree:
         r = next(stream)
         if r < limit:  # rejection keeps the modulo unbiased
             digits.append(r % n)
-    return validate_tree(Graph.from_edges(n, _prufer_decode(digits, n)))
+    return Tree(n=n, edges=frozenset(_prufer_decode(digits, n)))
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[Edge]:

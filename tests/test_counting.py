@@ -4,6 +4,7 @@ import pytest
 
 import pfmatch.counting
 from pfmatch import (
+    CountResult,
     DEFAULT_GRID_GUARD,
     DEFAULT_PFAFFIAN_UPDATE_GUARD,
     Graph,
@@ -468,6 +469,16 @@ def test_verify_identities_p4():
     assert report.passed
     assert report.c4_count == 121 and report.factor == 1 and report.root == 11
     assert report.p3_count == 11
+
+
+def test_verify_identities_reports_a_zero_c4_count(monkeypatch):
+    # a broken fold may give 0, which squarish_decompose refuses: the
+    # report records the clause instead of raising
+    monkeypatch.setattr(pfmatch.counting, "count_c4_tree",
+                        lambda tree: CountResult(count=0, method="formula-c4t"))
+    report = verify_identities(path_graph(4), max_vertices=24)
+    assert "squarish" in report.failures
+    assert (report.factor, report.root) == (0, 0)
 
 
 def test_verify_identities_random_sample():

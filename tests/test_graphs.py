@@ -10,6 +10,7 @@ from pfmatch import (
     InvalidSizeError,
     NotATreeError,
     SizeLimitError,
+    Tree,
     cartesian_product,
     cycle_graph,
     format_edge_list,
@@ -132,21 +133,38 @@ def _distances_from_0(g: Graph) -> dict[int, int]:
     return dist
 
 
+def _direct_tree(g: Graph):
+    """The parent array of Tree(n, edges) built without validate_tree, or
+    the message of its NotATreeError."""
+    try:
+        return Tree(n=g.n, edges=g.edges).parent
+    except NotATreeError as exc:
+        return str(exc)
+
+
 def test_validate_tree_on_every_labelled_graph_up_to_6_vertices():
     # a tree comes back with a BFS tree from 0; a cycle in the component
     # of 0 is named by a simple cycle of g; failing both, the error
-    # counts the vertices outside the component of 0
+    # counts the vertices outside the component of 0.  A Tree built
+    # directly from g's fields must pass or fail the same way.
+    empty = Graph(n=0, edges=frozenset())
+    with pytest.raises(NotATreeError, match="^the empty graph is not a tree$"):
+        validate_tree(empty)
+    assert _direct_tree(empty) == "the empty graph is not a tree"
     for n in range(1, 7):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
             dist = _distances_from_0(g)
             inside = sum(u in dist for u, _ in g.edges)
+            direct = _direct_tree(g)
             try:
                 t = validate_tree(g)
             except NotATreeError as exc:
                 message = str(exc)
+                assert direct == message, g.edges
             else:
+                assert direct == t.parent, g.edges
                 assert len(dist) == n and g.m == n - 1 and t.root == 0 and t.edges == g.edges
                 assert t.parent[0] is None
                 assert all(dist[t.parent[v]] == dist[v] - 1 for v in range(1, n)), g.edges
@@ -178,6 +196,29 @@ def test_random_tree_small_cases():
 def test_random_tree_deterministic():
     assert random_tree(8, 42).edges == random_tree(8, 42).edges
     assert random_tree(8, 42).edges != random_tree(8, 43).edges
+
+
+def test_seeded_trees_are_pinned():
+    # the benchmark and the tests name trees by (n, seed): these edges and
+    # BFS parent arrays must not move
+    pinned = {
+        (1, 0): ([], (None,)),
+        (8, 42): ([(0, 5), (1, 3), (2, 3), (2, 4), (2, 6), (4, 5), (6, 7)],
+                  (None, 3, 4, 2, 5, 0, 2, 6)),
+        (40, 11): ([(0, 10), (0, 13), (0, 30), (1, 11), (1, 16), (2, 16), (2, 23), (2, 35),
+                    (3, 13), (4, 5), (4, 32), (5, 30), (6, 22), (6, 29), (7, 18), (7, 23),
+                    (7, 37), (8, 25), (9, 29), (11, 27), (11, 28), (12, 28), (13, 14),
+                    (13, 24), (14, 21), (14, 22), (15, 22), (16, 38), (17, 36), (18, 19),
+                    (18, 39), (20, 30), (21, 36), (22, 38), (24, 26), (25, 26), (29, 33),
+                    (31, 38), (34, 38)],
+                   (None, 16, 16, 13, 5, 30, 22, 23, 25, 29, 0, 1, 28, 0, 13, 22, 38, 36, 7,
+                    18, 30, 14, 14, 2, 13, 26, 24, 11, 11, 6, 0, 38, 4, 29, 38, 2, 21, 7, 22,
+                    18)),
+    }
+    for (n, seed), (edges, parent) in pinned.items():
+        t = random_tree(n, seed)
+        assert (sorted(t.edges), t.parent) == (edges, parent), (n, seed)
+    assert path_graph(6).parent == (None, 0, 1, 2, 3, 4)
 
 
 def test_random_tree_hits_every_labeled_tree_on_3_vertices():

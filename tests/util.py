@@ -78,7 +78,7 @@ def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
 def labeled_trees(n: int):
     """Every labeled tree on n vertices, via all Prüfer sequences."""
     if n == 1:
-        yield Tree(n=1, edges=frozenset(), root=0, parent=(None,))
+        yield Tree(n=1, edges=frozenset())
         return
     if n == 2:
         yield validate_tree(Graph.from_edges(2, [(0, 1)]))
