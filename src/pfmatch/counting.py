@@ -14,8 +14,10 @@ perfect matching), P_4 x T (q_4 = y^2 + 3y + 1) and the m x n grid
 (T = P_L).  C_4 x T is 2^e * (P_3 x T form)^2 for every tree, and the
 2 x 2 x n lattice is its case T = P_n.  psi_T is only ever known modulo
 q_s: psi_tree_mod folds the tree in Z[y]/(q_s) in O(n) ring operations
-of degree d, which for P_2, P_3 and C_4 (d = 1) are integer operations,
-so those counts are one evaluation psi_T(y0) at the root y0 of q_s.
+of degree d.  For P_2, P_3 and C_4 (d = 1) they are integer operations,
+so those counts are one evaluation psi_T(y0) at the root y0 of q_s; for
+P_4, P_5 and grids with a side of 4 or 5 (d = 2) the elements are
+integer pairs, and for d >= 3 they are lists.
 No route takes a square root or rounds a float.  The trigonometric
 products of the lattice and the grid are cross-checks, evaluated in log
 space with explicit tolerances.
@@ -55,8 +57,9 @@ DEFAULT_BRUTE_GUARD = 40
 #: not exceed it.  s^2 L follows the norm, a (s/2)-square determinant of
 #: L-bit entries whose time grows about as (s^2 L)^2; s L^2 / 5000
 #: follows the fold along the long path, L shifts of s/2 operations on
-#: numbers of up to about L bits.  At the limit 100 x 349 takes 4-5 s,
-#: 150 x 150 about 3 s, 40 x 2164 about 2 s and 2 x 88674 about 0.8 s.
+#: numbers of up to about L bits.  At the limit 100 x 349 takes about
+#: 4 s, 150 x 150 about 3 s, 40 x 2164 about 2 s and 2 x 88674 about
+#: 0.4 s (Python 3.11 on a shared 2-core host).
 DEFAULT_GRID_GUARD = 3_500_000
 
 
@@ -111,10 +114,10 @@ def count_brute(g: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResul
     """Exact count by enumerating matchings, with no linear algebra.
 
     count_perfect_matchings matches the lowest free vertex to each free
-    neighbour, as a forward dynamic program over free-vertex masks in a
-    breadth-first Cuthill-McKee order.  Graphs above max_vertices
-    vertices raise SizeLimitError, and so does a sweep that would hold
-    more than DEFAULT_BRUTE_STATE_GUARD states at once.
+    neighbour, as a forward dynamic program over free-vertex masks in
+    reverse Cuthill-McKee order.  Graphs above max_vertices vertices
+    raise SizeLimitError, and so does a sweep that would create more
+    than DEFAULT_BRUTE_STATE_GUARD states.
     """
     _check_brute_guard(g.n, max_vertices)
     return CountResult(count=count_perfect_matchings(g), method="brute", dimension=g.n)
@@ -413,9 +416,10 @@ class IdentityReport:
     matching => square, with root count(P_3 x T)" is checked.
 
     Only the brute-* clauses check independently.  squarish,
-    squarish-factor and square-root hold by construction: count_c4_tree
-    is computed as 2^e * (P_3 x T form)^2 from the same fold that gives
-    the P_3 x T count, so they can fail only if that arithmetic does.
+    squarish-factor and square-root hold by construction: the C_4 x T
+    count is computed as 2^e * (P_3 x T form)^2 from the one fold that
+    gives the P_3 x T count, so they can fail only if that arithmetic
+    does.
     """
 
     tree_vertices: int
@@ -439,7 +443,8 @@ def verify_identities(t: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> Iden
     checks: list[str] = []
     failures: list[str] = []
 
-    c4 = count_c4_tree(tree).count
+    p3_form = _path_product(3, tree)  # one fold mod q_3 serves C_4 and P_3
+    c4 = 2 ** (tree.n % 2) * p3_form ** 2
     matched = tree_has_perfect_matching(tree)
 
     checks.append("squarish")
@@ -456,7 +461,7 @@ def verify_identities(t: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> Iden
 
     p3_count: Optional[int] = None
     if matched:
-        p3_count = _count_path_formula(3, tree).count
+        p3_count = p3_form
         checks.append("square-root")
         if p3_count * p3_count != c4:
             failures.append("square-root")

@@ -280,6 +280,54 @@ def _reduce(r: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
     return r
 
 
+def _ring(q: IntPolynomial) -> tuple:
+    """(one, mul, sub, times_y) of Z[y]/(q) for the monic q of degree d >= 1.
+
+    d = 1: the ring is Z itself, y = -q[0], and elements are plain ints.
+    d = 2: elements are pairs (a0, a1) for a0 + a1*y, and y^2 = -q0 - q1*y;
+    a product takes three big multiplications (Karatsuba's middle term)
+    and "times y" none.  d >= 3: elements are lists of d coefficients,
+    a product costs O(d^2) and "times y" is a shift and one reduction
+    step.
+    """
+    d = len(q) - 1
+    if d == 1:
+        return 1, operator.mul, operator.sub, (-q[0]).__mul__
+    if d == 2:
+        q0, q1 = q[0], q[1]
+        q1_1 = q1 + 1
+
+        def mul_pair(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+            a0, a1 = a
+            b0, b1 = b
+            low, high = a0 * b0, a1 * b1
+            return low - q0 * high, (a0 + a1) * (b0 + b1) - low - q1_1 * high
+
+        def sub_pair(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+            return a[0] - b[0], a[1] - b[1]
+
+        def times_y_pair(a: tuple[int, int]) -> tuple[int, int]:
+            return -q0 * a[1], a[0] - q1 * a[1]
+
+        return (1, 0), mul_pair, sub_pair, times_y_pair
+
+    def mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+        out = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return _reduce(out, q)
+
+    def sub(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+        return list(map(operator.sub, a, b))
+
+    def times_y(a: IntPolynomial) -> IntPolynomial:
+        return _reduce([0] + a, q)
+
+    return [1] + [0] * (d - 1), mul, sub, times_y
+
+
 def psi_tree_mod(t: Graph, q: IntPolynomial) -> IntPolynomial:
     """psi_T modulo the monic polynomial q(y), where phi_T(x) = x^e * psi_T(x^2).
 
@@ -293,19 +341,25 @@ def psi_tree_mod(t: Graph, q: IntPolynomial) -> IntPolynomial:
     phi(subtree - c) = x^(1 - odd_c) * Q_c(x^2), odd_c the parity of its
     order, and the recurrence runs on (P_c, Q_c) in Z[y]/(q), y = x^2,
     of degree d = deg q.  No coefficient of the whole polynomial is ever
-    formed.  A leaf is (1, 1, odd).  The first child c of v needs no
+    formed.
+
+    The fold walks the tree's breadth-first order (Tree.order) in
+    reverse, so each vertex comes after all of its descendants, and
+    folds every finished subtree into its parent at once.  A vertex
+    starts as a leaf, (1, 1, odd).  The first child c of v needs no
     product: P, Q = (y * P_c if odd_c else P_c) - Q_c, P_c, and v is odd
-    when c is even.  Each further child c folds in as
+    when c is even.  Neither does a leaf child: it turns (P, Q) into
+    (y * P - Q, Q) when v is odd and (P - Q, y * Q) when v is even, and
+    flips odd_v.  Every other child c folds in as
 
         P <- y^[odd_v and odd_c] * P * P_c - y^[not odd_v and not odd_c] * Q * Q_c
         Q <- y^[not odd_v and odd_c] * Q * P_c
 
     and then odd_v flips when odd_c is set.  A tree costs O(n) ring
-    operations.  For d = 1 the ring is Z itself, y = -q[0], and elements
-    are plain ints; for d >= 2 they are lists of d coefficients, a
-    product costs O(d^2) and "times y" is a shift and one reduction
-    step; for d = 0 the ring is zero.  Returns the d coefficients of the
-    remainder, constant first.
+    operations.  The elements take one of three kinds by degree (see
+    _ring): plain ints for d = 1, integer pairs for d = 2 and lists of
+    d coefficients for d >= 3; for d = 0 the ring is zero.  Returns the
+    d coefficients of the remainder, constant first.
     """
     tree: Tree = validate_tree(t)
     d = len(q) - 1
@@ -313,55 +367,45 @@ def psi_tree_mod(t: Graph, q: IntPolynomial) -> IntPolynomial:
         raise ValueError("psi_tree_mod needs a monic polynomial q")
     if d == 0:
         return []
-    if d == 1:
-        one, mul, sub, times_y = 1, operator.mul, operator.sub, (-q[0]).__mul__
-    else:
-        one = [1] + [0] * (d - 1)
-
-        def mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-            out = [0] * (2 * d - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b, i):
-                        out[j] += ai * bj
-            return _reduce(out, q)
-
-        def sub(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-            return list(map(operator.sub, a, b))
-
-        def times_y(a: IntPolynomial) -> IntPolynomial:
-            return _reduce([0] + a, q)
-
-    children = tree.children()
-    p: list = [None] * tree.n
-    rest: list = [None] * tree.n  # Q of each finished subtree
-    odd = [False] * tree.n
-    for v in tree.postorder():
-        kids = children[v]
-        if not kids:
-            p[v], rest[v], odd[v] = one, one, True
+    one, mul, sub, times_y = _ring(q)
+    y_minus_one = sub(times_y(one), one)  # a vertex with one leaf child
+    parent = tree.parent
+    p: list = [None] * tree.n  # P of each unfinished vertex, None while it is a leaf
+    rest: list = [None] * tree.n  # its Q
+    odd = [True] * tree.n
+    order = tree.order
+    for i in range(tree.n - 1, 0, -1):
+        c = order[i]
+        v = parent[c]
+        pv, pc = p[v], p[c]
+        if pc is None:  # a leaf child
+            if pv is None:
+                p[v], rest[v], odd[v] = y_minus_one, one, False
+            elif odd[v]:
+                p[v], odd[v] = sub(times_y(pv), rest[v]), False
+            else:
+                qv = rest[v]
+                p[v], rest[v], odd[v] = sub(pv, qv), times_y(qv), True
             continue
-        first = kids[0]
-        qv = p[first]
-        pv = sub(times_y(qv) if odd[first] else qv, rest[first])
-        odd_v = not odd[first]
-        for c in kids[1:]:
-            pc, odd_c = p[c], odd[c]
-            plus, minus, qv = mul(pv, pc), mul(qv, rest[c]), mul(qv, pc)
-            if odd_c:
-                if odd_v:
-                    plus = times_y(plus)
-                else:
-                    qv = times_y(qv)
-            elif not odd_v:
-                minus = times_y(minus)
-            pv = sub(plus, minus)
-            odd_v ^= odd_c
-        for c in kids:  # only unfinished vertices keep their pairs
-            p[c] = rest[c] = None
-        p[v], rest[v], odd[v] = pv, qv, odd_v
+        qc, odd_c = rest[c], odd[c]
+        p[c] = rest[c] = None  # only unfinished vertices keep their pairs
+        if pv is None:  # the first child
+            p[v], rest[v], odd[v] = sub(times_y(pc) if odd_c else pc, qc), pc, not odd_c
+            continue
+        qv, odd_v = rest[v], odd[v]
+        plus, minus, qv = mul(pv, pc), mul(qv, qc), mul(qv, pc)
+        if odd_c:
+            if odd_v:
+                plus = times_y(plus)
+            else:
+                qv = times_y(qv)
+        elif not odd_v:
+            minus = times_y(minus)
+        p[v], rest[v], odd[v] = sub(plus, minus), qv, odd_v ^ odd_c
     psi = p[tree.root]
-    return [psi] if d == 1 else psi
+    if psi is None:  # the one-vertex tree: phi = x, psi = 1
+        psi = one
+    return [psi] if d == 1 else list(psi)
 
 
 def root_product(q: IntPolynomial, p: IntPolynomial) -> int:

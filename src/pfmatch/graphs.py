@@ -9,12 +9,12 @@ product orientations fall into clean block form.
 
 A Tree is a Graph that passed the one tree check: building it runs a
 breadth-first search from vertex 0, which either yields the parent
-array every tree fold walks or raises NotATreeError.
+array and the vertex order every tree fold walks or raises
+NotATreeError.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, ClassVar, Iterable, Optional
@@ -42,10 +42,11 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
         for u, v in self.edges:
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u}, {v}) is not a sorted pair inside range(n)")
 
     @classmethod
@@ -73,61 +74,55 @@ class Tree(Graph):
     Construction runs the breadth-first search from vertex 0 and raises
     NotATreeError for the empty graph, for a cycle (named through BFS
     parents) and for a disconnected graph (with the unreached count).
-    The search's parent array is kept: parent[v] is v's neighbour
-    towards the root 0, and parent[0] is None.
+    The search's results are kept: parent[v] is v's neighbour towards
+    the root 0 (parent[0] is None), and order lists every vertex once,
+    each after its parent, with breadth-first depth never decreasing.
+    The order is some breadth-first order, not a pinned one: in a tree
+    every breadth-first order gives the same parents.
     """
 
     root: ClassVar[int] = 0
     parent: tuple[Optional[int], ...] = field(init=False, compare=False)
+    order: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         n = self.n
         if n == 0:
             raise NotATreeError("the empty graph is not a tree")
+        if self.m == n - 1:
+            # unsorted neighbour lists: in a tree the parents do not depend on their order
+            nbrs: list[list[int]] = [[] for _ in range(n)]
+            for u, v in self.edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            parent: list[Optional[int]] = [-1] * n  # -1: not reached yet
+            parent[0] = 0  # the root counts as reached; its parent becomes None below
+            order = [0]
+            for v in order:
+                for w in nbrs[v]:
+                    if parent[w] == -1:
+                        parent[w] = v
+                        order.append(w)
+            if len(order) == n:  # connected with n - 1 edges
+                parent[0] = None
+                object.__setattr__(self, "parent", tuple(parent))
+                object.__setattr__(self, "order", tuple(order))
+                return
+        # not a tree: the sorted search names the same witness whatever the edge order
         order, parent, depth = _bfs_forest(self)
-        if self.m != n - 1 or parent.count(None) > 1:
-            # the component of 0 ends where the search starts its second root
-            reached = next((i for i in range(1, n) if parent[order[i]] is None), n)
-            for v in order[:reached]:
-                for w in self.adjacency[v]:
-                    if w != parent[v] and parent[w] != v:
-                        cycle = _cycle_through(parent, depth, v, w)
-                        raise NotATreeError(
-                            "not a tree: contains cycle " + "-".join(str(x) for x in cycle)
-                        )
-            raise NotATreeError(
-                f"not a tree: disconnected ({n - reached} of {n} vertices unreachable)"
-            )
-        object.__setattr__(self, "parent", tuple(parent))
-
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Child lists, ascending; computed once per tree."""
-        return self._children
-
-    def postorder(self) -> tuple[int, ...]:
-        """Every vertex once, each child before its parent; computed once per tree."""
-        return self._postorder
-
-    @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self.parent):
-            if p is not None:
-                kids[p].append(v)
-        return tuple(tuple(k) for k in kids)
-
-    @cached_property
-    def _postorder(self) -> tuple[int, ...]:
-        children = self.children()
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(children[v])
-        order.reverse()
-        return tuple(order)
+        # the component of 0 ends where the search starts its second root
+        reached = next((i for i in range(1, n) if parent[order[i]] is None), n)
+        for v in order[:reached]:
+            for w in self.adjacency[v]:
+                if w != parent[v] and parent[w] != v:
+                    cycle = _cycle_through(parent, depth, v, w)
+                    raise NotATreeError(
+                        "not a tree: contains cycle " + "-".join(str(x) for x in cycle)
+                    )
+        raise NotATreeError(
+            f"not a tree: disconnected ({n - reached} of {n} vertices unreachable)"
+        )
 
 
 def path_graph(m: int) -> Tree:
@@ -200,16 +195,18 @@ def _bfs_forest(g: Graph, key: Optional[Callable[[int], Any]] = None
 def tree_has_perfect_matching(t: Graph) -> bool:
     """True iff the tree t has a perfect matching, in O(n).
 
-    Walks the tree in postorder and matches each still unmatched vertex
+    Walks the tree's breadth-first order in reverse, so every vertex
+    comes after its children, and matches each still unmatched vertex
     with its parent.  A vertex whose children are all matched can only
     be matched to its parent, so every choice is forced, and the tree
     has a perfect matching iff no vertex is left without a free parent.
     """
     tree = validate_tree(t)
+    parent = tree.parent
     matched = [False] * tree.n
-    for v in tree.postorder():
+    for v in reversed(tree.order):
         if not matched[v]:
-            p = tree.parent[v]
+            p = parent[v]
             if p is None or matched[p]:
                 return False
             matched[v] = matched[p] = True
@@ -232,54 +229,54 @@ def _cycle_through(parent: list[Optional[int]], depth: list[int], v: int, w: int
     return v_side + [v] + w_side[::-1]
 
 
-def _splitmix64(state: int):
-    """splitmix64 stream: tiny, well documented, identical on every platform."""
-    mask = (1 << 64) - 1
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        yield z ^ (z >> 31)
-
-
 def random_tree(n: int, seed: int) -> Tree:
     """Uniform random labeled tree on n vertices, deterministic in the seed.
 
-    Draws the n-2 Prüfer digits from a splitmix64 stream (with rejection
-    sampling, so each digit is exactly uniform) and decodes them.  The
+    Draws the n-2 Prüfer digits from a splitmix64 stream (tiny, well
+    documented, identical on every platform), with rejection sampling so
+    each digit is exactly uniform, and decodes them in linear time: the
+    least leaf is tracked by a pointer that only moves up, since a
+    vertex that becomes a leaf below it is the least leaf at once.  The
     same (n, seed) pair yields the identical tree on any platform.
     """
     if n < 1:
         raise InvalidSizeError(f"a tree needs at least 1 vertex, got {n}")
     if n == 1:
         return Tree(n=1, edges=frozenset())
-    stream = _splitmix64(seed & ((1 << 64) - 1))
+    mask = (1 << 64) - 1
     limit = (1 << 64) - ((1 << 64) % n)
-    digits = []
+    state = seed & mask
+    digits: list[int] = []
     while len(digits) < n - 2:
-        r = next(stream)
-        if r < limit:  # rejection keeps the modulo unbiased
-            digits.append(r % n)
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        if z < limit:  # rejection keeps the modulo unbiased
+            digits.append(z % n)
     return Tree(n=n, edges=frozenset(_prufer_decode(digits, n)))
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[Edge]:
+    """The edges of the tree with Prüfer sequence seq, in O(n): each
+    step joins the least leaf to the next digit."""
     degree = [1] * n
     for s in seq:
         degree[s] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    least = degree.index(1)
+    leaf = least
     edges: list[Edge] = []
     for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append(_sorted_edge(leaf, s))
+        edges.append((leaf, s) if leaf < s else (s, leaf))
         degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append(_sorted_edge(u, v))
+        if degree[s] == 1 and s < least:
+            leaf = s
+        else:
+            least += 1
+            while degree[least] != 1:
+                least += 1
+            leaf = least
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -293,8 +290,8 @@ def parse_edge_lines(text: str, arrows: bool = False) -> tuple[int, list[Edge]]:
     """(n, pairs in file order) from edge-list text with "u v" lines, or
     "u -> v" lines when arrows is set; EdgeListParseError names the line
     of a bad header, line, endpoint, self-loop or repeated pair."""
-    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1)]
-    lines = [(i, line) for i, line in lines if line and not line.startswith("#")]
+    lines = [(i, line) for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
+             if line and line[0] != "#"]
     if not lines:
         raise EdgeListParseError("empty edge list: missing 'n m' header")
     (lineno, header), body = lines[0], lines[1:]
@@ -323,9 +320,10 @@ def parse_edge_lines(text: str, arrows: bool = False) -> tuple[int, list[Edge]]:
             raise EdgeListParseError(f"line {lineno}: non-integer endpoint in {line!r}") from exc
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise EdgeListParseError(f"line {lineno}: bad pair {line!r} for n={n}")
-        if _sorted_edge(u, v) in seen:
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
             raise EdgeListParseError(f"line {lineno}: pair {line!r} repeats an earlier line")
-        seen.add(_sorted_edge(u, v))
+        seen.add(key)
         pairs.append((u, v))
     return n, pairs
 

@@ -85,7 +85,8 @@ def test_sweep_equals_backtracking_on_products_with_small_trees():
 
 
 def _cuthill_mckee(g: Graph) -> list[int]:
-    """The brute-force vertex order: breadth-first by (degree, label)."""
+    """The Cuthill-McKee order, breadth-first by (degree, label); the
+    brute-force sweep walks it reversed (reverse Cuthill-McKee)."""
     return _bfs_forest(g, key=lambda v: (len(g.adjacency[v]), v))[0]
 
 

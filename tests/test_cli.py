@@ -19,7 +19,13 @@ from pfmatch.cli import (
     main,
     parse_graph_spec,
 )
-from pfmatch import count_c4_tree, parse_edge_list, parse_oriented_edge_list, random_tree
+from pfmatch import (
+    DEFAULT_BRUTE_STATE_GUARD,
+    count_c4_tree,
+    parse_edge_list,
+    parse_oriented_edge_list,
+    random_tree,
+)
 
 
 def run(capsys, *argv):
@@ -225,22 +231,26 @@ def test_count_grid_size_guard(capsys):
         assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("edges, seconds", [
-    ([(u, v) for u in range(40) for v in range(u + 1, 40)], 1.0),
-    ([(u, v) for u in range(20) for v in range(20, 40)], 1.0),
+@pytest.mark.parametrize("edges", [
+    [(u, v) for u in range(40) for v in range(u + 1, 40)],
+    [(u, v) for u in range(20) for v in range(20, 40)],
     # the band |i - j| <= 17 never holds many states at once, but creates
-    # 573,439 over the sweep (about 4 s to count); each state has up to
-    # 17 choices to expand, so reaching the guard takes longer than on K40
-    ([(u, v) for u in range(40) for v in range(u + 1, min(u + 18, 40))], 2.0),
+    # 573,439 over the sweep (about 4 s to count)
+    [(u, v) for u in range(40) for v in range(u + 1, min(u + 18, 40))],
 ], ids=["K40", "K20,20", "band17"])
-def test_count_brute_dense_graph_hits_state_guard(tmp_path, capsys, edges, seconds):
-    # within the 40-vertex guard, but with far too many matchings to enumerate
+def test_count_brute_dense_graph_hits_state_guard(tmp_path, capsys, edges):
+    # within the 40-vertex guard, but with far too many matchings to
+    # enumerate: the sweep stops at its counted work, the state guard.
+    # Each refusal takes 0.4-0.9 s alone (1.3 s on a loaded 2-core
+    # host); the wall-clock bound only catches a guard that stopped
+    # bounding the time
     path = tmp_path / "dense.txt"
     path.write_text(f"40 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     start = time.perf_counter()
     code, _, err = run(capsys, "count", "--graph", str(path), "--method", "brute")
-    assert code == EXIT_SIZE_LIMIT and "state guard" in err
-    assert time.perf_counter() - start < seconds
+    assert code == EXIT_SIZE_LIMIT
+    assert f"state guard: more than {DEFAULT_BRUTE_STATE_GUARD} matching states" in err
+    assert time.perf_counter() - start < 3.0
 
 
 def test_count_product_on_ten_thousand_vertices(capsys):

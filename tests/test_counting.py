@@ -473,9 +473,11 @@ def test_verify_identities_p4():
 
 def test_verify_identities_reports_a_zero_c4_count(monkeypatch):
     # a broken fold may give 0, which squarish_decompose refuses: the
-    # report records the clause instead of raising
-    monkeypatch.setattr(pfmatch.counting, "count_c4_tree",
-                        lambda tree: CountResult(count=0, method="formula-c4t"))
+    # report records the clause instead of raising.  The C4 count is
+    # built from the one P3 fold, so breaking that fold breaks it
+    path_product = pfmatch.counting._path_product
+    monkeypatch.setattr(pfmatch.counting, "_path_product",
+                        lambda s, tree: 0 if s == 3 else path_product(s, tree))
     report = verify_identities(path_graph(4), max_vertices=24)
     assert "squarish" in report.failures
     assert (report.factor, report.root) == (0, 0)
@@ -501,7 +503,6 @@ def test_squarish_factor_follows_the_parity_of_the_tree():
 
 def test_count_result_never_negative():
     with pytest.raises(ValueError):
-        from pfmatch import CountResult
         CountResult(count=-1, method="brute")
 
 

@@ -442,7 +442,7 @@ def test_fold_is_the_remainder_of_the_whole_char_poly():
 
 
 def test_fold_in_the_integers_agrees_with_the_fold_in_pairs():
-    # (y + c)(y + c') is a degree-2 modulus, folded on coefficient lists;
+    # (y + c)(y + c') is a degree-2 modulus, folded on integer pairs;
     # reduced modulo y + c, its remainder is the degree-1 fold in Z
     trees = trees_up_to(7) + [random_tree(1 + seed * 29 % 400, seed) for seed in range(16)]
     assert max(t.n for t in trees) > 350
@@ -453,6 +453,36 @@ def test_fold_in_the_integers_agrees_with_the_fold_in_pairs():
             for c2 in range(-3, 4):
                 pair = psi_tree_mod(t, [c * c2, c + c2, 1])
                 assert poly_remainder(pair, [c, 1]) == low, (t.parent, c, c2)
+
+
+def test_pair_kernel_is_the_remainder_of_the_whole_char_poly():
+    # degree-2 moduli fold on integer pairs: q_4 and q_5, read off P_4 and
+    # P_5, and random monic quadratics, on every tree shape up to 8
+    # vertices and on random trees of up to 2,000 vertices
+    bits = bit_stream(1618)
+    quadratics = [[1, 3, 1], [3, 4, 1]]
+    quadratics += [[next(bits) % 101 - 50, next(bits) % 21 - 10, 1] for _ in range(6)]
+    trees = trees_up_to(8) + [random_tree(n, seed) for seed, n in enumerate((97, 640, 2000))]
+    for t in trees:
+        psi = char_poly_tree(t)[t.n % 2::2]
+        for q in quadratics:
+            assert psi_tree_mod(t, q) == poly_remainder(psi, q), (t.parent, q)
+
+
+def test_fold_does_not_depend_on_the_labels():
+    # psi_T is a function of the tree's shape: relabelling it by a random
+    # permutation moves the root and the breadth-first order, not the fold
+    bits = bit_stream(31)
+    moduli = [[1], [1, 1], [2, 1], [1, 3, 1], [3, 4, 1], [4, 10, 6, 1], [-2, 0, 5, 0, 1]]
+    for seed in range(40):
+        t = random_tree(1 + seed * 13 % 300, seed)
+        perm = list(range(t.n))
+        for i in range(t.n - 1, 0, -1):
+            j = next(bits) % (i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        moved = Graph.from_edges(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+        for q in moduli:
+            assert psi_tree_mod(moved, q) == psi_tree_mod(t, q), (t.parent, perm, q)
 
 
 def test_fold_rejects_non_monic_modulus_and_non_tree():

@@ -1,5 +1,6 @@
 """Graph construction, products, trees, the cycle-scan oracle, edge-list I/O."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -21,6 +22,7 @@ from pfmatch import (
     tree_has_perfect_matching,
     validate_tree,
 )
+from pfmatch.graphs import _bfs_forest
 from util import (
     _ahu_canonical,
     bit_stream,
@@ -221,6 +223,26 @@ def test_seeded_trees_are_pinned():
     assert path_graph(6).parent == (None, 0, 1, 2, 3, 4)
 
 
+def test_seeded_trees_are_pinned_up_to_200_vertices():
+    # every tree random_tree(n, seed) for n <= 200, edges and parents, as
+    # one digest per seed: the sampler and the Prüfer decoder may be
+    # rewritten, but no (n, seed) may name a different tree
+    pinned = {
+        0: "10df48d2b2054b6420a7501c818165fe",
+        1: "6b2f92f3da5acd710f285e60f5e508e5",
+        7: "6e0ac7f60cef27b9fa9855a4fe2ce1c7",
+        42: "b76b1d1c1e11a0e4ef487e131de831bc",
+        12345: "f23dc119b0fcec16549daa02b842befc",
+        2**64 + 5: "fcde1f86741331d508a7a0dd6cb67989",
+    }
+    for seed, digest in pinned.items():
+        h = hashlib.sha256()
+        for n in range(1, 201):
+            t = random_tree(n, seed)
+            h.update(repr((n, sorted(t.edges), t.parent)).encode())
+        assert h.hexdigest()[:32] == digest, seed
+
+
 def test_random_tree_hits_every_labeled_tree_on_3_vertices():
     centers = {next(v for v in range(3) if len(random_tree(3, s).adjacency[v]) == 2) for s in range(64)}
     assert centers == {0, 1, 2}
@@ -346,26 +368,19 @@ def test_tree_matching_rejects_non_tree():
         tree_has_perfect_matching(cycle_graph(4))
 
 
-def _traversal_from_parents(t):
-    """(children, postorder) rebuilt from t.parent: child lists by a scan
-    over the parent array, postorder by a walk of (vertex, next child) frames."""
-    kids = tuple(tuple(w for w in range(t.n) if t.parent[w] == v) for v in range(t.n))
-    order = []
-    frames = [[t.root, 0]]
-    while frames:
-        v, i = frames[-1]
-        if i < len(kids[v]):
-            frames[-1][1] += 1
-            frames.append([kids[v][i], 0])
-        else:
-            order.append(frames.pop()[0])
-    return kids, tuple(order)
+def _depth(t, v):
+    """v's distance from the root, read off t.parent alone."""
+    d = 0
+    while t.parent[v] is not None:
+        v, d = t.parent[v], d + 1
+    return d
 
 
 def test_tree_traversal_is_computed_once_and_shared_by_the_tree_routes():
-    # children() and postorder() are tuples built once per tree; the tree's
-    # validation, tree_has_perfect_matching and psi_tree_mod all walk
-    # them, and none of them can change them
+    # order is a tuple built once per tree by its check, which
+    # validate_tree does not rerun; tree_has_perfect_matching and
+    # psi_tree_mod both walk it.  Only its breadth-first shape is pinned,
+    # not which breadth-first order it is
     big = random_tree(2000, 3)
     moduli = ([1], [0, 1], [2, 1], [-3, 1], [5, 2, 1], [1, 0, -3, 0, 1])
     for t in trees_up_to(7) + [big]:
@@ -374,8 +389,13 @@ def test_tree_traversal_is_computed_once_and_shared_by_the_tree_routes():
         assert tree_has_perfect_matching(t) == (phi[0] != 0), t.parent
         for q in moduli:
             assert psi_tree_mod(t, q) == poly_remainder(phi[t.n % 2::2], q), (t.parent, q)
-        kids, order = _traversal_from_parents(t)
-        assert type(t.children()) is tuple and all(type(k) is tuple for k in t.children())
-        assert type(t.postorder()) is tuple
-        assert (t.children(), t.postorder()) == (kids, order), t.parent
-    assert big.children() is big.children() and big.postorder() is big.postorder()
+        assert type(t.order) is tuple and sorted(t.order) == list(range(t.n))
+        assert t.order[0] == t.root and t.parent[t.root] is None
+        position = {v: i for i, v in enumerate(t.order)}
+        assert all(position[t.parent[v]] < position[v] for v in t.order[1:]), t.parent
+        depth = [_depth(t, v) for v in t.order]
+        assert depth == sorted(depth), t.parent
+        # the check walks unsorted neighbour lists; in a tree the parents
+        # are those of the sorted search whatever the neighbour order
+        assert t.parent == tuple(_bfs_forest(t)[1])
+    assert validate_tree(big) is big

@@ -514,6 +514,28 @@ def _poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return out
 
 
+def rooted_traversal(t: Graph) -> tuple[list[list[int]], list[int]]:
+    """(children, postorder) of the tree t rooted at 0, built from t.parent
+    alone, so the oracles below share no traversal with the package's
+    folds: child lists by one scan of the parent array, postorder by a
+    depth-first walk of (vertex, next child) frames."""
+    tree: Tree = validate_tree(t)
+    kids: list[list[int]] = [[] for _ in range(tree.n)]
+    for v, p in enumerate(tree.parent):
+        if p is not None:
+            kids[p].append(v)
+    order: list[int] = []
+    frames = [[tree.root, 0]]
+    while frames:
+        v, i = frames[-1]
+        if i < len(kids[v]):
+            frames[-1][1] += 1
+            frames.append([kids[v][i], 0])
+        else:
+            order.append(frames.pop()[0])
+    return kids, order
+
+
 def char_poly_tree(t: Graph) -> IntPolynomial:
     """det(xI - A) for a tree, by the bridge recurrence over Z[x].
 
@@ -529,18 +551,17 @@ def char_poly_tree(t: Graph) -> IntPolynomial:
     O(n^2) big-integer work: the whole polynomial, which the package's
     fold (psi_tree_mod) never forms.
     """
-    tree: Tree = validate_tree(t)
-    children = tree.children()
-    p: list[IntPolynomial] = [[] for _ in range(tree.n)]
-    q: list[IntPolynomial] = [[] for _ in range(tree.n)]
-    for v in tree.postorder():
+    children, postorder = rooted_traversal(t)
+    p: list[IntPolynomial] = [[] for _ in range(t.n)]
+    q: list[IntPolynomial] = [[] for _ in range(t.n)]
+    for v in postorder:
         pv, qv = [0, 1], [1]
         for c in children[v]:
             pv, minus, qv = _poly_mul(pv, p[c]), _poly_mul(qv, q[c]), _poly_mul(qv, p[c])
             for j, mj in enumerate(minus):  # minus has the lower degree
                 pv[j] -= mj
         p[v], q[v] = pv, qv
-    return p[tree.root]
+    return p[0]
 
 
 def poly_remainder(p: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
@@ -562,18 +583,17 @@ def p3_form_by_matchings(t: Graph) -> int:
     postorder dynamic program sums 2^(size - k) over the matchings of
     each subtree, split by whether its root is matched, in O(n) steps.
     """
-    tree = validate_tree(t)
-    children = tree.children()
-    free = [0] * tree.n    # root of the subtree left unmatched
-    taken = [0] * tree.n   # root of the subtree matched to a child
-    for v in tree.postorder():
+    children, postorder = rooted_traversal(t)
+    free = [0] * t.n    # root of the subtree left unmatched
+    taken = [0] * t.n   # root of the subtree matched to a child
+    for v in postorder:
         f, m = 2, 0
         for c in children[v]:
             both = free[c] + taken[c]
             # matching v to c adds an edge: one factor 2 fewer (f and free[c] are even)
             f, m = f * both, m * both + f * free[c] // 2
         free[v], taken[v] = f, m
-    return (free[tree.root] + taken[tree.root]) >> (tree.n - tree.n // 2)
+    return (free[0] + taken[0]) >> (t.n - t.n // 2)
 
 
 def skew_char_poly(d: OrientedGraph) -> IntPolynomial:
