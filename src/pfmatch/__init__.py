@@ -5,9 +5,10 @@ The package has four layers:
 - graphs:       paths, cycles, trees, Cartesian products, edge lists, and
                 the linear-time perfect-matching test for trees
 - orientation:  the doubled / layered / four-layer orientations and the
-                Pfaffian check over the M-alternating cycles of one
-                perfect matching M (of every one, to list a failure's
-                violations)
+                Pfaffian check, which compares |Pf| with the number of
+                perfect matchings (both from one signed brute-force
+                sweep) and walks the alternating cycles of every perfect
+                matching only to list a failure's violations
 - exactlinalg:  fraction-free determinants, sparse skew determinants modulo
                 primes recombined exactly by CRT, psi_T of a tree
                 (phi_T(x) = x^e psi_T(x^2)) folded by the bridge recurrence
@@ -24,7 +25,8 @@ The package has four layers:
                 Pfaffian orientation, then brute force), count_grid and
                 count_graph do the same for grids and plain graphs; brute
                 force is a dynamic program over free-vertex masks in a
-                bandwidth-reducing vertex order (brute)
+                bandwidth-reducing vertex order (brute), which can also
+                carry each partial matching's Pfaffian sign
 
 plus a command-line front end (pfmatch.cli / the `pfmatch` script) that
 only parses arguments and renders reports.

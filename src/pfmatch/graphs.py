@@ -286,10 +286,12 @@ def _prufer_decode(seq: list[int], n: int) -> list[Edge]:
 # arc.  A pair may appear once, in either direction.
 # ---------------------------------------------------------------------------
 
-def parse_edge_lines(text: str, arrows: bool = False) -> tuple[int, list[Edge]]:
-    """(n, pairs in file order) from edge-list text with "u v" lines, or
-    "u -> v" lines when arrows is set; EdgeListParseError names the line
-    of a bad header, line, endpoint, self-loop or repeated pair."""
+def parse_edge_lines(text: str, arrows: bool = False
+                     ) -> tuple[int, list[Edge], frozenset[Edge]]:
+    """(n, pairs in file order, the pairs sorted) from edge-list text with
+    "u v" lines, or "u -> v" lines when arrows is set; EdgeListParseError
+    names the line of a bad header, line, endpoint, self-loop or repeated
+    pair."""
     lines = [(i, line) for i, line in enumerate(map(str.strip, text.splitlines()), start=1)
              if line and line[0] != "#"]
     if not lines:
@@ -325,12 +327,13 @@ def parse_edge_lines(text: str, arrows: bool = False) -> tuple[int, list[Edge]]:
             raise EdgeListParseError(f"line {lineno}: pair {line!r} repeats an earlier line")
         seen.add(key)
         pairs.append((u, v))
-    return n, pairs
+    return n, pairs, frozenset(seen)
 
 
 def parse_edge_list(text: str) -> Graph:
     """The Graph of "u v" edge-list text (see parse_edge_lines)."""
-    return Graph.from_edges(*parse_edge_lines(text))
+    n, _, edges = parse_edge_lines(text)
+    return Graph(n=n, edges=edges)
 
 
 def format_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:

@@ -13,16 +13,16 @@ in the tree's skew adjacency A:
      [-I,  0, -A, -I],
      [ 0, -I,  I,  A]]
 
-An orientation is Pfaffian when every nice even cycle (one whose
-removal leaves a perfectly matchable remainder) contains an odd number
-of arcs agreeing with each traversal direction.  A cycle is nice and
-even exactly when it alternates with some perfect matching: add every
-other edge of the cycle to a matching of the remainder.  `check_pfaffian`
-fixes one perfect matching M and tests only the M-alternating cycles,
-which suffices (Lovász & Plummer, *Matching Theory*, ch. 8; R. Thomas,
-"A survey of Pfaffian orientations of graphs", ICM 2006); to list the
-violations of a failure it walks the alternating cycles of every other
-perfect matching.
+An orientation is Pfaffian when every perfect matching carries the same
+sign in the Pfaffian of the skew adjacency matrix A, that is, when
+|Pf(A)| = Pm(G) (Kasteleyn; R. Thomas, "A survey of Pfaffian
+orientations of graphs", ICM 2006).  `check_pfaffian` decides it that
+way: one sweep of brute.count_signed_matchings yields both numbers.
+Equivalently, every nice even cycle (one whose removal leaves a
+perfectly matchable remainder) contains an odd number of arcs agreeing
+with each traversal direction; the nice even cycles are exactly the
+cycles alternating with some perfect matching, so a failure lists its
+violations by walking the alternating cycles of every perfect matching.
 """
 
 from __future__ import annotations
@@ -30,17 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .brute import perfect_matchings
+from .brute import count_signed_matchings, perfect_matchings
 from .errors import InvalidSizeError, SizeLimitError
-from .graphs import (
-    Edge,
-    Graph,
-    _sorted_edge,
-    cartesian_product,
-    parse_edge_lines,
-    path_graph,
-    validate_tree,
-)
+from .graphs import Edge, Graph, _sorted_edge, parse_edge_lines, validate_tree
 
 Arc = tuple[int, int]
 
@@ -81,27 +73,30 @@ class OrientedGraph:
 class PfaffianReport:
     """Outcome of check_pfaffian.
 
-    The check passes when no violation was found: every M-alternating
-    cycle of the perfect matching `matching` (empty when the graph has
-    none) was oddly oriented, and route is then "alternating".  A
-    failure walked the alternating cycles of every other perfect
-    matching, which are all the nice even cycles, and listed the
-    violations among them in lexicographic order; route is then
-    "nice-cycles".
-    nice_even_cycles counts the distinct cycles the route examined.
+    Every call sets matchings, the number Pm of perfect matchings, and
+    pfaffian, |Pf| of the skew adjacency matrix; the check passes iff
+    they are equal, and matching is the first perfect matching (empty
+    when the graph has none).  A pass walks no cycle: route is
+    "matching-signs", nice_even_cycles is 0 and violations is empty.  A
+    failure walks the alternating cycles of every perfect matching,
+    which are all the nice even cycles: route is "nice-cycles",
+    nice_even_cycles counts the distinct ones and violations lists those
+    that are not oddly oriented, in lexicographic order.
     """
 
     nice_even_cycles: int
     violations: tuple[CycleSeq, ...]
     matching: tuple[Edge, ...]
+    matchings: int
+    pfaffian: int
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return self.pfaffian == self.matchings
 
     @property
     def route(self) -> str:
-        return "alternating" if self.passed else "nice-cycles"
+        return "matching-signs" if self.passed else "nice-cycles"
 
 
 def orient_lexicographic(g: Graph) -> OrientedGraph:
@@ -112,16 +107,18 @@ def orient_lexicographic(g: Graph) -> OrientedGraph:
 def _stack(d: OrientedGraph, m: int) -> OrientedGraph:
     """Orient P_m x G with m copies of d: layer i (0-based) keeps d when i
     is even and gets its converse when i is odd; every rung points from
-    layer i to layer i+1."""
+    layer i to layer i+1.  Vertex (i, v) is i*n + v, the layer-major
+    numbering of graphs.cartesian_product."""
     n = d.n
-    product = cartesian_product(path_graph(m), d.base)
-    arcs: set[Arc] = set()
+    converse = [(v, u) for u, v in d.arcs]
+    rungs = [(k, k + n) for k in range((m - 1) * n)]
+    arcs: list[Arc] = rungs[:]
+    edges: list[Edge] = rungs[:]
     for i in range(m):
         off = i * n
-        for u, v in d.arcs:
-            arcs.add((off + u, off + v) if i % 2 == 0 else (off + v, off + u))
-    arcs.update((k, k + n) for k in range((m - 1) * n))  # the rungs
-    return OrientedGraph(base=product, arcs=frozenset(arcs))
+        arcs += [(off + u, off + v) for u, v in (converse if i % 2 else d.arcs)]
+        edges += [(off + u, off + v) for u, v in d.base.edges]
+    return OrientedGraph(base=Graph(n=m * n, edges=frozenset(edges)), arcs=frozenset(arcs))
 
 
 def orient_double(d: OrientedGraph) -> OrientedGraph:
@@ -154,64 +151,68 @@ def orient_c4_tree(d: OrientedGraph) -> OrientedGraph:
     return orient_double(orient_double(d))
 
 
-def _odd_forward(arcs: frozenset[Arc], c: CycleSeq) -> bool:
-    """True iff an odd number of c's consecutive pairs, wrapping around, are arcs.
-
-    For an even cycle of length k the two traversal directions count f
-    and k - f arcs, which share parity, so one traversal suffices.
-    """
-    return sum((u, v) in arcs for u, v in zip(c, c[1:] + c[:1])) % 2 == 1
-
-
-def _alternating_cycles(g: Graph, matching: Iterable[Edge]) -> Iterator[CycleSeq]:
-    """Every cycle of g alternating with the matching M, exactly once.
+def _alternating_cycles(d: OrientedGraph, matching: Iterable[Edge]
+                       ) -> Iterator[tuple[CycleSeq, bool]]:
+    """Every cycle alternating with the matching M, exactly once, with
+    True iff it is oddly oriented.
 
     A cycle is listed from its smallest vertex s, first along s's M-edge;
     the walk then alternates a non-M edge with the M-edge of the vertex
     it reaches, through vertices above s only, and closes on a non-M
-    edge back to s.  Iterative, so the depth is not bounded by Python's
-    recursion limit.
+    edge back to s.  The walk keeps the parity of the arcs it has
+    followed forward, so closing a cycle costs one step; for an even
+    cycle of length k the two traversal directions follow f and k - f
+    arcs, which share parity, so the flag holds either way.  Iterative,
+    so the depth is not bounded by Python's recursion limit.
     """
+    g, arcs = d.base, d.arcs
     mate = [-1] * g.n
     for u, v in matching:
         mate[u], mate[v] = v, u
-    others = [tuple(w for w in nbrs if w != mate[v]) for v, nbrs in enumerate(g.adjacency)]
+    along_m = [(v, w) in arcs for v, w in enumerate(mate)]
+    # each non-M neighbour w of v, with True when v -> w is an arc
+    others = [tuple((w, (v, w) in arcs) for w in nbrs if w != mate[v])
+              for v, nbrs in enumerate(g.adjacency)]
     for s, t in enumerate(mate):
         if t < s:
             continue
         path = [s, t]
+        odd = [along_m[s]]  # parity of the forward arcs of path, one entry per M-edge
         onpath = (1 << s) | (1 << t)
         stack = [iter(others[t])]
         while stack:
-            for w in stack[-1]:
+            for w, forward in stack[-1]:
                 if w == s:
-                    yield tuple(path)
+                    yield tuple(path), odd[-1] ^ forward
                 elif w > s and mate[w] > s and not (onpath >> w) & 1:
                     path += (w, mate[w])
+                    odd.append(odd[-1] ^ forward ^ along_m[w])
                     onpath |= (1 << w) | (1 << mate[w])
                     stack.append(iter(others[mate[w]]))
                     break
             else:
                 stack.pop()
                 if stack:
+                    odd.pop()
                     onpath &= ~((1 << path.pop()) | (1 << path.pop()))
 
 
 def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) -> PfaffianReport:
     """Test the Pfaffian property at desk scale.
 
-    Fixes the first perfect matching M of the base graph.  The
-    orientation is Pfaffian iff every M-alternating cycle is oddly
-    oriented (Lovász & Plummer, *Matching Theory*, ch. 8; R. Thomas, "A
-    survey of Pfaffian orientations of graphs", ICM 2006).  Every such
-    cycle is nice, since M covers what it leaves, so a pass needs no
-    matching search per cycle; a graph without M has no nice cycle and
-    passes vacuously.  A failure goes on through every other perfect
-    matching: the cycles alternating with some matching are exactly the
-    nice even cycles, each also alternates with a matching other than M
-    (swap the matching along the cycle), and each that is not oddly
+    One sweep of brute.count_signed_matchings gives the number Pm of
+    perfect matchings and |Pf| of the skew adjacency matrix.  Pf sums
+    the signs of the perfect matchings, so |Pf| = Pm exactly when they
+    all share one sign, which is the Pfaffian property (Kasteleyn; R.
+    Thomas, "A survey of Pfaffian orientations of graphs", ICM 2006);
+    odd and unmatchable graphs pass vacuously, with Pm = |Pf| = 0.  A
+    pass walks no cycle.  A failure lists its violations: the cycles
+    alternating with some perfect matching are exactly the nice even
+    cycles, each also alternates with a matching other than the first,
+    M (swap the matching along the cycle), and each that is not oddly
     oriented is a violation.  Graphs above max_vertices raise
-    SizeLimitError first.
+    SizeLimitError first, and so does a sweep past the brute-force
+    state guard.
     """
     base = d.base
     if base.n > max_vertices:
@@ -219,24 +220,23 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
             f"Pfaffian check guard: {base.n} vertices > limit {max_vertices}; "
             "raise the limit explicitly or use the brute-force counting route"
         )
+    count, signed = count_signed_matchings(base, d.arcs)
+    pfaffian = abs(signed)
     matchings = perfect_matchings(base)
     matching = next(matchings, ())
-    checked = 0
-    for c in _alternating_cycles(base, matching):
-        if not _odd_forward(d.arcs, c):
-            break
-        checked += 1
-    else:
-        return PfaffianReport(nice_even_cycles=checked, violations=(), matching=matching)
+    if pfaffian == count:
+        return PfaffianReport(nice_even_cycles=0, violations=(), matching=matching,
+                              matchings=count, pfaffian=pfaffian)
     # A cycle C alternating with a matching M' also alternates with M' xor C,
     # so the matchings after M alone reach every nice even cycle.
-    nice: set[CycleSeq] = set()
+    nice: dict[CycleSeq, bool] = {}
     for m in matchings:
-        for c in _alternating_cycles(base, m):
+        for c, odd in _alternating_cycles(d, m):
             # one direction per cycle: toward the start's smaller neighbour
-            nice.add(c if c[1] < c[-1] else c[:1] + c[:0:-1])
-    violations = tuple(sorted(c for c in nice if not _odd_forward(d.arcs, c)))
-    return PfaffianReport(nice_even_cycles=len(nice), violations=violations, matching=matching)
+            nice[c if c[1] < c[-1] else c[:1] + c[:0:-1]] = odd
+    violations = tuple(sorted(c for c, odd in nice.items() if not odd))
+    return PfaffianReport(nice_even_cycles=len(nice), violations=violations, matching=matching,
+                          matchings=count, pfaffian=pfaffian)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +245,8 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
 # ---------------------------------------------------------------------------
 
 def parse_oriented_edge_list(text: str) -> OrientedGraph:
-    n, arcs = parse_edge_lines(text, arrows=True)
-    return OrientedGraph(base=Graph.from_edges(n, arcs), arcs=frozenset(arcs))
+    n, arcs, edges = parse_edge_lines(text, arrows=True)
+    return OrientedGraph(base=Graph(n=n, edges=edges), arcs=frozenset(arcs))
 
 
 def format_oriented_edge_list(d: OrientedGraph, comments: Iterable[str] = ()) -> str:

@@ -3,8 +3,12 @@
 import math
 import time
 
+import pytest
+
 from pfmatch import (
+    DEFAULT_BRUTE_STATE_GUARD,
     Graph,
+    SizeLimitError,
     cartesian_product,
     count_c4_tree,
     count_perfect_matchings,
@@ -12,6 +16,7 @@ from pfmatch import (
     path_graph,
     random_tree,
 )
+from pfmatch.brute import _sweep_order, count_signed_matchings
 from pfmatch.graphs import _bfs_forest
 
 from util import (
@@ -19,6 +24,9 @@ from util import (
     count_by_backtracking,
     induced_subgraph,
     matching_count_by_edge_subsets,
+    pfaffian_by_expansion,
+    random_orientation,
+    skew_adjacency,
     trees_up_to,
 )
 
@@ -112,3 +120,37 @@ def test_forty_vertex_product_is_fast():
     count = count_perfect_matchings(g)
     assert time.perf_counter() - started < 0.1
     assert count == count_c4_tree(tree).count
+
+
+def test_signed_sweep_is_the_pfaffian_in_the_sweep_order():
+    # the sweep relabels by its order, so its signed sum is exactly the
+    # Pfaffian of the skew matrix with rows and columns in that order;
+    # the Pfaffian check reads only |Pf|, but the sign pins every factor
+    bits = bit_stream(2029)
+    kinds = {"odd": 0, "zero": 0, "cancelled": 0, "negative": 0}
+    for case in range(300):
+        n = case % 11
+        g = _random_graph(bits, n)
+        d = random_orientation(g, next(bits))
+        count, signed = count_signed_matchings(g, d.arcs)
+        position = _sweep_order(g)[0]
+        order = sorted(range(n), key=position.__getitem__)
+        a = skew_adjacency(d)
+        assert count == count_perfect_matchings(g), (case, sorted(d.arcs))
+        assert signed == pfaffian_by_expansion([[a[u][v] for v in order] for u in order]), (
+            case, sorted(d.arcs))
+        kinds["odd"] += n % 2
+        kinds["zero"] += n % 2 == 0 and count == 0
+        kinds["cancelled"] += abs(signed) < count
+        kinds["negative"] += signed < 0
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_signed_sweep_shares_the_state_guard():
+    # K40 passes the count's 40-vertex guard but not its state guard; the
+    # signed sweep refuses it the same way (about 0.5 s alone)
+    k40 = Graph.from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40)])
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match=f"more than {DEFAULT_BRUTE_STATE_GUARD} matching states"):
+        count_signed_matchings(k40, k40.edges)
+    assert time.perf_counter() - start < 3.0

@@ -196,12 +196,14 @@ def test_verify_pfaffian_random_tree(capsys):
 def test_verify_pfaffian_names_route_and_cycles_checked(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--pfaffian", "--c4", "--tree", "path:2")
     assert code == EXIT_OK
-    assert "route: alternating" in out and "cycles checked: 6 M-alternating" in out
+    assert "route: matching-signs" in out and "perfect matchings: 9, |Pf|: 9" in out
+    assert "cycles checked" not in out
     bad = tmp_path / "allforward.txt"
     bad.write_text("4 4\n0 -> 1\n1 -> 2\n2 -> 3\n3 -> 0\n")
     code, out, _ = run(capsys, "verify", "--pfaffian", "--graph", "cycle:4", "--orient-file", str(bad))
     assert code == EXIT_VIOLATION
     assert "route: nice-cycles" in out and "cycles checked: 1 nice even" in out
+    assert "perfect matchings: 2, |Pf|: 0" in out
 
 
 def test_count_pfaffian_size_guard(capsys):

@@ -1,5 +1,7 @@
 """Orientation constructors, skew adjacency, the Pfaffian check."""
 
+import time
+
 import pytest
 
 from pfmatch import (
@@ -22,6 +24,7 @@ from pfmatch import (
     random_tree,
     validate_tree,
 )
+from pfmatch.orientation import _alternating_cycles
 
 from util import (
     Matching,
@@ -112,6 +115,18 @@ def test_orient_layered_k2_four_layers():
     assert layer_arcs == {(0, 1), (3, 2), (4, 5), (7, 6)}  # alternating with the converse
     rungs = d.arcs - layer_arcs
     assert rungs == {(0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7)}  # all forward
+
+
+def test_stacked_orientations_keep_the_product_graph():
+    # the stacked constructors build P_m x T themselves; the product
+    # builder is the oracle for the graph they orient
+    for t in trees_up_to(6):
+        for seed in range(2):
+            d = random_orientation(Graph(n=t.n, edges=t.edges), seed)
+            for m in range(1, 6):
+                assert orient_layered(d, m).base == cartesian_product(path_graph(m), d.base)
+            assert orient_c4_tree(d).base == cartesian_product(
+                path_graph(2), cartesian_product(path_graph(2), d.base))
 
 
 def test_orient_layered_rejects_non_tree():
@@ -212,12 +227,16 @@ def test_check_pfaffian_report_counts_nice_even_cycles():
     cube = orient_c4_tree(orient_lexicographic(path_graph(2)))
     report = check_pfaffian(cube)
     assert report.passed and report.violations == ()
+    # a pass compares the two counts and walks no cycle
+    assert report.route == "matching-signs"
+    assert report.matchings == report.pfaffian == 9 and report.nice_even_cycles == 0
     # M is the four tree edges; the M-alternating cycles are the four
     # squares through two of them and the two Hamiltonian cycles
-    # alternating with them
-    assert report.route == "alternating"
+    # alternating with them, all oddly oriented
     assert report.matching == ((0, 1), (2, 3), (4, 5), (6, 7))
-    assert report.nice_even_cycles == 6
+    walked = list(_alternating_cycles(cube, report.matching))
+    assert len(walked) == len({c for c, _ in walked}) == 6
+    assert all(odd for _, odd in walked)
     # one flipped arc fails the check, and the failure runs the full scan:
     # all 28 cycles of the cube are even; the 24 nice ones: every 4-cycle
     # and 8-cycle, and 12 of the 16 hexagons (a hexagon's 2-vertex
@@ -226,6 +245,18 @@ def test_check_pfaffian_report_counts_nice_even_cycles():
     broken = check_pfaffian(flipped)
     assert not broken.passed and broken.route == "nice-cycles"
     assert broken.nice_even_cycles == 24
+    assert broken.matchings == 9 and broken.pfaffian ** 2 == det_cofactor(skew_adjacency(flipped))
+    assert broken.pfaffian < 9
+
+
+def test_check_pfaffian_long_path_walks_no_cycle():
+    # a pass costs one signed sweep whose frontier stays small on a path,
+    # where the alternating-cycle walk from every start was quadratic
+    start = time.perf_counter()
+    report = check_pfaffian(orient_lexicographic(path_graph(4000)), max_vertices=4000)
+    elapsed = time.perf_counter() - start
+    assert report.passed and report.matchings == report.pfaffian == 1
+    assert elapsed < 1.0, elapsed
 
 
 def _lowest_arc_flipped(d: OrientedGraph) -> OrientedGraph:
@@ -295,6 +326,9 @@ def test_check_pfaffian_agrees_with_determinant_and_subset_oracles():
         count = matching_count_by_edge_subsets(g)
         report = check_pfaffian(d)
         assert report.passed == (det_cofactor(skew_adjacency(d)) == count ** 2), sorted(d.arcs)
+        # the verdict's evidence pair: Pm by edge subsets, Pf^2 = det A by cofactors
+        assert report.matchings == count
+        assert report.pfaffian ** 2 == det_cofactor(skew_adjacency(d))
 
         # every perfect matching once, in lexicographic order; the first is M
         matchings = list(perfect_matchings(g))
@@ -304,10 +338,16 @@ def test_check_pfaffian_agrees_with_determinant_and_subset_oracles():
             assert set(found) <= g.edges and sorted(v for e in found for v in e) == list(range(n))
         assert report.matching == (matchings[0] if matchings else ())
 
+        # the walk examines every M-alternating cycle exactly once, with its
+        # parity, and every one is oddly oriented iff the counts agree
+        walked = list(_alternating_cycles(d, report.matching))
+        assert len(walked) == len({c for c, _ in walked}) == sum(
+            1 for c in cycles_by_subsets(g) if _alternates(c, report.matching))
+        for c, odd in walked:
+            assert odd == (sum((u, v) in d.arcs for u, v in zip(c, c[1:] + c[:1])) % 2 == 1)
+        assert report.passed == all(odd for _, odd in walked)
         if report.passed:
-            # every M-alternating cycle was examined exactly once
-            assert report.nice_even_cycles == sum(
-                1 for c in cycles_by_subsets(g) if _alternates(c, report.matching))
+            assert (report.nice_even_cycles, report.violations) == (0, ())
         else:
             assert list(report.violations) == pfaffian_violations_by_subsets(d)
             assert (report.nice_even_cycles, list(report.violations)) == pfaffian_scan(d)

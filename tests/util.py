@@ -447,6 +447,24 @@ def det_cofactor(mat: list[list[int]]) -> int:
     return total
 
 
+def pfaffian_by_expansion(mat: list[list[int]]) -> int:
+    """Pf of a skew-symmetric matrix by expansion along the first row:
+    Pf(A) = sum over j > 0 of (-1)^(j+1) a_0j Pf(A without rows and
+    columns 0 and j); 1 for the empty matrix, 0 for odd order."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    if n % 2:
+        return 0
+    total = 0
+    for j in range(1, n):
+        if mat[0][j]:
+            keep = [k for k in range(1, n) if k != j]
+            minor = [[mat[r][c] for c in keep] for r in keep]
+            total += (-1) ** (j + 1) * mat[0][j] * pfaffian_by_expansion(minor)
+    return total
+
+
 def char_poly_by_interpolation(mat: list[list[int]]) -> list[int]:
     """Coefficients of det(xI - A), constant first, via n+1 exact evaluations."""
     n = len(mat)
