@@ -3,14 +3,14 @@
 
 An orientation is Pfaffian when every perfect matching carries the same
 sign in the Pfaffian of the skew adjacency matrix, that is, when |Pf|
-equals the number Pm of perfect matchings; then the determinant of the
-skew adjacency matrix is Pm squared.  The check reads both numbers off
-one signed sweep over the perfect matchings.  Equivalently, every nice
-even cycle (one whose removal leaves a perfectly matchable remainder)
-carries an odd number of arcs along each traversal direction, so a
-failing orientation goes on through the cycles that alternate with
-every perfect matching, which are all the nice even cycles, and lists
-the violations among them.
+equals the number Pm of perfect matchings; then |Pf| counts the
+perfect matchings by linear algebra alone.  The check reads both
+numbers off one signed sweep over the perfect matchings.  Equivalently,
+every nice even cycle (one whose removal leaves a perfectly matchable
+remainder) carries an odd number of arcs along each traversal
+direction, so a failing orientation goes on through the cycles that
+alternate with every perfect matching, which are all the nice even
+cycles, and lists the violations among them.
 
 The constructions demonstrated:
   - doubling:   two mirrored copies of an oriented graph, rungs all
@@ -58,12 +58,12 @@ def main():
     show("layered, 3 copies (P3 x T)", pf.orient_layered(pf.orient_lexicographic(spider), 3))
 
     print()
-    print("counting through a verified orientation (squared determinant):")
+    print("counting through a verified orientation (|Pf| by exact elimination):")
     oriented = pf.orient_c4_tree(d)
     result = pf.count_pfaffian(oriented)
     brute = pf.count_brute(oriented.base, max_vertices=24)
-    print(f"  det(skew adjacency) = {result.determinant} = {result.count}^2")
-    print(f"  brute-force count   = {brute.count}")
+    print(f"  |Pf(skew adjacency)| = {result.count}")
+    print(f"  brute-force count    = {brute.count}")
     assert result.count == brute.count
 
     print()
@@ -73,7 +73,7 @@ def main():
     report = show("all-forward C4", bad)
     print("  violating cycle:", "-".join(map(str, report.violations[0])))
     wrong = pf.count_pfaffian(bad)
-    print(f"  its determinant gives {wrong.count}, but the true count is "
+    print(f"  its |Pf| gives {wrong.count}, but the true count is "
           f"{pf.count_brute(c4).count}: signed matchings cancelled.")
 
     print()

@@ -9,14 +9,14 @@ The package has four layers:
                 perfect matchings (both from one signed brute-force
                 sweep) and walks the alternating cycles of every perfect
                 matching only to list a failure's violations
-- exactlinalg:  fraction-free determinants, sparse skew determinants modulo
-                primes recombined exactly by CRT, psi_T of a tree
+- exactlinalg:  fraction-free determinants, |Pf| of a skew adjacency
+                matrix by sparse elimination modulo primes recombined
+                exactly by CRT, psi_T of a tree
                 (phi_T(x) = x^e psi_T(x^2)) folded by the bridge recurrence
                 modulo a small monic polynomial q(y) (O(n) ring
                 operations, plain integers when deg q = 1), root_product (the
                 product of a polynomial over the roots of a small monic
-                one, as the determinant of a multiplication matrix) and
-                integer square roots
+                one, as the determinant of a multiplication matrix)
 - counting:     brute-force oracle, Pfaffian counting, and one closed form,
                 P_s x T = |root_product(q_s, psi_T)| with q_s read off the
                 path P_s and psi_T folded modulo q_s, whose instances are
@@ -59,7 +59,6 @@ from .counting import (
 from .errors import (
     EdgeListParseError,
     InvalidSizeError,
-    NotAPerfectSquareError,
     NotATreeError,
     NotPfaffianError,
     NotSquarishError,
@@ -72,10 +71,9 @@ from .exactlinalg import (
     DEFAULT_PFAFFIAN_UPDATE_GUARD,
     IntMatrix,
     IntPolynomial,
+    abs_pfaffian,
     adjacency_matrix,
     det_bareiss,
-    det_skew,
-    integer_sqrt_exact,
     psi_tree_mod,
     root_product,
 )
@@ -121,7 +119,6 @@ __all__ = [
     "IntMatrix",
     "IntPolynomial",
     "InvalidSizeError",
-    "NotAPerfectSquareError",
     "NotATreeError",
     "NotPfaffianError",
     "NotSquarishError",
@@ -133,6 +130,7 @@ __all__ = [
     "SizeLimitError",
     "SquarishDecomposition",
     "Tree",
+    "abs_pfaffian",
     "adjacency_matrix",
     "cartesian_product",
     "check_pfaffian",
@@ -149,10 +147,8 @@ __all__ = [
     "count_product",
     "cycle_graph",
     "det_bareiss",
-    "det_skew",
     "format_edge_list",
     "format_oriented_edge_list",
-    "integer_sqrt_exact",
     "orient_c4_tree",
     "orient_double",
     "orient_layered",

@@ -7,8 +7,8 @@ JSON ({"request", "method", "count", "violations", "elapsed_ms"}), with
 counts serialized as decimal strings so consumers never truncate them.
 
 Exit codes: 0 ok, 2 parse error, 3 precondition/structure error,
-4 size-limit guard, 5 verification violation (or a count exposing a
-non-Pfaffian orientation), 6 numerical-consistency error.
+4 size-limit guard, 5 verification violation (or a Pfaffian count whose
+modular reconstruction failed), 6 numerical-consistency error.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Perfect-matching counts: brute force, Pfaffian determinants, closed forms.
+"""Perfect-matching counts: brute force, Pfaffians, closed forms.
 
 Every closed form here is one eigenvalue product over the spectrum of a
 tree T, evaluated exactly from its characteristic polynomial
@@ -18,7 +18,7 @@ of degree d.  For P_2, P_3 and C_4 (d = 1) they are integer operations,
 so those counts are one evaluation psi_T(y0) at the root y0 of q_s; for
 P_4, P_5 and grids with a side of 4 or 5 (d = 2) the elements are
 integer pairs, and for d >= 3 they are lists.
-No route takes a square root or rounds a float.  The trigonometric
+No closed form takes a square root or rounds a float.  The trigonometric
 products of the lattice and the grid are cross-checks, evaluated in log
 space with explicit tolerances.
 """
@@ -32,14 +32,12 @@ from typing import Optional
 from .brute import count_perfect_matchings
 from .errors import (
     InvalidSizeError,
-    NotAPerfectSquareError,
-    NotPfaffianError,
     NotSquarishError,
     NumericalConsistencyError,
     PreconditionError,
     SizeLimitError,
 )
-from .exactlinalg import det_skew, integer_sqrt_exact, psi_tree_mod, root_product
+from .exactlinalg import abs_pfaffian, psi_tree_mod, root_product
 from .graphs import (
     Graph,
     cartesian_product,
@@ -71,17 +69,14 @@ class CountResult:
     formula-p3t | formula-p4t | narumi-hosoya | kasteleyn-grid.
     dimension is the vertex count the route worked on: the graph's for
     brute and pfaffian, the tree's for the tree formulas, n for
-    narumi-hosoya, None for grids.  determinant is the skew adjacency
-    determinant that det_skew computed on the pfaffian route (the count
-    squared, or 0 for an odd graph), and None on every other route.
-    float_estimate carries the value of the trigonometric product
-    formulas, or None where that value overflows a float.
+    narumi-hosoya, None for grids.  float_estimate carries the value of
+    the trigonometric product formulas, or None where that value
+    overflows a float.
     """
 
     count: int
     method: str
     dimension: Optional[int] = None
-    determinant: Optional[int] = None
     float_estimate: Optional[float] = None
     note: str = ""
 
@@ -124,34 +119,19 @@ def count_brute(g: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResul
 
 
 def count_pfaffian(d: OrientedGraph) -> CountResult:
-    """Count d.base via the skew adjacency determinant of its Pfaffian orientation d.
+    """Count d.base as |Pf| of the skew adjacency matrix of its Pfaffian orientation d.
 
     The caller vouches for Pfaffian-ness (check_pfaffian can verify it at
-    desk scale).  det_skew computes the determinant of the skew adjacency
-    matrix exactly, by sparse elimination modulo primes and the Chinese
-    remainder theorem; for a Pfaffian orientation it is the squared
-    count.  Any skew integer matrix has det = Pf^2 (Cayley), so a
-    non-Pfaffian orientation shows up as a wrong square, an undercount,
-    not as a non-square.  On a bipartite graph det_skew returns det(B)^2
-    for the half-size biadjacency matrix B, a square by construction, so
-    the square-root check guards only the reconstruction of a graph with
-    an odd cycle: a non-square would mean its residues were combined
-    wrongly, and raises NotPfaffianError.  A graph whose eliminations
-    would do more work than DEFAULT_PFAFFIAN_UPDATE_GUARD (see det_skew)
-    raises SizeLimitError within the first of them.
+    desk scale); a non-Pfaffian orientation gives an undercount, as its
+    perfect matchings cancel in the Pfaffian.  abs_pfaffian computes |Pf|
+    exactly, by sparse elimination modulo primes and the Chinese
+    remainder theorem; a graph whose eliminations would do more work
+    than DEFAULT_PFAFFIAN_UPDATE_GUARD raises SizeLimitError within the
+    first of them.
     """
-    if d.n % 2:
-        return CountResult(count=0, method="pfaffian", dimension=d.n, determinant=0,
-                           note="odd vertex count")
-    det = det_skew(d)
-    try:
-        root = integer_sqrt_exact(det)
-    except NotAPerfectSquareError as exc:
-        raise NotPfaffianError(
-            f"skew adjacency determinant {det} is not a perfect square, "
-            "which no skew integer matrix has: the modular reconstruction failed"
-        ) from exc
-    return CountResult(count=root, method="pfaffian", dimension=d.n, determinant=det)
+    note = "odd vertex count" if d.n % 2 else ""
+    return CountResult(count=abs_pfaffian(d.base, d.arcs), method="pfaffian", dimension=d.n,
+                       note=note)
 
 
 def _path_product(s: int, t: Graph) -> int:

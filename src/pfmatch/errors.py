@@ -32,18 +32,13 @@ class PreconditionError(PfmatchError):
     """An operation's mathematical precondition does not hold for the input."""
 
 
-class NotAPerfectSquareError(PfmatchError, ArithmeticError):
-    """Exact square root requested of a non-square integer."""
-
-    exit_code = 5
-
-
 class NotPfaffianError(PfmatchError):
-    """A Pfaffian count's determinant was not a perfect square.
+    """A skew adjacency determinant reconstructed by abs_pfaffian was not a perfect square.
 
     No skew integer matrix has such a determinant (det = Pf^2), so this
-    means its modular reconstruction failed; a non-Pfaffian orientation
-    shows up as an undercount instead.
+    means its modular reconstruction failed.  The Pfaffian check's
+    verdict shares the exit code; a count through a non-Pfaffian
+    orientation raises nothing and shows up as an undercount instead.
     """
 
     exit_code = 5

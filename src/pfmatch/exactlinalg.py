@@ -2,15 +2,15 @@
 
 Matrices and polynomials are plain lists of Python ints and nothing here
 ever rounds: dense determinants use fraction-free (Bareiss) elimination,
-whose intermediate divisions are exact by construction; the skew
-adjacency determinant of an orientation (det_skew) is eliminated
-sparsely modulo primes, as the square of the half-size biadjacency
-determinant when the graph is bipartite, and recombined by the Chinese
-remainder theorem in the symmetric range past twice the Hadamard bound,
-which is exact whatever the sign; and psi_T, read off a tree's
-characteristic polynomial as phi_T(x) = x^e * psi_T(x^2), is folded by the
-bridge recurrence modulo a small monic polynomial q(y), in O(n) ring
-operations of degree deg q.
+whose intermediate divisions are exact by construction; |Pf| of the
+skew adjacency matrix of an orientation (abs_pfaffian) is the half-size
+biadjacency determinant when the graph is bipartite and the exact root
+of the whole skew determinant otherwise, each eliminated sparsely
+modulo primes and recombined by the Chinese remainder theorem in the
+symmetric range past twice the Hadamard bound, which is exact whatever
+the sign; and psi_T, read off a tree's characteristic polynomial as
+phi_T(x) = x^e * psi_T(x^2), is folded by the bridge recurrence modulo
+a small monic polynomial q(y), in O(n) ring operations of degree deg q.
 
 This is the machinery that turns spectral product formulas into exact
 integers.  For a monic integer polynomial q and an integer polynomial p,
@@ -27,10 +27,10 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from typing import Collection
 
-from .errors import NotAPerfectSquareError, PreconditionError, SizeLimitError
-from .graphs import Graph, Tree, _bfs_forest, validate_tree
-from .orientation import OrientedGraph
+from .errors import NotPfaffianError, SizeLimitError
+from .graphs import Edge, Graph, Tree, _bfs_forest, validate_tree
 
 IntMatrix = list[list[int]]
 
@@ -78,7 +78,7 @@ def det_bareiss(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-#: Work guard for det_skew, the only guard of the Pfaffian route: its
+#: Work guard for abs_pfaffian, the only guard of the Pfaffian route: its
 #: eliminations may together do at most this much work (see _det_mod),
 #: c * r updates per pivot plus 20.  Fitted on a shared 2-core host
 #: (Python 3.11): an update costs about 0.74 us on K_150, where pivots
@@ -116,7 +116,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _skew_prime(k: int) -> int:
-    """The k-th modulus of det_skew: the primes below 2^62, largest first.
+    """The k-th modulus of abs_pfaffian: the primes below 2^62, largest first.
 
     Found on demand, so importing the module computes no table.  Each
     entry follows from the one before, so a memo entry written twice
@@ -205,37 +205,38 @@ def _det_mod(signed: list[dict[int, int]], p: int, max_work: int) -> int:
     return det % p
 
 
-def det_skew(d: OrientedGraph) -> int:
-    """det of the skew adjacency matrix A of d, exactly, from its arcs alone.
+def abs_pfaffian(g: Graph, arcs: Collection[Edge]) -> int:
+    """|Pf| of the skew adjacency matrix A of the orientation arcs of g, exactly.
 
     A has entry 1 at (u, v) and -1 at (v, u) for each arc u->v; it is
     never built densely.  A bipartite graph (its sides X and Y are the
     parities of breadth-first depth, which no edge joins) needs only the
     signed biadjacency matrix B, of half the order: B[x][y] is 1 for an
     arc x->y and -1 for an arc y->x, and with X listed before Y,
-    A = [[0, B], [-B^T, 0]], so det A = det(B)^2 (Kasteleyn's form of
+    A = [[0, B], [-B^T, 0]], so |Pf A| = |det B| (Kasteleyn's form of
     the method).  Sides of unequal size give 0, as there is no perfect
-    matching.  A graph with an odd cycle eliminates A itself.  Sparse
-    elimination of that matrix runs modulo primes just below 2^62, and
-    the residues are combined by the Chinese remainder theorem into the
-    symmetric range (-M/2, M/2) until M^2 exceeds 4 * prod(row lengths).
-    By Hadamard's bound, with every entry +-1, that product is at least
-    det^2, so the residue is the determinant itself, sign included:
-    exact and deterministic.  Odd order gives 0, as does a vertex of
-    degree 0 (an empty row; a product of 0 needs no prime).  Each
-    elimination gets an equal share of the work budget
-    DEFAULT_PFAFFIAN_UPDATE_GUARD (updates plus a fixed charge per
-    pivot), so a graph above it raises SizeLimitError within its first
-    elimination.
+    matching.  A graph with an odd cycle eliminates A itself, and |Pf|
+    is the exact integer root of det A = Pf^2 (Cayley); a determinant
+    that is not a square means its residues were combined wrongly, and
+    raises NotPfaffianError.  Sparse elimination runs modulo primes just
+    below 2^62, and the residues are combined by the Chinese remainder
+    theorem into the symmetric range (-M/2, M/2) until M^2 exceeds
+    4 * prod(row lengths).  By Hadamard's bound, with every entry +-1,
+    that product is at least det^2, so the residue is the determinant
+    itself, sign included: exact and deterministic.  Odd order gives 0,
+    as does a vertex of degree 0 (an empty row; a product of 0 needs no
+    prime), and the empty graph gives 1.  Each elimination gets an equal
+    share of the work budget DEFAULT_PFAFFIAN_UPDATE_GUARD (updates plus
+    a fixed charge per pivot), so a graph above it raises SizeLimitError
+    within its first elimination.
     """
-    g = d.base
     if g.n % 2:
         return 0
     side = [depth % 2 for depth in _bfs_forest(g)[2]]
     bipartite = all(side[u] != side[v] for u, v in g.edges)
     if not bipartite:
         rows: list[dict[int, int]] = [{} for _ in range(g.n)]
-        for u, v in d.arcs:
+        for u, v in arcs:
             rows[u][v] = 1
             rows[v][u] = -1
     else:
@@ -246,7 +247,7 @@ def det_skew(d: OrientedGraph) -> int:
         if sizes[0] != sizes[1]:
             return 0
         rows = [{} for _ in range(sizes[0])]
-        for u, v in d.arcs:
+        for u, v in arcs:
             if side[u]:
                 rows[index[v]][index[u]] = -1
             else:
@@ -264,7 +265,15 @@ def det_skew(d: OrientedGraph) -> int:
         modulus *= p
     if 2 * det > modulus:
         det -= modulus
-    return det * det if bipartite else det
+    if bipartite:
+        return abs(det)
+    root = math.isqrt(max(det, 0))
+    if root * root != det:
+        raise NotPfaffianError(
+            f"skew adjacency determinant {det} is not a perfect square, "
+            "which no skew integer matrix has: the modular reconstruction failed"
+        )
+    return root
 
 
 def _reduce(r: IntPolynomial, m: IntPolynomial) -> IntPolynomial:
@@ -428,13 +437,3 @@ def root_product(q: IntPolynomial, p: IntPolynomial) -> int:
         rows.append(_reduce(r, q))
         r = [0] + r
     return det_bareiss(rows)
-
-
-def integer_sqrt_exact(v: int) -> int:
-    """The integer k with k*k == v, or an error; never rounds."""
-    if v < 0:
-        raise PreconditionError(f"square root of negative value {v}")
-    k = math.isqrt(v)
-    if k * k != v:
-        raise NotAPerfectSquareError(f"{v} is not a perfect square")
-    return k

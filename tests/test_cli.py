@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import pfmatch.exactlinalg
 from pfmatch.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -348,6 +349,21 @@ def test_pfaffian_method_with_orient_file(tmp_path, capsys):
     code, payload, _ = run_json(capsys, "count", "--graph", "cycle:4", "--method", "pfaffian",
                                 "--orient-file", str(good))
     assert code == EXIT_OK and payload["count"] == "2"
+
+
+def test_pfaffian_method_exits_5_on_a_failed_reconstruction(tmp_path, capsys, monkeypatch):
+    # every residue off by one: the lexicographic K4's determinant, 1,
+    # comes back as 2, which no skew integer matrix has
+    det_mod = pfmatch.exactlinalg._det_mod
+    monkeypatch.setattr(pfmatch.exactlinalg, "_det_mod", lambda *args: det_mod(*args) + 1)
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    k4, arcs = tmp_path / "k4.txt", tmp_path / "k4-arcs.txt"
+    k4.write_text("4 6\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    arcs.write_text("4 6\n" + "".join(f"{u} -> {v}\n" for u, v in edges))
+    code, out, err = run(capsys, "count", "--graph", str(k4), "--method", "pfaffian",
+                         "--orient-file", str(arcs))
+    assert code == EXIT_VIOLATION and out == ""
+    assert "not a perfect square" in err and "Traceback" not in err
 
 
 def test_pfaffian_method_requires_orient_file_for_plain_graph(capsys):

@@ -3,12 +3,14 @@
 import pytest
 
 import pfmatch.counting
+import pfmatch.exactlinalg
 from pfmatch import (
     CountResult,
     DEFAULT_GRID_GUARD,
     DEFAULT_PFAFFIAN_UPDATE_GUARD,
     Graph,
     InvalidSizeError,
+    NotPfaffianError,
     NotSquarishError,
     OrientedGraph,
     PreconditionError,
@@ -28,7 +30,6 @@ from pfmatch import (
     count_product,
     cycle_graph,
     det_bareiss,
-    integer_sqrt_exact,
     orient_c4_tree,
     orient_layered,
     orient_lexicographic,
@@ -110,22 +111,33 @@ def test_brute_guard():
 def test_pfaffian_k2():
     k2 = path_graph(2)
     result = count_pfaffian(orient_lexicographic(k2))
-    assert result.count == 1 and result.determinant == 1
+    assert result.count == 1
 
 
 def test_pfaffian_cube():
     d = orient_c4_tree(orient_lexicographic(path_graph(2)))
     result = count_pfaffian(d)
-    assert result.count == 9 and result.determinant == 81
+    assert result.count == 9
 
 
 def test_pfaffian_all_forward_c4_gives_wrong_count():
-    # determinant collapses to 0 (a square), exposing the bad orientation
-    # only by disagreeing with the brute count of 2
+    # |Pf| collapses to 0, exposing the bad orientation only by
+    # disagreeing with the brute count of 2
     c4 = cycle_graph(4)
     bad = OrientedGraph(base=c4, arcs=frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
     assert count_pfaffian(bad).count == 0
     assert count_brute(c4).count == 2
+
+
+def test_pfaffian_count_refuses_a_non_square_reconstruction(monkeypatch):
+    # every residue off by one: the determinants of the lexicographic K4
+    # and K6, both 1, come back as 2, which is no skew determinant
+    det_mod = pfmatch.exactlinalg._det_mod
+    monkeypatch.setattr(pfmatch.exactlinalg, "_det_mod", lambda *args: det_mod(*args) + 1)
+    for n in (4, 6):
+        k = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        with pytest.raises(NotPfaffianError, match="not a perfect square"):
+            count_pfaffian(orient_lexicographic(k))
 
 
 def test_pfaffian_odd_graph_counts_zero():
@@ -141,7 +153,7 @@ def test_pfaffian_rejects_mismatched_orientation():
 def test_pfaffian_size_guard():
     # the work budget admits the lexicographic path up to 13,388 vertices
     # and P_2 x T on random_tree(n, 3) up to n = 5,208; it covers the
-    # determinant only, so an odd graph still counts 0
+    # elimination only, so an odd graph still counts 0
     big = path_graph(20002)
     with pytest.raises(SizeLimitError, match="guard"):
         count_pfaffian(orient_lexicographic(big))
@@ -242,7 +254,7 @@ def test_formulas_agree_with_brute_on_random_trees():
 
 
 def test_formulas_match_dense_matrix_polynomial_determinants():
-    # the dense route det(p(A)), with an exact square root for P3 and P4,
+    # the dense route det(p(A)), the square of the count for P3 and P4,
     # is the oracle for the characteristic-polynomial route
     bits = bit_stream(2024)
     for _ in range(16):
@@ -252,7 +264,7 @@ def test_formulas_match_dense_matrix_polynomial_determinants():
         p4_det = det_bareiss(eval_matrix_poly(a, [1, 0, 3, 0, 1]))
         c4, p4 = count_c4_tree(t), count_p4_tree(t)
         assert c4.count == c4_det
-        assert p4.count == integer_sqrt_exact(p4_det)
+        assert p4.count ** 2 == p4_det
     matched = 0
     while matched < 8:
         t = random_tree(2 * (1 + next(bits) % 30), next(bits))
@@ -261,7 +273,7 @@ def test_formulas_match_dense_matrix_polynomial_determinants():
         matched += 1
         det = det_bareiss(eval_matrix_poly(adjacency_matrix(t), [2, 0, 1]))
         p3 = count_p3_tree(t)
-        assert p3.count == integer_sqrt_exact(det)
+        assert p3.count ** 2 == det
 
 
 def test_formula_and_pfaffian_routes_coincide():
@@ -287,7 +299,6 @@ def test_pfaffian_route_agrees_with_closed_forms_at_hundreds_of_vertices():
         pfaffian = count_product(kind, m, tree, "pfaffian")
         assert pfaffian.method == "pfaffian" and pfaffian.dimension == m * tree.n
         assert pfaffian.count == formula.count > 1
-        assert pfaffian.determinant == formula.count ** 2
 
 
 # ---------------------------------------------------------------------------

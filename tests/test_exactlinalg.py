@@ -1,4 +1,4 @@
-"""Exact determinants, characteristic polynomials, matrix polynomials, isqrt."""
+"""Exact determinants, |Pf| of skew adjacency matrices, characteristic and matrix polynomials."""
 
 import ast
 import math
@@ -10,18 +10,14 @@ import pfmatch.exactlinalg
 from pfmatch.counting import _path_product
 from pfmatch import (
     Graph,
-    NotAPerfectSquareError,
     NotATreeError,
-    OrientedGraph,
-    PreconditionError,
+    abs_pfaffian,
     adjacency_matrix,
     count_c4_tree,
     count_p4_tree,
     count_perfect_matchings,
     cycle_graph,
     det_bareiss,
-    det_skew,
-    integer_sqrt_exact,
     orient_c4_tree,
     orient_layered,
     orient_lexicographic,
@@ -42,6 +38,7 @@ from util import (
     identity_matrix,
     is_prime_by_certificate,
     matchings_by_size,
+    pfaffian_by_expansion,
     poly_remainder,
     random_orientation,
     skew_adjacency,
@@ -120,7 +117,7 @@ def test_det_skew_equals_bareiss_on_random_skew_matrices():
                                  if next(bits) % 100 < density])
         d = random_orientation(g, seed)
         det = det_bareiss(skew_adjacency(d))
-        assert det_skew(d) == det, (n, sorted(d.arcs))
+        assert abs_pfaffian(g, d.arcs) ** 2 == det, (n, sorted(d.arcs))
         kinds["singular"] += det == 0
         kinds["odd"] += n % 2
         kinds["disconnected"] += len(_reachable(g, 0)) < n
@@ -131,7 +128,7 @@ def test_det_skew_equals_bareiss_on_random_skew_matrices():
 
 def test_det_skew_equals_bareiss_on_random_bipartite_orientations():
     # random orientations of random bipartite graphs up to 14 vertices,
-    # the sides scattered over the labels: det_skew eliminates the
+    # the sides scattered over the labels: abs_pfaffian eliminates the
     # half-size biadjacency matrix, or answers 0 for sides of unequal
     # size, and every kind below has to turn up
     bits = bit_stream(92)
@@ -144,7 +141,7 @@ def test_det_skew_equals_bareiss_on_random_bipartite_orientations():
                                  if side[u] != side[v] and next(bits) % 100 < density])
         d = random_orientation(g, seed)
         det = det_bareiss(skew_adjacency(d))
-        assert det_skew(d) == det, (n, sorted(d.arcs))
+        assert abs_pfaffian(g, d.arcs) ** 2 == det, (n, sorted(d.arcs))
         # a connected graph has one two-colouring, the sides drawn here
         connected = len(_reachable(g, 0)) == n
         even = n % 2 == 0
@@ -156,22 +153,68 @@ def test_det_skew_equals_bareiss_on_random_bipartite_orientations():
     assert min(kinds.values()) >= 10, kinds
 
 
+def _has_odd_cycle(g: Graph) -> bool:
+    colour: dict[int, int] = {}
+    for start in range(g.n):
+        if start in colour:
+            continue
+        colour[start], stack = 0, [start]
+        while stack:
+            v = stack.pop()
+            for w in g.adjacency[v]:
+                if w not in colour:
+                    colour[w] = 1 - colour[v]
+                    stack.append(w)
+                elif colour[w] == colour[v]:
+                    return True
+    return False
+
+
+def test_abs_pfaffian_equals_first_row_expansion():
+    # random orientations of random graphs up to 12 vertices, one in five
+    # of odd order, and every other one bipartite with two equal sides
+    # scattered over the labels: |Pf| from elimination against the
+    # oracle's expansion along the first row, and every kind below has to
+    # turn up
+    bits = bit_stream(93)
+    kinds = dict.fromkeys(("odd cycle", "bipartite", "zero", "odd order", "non-pfaffian"), 0)
+    for seed in range(240):
+        n, density = 2 * (1 + next(bits) % 6) - (seed % 5 == 0), next(bits) % 101
+        side = [0] * n
+        if seed % 2:
+            for i, v in enumerate(sorted(range(n), key=lambda v: next(bits))):
+                side[v] = i % 2
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if (not seed % 2 or side[u] != side[v])
+                                 and next(bits) % 100 < density])
+        d = random_orientation(g, seed)
+        pf = abs_pfaffian(g, d.arcs)
+        assert pf == abs(pfaffian_by_expansion(skew_adjacency(d))), (n, sorted(d.arcs))
+        odd_cycle = _has_odd_cycle(g)
+        kinds["odd cycle"] += odd_cycle and pf > 1
+        kinds["bipartite"] += not odd_cycle and pf > 1
+        kinds["zero"] += n % 2 == 0 and pf == 0
+        kinds["odd order"] += n % 2
+        kinds["non-pfaffian"] += pf != count_perfect_matchings(g)
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_det_skew_of_the_empty_and_a_single_arc():
-    assert det_skew(OrientedGraph(base=Graph(n=0, edges=frozenset()), arcs=frozenset())) == 1
-    assert det_skew(orient_lexicographic(path_graph(2))) == 1
+    assert abs_pfaffian(Graph(n=0, edges=frozenset()), frozenset()) == 1
+    assert abs_pfaffian(path_graph(2), [(0, 1)]) == 1
 
 
 def test_det_skew_equals_bareiss_on_product_orientations():
-    # C4 x T and P2 x T from 20 to 160 vertices, bipartite, so det_skew
-    # squares det B; at 160 the determinant exceeds the product of the two
-    # largest primes, while |det B|, its root, needs only two of them
+    # C4 x T and P2 x T from 20 to 160 vertices, bipartite, so abs_pfaffian
+    # is |det B|; at 160 the determinant, its square, exceeds the product
+    # of the two largest primes, while |det B| needs only two of them
     for n, seed in ((5, 1), (10, 2), (20, 3), (40, 4)):
         base = orient_lexicographic(random_tree(n, seed))
         for d in (orient_c4_tree(base), orient_layered(base, 2)):
-            assert det_skew(d) == det_bareiss(skew_adjacency(d))
+            assert abs_pfaffian(d.base, d.arcs) ** 2 == det_bareiss(skew_adjacency(d))
     d = orient_c4_tree(orient_lexicographic(random_tree(40, 4)))
     prime = pfmatch.exactlinalg._skew_prime
-    assert det_skew(d) > prime(0) * prime(1)
+    assert abs_pfaffian(d.base, d.arcs) ** 2 > prime(0) * prime(1)
 
 
 def test_det_skew_past_two_primes_on_the_half_size_route():
@@ -185,9 +228,9 @@ def test_det_skew_past_two_primes_on_the_half_size_route():
         base = orient_lexicographic(t)
         for d, count in ((orient_c4_tree(base), count_c4_tree(t).count),
                          (orient_layered(base, 4), count_p4_tree(t).count)):
-            det = det_skew(d)
-            assert math.isqrt(det) > prime(0) * prime(1)
-            assert det == count ** 2
+            pf = abs_pfaffian(d.base, d.arcs)
+            assert pf > prime(0) * prime(1)
+            assert pf == count
 
 
 def test_skew_primes_are_the_primes_below_two_to_the_62():
@@ -358,31 +401,8 @@ def test_matched_tree_determinant_is_square():
         if not count_by_backtracking(t):
             continue
         det = det_bareiss(eval_matrix_poly(adjacency_matrix(t), [2, 0, 1]))
-        root = integer_sqrt_exact(det)
+        root = math.isqrt(det)
         assert root * root == det
-
-
-def test_integer_sqrt_exact_values():
-    assert integer_sqrt_exact(121) == 11
-    assert integer_sqrt_exact(0) == 0
-    assert integer_sqrt_exact(1) == 1
-
-
-def test_integer_sqrt_rejects_non_square():
-    with pytest.raises(NotAPerfectSquareError):
-        integer_sqrt_exact(2)
-
-
-def test_integer_sqrt_rejects_negative():
-    with pytest.raises(PreconditionError):
-        integer_sqrt_exact(-4)
-
-
-def test_integer_sqrt_huge():
-    v = (10**50 + 7) ** 2
-    assert integer_sqrt_exact(v) == 10**50 + 7
-    with pytest.raises(NotAPerfectSquareError):
-        integer_sqrt_exact(v + 1)
 
 
 def _sylvester_resultant(q: list[int], p: list[int]) -> int:

@@ -1,6 +1,6 @@
 """The public surface: every exported name and every top-level def has a
-caller outside the tests, no module reads the environment, and every
-vertex guard is max_vertices."""
+caller outside the tests, no module reads the environment, every vertex
+guard is max_vertices, and exactlinalg sits below orientation."""
 
 import ast
 import inspect
@@ -93,3 +93,11 @@ def test_every_vertex_guard_is_named_max_vertices():
                 guarded.add(name)
     assert guarded == {"check_pfaffian", "count_brute", "count_graph", "count_grid",
                        "count_product", "verify_identities"}
+
+
+def test_exactlinalg_imports_only_errors_and_graphs():
+    # orientation may call abs_pfaffian without an import cycle
+    tree = ast.parse((PACKAGE / "exactlinalg.py").read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"errors", "graphs"}
