@@ -7,8 +7,9 @@ The package has four layers:
 - orientation:  the doubled / layered / four-layer orientations and the
                 Pfaffian check, which compares |Pf| with the number of
                 perfect matchings (both from one signed brute-force
-                sweep) and walks the alternating cycles of every perfect
-                matching only to list a failure's violations
+                sweep, all a pass runs) and enumerates the perfect
+                matchings, walking the alternating cycles of each, only
+                to list a failure's violations
 - exactlinalg:  fraction-free determinants, |Pf| of a skew adjacency
                 matrix by sparse elimination modulo primes recombined
                 exactly by CRT, psi_T of a tree
@@ -35,7 +36,6 @@ only parses arguments and renders reports.
 from .brute import (
     DEFAULT_BRUTE_STATE_GUARD,
     count_perfect_matchings,
-    perfect_matchings,
 )
 from .counting import (
     DEFAULT_BRUTE_GUARD,
@@ -156,7 +156,6 @@ __all__ = [
     "parse_edge_list",
     "parse_oriented_edge_list",
     "path_graph",
-    "perfect_matchings",
     "psi_tree_mod",
     "random_tree",
     "root_product",

@@ -1,24 +1,20 @@
 """Perfect matchings by plain enumeration: the count everything else is
-checked against, the signed count that decides the Pfaffian check, and
-the matchings a failing check walks.
+checked against, and the signed count that decides the Pfaffian check.
 
-No linear algebra here: every function matches the lowest free vertex
+No linear algebra here: both sweeps match the lowest free vertex
 against each free neighbour.  Vertex sets are bitmasks.
 
-perfect_matchings runs that branching as a depth-first search and
-yields every perfect matching, one at a time.
-
-count_perfect_matchings runs it as a forward dynamic program instead.
-It first relabels the vertices in reverse Cuthill-McKee order (the
-breadth-first Cuthill-McKee order, reversed), which keeps each vertex's
-neighbours close to it in the order, then sweeps the positions of that
-order.  Partial matchings that leave the same set of vertices free
-share one state {free mask: number of ways}, kept in a bucket per
+count_perfect_matchings runs that branching as a forward dynamic
+program.  It first relabels the vertices in reverse Cuthill-McKee order
+(the breadth-first Cuthill-McKee order, reversed), which keeps each
+vertex's neighbours close to it in the order, then sweeps the positions
+of that order.  Partial matchings that leave the same set of vertices
+free share one state {free mask: number of ways}, kept in a bucket per
 lowest free position; bucket v is expanded by matching v to each free
 neighbour and then dropped.  A vertex matched so far is a neighbour of
 a position below v, which the order keeps close to v, so states differ
-only in a narrow frontier after v: the sweep holds
-about 2^frontier states where the search visited one node per partial
+only in a narrow frontier after v: the sweep holds about 2^frontier
+states where a depth-first search visits one node per partial
 matching.  At most DEFAULT_BRUTE_STATE_GUARD states may be created over
 the whole sweep, which bounds its time as well as its memory.
 
@@ -30,7 +26,7 @@ plain count pays nothing for the signs.
 
 from __future__ import annotations
 
-from typing import Collection, Iterator, Optional
+from typing import Collection, Optional
 
 from .errors import SizeLimitError
 from .graphs import Edge, Graph, _bfs_forest
@@ -43,14 +39,6 @@ from .graphs import Edge, Graph, _bfs_forest
 #: 2-core host): the band creates 573,439 states in all but never holds
 #: 100,000 at once.
 DEFAULT_BRUTE_STATE_GUARD = 200_000
-
-
-def _neighbor_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def _sweep_order(g: Graph) -> tuple[list[int], list[int]]:
@@ -175,34 +163,3 @@ def count_signed_matchings(g: Graph, arcs: Collection[Edge]) -> tuple[int, int]:
                 if created > DEFAULT_BRUTE_STATE_GUARD:
                     raise _state_guard(k)
     return total, signed_total
-
-
-def perfect_matchings(g: Graph) -> Iterator[tuple[Edge, ...]]:
-    """Every perfect matching of g once, each as sorted edges in ascending order.
-
-    Depth-first with an explicit stack, so the depth is not bounded by
-    Python's recursion limit: entry i holds the i-th pair chosen, as
-    (vertex bit, partner bit, partners of the vertex still to try).  The
-    lowest free vertex is matched to each free neighbour in ascending
-    order, so the matchings come in lexicographic order.
-    """
-    free = (1 << g.n) - 1
-    if g.n % 2:
-        return
-    nbr = _neighbor_masks(g)
-    stack: list[tuple[int, int, int]] = []
-    while True:
-        if free:
-            vbit = free & -free
-            choices = nbr[vbit.bit_length() - 1] & free
-        else:
-            yield tuple((vbit.bit_length() - 1, wbit.bit_length() - 1) for vbit, wbit, _ in stack)
-            choices = 0
-        while not choices:
-            if not stack:
-                return
-            vbit, wbit, choices = stack.pop()
-            free |= vbit | wbit
-        wbit = choices & -choices
-        stack.append((vbit, wbit, choices ^ wbit))
-        free ^= vbit | wbit

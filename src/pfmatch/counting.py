@@ -406,7 +406,6 @@ class IdentityReport:
     c4_count: int
     factor: int
     root: int
-    has_matching: bool
     p3_count: Optional[int]
     p4_count: Optional[int]
     checks: tuple[str, ...]
@@ -465,7 +464,6 @@ def verify_identities(t: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> Iden
         c4_count=c4,
         factor=factor,
         root=root,
-        has_matching=matched,
         p3_count=p3_count,
         p4_count=p4_count,
         checks=tuple(checks),

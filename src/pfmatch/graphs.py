@@ -157,7 +157,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for i, k in g.edges:
         for j in range(nh):
             edges.append((i * nh + j, k * nh + j))
-    return Graph.from_edges(g.n * nh, edges)
+    # both loops build sorted pairs: u < v in h, i < k in g
+    return Graph(n=g.n * nh, edges=frozenset(edges))
 
 
 def validate_tree(g: Graph) -> Tree:

@@ -17,20 +17,21 @@ An orientation is Pfaffian when every perfect matching carries the same
 sign in the Pfaffian of the skew adjacency matrix A, that is, when
 |Pf(A)| = Pm(G) (Kasteleyn; R. Thomas, "A survey of Pfaffian
 orientations of graphs", ICM 2006).  `check_pfaffian` decides it that
-way: one sweep of brute.count_signed_matchings yields both numbers.
-Equivalently, every nice even cycle (one whose removal leaves a
-perfectly matchable remainder) contains an odd number of arcs agreeing
-with each traversal direction; the nice even cycles are exactly the
-cycles alternating with some perfect matching, so a failure lists its
-violations by walking the alternating cycles of every perfect matching.
+way: one sweep of brute.count_signed_matchings yields both numbers, and
+a pass runs nothing else.  Equivalently, every nice even cycle (one
+whose removal leaves a perfectly matchable remainder) contains an odd
+number of arcs agreeing with each traversal direction; the nice even
+cycles are exactly the cycles alternating with some perfect matching,
+so only a failure enumerates the perfect matchings, to list its
+violations by walking the alternating cycles of each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .brute import count_signed_matchings, perfect_matchings
+from .brute import count_signed_matchings
 from .errors import InvalidSizeError, SizeLimitError
 from .graphs import Edge, Graph, _sorted_edge, parse_edge_lines, validate_tree
 
@@ -39,7 +40,11 @@ Arc = tuple[int, int]
 #: A simple cycle c0 c1 ... c_{k-1} c0, stored as the k distinct vertices.
 CycleSeq = tuple[int, ...]
 
-#: Default vertex guard of check_pfaffian, which is exponential.
+#: Default vertex guard of check_pfaffian.  A pass is one signed sweep,
+#: which the brute-force state guard bounds; this guard bounds only the
+#: listing of a failure's violations, which walks every perfect
+#: matching, and not on dense graphs: the lexicographic K_10 lists
+#: 154,376 violations in 2-3 s, and K_12 does not finish in minutes.
 DEFAULT_CYCLE_GUARD = 24
 
 
@@ -74,19 +79,18 @@ class PfaffianReport:
     """Outcome of check_pfaffian.
 
     Every call sets matchings, the number Pm of perfect matchings, and
-    pfaffian, |Pf| of the skew adjacency matrix; the check passes iff
-    they are equal, and matching is the first perfect matching (empty
-    when the graph has none).  A pass walks no cycle: route is
-    "matching-signs", nice_even_cycles is 0 and violations is empty.  A
-    failure walks the alternating cycles of every perfect matching,
-    which are all the nice even cycles: route is "nice-cycles",
-    nice_even_cycles counts the distinct ones and violations lists those
-    that are not oddly oriented, in lexicographic order.
+    pfaffian, |Pf| of the skew adjacency matrix, both from one signed
+    sweep; the check passes iff they are equal.  A pass runs nothing
+    else: route is "matching-signs", nice_even_cycles is 0 and
+    violations is empty.  A failure walks the alternating cycles of
+    every perfect matching, which are all the nice even cycles: route is
+    "nice-cycles", nice_even_cycles counts the distinct ones and
+    violations lists those that are not oddly oriented, in
+    lexicographic order.
     """
 
     nice_even_cycles: int
     violations: tuple[CycleSeq, ...]
-    matching: tuple[Edge, ...]
     matchings: int
     pfaffian: int
 
@@ -151,10 +155,46 @@ def orient_c4_tree(d: OrientedGraph) -> OrientedGraph:
     return orient_double(orient_double(d))
 
 
-def _alternating_cycles(d: OrientedGraph, matching: Iterable[Edge]
+def _perfect_matching_mates(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Every perfect matching of g once, as its mate array (mate[v] is
+    v's partner), in lexicographic order of the sorted edge lists.
+
+    Depth-first with an explicit stack, so the depth is not bounded by
+    Python's recursion limit: entry i holds the i-th vertex matched, v,
+    with the partners of v still to try.  The lowest free vertex is
+    matched to each free neighbour in ascending order.  Exponential and
+    unguarded: only a failing check_pfaffian, under its vertex guard,
+    walks it.
+    """
+    if g.n % 2:
+        return
+    nbr = [sum(1 << w for w in a) for a in g.adjacency]
+    mate = [-1] * g.n
+    free = (1 << g.n) - 1
+    stack: list[tuple[int, int]] = []
+    while True:
+        if free:
+            v = (free & -free).bit_length() - 1
+            choices = nbr[v] & free
+        else:
+            yield tuple(mate)
+            choices = 0
+        while not choices:
+            if not stack:
+                return
+            v, choices = stack.pop()
+            free |= (1 << v) | (1 << mate[v])
+        wbit = choices & -choices
+        w = wbit.bit_length() - 1
+        stack.append((v, choices ^ wbit))
+        mate[v], mate[w] = w, v
+        free ^= (1 << v) | wbit
+
+
+def _alternating_cycles(d: OrientedGraph, mate: Sequence[int]
                        ) -> Iterator[tuple[CycleSeq, bool]]:
-    """Every cycle alternating with the matching M, exactly once, with
-    True iff it is oddly oriented.
+    """Every cycle alternating with the perfect matching M whose mate
+    array is mate, exactly once, with True iff it is oddly oriented.
 
     A cycle is listed from its smallest vertex s, first along s's M-edge;
     the walk then alternates a non-M edge with the M-edge of the vertex
@@ -166,9 +206,6 @@ def _alternating_cycles(d: OrientedGraph, matching: Iterable[Edge]
     so the depth is not bounded by Python's recursion limit.
     """
     g, arcs = d.base, d.arcs
-    mate = [-1] * g.n
-    for u, v in matching:
-        mate[u], mate[v] = v, u
     along_m = [(v, w) in arcs for v, w in enumerate(mate)]
     # each non-M neighbour w of v, with True when v -> w is an arc
     others = [tuple((w, (v, w) in arcs) for w in nbrs if w != mate[v])
@@ -206,13 +243,13 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
     all share one sign, which is the Pfaffian property (Kasteleyn; R.
     Thomas, "A survey of Pfaffian orientations of graphs", ICM 2006);
     odd and unmatchable graphs pass vacuously, with Pm = |Pf| = 0.  A
-    pass walks no cycle.  A failure lists its violations: the cycles
+    pass runs that sweep alone.  A failure lists its violations: the cycles
     alternating with some perfect matching are exactly the nice even
     cycles, each also alternates with a matching other than the first,
     M (swap the matching along the cycle), and each that is not oddly
     oriented is a violation.  Graphs above max_vertices raise
     SizeLimitError first, and so does a sweep past the brute-force
-    state guard.
+    state guard; the listing has no guard of its own.
     """
     base = d.base
     if base.n > max_vertices:
@@ -222,21 +259,22 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
         )
     count, signed = count_signed_matchings(base, d.arcs)
     pfaffian = abs(signed)
-    matchings = perfect_matchings(base)
-    matching = next(matchings, ())
     if pfaffian == count:
-        return PfaffianReport(nice_even_cycles=0, violations=(), matching=matching,
-                              matchings=count, pfaffian=pfaffian)
+        return PfaffianReport(nice_even_cycles=0, violations=(), matchings=count,
+                              pfaffian=pfaffian)
     # A cycle C alternating with a matching M' also alternates with M' xor C,
-    # so the matchings after M alone reach every nice even cycle.
+    # so the matchings after the first, M, alone reach every nice even cycle;
+    # a failure has at least two matchings.
+    mates = _perfect_matching_mates(base)
+    next(mates)
     nice: dict[CycleSeq, bool] = {}
-    for m in matchings:
-        for c, odd in _alternating_cycles(d, m):
+    for mate in mates:
+        for c, odd in _alternating_cycles(d, mate):
             # one direction per cycle: toward the start's smaller neighbour
             nice[c if c[1] < c[-1] else c[:1] + c[:0:-1]] = odd
     violations = tuple(sorted(c for c, odd in nice.items() if not odd))
-    return PfaffianReport(nice_even_cycles=len(nice), violations=violations, matching=matching,
-                          matchings=count, pfaffian=pfaffian)
+    return PfaffianReport(nice_even_cycles=len(nice), violations=violations, matchings=count,
+                          pfaffian=pfaffian)
 
 
 # ---------------------------------------------------------------------------

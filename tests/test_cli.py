@@ -291,12 +291,26 @@ def test_verify_pfaffian_file_failure(tmp_path, capsys):
 
 
 def test_verify_pfaffian_long_path_is_not_bounded_by_recursion(tmp_path, capsys):
-    # the matching search is deeper than Python's recursion limit
+    # a pass on 2000 vertices: one signed sweep, no recursion
     arcs = tmp_path / "path.txt"
     arcs.write_text("2000 1999\n" + "".join(f"{i} -> {i + 1}\n" for i in range(1999)))
     code, out, err = run(capsys, "verify", "--pfaffian", "--graph", "path:2000",
                          "--orient-file", str(arcs), "--max-vertices", "2000")
     assert code == EXIT_OK and "verdict: pass" in out and err == ""
+
+
+def test_verify_pfaffian_unbalanced_bipartite_file_passes(tmp_path, capsys):
+    # K_9,11 inside the default vertex guard: the vacuous pass is the one
+    # signed sweep, with no search for a first perfect matching
+    edges = [(u, v) for u in range(9) for v in range(9, 20)]
+    graph, arcs = tmp_path / "k9_11.txt", tmp_path / "k9_11_arcs.txt"
+    graph.write_text(f"20 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    arcs.write_text(f"20 {len(edges)}\n" + "".join(f"{u} -> {v}\n" for u, v in edges))
+    start = time.perf_counter()
+    code, payload, err = run_json(capsys, "verify", "--pfaffian", "--graph", str(graph),
+                                  "--orient-file", str(arcs))
+    assert code == EXIT_OK and err == "" and payload["violations"] == []
+    assert time.perf_counter() - start < 3.0
 
 
 def test_verify_pfaffian_long_cycle_lists_its_one_violation(tmp_path, capsys):

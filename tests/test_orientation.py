@@ -20,11 +20,10 @@ from pfmatch import (
     orient_lexicographic,
     parse_oriented_edge_list,
     path_graph,
-    perfect_matchings,
     random_tree,
     validate_tree,
 )
-from pfmatch.orientation import _alternating_cycles
+from pfmatch.orientation import _alternating_cycles, _perfect_matching_mates
 
 from util import (
     Matching,
@@ -230,11 +229,12 @@ def test_check_pfaffian_report_counts_nice_even_cycles():
     # a pass compares the two counts and walks no cycle
     assert report.route == "matching-signs"
     assert report.matchings == report.pfaffian == 9 and report.nice_even_cycles == 0
-    # M is the four tree edges; the M-alternating cycles are the four
-    # squares through two of them and the two Hamiltonian cycles
-    # alternating with them, all oddly oriented
-    assert report.matching == ((0, 1), (2, 3), (4, 5), (6, 7))
-    walked = list(_alternating_cycles(cube, report.matching))
+    # the first matching M is the four tree edges; the M-alternating
+    # cycles are the four squares through two of them and the two
+    # Hamiltonian cycles alternating with them, all oddly oriented
+    mate = next(_perfect_matching_mates(cube.base))
+    assert mate == (1, 0, 3, 2, 5, 4, 7, 6)
+    walked = list(_alternating_cycles(cube, mate))
     assert len(walked) == len({c for c, _ in walked}) == 6
     assert all(odd for _, odd in walked)
     # one flipped arc fails the check, and the failure runs the full scan:
@@ -257,6 +257,25 @@ def test_check_pfaffian_long_path_walks_no_cycle():
     elapsed = time.perf_counter() - start
     assert report.passed and report.matchings == report.pfaffian == 1
     assert elapsed < 1.0, elapsed
+
+
+def test_check_pfaffian_unbalanced_bipartite_pass_runs_only_the_sweep():
+    # K_9,11 has no perfect matching: the sweep decides the vacuous pass in
+    # milliseconds, where a depth-first search for a first matching took
+    # about 14 s to exhaust the graph
+    g = Graph.from_edges(20, [(u, v) for u in range(9) for v in range(9, 20)])
+    start = time.perf_counter()
+    report = check_pfaffian(orient_lexicographic(g))
+    elapsed = time.perf_counter() - start
+    assert report.passed and report.route == "matching-signs"
+    assert report.matchings == report.pfaffian == 0
+    assert elapsed < 1.0, elapsed
+
+
+def test_perfect_matching_mates_is_not_bounded_by_recursion():
+    # the failure listing's search holds one stack entry per matched pair
+    mate = next(_perfect_matching_mates(path_graph(4000)))
+    assert mate == tuple(v ^ 1 for v in range(4000))
 
 
 def _lowest_arc_flipped(d: OrientedGraph) -> OrientedGraph:
@@ -330,19 +349,22 @@ def test_check_pfaffian_agrees_with_determinant_and_subset_oracles():
         assert report.matchings == count
         assert report.pfaffian ** 2 == det_cofactor(skew_adjacency(d))
 
-        # every perfect matching once, in lexicographic order; the first is M
-        matchings = list(perfect_matchings(g))
-        assert len(matchings) == count_perfect_matchings(g) == count
+        # every perfect matching once, as a mate array, in lexicographic
+        # order of the sorted edge lists; the first is M
+        mates = list(_perfect_matching_mates(g))
+        assert len(mates) == count_perfect_matchings(g) == count
+        matchings = [tuple((v, w) for v, w in enumerate(mate) if v < w) for mate in mates]
         assert matchings == sorted(set(matchings))
-        for found in matchings:
+        for mate, found in zip(mates, matchings):
+            assert all(mate[w] == v for v, w in enumerate(mate))
             assert set(found) <= g.edges and sorted(v for e in found for v in e) == list(range(n))
-        assert report.matching == (matchings[0] if matchings else ())
+        first = matchings[0] if matchings else ()
 
         # the walk examines every M-alternating cycle exactly once, with its
         # parity, and every one is oddly oriented iff the counts agree
-        walked = list(_alternating_cycles(d, report.matching))
+        walked = list(_alternating_cycles(d, mates[0])) if mates else []
         assert len(walked) == len({c for c, _ in walked}) == sum(
-            1 for c in cycles_by_subsets(g) if _alternates(c, report.matching))
+            1 for c in cycles_by_subsets(g) if _alternates(c, first))
         for c, odd in walked:
             assert odd == (sum((u, v) in d.arcs for u, v in zip(c, c[1:] + c[:1])) % 2 == 1)
         assert report.passed == all(odd for _, odd in walked)
