@@ -7,11 +7,12 @@ against each free neighbour.  Vertex sets are bitmasks.
 count_perfect_matchings runs that branching as a forward dynamic
 program.  It first relabels the vertices in reverse Cuthill-McKee order
 (the breadth-first Cuthill-McKee order, reversed), which keeps each
-vertex's neighbours close to it in the order, then sweeps the positions
-of that order.  Partial matchings that leave the same set of vertices
-free share one state {free mask: number of ways}, kept in a bucket per
-lowest free position; bucket v is expanded by matching v to each free
-neighbour and then dropped.  A vertex matched so far is a neighbour of
+vertex's neighbours close to it in the order; one bucket pass over the
+edges builds it in O(n + m) besides a sort by degree.  It then sweeps
+the positions of that order.  Partial matchings that leave the same set
+of vertices free share one state {free mask: number of ways}, kept in a
+bucket per lowest free position; bucket v is expanded by matching v to
+each free neighbour and then dropped.  A vertex matched so far is a neighbour of
 a position below v, which the order keeps close to v, so states differ
 only in a narrow frontier after v: the sweep holds about 2^frontier
 states where a depth-first search visits one node per partial
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import Collection, Optional
 
 from .errors import SizeLimitError
-from .graphs import Edge, Graph, _bfs_forest
+from .graphs import Edge, Graph
 
 #: Most states count_perfect_matchings may create in one sweep.  The
 #: widest product of the identity checks, C_4 x T for the star on 10
@@ -45,18 +46,41 @@ def _sweep_order(g: Graph) -> tuple[list[int], list[int]]:
     """(position of each vertex, neighbour mask of each position) in
     reverse Cuthill-McKee order: the reverse of a breadth-first search
     that takes each component from its vertex of least degree and
-    neighbours by ascending (degree, label)."""
-    adjacency = g.adjacency
+    neighbours by ascending (degree, label).  One bucket pass, O(n + m)
+    besides a sort of the vertices by degree: appending each vertex, in
+    rank order, to its neighbours' lists leaves every list in rank order."""
+    n = g.n
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     # a stable sort by degree keeps equal degrees in label order
-    rank = [0] * g.n
-    for i, v in enumerate(sorted(range(g.n), key=[len(a) for a in adjacency].__getitem__)):
-        rank[v] = i
-    order = _bfs_forest(g, key=rank.__getitem__)[0][::-1]
-    position = [0] * g.n
-    for i, v in enumerate(order):
+    ranked = sorted(range(n), key=[len(a) for a in nbrs].__getitem__)
+    by_rank: list[list[int]] = [[] for _ in range(n)]
+    for v in ranked:
+        for w in nbrs[v]:
+            by_rank[w].append(v)
+    order: list[int] = []
+    seen = [False] * n
+    for start in ranked:
+        if not seen[start]:
+            seen[start] = True
+            queue = [start]
+            for v in queue:
+                for w in by_rank[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+            order += queue
+    position = [0] * n
+    for i, v in enumerate(reversed(order)):
         position[v] = i
     bit = [1 << i for i in position]
-    return position, [sum(map(bit.__getitem__, adjacency[v])) for v in order]
+    nbr = [0] * n
+    for u, v in g.edges:
+        nbr[position[u]] |= bit[v]
+        nbr[position[v]] |= bit[u]
+    return position, nbr
 
 
 def _state_guard(k: int) -> SizeLimitError:

@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from .counting import count_graph, count_grid, count_product, verify_identities
 from .errors import (
@@ -143,12 +143,8 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     else:
         raise EdgeListParseError("count needs one of --graph, --product, or --grid")
 
-    report = {
-        "request": request,
-        "method": result.method,
-        "count": str(result.count),
-        "violations": [],
-    }
+    report = {"request": request, "method": result.method, "count": str(result.count),
+              "violations": []}
     lines = [f"method: {result.method}", f"count: {result.count}"]
     return report, lines, EXIT_OK
 
@@ -190,21 +186,12 @@ def cmd_orient(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         "orient_file": args.orient_file,
     }
     oriented, tag = _build_orientation(args)
-    text = format_oriented_edge_list(
-        oriented,
-        comments=[
-            f"orientation: {tag}",
-            "vertex numbering is layer-major: copy index * copy size + vertex",
-        ],
-    )
-    report = {
-        "request": request,
-        "method": tag,
-        "count": None,
-        "violations": [],
-        "arcs": [f"{u} -> {v}" for u, v in sorted(oriented.arcs)],
-    }
-    return report, _emit(text, args.output), EXIT_OK
+    report = {"request": request, "method": tag, "count": None, "violations": []}
+    if args.json:
+        report["arcs"] = [f"{u} -> {v}" for u, v in sorted(oriented.arcs)]
+    comments = [f"orientation: {tag}",
+                "vertex numbering is layer-major: copy index * copy size + vertex"]
+    return report, _emit(args, lambda: format_oriented_edge_list(oriented, comments)), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +220,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             raise EdgeListParseError("--identities needs --tree SPEC")
         tree = validate_tree(parse_graph_spec(args.tree))
         ident = verify_identities(tree, **guard)
-        report = {
-            "request": request,
-            "method": "identities",
-            "count": str(ident.c4_count),
-            "violations": list(ident.failures),
-        }
+        report = {"request": request, "method": "identities", "count": str(ident.c4_count),
+                  "violations": list(ident.failures)}
         lines = [
             f"tree vertices: {ident.tree_vertices}",
             f"count C4xT: {ident.c4_count} = {ident.factor} * {ident.root}^2",
@@ -259,12 +242,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     else:
         oriented, tag = _build_orientation(args)
     result = check_pfaffian(oriented, **guard)
-    report = {
-        "request": request,
-        "method": f"pfaffian-check:{tag}",
-        "count": None,
-        "violations": [list(c) for c in result.violations],
-    }
+    report = {"request": request, "method": f"pfaffian-check:{tag}", "count": None,
+              "violations": [list(c) for c in result.violations]}
     lines = [
         f"orientation: {tag}",
         f"route: {result.route}",
@@ -287,43 +266,37 @@ def cmd_product(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     g = parse_graph_spec(args.factor1)
     h = parse_graph_spec(args.factor2)
     product = cartesian_product(g, h)
-    text = format_edge_list(
-        product,
-        comments=[
-            f"cartesian product of {args.factor1} and {args.factor2}",
-            f"vertex (i, j) of ({args.factor1}) x ({args.factor2}) is i*{h.n} + j (layer-major)",
-        ],
-    )
-    report = {
-        "request": request,
-        "method": "cartesian-product",
-        "count": None,
-        "violations": [],
-        "edges": [f"{u} {v}" for u, v in sorted(product.edges)],
-        "vertices": product.n,
-    }
-    return report, _emit(text, args.output), EXIT_OK
+    report = {"request": request, "method": "cartesian-product", "count": None, "violations": []}
+    if args.json:
+        report["edges"] = [f"{u} {v}" for u, v in sorted(product.edges)]
+        report["vertices"] = product.n
+    comments = [f"cartesian product of {args.factor1} and {args.factor2}",
+                f"vertex (i, j) of ({args.factor1}) x ({args.factor2}) is i*{h.n} + j (layer-major)"]
+    return report, _emit(args, lambda: format_edge_list(product, comments)), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, output: Optional[str]) -> list[str]:
-    """Human lines for an emitted file: the text itself, or where it was written."""
+def _emit(args: argparse.Namespace, render: Callable[[], str]) -> list[str]:
+    """Human lines for an emitted file: the text itself, or where it was
+    written.  render() builds the text only when it is printed or written."""
+    output = args.output
     if not output:
-        return [text.rstrip("\n")]
+        return [] if args.json else [render().rstrip("\n")]
     try:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(render())
     except OSError as exc:
         raise PreconditionError(f"cannot write {output!r}: {exc}") from exc
     return [f"wrote {output}"]
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The pfmatch argument parser, built on the first call and shared after.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """(the pfmatch argument parser, each command's own parser by name),
+    built on the first call and shared after.
 
     Sharing is safe because every default is immutable and each
     parse_args call returns a fresh Namespace.
@@ -393,11 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(product)
     product.set_defaults(func=cmd_product)
 
-    return parser
+    return parser, {"count": count, "orient": orient, "verify": verify, "product": product}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
+    # a known command goes straight to its own parser, so it is parsed
+    # once; anything else (nothing, --help, an unknown name) to the top
+    command = commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     # Counts are printed in full however long they are: lift Python's
     # int-to-str digit limit (where the interpreter has one) for this call.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

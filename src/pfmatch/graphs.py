@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, ClassVar, Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from .errors import (
     EdgeListParseError,
@@ -26,12 +26,6 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
-
-
-def _sorted_edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -51,7 +45,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(n=n, edges=frozenset(_sorted_edge(u, v) for u, v in pairs))
+        """The graph of pairs in either order; __post_init__ refuses a self-loop."""
+        return cls(n=n, edges=frozenset((u, v) if u < v else (v, u) for u, v in pairs))
 
     @property
     def m(self) -> int:
@@ -166,19 +161,18 @@ def validate_tree(g: Graph) -> Tree:
     return g if isinstance(g, Tree) else Tree(n=g.n, edges=g.edges)
 
 
-def _bfs_forest(g: Graph, key: Optional[Callable[[int], Any]] = None
-                ) -> tuple[list[int], list[Optional[int]], list[int]]:
+def _bfs_forest(g: Graph) -> tuple[list[int], list[Optional[int]], list[int]]:
     """(order, parent, depth) of a breadth-first search over every component.
 
-    Components come in turn, each searched from its least vertex under
-    key, and each vertex queues its unvisited neighbours in ascending key
-    order; key None orders by label.  A root has parent None and depth 0.
+    Components come in turn, each searched from its least vertex, and
+    each vertex queues its unvisited neighbours in ascending order.  A
+    root has parent None and depth 0.
     """
-    adjacency = g.adjacency if key is None else [sorted(a, key=key) for a in g.adjacency]
+    adjacency = g.adjacency
     order: list[int] = []
     parent: list[Optional[int]] = [None] * g.n
     depth = [-1] * g.n
-    for start in sorted(range(g.n), key=key):
+    for start in range(g.n):
         if depth[start] >= 0:
             continue
         depth[start] = 0

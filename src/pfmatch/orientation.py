@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .brute import count_signed_matchings
 from .errors import InvalidSizeError, SizeLimitError
-from .graphs import Edge, Graph, _sorted_edge, parse_edge_lines, validate_tree
+from .graphs import Edge, Graph, parse_edge_lines, validate_tree
 
 Arc = tuple[int, int]
 
@@ -56,7 +56,7 @@ class OrientedGraph:
     arcs: frozenset[Arc]
 
     def __post_init__(self) -> None:
-        undirected = frozenset(_sorted_edge(u, v) for u, v in self.arcs)
+        undirected = frozenset((u, v) if u < v else (v, u) for u, v in self.arcs)
         if undirected != self.base.edges or len(self.arcs) != len(self.base.edges):
             raise ValueError("arcs must direct each base edge exactly once")
 
@@ -247,21 +247,22 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
     alternating with some perfect matching are exactly the nice even
     cycles, each also alternates with a matching other than the first,
     M (swap the matching along the cycle), and each that is not oddly
-    oriented is a violation.  Graphs above max_vertices raise
-    SizeLimitError first, and so does a sweep past the brute-force
-    state guard; the listing has no guard of its own.
+    oriented is a violation.  The sweep runs at every size, under the
+    brute-force state guard; max_vertices bounds only that listing, so a
+    failure on more vertices raises SizeLimitError instead of listing.
     """
     base = d.base
-    if base.n > max_vertices:
-        raise SizeLimitError(
-            f"Pfaffian check guard: {base.n} vertices > limit {max_vertices}; "
-            "raise the limit explicitly or use the brute-force counting route"
-        )
     count, signed = count_signed_matchings(base, d.arcs)
     pfaffian = abs(signed)
     if pfaffian == count:
         return PfaffianReport(nice_even_cycles=0, violations=(), matchings=count,
                               pfaffian=pfaffian)
+    if base.n > max_vertices:
+        raise SizeLimitError(
+            f"Pfaffian check guard: not Pfaffian (|Pf| {pfaffian} < {count} perfect "
+            f"matchings), and listing the violations on {base.n} vertices > limit "
+            f"{max_vertices} needs the limit raised explicitly"
+        )
     # A cycle C alternating with a matching M' also alternates with M' xor C,
     # so the matchings after the first, M, alone reach every nice even cycle;
     # a failure has at least two matchings.

@@ -17,11 +17,11 @@ from pfmatch import (
     random_tree,
 )
 from pfmatch.brute import _sweep_order, count_signed_matchings
-from pfmatch.graphs import _bfs_forest
 
 from util import (
     bit_stream,
     count_by_backtracking,
+    cuthill_mckee_order,
     induced_subgraph,
     matching_count_by_edge_subsets,
     pfaffian_by_expansion,
@@ -92,25 +92,50 @@ def test_sweep_equals_backtracking_on_products_with_small_trees():
             assert count_perfect_matchings(g) == count_by_backtracking(g), (factor.n, tree.edges)
 
 
-def _cuthill_mckee(g: Graph) -> list[int]:
-    """The Cuthill-McKee order, breadth-first by (degree, label); the
-    brute-force sweep walks it reversed (reverse Cuthill-McKee)."""
-    return _bfs_forest(g, key=lambda v: (len(g.adjacency[v]), v))[0]
-
-
 def test_cuthill_mckee_order_is_deterministic_and_narrow():
     # a path under any labelling is walked from one end: consecutive positions are adjacent
     bits = bit_stream(5)
     for n in (1, 2, 9, 30):
         perm = _shuffled(bits, n)
         g = _relabelled(path_graph(n), perm)
-        order = _cuthill_mckee(g)
+        order = cuthill_mckee_order(g)
         assert sorted(order) == list(range(n))
         assert all((min(u, v), max(u, v)) in g.edges for u, v in zip(order, order[1:]))
         assert order[0] == min(v for v in range(n) if len(g.adjacency[v]) <= 1)
     # neighbours are queued by ascending degree, not label: the leaf 4 before 2
-    assert _cuthill_mckee(Graph.from_edges(5, [(0, 1), (1, 4), (1, 2), (2, 3)])) == [0, 1, 4, 2, 3]
-    assert _cuthill_mckee(Graph.from_edges(5, [])) == [0, 1, 2, 3, 4]
+    assert cuthill_mckee_order(Graph.from_edges(5, [(0, 1), (1, 4), (1, 2), (2, 3)])) == [0, 1, 4, 2, 3]
+    assert cuthill_mckee_order(Graph.from_edges(5, [])) == [0, 1, 2, 3, 4]
+
+
+def _assert_sweep_order_is_reverse_cuthill_mckee(g: Graph) -> None:
+    position, nbr = _sweep_order(g)
+    order = cuthill_mckee_order(g)[::-1]
+    assert position == [order.index(v) for v in range(g.n)], sorted(g.edges)
+    assert nbr == [sum(1 << position[w] for w in g.adjacency[v]) for v in order], sorted(g.edges)
+
+
+def test_sweep_order_is_the_reverse_cuthill_mckee_oracle():
+    # the bucket pass against the oracle's sorted search, on random graphs
+    # with isolated vertices and several components, and on the products
+    # the identity checks sweep
+    bits = bit_stream(2031)
+    kinds = {"isolated": 0, "components": 0, "ties": 0}
+    for case in range(1200):
+        n = case % 31
+        if case % 4:
+            g = _random_graph(bits, n)
+        else:  # two copies side by side, and one isolated vertex when n is odd
+            h = _random_graph(bits, n // 2)
+            g = Graph.from_edges(n, [*h.edges, *((u + h.n, v + h.n) for u, v in h.edges)])
+        _assert_sweep_order_is_reverse_cuthill_mckee(g)
+        degrees = [len(a) for a in g.adjacency]
+        kinds["isolated"] += 0 in degrees and g.m > 0
+        kinds["components"] += not _connected(g) and g.m > 0
+        kinds["ties"] += len(set(degrees)) < g.n
+    assert min(kinds.values()) >= 100, kinds
+    for tree in trees_up_to(6):
+        for factor in (cycle_graph(4), path_graph(4)):
+            _assert_sweep_order_is_reverse_cuthill_mckee(cartesian_product(factor, tree))
 
 
 def test_forty_vertex_product_is_fast():

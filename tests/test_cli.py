@@ -17,6 +17,7 @@ from pfmatch.cli import (
     EXIT_PRECONDITION,
     EXIT_SIZE_LIMIT,
     EXIT_VIOLATION,
+    build_parser,
     main,
     parse_graph_spec,
 )
@@ -163,6 +164,21 @@ def test_orient_output_file(tmp_path, capsys):
     assert code == EXIT_OK and str(target) in out
     assert parse_oriented_edge_list(target.read_text()).n == 8
 
+
+@pytest.mark.parametrize("argv, listed", [(["orient", "--c4", "--tree", "tree-random:6:2"], "arcs"),
+                                          (["product", "cycle:4", "tree-random:6:2"], "edges")])
+def test_emitted_text_file_and_json_list_agree(tmp_path, capsys, argv, listed):
+    # the text is built only when printed or written, the list only for --json
+    code, out, _ = run(capsys, *argv)
+    text = out.rsplit("elapsed:", 1)[0]
+    target = tmp_path / "out.txt"
+    json_code, payload, _ = run_json(capsys, *argv, "--output", str(target))
+    assert code == json_code == EXIT_OK and target.read_text() == text
+    assert payload[listed] == [line for line in text.splitlines() if line[0] != "#"][1:]
+    code, out, _ = run(capsys, *argv, "--output", str(target))
+    assert code == EXIT_OK and out.startswith(f"wrote {target}\n")
+    code, bare, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK and bare[listed] == payload[listed]
 
 def test_product_cube_header(capsys):
     code, out, _ = run(capsys, "product", "cycle:4", "path:2")
@@ -322,6 +338,21 @@ def test_verify_pfaffian_long_cycle_lists_its_one_violation(tmp_path, capsys):
                                   "--orient-file", str(arcs), "--max-vertices", "1200")
     assert code == EXIT_VIOLATION and err == ""
     assert payload["violations"] == [list(range(1200))]
+
+
+def test_verify_pfaffian_vertex_guard_bounds_only_the_failure_listing(tmp_path, capsys):
+    # C4 x T on 40 vertices: the pass is one sweep, above the default guard of 24
+    code, payload, err = run_json(capsys, "verify", "--pfaffian", "--c4", "--tree",
+                                  "tree-random:10:1")
+    assert code == EXIT_OK and err == "" and payload["violations"] == []
+    # an evenly oriented 26-cycle fails, and listing its violation needs the guard raised
+    arcs = tmp_path / "cycle.txt"
+    arcs.write_text("26 26\n" + "".join(f"{i} -> {(i + 1) % 26}\n" for i in range(26)))
+    argv = ["verify", "--pfaffian", "--graph", "cycle:26", "--orient-file", str(arcs)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_SIZE_LIMIT and "Pfaffian check guard" in err and not out
+    code, payload, _ = run_json(capsys, *argv, "--max-vertices", "26")
+    assert code == EXIT_VIOLATION and payload["violations"] == [list(range(26))]
 
 
 def test_verify_layers_3_matched_tree(capsys):
@@ -508,3 +539,40 @@ def test_call_after_parse_error_and_help_matches_a_first_call(capsys):
     payload.pop("elapsed_ms")
     expected.pop("elapsed_ms")
     assert code == EXIT_OK and json.dumps(payload) == json.dumps(expected)
+
+
+def test_each_command_parses_its_own_arguments_with_the_parents_help(capsys):
+    parser, commands = build_parser()
+    for name in commands:
+        with pytest.raises(SystemExit) as stop:
+            main([name, "-h"])
+        direct = capsys.readouterr().out
+        assert stop.value.code == EXIT_OK
+        with pytest.raises(SystemExit):
+            parser.parse_args([name, "-h"])
+        assert direct == capsys.readouterr().out and direct.startswith(f"usage: pfmatch {name} ")
+
+
+@pytest.mark.parametrize("argv, exit_code", [([], EXIT_PARSE), (["bogus"], EXIT_PARSE),
+                                             (["--help"], EXIT_OK)])
+def test_anything_but_a_command_goes_to_the_top_level_parser(capsys, argv, exit_code):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    captured = capsys.readouterr()
+    assert stop.value.code == exit_code
+    assert (captured.out + captured.err).startswith("usage: pfmatch [-h] {count,orient,verify,product}")
+
+
+def test_parse_error_inside_a_command_prints_that_commands_usage(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["count", "--bogus"])
+    err = capsys.readouterr().err
+    assert stop.value.code == EXIT_PARSE
+    assert err.startswith("usage: pfmatch count ") and "unrecognized arguments: --bogus" in err
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pfmatch", "count", "--grid", "2", "4", "--json"])
+    code = main()
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and payload["count"] == "5" and payload["request"]["grid"] == [2, 4]

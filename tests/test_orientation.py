@@ -9,6 +9,7 @@ from pfmatch import (
     Graph,
     NotATreeError,
     OrientedGraph,
+    SizeLimitError,
     cartesian_product,
     check_pfaffian,
     count_perfect_matchings,
@@ -270,6 +271,17 @@ def test_check_pfaffian_unbalanced_bipartite_pass_runs_only_the_sweep():
     assert report.passed and report.route == "matching-signs"
     assert report.matchings == report.pfaffian == 0
     assert elapsed < 1.0, elapsed
+
+
+def test_check_pfaffian_vertex_guard_bounds_only_the_failure_listing():
+    # C4 x T on 40 vertices passes under the default guard of 24: a pass is
+    # the sweep alone, bounded by the state guard
+    d = orient_c4_tree(orient_lexicographic(random_tree(10, 1)))
+    report = check_pfaffian(d)
+    assert report.passed and report.matchings == report.pfaffian == count_perfect_matchings(d.base)
+    # a failure above the guard still refuses to list its violations
+    with pytest.raises(SizeLimitError, match="Pfaffian check guard: not Pfaffian .* 40 vertices"):
+        check_pfaffian(_lowest_arc_flipped(d))
 
 
 def test_perfect_matching_mates_is_not_bounded_by_recursion():

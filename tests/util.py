@@ -3,7 +3,8 @@
 Every oracle here deliberately uses a different algorithm from the code
 it checks: cycles come from vertex subsets or a depth-first scan over
 all simple cycles, nice cycles from a backtracking matching count of
-the remainder, matchings from edge subsets or plain backtracking, grid
+the remainder, matchings from edge subsets or plain backtracking, the
+Cuthill-McKee order from a deque search that sorts as it goes, grid
 counts from a broken-profile DP, determinants from cofactor expansion,
 primes from Lucas certificates, characteristic polynomials from
 exact interpolation or the Faddeev-LeVerrier recurrence, and closed
@@ -13,6 +14,7 @@ polynomial over Z[x], or (P_3 x T) from a weighted matching count.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -374,6 +376,37 @@ def induced_subgraph(g: Graph, keep: list[int]) -> Graph:
     kset = set(keep)
     edges = [(index[u], index[v]) for u, v in g.edges if u in kset and v in kset]
     return Graph.from_edges(len(keep), edges)
+
+
+def cuthill_mckee_order(g: Graph) -> list[int]:
+    """The Cuthill-McKee order: breadth-first over every component, each
+    from its unvisited vertex of least (degree, label), each vertex
+    queueing its unvisited neighbours sorted by (degree, label).  Plain
+    sets and a deque, with every neighbour list sorted on the spot, so it
+    shares nothing with the package's searches; the brute-force sweep
+    walks this order reversed (reverse Cuthill-McKee)."""
+    neighbours: dict[int, set[int]] = {v: set() for v in range(g.n)}
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+
+    def key(v: int) -> tuple[int, int]:
+        return len(neighbours[v]), v
+
+    order: list[int] = []
+    visited: set[int] = set()
+    for start in sorted(neighbours, key=key):
+        if start in visited:
+            continue
+        visited.add(start)
+        queue = collections.deque([start])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in sorted(neighbours[v] - visited, key=key):
+                visited.add(w)
+                queue.append(w)
+    return order
 
 
 # ---------------------------------------------------------------------------
