@@ -218,8 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if args.identities:
         if args.tree is None:
             raise EdgeListParseError("--identities needs --tree SPEC")
-        tree = validate_tree(parse_graph_spec(args.tree))
-        ident = verify_identities(tree, **guard)
+        ident = verify_identities(parse_graph_spec(args.tree), **guard)
         report = {"request": request, "method": "identities", "count": str(ident.c4_count),
                   "violations": list(ident.failures)}
         lines = [
@@ -310,10 +309,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
+    def vertex_limit(text: str) -> int:
+        try:
+            limit = int(text)
+        except ValueError:  # argparse's own words for a type=int option
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if limit < 0:
+            raise argparse.ArgumentTypeError(f"need 0 or more, got {limit}")
+        return limit
+
     def add_guard(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-vertices",
-            type=int,
+            type=vertex_limit,
             default=None,
             help="guard for exponential steps (default: the library's)",
         )

@@ -205,10 +205,10 @@ def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
     a proven orientation on the lexicographic base (orient_c4_tree, or
     orient_layered for m <= 4 with m = 3 again only when T has a perfect
     matching; every base gives the same count, as two orientations of a
-    tree differ by switching vertex signs); count_brute under
-    max_vertices, checked before the product is built.  "formula",
-    "pfaffian" and "brute" force one route, and raise PreconditionError
-    where it does not apply.
+    tree differ by switching vertex signs), reached only by P_1 x T (T
+    itself), as every other proven product has a closed form; count_brute
+    under max_vertices, checked before the product is built.  "formula",
+    "pfaffian" and "brute" force one route (PreconditionError where it cannot).
     """
     if kind not in ("c4", "pm") or method not in ("auto", "brute", *_NO_ROUTE):
         raise PreconditionError(f"unknown product kind {kind!r} or method {method!r}")
@@ -256,8 +256,7 @@ def count_grid(m: int, n: int, method: str = "auto",
         if m < 1 or n < 1:
             raise InvalidSizeError(f"need positive grid sides, got {m} x {n}")
         _check_brute_guard(m * n, max_vertices)
-        return count_brute(cartesian_product(path_graph(m), path_graph(n)),
-                           max_vertices=max_vertices)
+        return count_product("pm", m, path_graph(n), "brute", max_vertices)
     raise PreconditionError(
         "--grid supports auto, formula, or brute; for the Pfaffian "
         "route use --product p2/p3/p4 with --tree path:N"
@@ -286,10 +285,16 @@ def count_graph(g: Graph, method: str = "auto", d: Optional[OrientedGraph] = Non
     return count_brute(g, max_vertices=max_vertices)
 
 
-def _float_estimate(log_value: float) -> Optional[float]:
-    """exp(log_value), or None where that overflows a float."""
+def _cross_check(label: str, log_product: float, exact: int, digits: int) -> Optional[float]:
+    """exp(log_product), or None where that overflows a float, if log_product
+    lies within 10^-digits of log(exact); NumericalConsistencyError if not."""
+    if abs(log_product - math.log(exact)) > 10.0 ** -digits:
+        raise NumericalConsistencyError(
+            f"{label} log product {log_product!r} is not within 1e-{digits} "
+            f"of the log of the exact count {exact}"
+        )
     try:
-        return math.exp(log_value)
+        return math.exp(log_product)
     except OverflowError:
         return None
 
@@ -310,13 +315,8 @@ def count_c4_path(n: int) -> CountResult:
     log_product = math.fsum(
         math.log(2.0 + 4.0 * math.cos(k * math.pi / (n + 1)) ** 2) for k in range(1, n + 1)
     )
-    if abs(log_product - math.log(exact)) > 1e-9:
-        raise NumericalConsistencyError(
-            f"trigonometric log product {log_product!r} is not within 1e-9 "
-            f"of the log of the exact count {exact}"
-        )
     return CountResult(count=exact, method="narumi-hosoya", dimension=n,
-                       float_estimate=_float_estimate(log_product))
+                       float_estimate=_cross_check("trigonometric", log_product, exact, 9))
 
 
 def count_grid_dimer(m: int, n: int) -> CountResult:
@@ -356,13 +356,8 @@ def count_grid_dimer(m: int, n: int) -> CountResult:
         for k in range(1, m + 1)
         for l in range(1, n + 1)
     )
-    if abs(log_total - math.log(exact)) > 1e-6:
-        raise NumericalConsistencyError(
-            f"grid log product {log_total!r} is not within 1e-6 of the log "
-            f"of the exact count {exact}"
-        )
     return CountResult(count=exact, method="kasteleyn-grid",
-                       float_estimate=_float_estimate(log_total))
+                       float_estimate=_cross_check("grid", log_total, exact, 6))
 
 
 def squarish_decompose(v: int) -> SquarishDecomposition:
@@ -395,11 +390,11 @@ class IdentityReport:
     gives a square (the star K_{1,3}: 100 = 10^2).  Only "perfect
     matching => square, with root count(P_3 x T)" is checked.
 
-    Only the brute-* clauses check independently.  squarish,
-    squarish-factor and square-root hold by construction: the C_4 x T
-    count is computed as 2^e * (P_3 x T form)^2 from the one fold that
-    gives the P_3 x T count, so they can fail only if that arithmetic
-    does.
+    Every count comes from count_product: its closed forms, and its
+    brute route for the brute-* clauses, the only independent ones.
+    squarish, squarish-factor and square-root hold by construction, as
+    count_c4_tree is 2^e * (P_3 x T form)^2: they can fail only if that
+    arithmetic does.
     """
 
     tree_vertices: int
@@ -422,8 +417,7 @@ def verify_identities(t: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> Iden
     checks: list[str] = []
     failures: list[str] = []
 
-    p3_form = _path_product(3, tree)  # one fold mod q_3 serves C_4 and P_3
-    c4 = 2 ** (tree.n % 2) * p3_form ** 2
+    c4 = count_product("c4", 4, tree, "formula").count
     matched = tree_has_perfect_matching(tree)
 
     checks.append("squarish")
@@ -438,26 +432,21 @@ def verify_identities(t: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> Iden
         if matched and factor != 1:
             failures.append("squarish-factor")
 
-    p3_count: Optional[int] = None
-    if matched:
-        p3_count = p3_form
+    p3_count = count_product("pm", 3, tree, "formula").count if matched else None
+    if p3_count is not None:
         checks.append("square-root")
         if p3_count * p3_count != c4:
             failures.append("square-root")
 
-    p4_count = count_p4_tree(tree).count
+    p4_count = count_product("pm", 4, tree, "formula").count
 
-    if 4 * tree.n <= max_vertices:
-        checks.append("brute-c4")
-        if count_perfect_matchings(cartesian_product(cycle_graph(4), tree)) != c4:
-            failures.append("brute-c4")
-        checks.append("brute-p4")
-        if count_perfect_matchings(cartesian_product(path_graph(4), tree)) != p4_count:
-            failures.append("brute-p4")
-    if matched and 3 * tree.n <= max_vertices:
-        checks.append("brute-p3")
-        if count_perfect_matchings(cartesian_product(path_graph(3), tree)) != p3_count:
-            failures.append("brute-p3")
+    # one brute-* clause per formula count (P3 only on a matched tree), under the guard
+    for clause, kind, m, count in (("brute-c4", "c4", 4, c4), ("brute-p4", "pm", 4, p4_count),
+                                   ("brute-p3", "pm", 3, p3_count)):
+        if count is not None and m * tree.n <= max_vertices:
+            checks.append(clause)
+            if count_product(kind, m, tree, "brute", max_vertices).count != count:
+                failures.append(clause)
 
     return IdentityReport(
         tree_vertices=tree.n,

@@ -3,9 +3,8 @@
 Vertices are always the integers 0..n-1 and an edge is a sorted pair
 (u, v) with u < v.  Cartesian products use *layer-major* numbering:
 vertex (i, j) of g x h becomes index i*|h| + j, i.e. one contiguous copy
-of h per vertex of g.  The orientation and linear-algebra modules rely
-on this convention: it is what makes the skew adjacency matrices of the
-product orientations fall into clean block form.
+of h per vertex of g.  The orientation module and the CLI's printed
+comments rely on this convention; abs_pfaffian accepts any numbering.
 
 A Tree is a Graph that passed the one tree check: building it runs a
 breadth-first search from vertex 0, which either yields the parent

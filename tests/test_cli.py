@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import pfmatch.counting
 import pfmatch.exactlinalg
 from pfmatch.cli import (
     EXIT_NUMERIC,
@@ -156,6 +157,21 @@ def test_max_vertices_is_refused_where_nothing_reads_it(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main(command + ["--max-vertices", "5"])
     assert exc.value.code == EXIT_PARSE and "--max-vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["count", "--graph", "path:4"],
+                                     ["verify", "--identities", "--tree", "path:4"]])
+def test_negative_max_vertices_is_a_parse_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--max-vertices", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_PARSE and err.startswith(f"usage: pfmatch {command[0]} ")
+    assert "argument --max-vertices: need 0 or more, got -1" in err
+    # 0 is a limit like any other: it refuses every brute-force step
+    code, out, err = run(capsys, *command, "--max-vertices", "0")
+    assert code == (EXIT_SIZE_LIMIT if command[0] == "count" else EXIT_OK), err
+    if command[0] == "verify":
+        assert "checks run: squarish, squarish-factor, square-root\n" in out
 
 
 def test_orient_output_file(tmp_path, capsys):
@@ -409,6 +425,15 @@ def test_pfaffian_method_exits_5_on_a_failed_reconstruction(tmp_path, capsys, mo
                          "--orient-file", str(arcs))
     assert code == EXIT_VIOLATION and out == ""
     assert "not a perfect square" in err and "Traceback" not in err
+
+
+def test_failed_trigonometric_cross_check_exits_6(capsys, monkeypatch):
+    path_product = pfmatch.counting._path_product
+    monkeypatch.setattr(pfmatch.counting, "_path_product", lambda s, t: 2 * path_product(s, t))
+    code, out, err = run(capsys, "count", "--grid", "8", "8")
+    assert code == EXIT_NUMERIC and out == ""
+    assert err.startswith("error: grid log product ") and "Traceback" not in err
+    assert err.endswith(" is not within 1e-6 of the log of the exact count 25977632\n")
 
 
 def test_pfaffian_method_requires_orient_file_for_plain_graph(capsys):

@@ -1,5 +1,7 @@
 """Counting engines: brute oracle, Pfaffian route, closed forms, identities."""
 
+import math
+
 import pytest
 
 import pfmatch.counting
@@ -12,6 +14,7 @@ from pfmatch import (
     InvalidSizeError,
     NotPfaffianError,
     NotSquarishError,
+    NumericalConsistencyError,
     OrientedGraph,
     PreconditionError,
     SizeLimitError,
@@ -408,6 +411,35 @@ def test_grid_dimer_odd_short_side():
         assert count_grid_dimer(m, n).count == grid_tilings(m, n), (m, n)
 
 
+def test_trigonometric_cross_checks_refuse_a_wrong_exact_count(monkeypatch):
+    # exact counts come from _path_product: doubling it moves the log of
+    # the count by log 2 or log 4, far outside either tolerance
+    grid, c4 = count_grid_dimer(8, 8).count, count_c4_path(30).count
+    path_product = pfmatch.counting._path_product
+    monkeypatch.setattr(pfmatch.counting, "_path_product", lambda s, t: 2 * path_product(s, t))
+    with pytest.raises(NumericalConsistencyError,
+                       match=rf"^grid log product \S+ is not within 1e-6 of the log "
+                             rf"of the exact count {2 * grid}$"):
+        count_grid_dimer(8, 8)
+    with pytest.raises(NumericalConsistencyError,
+                       match=rf"^trigonometric log product \S+ is not within 1e-9 of the log "
+                             rf"of the exact count {4 * c4}$"):
+        count_c4_path(30)
+
+
+def test_trigonometric_cross_checks_pass_inside_their_tolerance(monkeypatch):
+    # one more on _path_product moves log(count) by about 8e-8 on the
+    # 8 x 8 grid (tolerance 1e-6), and, as the root of the C4 x P40
+    # count, by about 1e-11 there (tolerance 1e-9)
+    grid, c4 = count_grid_dimer(8, 8), count_c4_path(40)
+    root = math.isqrt(c4.count)
+    path_product = pfmatch.counting._path_product
+    monkeypatch.setattr(pfmatch.counting, "_path_product", lambda s, t: path_product(s, t) + 1)
+    assert count_grid_dimer(8, 8) == CountResult(grid.count + 1, grid.method,
+                                                 float_estimate=grid.float_estimate)
+    assert count_c4_path(40).count == (root + 1) ** 2
+
+
 def test_grid_dimer_rejects_bad_sides():
     with pytest.raises(InvalidSizeError):
         count_grid_dimer(0, 4)
@@ -484,14 +516,24 @@ def test_verify_identities_p4():
 
 def test_verify_identities_reports_a_zero_c4_count(monkeypatch):
     # a broken fold may give 0, which squarish_decompose refuses: the
-    # report records the clause instead of raising.  The C4 count is
-    # built from the one P3 fold, so breaking that fold breaks it
+    # report records the clause instead of raising.  count_c4_tree
+    # squares the P3 form, so breaking the P3 fold breaks the C4 count
     path_product = pfmatch.counting._path_product
     monkeypatch.setattr(pfmatch.counting, "_path_product",
                         lambda s, tree: 0 if s == 3 else path_product(s, tree))
     report = verify_identities(path_graph(4), max_vertices=24)
     assert "squarish" in report.failures
     assert (report.factor, report.root) == (0, 0)
+
+
+def test_verify_identities_checks_the_brute_route_of_count_product(monkeypatch):
+    # every brute-* clause counts through count_product, so a brute route
+    # that is off by one fails all three
+    brute = pfmatch.counting.count_brute
+    monkeypatch.setattr(pfmatch.counting, "count_brute",
+                        lambda g, **kw: CountResult(brute(g, **kw).count + 1, "brute", g.n))
+    report = verify_identities(path_graph(4), max_vertices=24)
+    assert report.failures == ("brute-c4", "brute-p4", "brute-p3")
 
 
 def test_verify_identities_random_sample():
@@ -626,6 +668,9 @@ def test_count_grid_routes():
     assert count_grid(7, 6, "brute", max_vertices=42).count == grid_tilings(7, 6)
     with pytest.raises(PreconditionError, match="--grid supports auto, formula, or brute"):
         count_grid(2, 2, "pfaffian")
+    for m in range(1, 41):
+        for n in range(1, 40 // m + 1):
+            assert count_grid(m, n, "brute").count == grid_tilings(m, n), (m, n)
 
 
 def test_count_graph_routes():
