@@ -11,8 +11,8 @@ The package has four layers:
                 matchings, walking the alternating cycles of each, only
                 to list a failure's violations
 - exactlinalg:  fraction-free determinants, |Pf| of a skew adjacency
-                matrix by sparse elimination modulo primes recombined
-                exactly by CRT, psi_T of a tree
+                matrix by sparse elimination modulo 256-bit Proth primes
+                recombined exactly by CRT, psi_T of a tree
                 (phi_T(x) = x^e psi_T(x^2)) folded by the bridge recurrence
                 modulo a small monic polynomial q(y) (O(n) ring
                 operations, plain integers when deg q = 1), root_product (the

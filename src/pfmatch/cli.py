@@ -125,23 +125,27 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     }
     # without --max-vertices the library's default guard applies
     guard = {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
+    given = [args.graph is not None, args.product is not None, args.grid is not None]
+    if sum(given) != 1:
+        named = " and ".join(f for f, g in zip(("--graph", "--product", "--grid"), given) if g)
+        raise EdgeListParseError("count needs exactly one of --graph, --product, or --grid"
+                                 + (f", got {named}" if named else ""))
+    if args.tree is not None and args.product is None:
+        raise EdgeListParseError("--tree goes only with --product")
+    if args.orient_file and args.graph is None:  # a product counts the same under any base
+        raise EdgeListParseError("--orient-file is for count --graph, orient and verify --pfaffian")
     if args.grid is not None:
         result = count_grid(*args.grid, method=args.method, **guard)
     elif args.product is not None:
         if args.tree is None:
             raise EdgeListParseError("--product needs --tree SPEC")
-        if args.orient_file:  # every base orientation of a tree gives the same count
-            raise EdgeListParseError(
-                "--orient-file is for count --graph, orient and verify --pfaffian")
         kind, m = _normalize_product_kind(args.product)
         tree = validate_tree(parse_graph_spec(args.tree))
         result = count_product(kind, m, tree, args.method, **guard)
-    elif args.graph is not None:
+    else:
         g = parse_graph_spec(args.graph)
         # the orientation file is checked on every route, used by one
         result = count_graph(g, args.method, _orient_file(args, g), **guard)
-    else:
-        raise EdgeListParseError("count needs one of --graph, --product, or --grid")
 
     report = {"request": request, "method": result.method, "count": str(result.count),
               "violations": []}
@@ -160,12 +164,17 @@ def _build_orientation(args: argparse.Namespace) -> tuple[OrientedGraph, str]:
         raise EdgeListParseError("choose exactly one of --double, --c4, --layers M")
     if args.double:
         if args.graph is not None:
+            if args.tree is not None:
+                raise EdgeListParseError("--tree and --graph are two base graphs: "
+                                         "--double takes one")
             g = parse_graph_spec(args.graph)
         elif args.tree is not None:
             g = validate_tree(parse_graph_spec(args.tree))
         else:
             raise EdgeListParseError("--double needs --graph or --tree")
         return orient_double(_orient_file(args, g) or orient_lexicographic(g)), "double"
+    if args.graph is not None:
+        raise EdgeListParseError("--graph is not read by --c4 or --layers, which take --tree")
     if args.tree is None:
         raise EdgeListParseError("--c4/--layers need --tree SPEC")
     tree = validate_tree(parse_graph_spec(args.tree))
@@ -216,6 +225,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         raise EdgeListParseError("choose exactly one of --pfaffian, --identities")
 
     if args.identities:
+        unread = {"--double": args.double, "--c4": args.c4, "--layers": args.layers,
+                  "--graph": args.graph, "--orient-file": args.orient_file}
+        for flag, value in unread.items():
+            if value is not None and value is not False:
+                raise EdgeListParseError(f"{flag} is not read by verify --identities")
         if args.tree is None:
             raise EdgeListParseError("--identities needs --tree SPEC")
         ident = verify_identities(parse_graph_spec(args.tree), **guard)
@@ -237,6 +251,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         # explicit graph + orientation file, no constructor
         if not args.orient_file:
             raise EdgeListParseError("verify --pfaffian --graph needs --orient-file")
+        if args.tree is not None:
+            raise EdgeListParseError("--tree goes only with --double, --c4 or --layers")
         oriented, tag = _orient_file(args, parse_graph_spec(args.graph)), "file"
     else:
         oriented, tag = _build_orientation(args)

@@ -124,10 +124,11 @@ def count_pfaffian(d: OrientedGraph) -> CountResult:
     The caller vouches for Pfaffian-ness (check_pfaffian can verify it at
     desk scale); a non-Pfaffian orientation gives an undercount, as its
     perfect matchings cancel in the Pfaffian.  abs_pfaffian computes |Pf|
-    exactly, by sparse elimination modulo primes and the Chinese
-    remainder theorem; a graph whose eliminations would do more work
-    than DEFAULT_PFAFFIAN_UPDATE_GUARD raises SizeLimitError within the
-    first of them.
+    exactly, by sparse elimination modulo 256-bit Proth primes (one
+    elimination up to about 500 vertices) and the Chinese remainder
+    theorem; a graph whose eliminations would do more work than
+    DEFAULT_PFAFFIAN_UPDATE_GUARD raises SizeLimitError within the first
+    of them.
     """
     note = "odd vertex count" if d.n % 2 else ""
     return CountResult(count=abs_pfaffian(d.base, d.arcs), method="pfaffian", dimension=d.n,

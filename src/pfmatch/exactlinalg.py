@@ -6,11 +6,12 @@ whose intermediate divisions are exact by construction; |Pf| of the
 skew adjacency matrix of an orientation (abs_pfaffian) is the half-size
 biadjacency determinant when the graph is bipartite and the exact root
 of the whole skew determinant otherwise, each eliminated sparsely
-modulo primes and recombined by the Chinese remainder theorem in the
-symmetric range past twice the Hadamard bound, which is exact whatever
-the sign; and psi_T, read off a tree's characteristic polynomial as
-phi_T(x) = x^e * psi_T(x^2), is folded by the bridge recurrence modulo
-a small monic polynomial q(y), in O(n) ring operations of degree deg q.
+modulo 256-bit Proth primes and recombined by the Chinese remainder
+theorem in the symmetric range past twice the Hadamard bound, which is
+exact whatever the sign; and psi_T, read off a tree's characteristic
+polynomial as phi_T(x) = x^e * psi_T(x^2), is folded by the bridge
+recurrence modulo a small monic polynomial q(y), in O(n) ring
+operations of degree deg q.
 
 This is the machinery that turns spectral product formulas into exact
 integers.  For a monic integer polynomial q and an integer polynomial p,
@@ -27,10 +28,10 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from typing import Collection
+from typing import Collection, Optional
 
 from .errors import NotPfaffianError, SizeLimitError
-from .graphs import Edge, Graph, Tree, _bfs_forest, validate_tree
+from .graphs import Edge, Graph, Tree, validate_tree
 
 IntMatrix = list[list[int]]
 
@@ -80,73 +81,57 @@ def det_bareiss(m: IntMatrix) -> int:
 
 #: Work guard for abs_pfaffian, the only guard of the Pfaffian route: its
 #: eliminations may together do at most this much work (see _det_mod),
-#: c * r updates per pivot plus 20.  Fitted on a shared 2-core host
-#: (Python 3.11): an update costs about 0.74 us on K_150, where pivots
-#: are few, and a pivot as much as 9 updates on a lexicographic path and
-#: 18-22 on C_4 x T and P_4 x T, so a weight of 20 keeps every family at
-#: about 6 s or less at the limit: K_152 5.2 s (K_150, 7.57 million, is
-#: admitted), K_152,152 3.5 s on its half-size matrix, C_4 x T on 8,232
-#: to 8,356 vertices 5.5-5.8 s, P_4 x T on 8,820 vertices 4.9 s and the
-#: lexicographic path on 13,388 vertices 2.4 s.
-DEFAULT_PFAFFIAN_UPDATE_GUARD = 8_000_000
+#: c * r updates per pivot plus 20.  Fitted with 256-bit moduli on a
+#: shared 2-core host (Python 3.11) whose speed drifts by up to 2x, so
+#: that every family at the limit is faster than the slowest was under
+#: the 62-bit moduli and budget of 8 million (K_150 and K_152,152 2.9 s,
+#: timed alongside): K_172 2.4 s (K_174 is refused in 0.8 s), K_173,173
+#: 2.3 s on its half-size matrix, C_4 x T up to 11,992 vertices 1.6 s,
+#: P_4 x T up to 12,504 vertices 1.5 s, P_2 x T up to 14,904 vertices
+#: 1.2 s and the lexicographic path up to 19,138 vertices 0.4 s.
+#:
+#: It also caps the moduli an elimination can need.  One that runs to
+#: the end removes every entry, so its work is at least the sum of r + 20
+#: over the row lengths r, while Hadamard's bound has 2 + sum log2 r
+#: bits, and log2 r <= 0.11214 * (r + 20) (the ratio peaks at r = 13).
+#: t moduli, each above 2^255, are taken only when 510 * (t - 1) bits
+#: fall short of the bound, and each elimination gets a t-th of the
+#: budget, so 510 * (t - 1) < 2 + 0.11214 * 4,000,000 / t, which holds up
+#: to t = 30.
+DEFAULT_PFAFFIAN_UPDATE_GUARD = 4_000_000
 
-#: Miller-Rabin bases that decide primality for every n < 3.3 * 10^24.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-#: _skew_prime's memo, index -> prime, filled on demand.
-_SKEW_PRIMES: dict[int, int] = {}
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for an odd n > 37 below 3.3 * 10^24."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _skew_prime(k: int) -> int:
-    """The k-th modulus of abs_pfaffian: the primes below 2^62, largest first.
-
-    Found on demand, so importing the module computes no table.  Each
-    entry follows from the one before, so a memo entry written twice
-    gets the same value.
-    """
-    for i in range(len(_SKEW_PRIMES), k + 1):
-        p = _SKEW_PRIMES[i - 1] - 2 if i else (1 << 62) - 1
-        while not _is_prime(p):
-            p -= 2
-        _SKEW_PRIMES[i] = p
-    return _SKEW_PRIMES[k]
+#: The moduli of abs_pfaffian, largest first: the Proth primes
+#: k * 2^192 + 1 for odd k below 2^64, that is every odd k from 2^64 - 1
+#: down to the last one listed whose k * 2^192 + 1 is prime.  Each is
+#: above 2^255, and Proth's theorem (a^((p-1)/2) = -1 mod p for some a)
+#: proves it prime.  A literal table, so neither a request nor the import
+#: searches for primes; it holds the 30 moduli that the work guard can
+#: admit (see DEFAULT_PFAFFIAN_UPDATE_GUARD).
+_SKEW_MODULI = tuple(((1 << 64) - c) << 192 | 1 for c in (
+    153, 565, 705, 931, 1149, 1281, 1423, 1443, 1495, 1579, 2079, 2245, 2251, 2283, 2925,
+    3009, 3115, 3243, 3585, 3645, 3831, 4183, 4789, 4809, 4845, 5265, 5605, 5775, 5835, 5881,
+))
 
 
 def _det_mod(signed: list[dict[int, int]], p: int, max_work: int) -> int:
     """det of a square sparse matrix modulo the prime p.
 
     The matrix comes as rows {column: entry}, with columns numbered like
-    the rows.  Each step takes the Markowitz pivot: the live column with
-    the fewest nonzeros (a lazy heap keyed by count), then the row in it
-    with the fewest nonzeros, and clears the column from the other rows.
-    Permuted by the pivots, the matrix is then upper triangular, so the
-    determinant is the product of the pivots times the sign of the
-    row-to-column pivot permutation.  A pivot with c nonzeros in its
-    column and r in its row counts c * r updates, which bounds the
-    entries its step touches, plus 20 for the bookkeeping every pivot
-    pays; an elimination whose work would pass max_work raises
-    SizeLimitError before that step runs.
+    the rows and every entry nonzero modulo p (abs_pfaffian's are +-1,
+    copied as they are).  Each step takes the Markowitz pivot: the live
+    column with the fewest nonzeros (a lazy heap keyed by count), then
+    the row in it with the fewest nonzeros, and clears the column from
+    the other rows; a column with one nonzero needs neither the row
+    choice nor the pivot's inverse.  Permuted by the pivots, the matrix
+    is then upper triangular, so the determinant is the product of the
+    pivots times the sign of the row-to-column pivot permutation.  A
+    pivot with c nonzeros in its column and r in its row counts c * r
+    updates, which bounds the entries its step touches, plus 20 for the
+    bookkeeping every pivot pays; an elimination whose work would pass
+    max_work raises SizeLimitError before that step runs.
     """
     n = len(signed)
-    rows = [{j: v % p for j, v in row.items()} for row in signed]
+    rows = [dict(row) for row in signed]
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -163,7 +148,12 @@ def _det_mod(signed: list[dict[int, int]], p: int, max_work: int) -> int:
         if count == 0:
             return 0
         done[c] = True
-        r = min(cols[c], key=lambda i: (len(rows[i]), i))
+        column = cols[c]
+        if count == 1:
+            r = column.pop()
+        else:
+            r = min([(len(rows[i]), i) for i in column])[1]
+            column.discard(r)
         pivot = rows[r]
         work += count * len(pivot) + 20
         if work > max_work:
@@ -173,28 +163,28 @@ def _det_mod(signed: list[dict[int, int]], p: int, max_work: int) -> int:
         a = pivot.pop(c)
         det = det * a % p
         pivot_col[r] = c
-        column = cols[c]
-        column.discard(r)
-        for j in pivot:
-            cols[j].discard(r)
-        inv = pow(a, -1, p)
-        for i in column:
-            row = rows[i]
-            f = row.pop(c) * inv % p
-            for j, v in pivot.items():
-                if j in row:
-                    x = (row[j] - f * v) % p
-                    if x:
-                        row[j] = x
+        if column:
+            inv = pow(a, -1, p)
+            entries = pivot.items()
+            for i in column:
+                row = rows[i]
+                f = row.pop(c) * inv % p
+                for j, v in entries:
+                    x = row.get(j)
+                    if x is None:  # fill-in: f and v are units modulo p
+                        row[j] = -f * v % p
+                        cols[j].add(i)
                     else:
-                        del row[j]
-                        cols[j].discard(i)
-                else:  # fill-in: f and v are units modulo p
-                    row[j] = -f * v % p
-                    cols[j].add(i)
-        cols[c] = set()
+                        x = (x - f * v) % p
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                            cols[j].discard(i)
         for j in pivot:
-            heapq.heappush(heap, (len(cols[j]), j))
+            col = cols[j]
+            col.discard(r)
+            heapq.heappush(heap, (len(col), j))
     seen = [False] * n
     for start in range(n):  # each even cycle of the permutation flips the sign
         length, v = 0, start
@@ -203,6 +193,36 @@ def _det_mod(signed: list[dict[int, int]], p: int, max_work: int) -> int:
         if length and length % 2 == 0:
             det = -det
     return det % p
+
+
+def _sides(g: Graph) -> Optional[list[int]]:
+    """The parity of each vertex's breadth-first depth, each component
+    searched from its least vertex as in graphs._bfs_forest, or None when
+    an edge joins two vertices of equal parity (an odd cycle).
+
+    Depth is the distance from the root in whatever order neighbours are
+    queued, so one search over unsorted neighbour lists gives the same
+    sides without building the sorted Graph.adjacency, and it meets
+    every edge from both ends.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    side = [-1] * g.n
+    for start in range(g.n):
+        if side[start] < 0:
+            side[start] = 0
+            queue = [start]
+            for v in queue:
+                other = side[v] ^ 1
+                for w in nbrs[v]:
+                    if side[w] < 0:
+                        side[w] = other
+                        queue.append(w)
+                    elif side[w] != other:
+                        return None
+    return side
 
 
 def abs_pfaffian(g: Graph, arcs: Collection[Edge]) -> int:
@@ -218,23 +238,25 @@ def abs_pfaffian(g: Graph, arcs: Collection[Edge]) -> int:
     matching.  A graph with an odd cycle eliminates A itself, and |Pf|
     is the exact integer root of det A = Pf^2 (Cayley); a determinant
     that is not a square means its residues were combined wrongly, and
-    raises NotPfaffianError.  Sparse elimination runs modulo primes just
-    below 2^62, and the residues are combined by the Chinese remainder
-    theorem into the symmetric range (-M/2, M/2) until M^2 exceeds
-    4 * prod(row lengths).  By Hadamard's bound, with every entry +-1,
-    that product is at least det^2, so the residue is the determinant
-    itself, sign included: exact and deterministic.  Odd order gives 0,
-    as does a vertex of degree 0 (an empty row; a product of 0 needs no
-    prime), and the empty graph gives 1.  Each elimination gets an equal
-    share of the work budget DEFAULT_PFAFFIAN_UPDATE_GUARD (updates plus
-    a fixed charge per pivot), so a graph above it raises SizeLimitError
-    within its first elimination.
+    raises NotPfaffianError.  Sparse elimination runs modulo the 256-bit
+    Proth primes of _SKEW_MODULI, one elimination each, and the residues
+    are combined by the Chinese remainder theorem into the symmetric
+    range (-M/2, M/2) until M^2 exceeds 4 * prod(row lengths).  By
+    Hadamard's bound, with every entry +-1, that product is at least
+    det^2, so the residue is the determinant itself, sign included:
+    exact and deterministic.  A product of up to about 500 vertices
+    needs a single elimination.  Odd order gives 0, as does a vertex of
+    degree 0 (an empty row; a product of 0 needs no modulus), and the
+    empty graph gives 1.  Each elimination gets an equal share of the
+    work budget DEFAULT_PFAFFIAN_UPDATE_GUARD (updates plus a fixed
+    charge per pivot), so a graph above it raises SizeLimitError within
+    its first elimination; so does one whose bound needs more moduli
+    than the table holds.
     """
     if g.n % 2:
         return 0
-    side = [depth % 2 for depth in _bfs_forest(g)[2]]
-    bipartite = all(side[u] != side[v] for u, v in g.edges)
-    if not bipartite:
+    side = _sides(g)
+    if side is None:
         rows: list[dict[int, int]] = [{} for _ in range(g.n)]
         for u, v in arcs:
             rows[u][v] = 1
@@ -255,17 +277,21 @@ def abs_pfaffian(g: Graph, arcs: Collection[Edge]) -> int:
     bound = 4 * math.prod(len(row) for row in rows)  # (2 det)^2 <= bound
     primes, modulus = 0, 1
     while modulus * modulus <= bound:
-        modulus *= _skew_prime(primes)
+        if primes == len(_SKEW_MODULI):
+            raise SizeLimitError(
+                f"sparse determinant guard: Hadamard's bound needs more than {primes} "
+                "moduli, more than any elimination within the work budget needs"
+            )
+        modulus *= _SKEW_MODULI[primes]
         primes += 1
     det, modulus = 0, 1
-    for k in range(primes):
-        p = _skew_prime(k)
+    for p in _SKEW_MODULI[:primes]:
         residue = _det_mod(rows, p, DEFAULT_PFAFFIAN_UPDATE_GUARD // primes)
         det += modulus * ((residue - det) * pow(modulus, -1, p) % p)
         modulus *= p
     if 2 * det > modulus:
         det -= modulus
-    if bipartite:
+    if side is not None:
         return abs(det)
     root = math.isqrt(max(det, 0))
     if root * root != det:

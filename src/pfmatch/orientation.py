@@ -150,9 +150,25 @@ def orient_c4_tree(d: OrientedGraph) -> OrientedGraph:
     The four tree layers, in the cyclic order they sit around the
     4-cycle, carry d, its converse, d, its converse; the resulting skew
     adjacency matrix has the block form shown in the module docstring.
+    The result is orient_double(orient_double(d)), built in one pass:
+    numbered layer-major (vertex i*n + v), layers 0 to 3 carry d, its
+    converse, its converse and d, and the rungs point from layer 0 to 1,
+    0 to 2, 1 to 3 and 3 to 2.
     """
     validate_tree(d.base)
-    return orient_double(orient_double(d))
+    n = d.n
+    arcs: list[Arc] = []
+    edges: list[Edge] = []
+    for v in range(n):
+        arcs += ((v, n + v), (v, 2 * n + v), (n + v, 3 * n + v), (3 * n + v, 2 * n + v))
+        edges += ((v, n + v), (v, 2 * n + v), (n + v, 3 * n + v), (2 * n + v, 3 * n + v))
+    for off in (0, 3 * n):
+        arcs += [(off + u, off + v) for u, v in d.arcs]
+    for off in (n, 2 * n):
+        arcs += [(off + v, off + u) for u, v in d.arcs]
+    for off in (0, n, 2 * n, 3 * n):
+        edges += [(off + u, off + v) for u, v in d.base.edges]
+    return OrientedGraph(base=Graph(n=4 * n, edges=frozenset(edges)), arcs=frozenset(arcs))
 
 
 def _perfect_matching_mates(g: Graph) -> Iterator[tuple[int, ...]]:

@@ -240,11 +240,12 @@ def test_verify_pfaffian_names_route_and_cycles_checked(tmp_path, capsys):
 
 
 def test_count_pfaffian_size_guard(capsys):
-    # a 10,000-vertex product needs about 10.7 million units of work, above
-    # DEFAULT_PFAFFIAN_UPDATE_GUARD: refused within the first elimination
+    # a 15,000-vertex product needs 29 moduli and about 6.3 million units
+    # of work, above DEFAULT_PFAFFIAN_UPDATE_GUARD: refused within the
+    # first elimination
     start = time.perf_counter()
     code, _, err = run(capsys, "count", "--product", "c4", "--method", "pfaffian",
-                       "--tree", "tree-random:2500:1")
+                       "--tree", "tree-random:3750:1")
     assert code == EXIT_SIZE_LIMIT and "guard" in err
     assert time.perf_counter() - start < 1.0
 
@@ -464,6 +465,31 @@ def test_count_product_refuses_an_orientation_file(tmp_path, capsys):
                        "--orient-file", str(arcs))
     assert code == EXIT_PARSE
     assert "--orient-file is for count --graph, orient and verify --pfaffian" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["count", "--grid", "4", "4", "--orient-file", "/nonexistent"], "--orient-file"),
+    (["count", "--grid", "4", "4", "--product", "c4", "--tree", "path:3"], "--product and --grid"),
+    (["count", "--product", "c4", "--tree", "path:3", "--graph", "cycle:4"],
+     "--graph and --product"),
+    (["count", "--graph", "cycle:4", "--tree", "path:3"], "--tree"),
+    (["verify", "--pfaffian", "--c4", "--tree", "path:3", "--graph", "cycle:4"], "--graph"),
+    (["verify", "--pfaffian", "--graph", "cycle:4", "--orient-file", "/nonexistent",
+      "--tree", "path:3"], "--tree"),
+    (["verify", "--pfaffian", "--double", "--graph", "cycle:4", "--tree", "path:3"], "--tree"),
+    (["verify", "--identities", "--tree", "path:3", "--c4"], "--c4"),
+    (["verify", "--identities", "--tree", "path:3", "--layers", "0"], "--layers"),
+    (["verify", "--identities", "--tree", "path:3", "--orient-file", "/nonexistent"],
+     "--orient-file"),
+    (["orient", "--double", "--graph", "cycle:4", "--tree", "path:3"], "--tree"),
+    (["orient", "--layers", "3", "--tree", "path:3", "--graph", "cycle:4"], "--graph"),
+])
+def test_an_input_flag_the_route_does_not_read_is_refused(capsys, argv, named):
+    # without the refusal each would answer for one of its inputs and
+    # ignore the other; no file named here is opened
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE and not out
+    assert named in err and "cannot read" not in err
 
 
 def test_count_requires_an_input(capsys):

@@ -154,24 +154,28 @@ def test_pfaffian_rejects_mismatched_orientation():
 
 
 def test_pfaffian_size_guard():
-    # the work budget admits the lexicographic path up to 13,388 vertices
-    # and P_2 x T on random_tree(n, 3) up to n = 5,208; it covers the
+    # the work budget admits the lexicographic path up to 19,138 vertices
+    # and P_2 x T on random_tree(n, 3) up to n = 7,452; it covers the
     # elimination only, so an odd graph still counts 0
-    big = path_graph(20002)
+    big = path_graph(26002)
     with pytest.raises(SizeLimitError, match="guard"):
         count_pfaffian(orient_lexicographic(big))
-    odd = path_graph(20001)
+    odd = path_graph(26001)
     assert count_pfaffian(orient_lexicographic(odd)).count == 0
     with pytest.raises(SizeLimitError, match="guard"):
-        count_product("pm", 2, random_tree(7000, 3), "pfaffian")
+        count_product("pm", 2, random_tree(9000, 3), "pfaffian")
+    # C4 x T on 20,000 vertices would need more moduli than the table
+    # holds: refused before any elimination
+    with pytest.raises(SizeLimitError, match="more than 30 moduli"):
+        count_product("c4", 4, random_tree(5000, 1), "pfaffian")
 
 
 def test_pfaffian_update_guard_refuses_fill_heavy_graphs():
-    # K_300 is far below the vertex guard, but each of its 20 primes
+    # K_300 is far below the vertex guard, but each of its 5 moduli
     # would need about n^3 / 3 = 9 million updates
     n = 300
     k = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    assert 20 * n ** 3 // 3 > DEFAULT_PFAFFIAN_UPDATE_GUARD
+    assert 5 * n ** 3 // 3 > DEFAULT_PFAFFIAN_UPDATE_GUARD
     with pytest.raises(SizeLimitError, match="guard"):
         count_graph(k, "pfaffian", random_orientation(k, 2))
 

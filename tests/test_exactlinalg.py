@@ -8,9 +8,11 @@ import pytest
 import pfmatch.exactlinalg
 
 from pfmatch.counting import _path_product
+from pfmatch.graphs import _bfs_forest
 from pfmatch import (
     Graph,
     NotATreeError,
+    SizeLimitError,
     abs_pfaffian,
     adjacency_matrix,
     count_c4_tree,
@@ -153,6 +155,67 @@ def test_det_skew_equals_bareiss_on_random_bipartite_orientations():
     assert min(kinds.values()) >= 10, kinds
 
 
+def test_det_mod_equals_bareiss_on_sparse_signed_matrices():
+    # seeded sparse +-1 matrices up to 12 rows, modulo the first modulus
+    # and modulo 3, where entries also cancel that do not over the
+    # integers; every kind below has to turn up
+    det_mod = pfmatch.exactlinalg._det_mod
+    bits = bit_stream(94)
+    kinds = dict.fromkeys(("one-entry column", "singular", "zero modulo 3 only"), 0)
+    for _ in range(300):
+        n, density = 1 + next(bits) % 12, 10 + next(bits) % 50
+        mat = [[(1 if next(bits) % 2 else -1) if next(bits) % 100 < density else 0
+                for _ in range(n)] for _ in range(n)]
+        rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
+        det = det_bareiss(mat)
+        for p in (pfmatch.exactlinalg._SKEW_MODULI[0], 3):
+            assert det_mod(rows, p, 10 ** 9) == det % p, mat
+        kinds["one-entry column"] += any(sum(1 for row in mat if row[j]) == 1 for j in range(n))
+        kinds["singular"] += det == 0
+        kinds["zero modulo 3 only"] += det != 0 and det % 3 == 0
+    assert min(kinds.values()) >= 10, kinds
+    # Markowitz takes column 0 and row 0 first, and the update clears
+    # entry (1, 1), so the next pivot stands alone in its column
+    assert det_mod([{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}], 3, 10 ** 9) == 2
+    assert det_mod([{0: 1, 1: -1}, {0: 1, 1: -1}], 3, 10 ** 9) == 0
+
+
+def test_det_mod_work_count_is_pinned(monkeypatch):
+    # the signed biadjacency matrix of C4 x T on 40 vertices costs exactly
+    # 567 units of work, 20 per pivot for its 20 pivots and 167 for their
+    # updates, so a budget one unit smaller refuses it
+    det_mod = pfmatch.exactlinalg._det_mod
+    captured = []
+    monkeypatch.setattr(pfmatch.exactlinalg, "_det_mod",
+                        lambda rows, p, work: captured.append(rows) or det_mod(rows, p, work))
+    d = orient_c4_tree(orient_lexicographic(random_tree(10, 1)))
+    pf = abs_pfaffian(d.base, d.arcs)
+    (rows,) = captured
+    p = pfmatch.exactlinalg._SKEW_MODULI[0]
+    assert det_mod(rows, p, 567) in (pf, p - pf)
+    with pytest.raises(SizeLimitError, match="guard"):
+        det_mod(rows, p, 566)
+
+
+def test_sides_are_the_breadth_first_depth_parities():
+    # random graphs up to 14 vertices: _sides gives _bfs_forest's depth
+    # parities, or None exactly when an edge joins two equal parities
+    bits = bit_stream(95)
+    kinds = dict.fromkeys(("odd cycle", "bipartite", "disconnected"), 0)
+    for _ in range(300):
+        n, density = 1 + next(bits) % 14, next(bits) % 60
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if next(bits) % 100 < density])
+        parity = [depth % 2 for depth in _bfs_forest(g)[2]]
+        odd_cycle = any(parity[u] == parity[v] for u, v in g.edges)
+        assert pfmatch.exactlinalg._sides(g) == (None if odd_cycle else parity)
+        assert odd_cycle == _has_odd_cycle(g)
+        kinds["odd cycle"] += odd_cycle
+        kinds["bipartite"] += not odd_cycle and bool(g.edges)
+        kinds["disconnected"] += len(_reachable(g, 0)) < n
+    assert min(kinds.values()) >= 10, kinds
+
+
 def _has_odd_cycle(g: Graph) -> bool:
     colour: dict[int, int] = {}
     for start in range(g.n):
@@ -204,42 +267,65 @@ def test_det_skew_of_the_empty_and_a_single_arc():
     assert abs_pfaffian(path_graph(2), [(0, 1)]) == 1
 
 
-def test_det_skew_equals_bareiss_on_product_orientations():
+def test_det_skew_equals_bareiss_on_product_orientations(monkeypatch):
     # C4 x T and P2 x T from 20 to 160 vertices, bipartite, so abs_pfaffian
-    # is |det B|; at 160 the determinant, its square, exceeds the product
-    # of the two largest primes, while |det B| needs only two of them
+    # is |det B|
     for n, seed in ((5, 1), (10, 2), (20, 3), (40, 4)):
         base = orient_lexicographic(random_tree(n, seed))
         for d in (orient_c4_tree(base), orient_layered(base, 2)):
             assert abs_pfaffian(d.base, d.arcs) ** 2 == det_bareiss(skew_adjacency(d))
-    d = orient_c4_tree(orient_lexicographic(random_tree(40, 4)))
-    prime = pfmatch.exactlinalg._skew_prime
-    assert abs_pfaffian(d.base, d.arcs) ** 2 > prime(0) * prime(1)
+    # C4 x T on 1,000 vertices: Hadamard's bound needs two moduli, so CRT
+    # combines two residues; dense Bareiss would be too slow there, and
+    # the closed form is an independent route
+    moduli = []
+    det_mod = pfmatch.exactlinalg._det_mod
+    monkeypatch.setattr(pfmatch.exactlinalg, "_det_mod",
+                        lambda rows, p, work: moduli.append(p) or det_mod(rows, p, work))
+    t = random_tree(250, 4)
+    d = orient_c4_tree(orient_lexicographic(t))
+    assert abs_pfaffian(d.base, d.arcs) == count_c4_tree(t).count
+    assert moduli == list(pfmatch.exactlinalg._SKEW_MODULI[:2])
 
 
 def test_det_skew_past_two_primes_on_the_half_size_route():
-    # C4 x T and P4 x T of 400 and 1,000 vertices, where |det B| itself
-    # exceeds the product of the two largest primes, so CRT combines at
-    # least three; the closed forms are an independent route, and dense
+    # C4 x T and P4 x T of 1,600 vertices, where |det B| itself exceeds
+    # the product of the two largest moduli, so CRT combines at least
+    # three; the closed forms are an independent route, and dense
     # Bareiss would be too slow here
-    prime = pfmatch.exactlinalg._skew_prime
-    for n, seed in ((100, 5), (250, 6)):
+    moduli = pfmatch.exactlinalg._SKEW_MODULI
+    for n, seed in ((400, 5), (400, 6)):
         t = random_tree(n, seed)
         base = orient_lexicographic(t)
         for d, count in ((orient_c4_tree(base), count_c4_tree(t).count),
                          (orient_layered(base, 4), count_p4_tree(t).count)):
             pf = abs_pfaffian(d.base, d.arcs)
-            assert pf > prime(0) * prime(1)
+            assert pf > moduli[0] * moduli[1]
             assert pf == count
 
 
-def test_skew_primes_are_the_primes_below_two_to_the_62():
-    primes = [pfmatch.exactlinalg._skew_prime(k) for k in range(12)]
-    assert primes[0] == 2 ** 62 - 57
-    assert all(is_prime_by_certificate(p) for p in primes)
-    # largest first, none skipped
-    assert all(not is_prime_by_certificate(m)
-               for hi, lo in zip(primes, primes[1:]) for m in range(lo + 1, hi))
+def test_skew_moduli_are_the_proth_primes_below_two_to_the_256():
+    moduli = pfmatch.exactlinalg._SKEW_MODULI
+    ks = [p >> 192 for p in moduli]
+    assert ks[0] == 2 ** 64 - 153
+    assert all(p == k << 192 | 1 and k % 2 for p, k in zip(moduli, ks))
+    assert all(is_prime_by_certificate(p) for p in moduli)
+    # odd k descending from 2^64 - 1, none skipped
+    assert all(hi > lo for hi, lo in zip(ks, ks[1:]))
+    assert all(not is_prime_by_certificate(k << 192 | 1)
+               for hi, lo in zip([2 ** 64 + 1] + ks, ks) for k in range(lo + 2, hi, 2))
+
+
+def test_skew_moduli_cover_every_elimination_the_guard_admits():
+    # An elimination that runs to the end removes every entry and pays
+    # 20 per pivot, so its work is at least the sum of (r + 20) over the
+    # row lengths r, while Hadamard's bound has 2 + sum log2 r bits.  t
+    # moduli, each above 2^255, are needed only when 510 (t - 1) bits
+    # fall short of that bound, and each elimination gets a t-th of the
+    # budget: the table must reach the largest t both allow.
+    ratio = max(math.log2(r) / (r + 20) for r in range(1, 1000))
+    budget = pfmatch.exactlinalg.DEFAULT_PFAFFIAN_UPDATE_GUARD
+    need = max(t for t in range(1, 1000) if 510 * (t - 1) < 2 + ratio * (budget // t))
+    assert len(pfmatch.exactlinalg._SKEW_MODULI) == need
 
 
 def test_char_poly_k2():

@@ -153,6 +153,19 @@ def test_orient_c4_tree_arc_count():
         assert len(d.arcs) == 4 * t.m + 4 * t.n
 
 
+def test_orient_c4_tree_is_the_doubled_doubling():
+    # the one-pass builder against its definition, under random base
+    # orientations: every tree of up to 7 vertices, then seeded trees
+    trees = [(t, k) for k, t in enumerate(trees_up_to(7))]
+    trees += [(random_tree(n, seed), seed) for n, seed in ((20, 1), (64, 2), (133, 3), (250, 4))]
+    for t, seed in trees:
+        d = random_orientation(t, seed)
+        one_pass, doubled = orient_c4_tree(d), orient_double(orient_double(d))
+        assert one_pass.n == doubled.n
+        assert one_pass.base.edges == doubled.base.edges
+        assert one_pass.arcs == doubled.arcs
+
+
 def _blocks(parts: list[list[list[list[int]]]]) -> list[list[int]]:
     out = []
     for block_row in parts:
