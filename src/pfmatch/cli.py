@@ -82,7 +82,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EdgeListParseError(f"cannot read {path!r}: {exc}") from exc
 
 

@@ -82,7 +82,7 @@ class CountResult:
 
     def __post_init__(self) -> None:
         if self.count < 0:
-            raise ValueError("matching counts are non-negative")
+            raise PreconditionError("matching counts are non-negative")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ class SquarishDecomposition:
     root: int
 
     def __post_init__(self) -> None:
-        assert self.factor in (1, 2) and self.root >= 0
+        if self.factor not in (1, 2) or self.root < 0:
+            raise PreconditionError("a squarish value is 1 or 2 times a non-negative root squared")
 
     @property
     def value(self) -> int:

@@ -28,8 +28,9 @@ class SizeLimitError(PfmatchError):
     exit_code = 4
 
 
-class PreconditionError(PfmatchError):
-    """An operation's mathematical precondition does not hold for the input."""
+class PreconditionError(PfmatchError, ValueError):
+    """An operation's precondition does not hold for the input (a non-square
+    matrix, a non-monic divisor, arcs that do not orient their graph)."""
 
 
 class NotPfaffianError(PfmatchError):

@@ -30,7 +30,7 @@ import math
 import operator
 from typing import Collection, Optional
 
-from .errors import NotPfaffianError, SizeLimitError
+from .errors import NotPfaffianError, PreconditionError, SizeLimitError
 from .graphs import Edge, Graph, Tree, validate_tree
 
 IntMatrix = list[list[int]]
@@ -56,7 +56,7 @@ def det_bareiss(m: IntMatrix) -> int:
     """
     n = len(m)
     if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
+        raise PreconditionError("determinant needs a square matrix")
     if n == 0:
         return 1
     a = [list(row) for row in m]
@@ -399,7 +399,7 @@ def psi_tree_mod(t: Graph, q: IntPolynomial) -> IntPolynomial:
     tree: Tree = validate_tree(t)
     d = len(q) - 1
     if d < 0 or q[-1] != 1:
-        raise ValueError("psi_tree_mod needs a monic polynomial q")
+        raise PreconditionError("psi_tree_mod needs a monic polynomial q")
     if d == 0:
         return []
     one, mul, sub, times_y = _ring(q)
@@ -456,7 +456,7 @@ def root_product(q: IntPolynomial, p: IntPolynomial) -> int:
     """
     d = len(q) - 1
     if d < 0 or q[-1] != 1:
-        raise ValueError("root_product needs a monic polynomial q")
+        raise PreconditionError("root_product needs a monic polynomial q")
     rows: IntMatrix = []
     r = list(p) + [0] * (d - len(p))
     for _ in range(d):

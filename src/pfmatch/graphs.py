@@ -22,6 +22,7 @@ from .errors import (
     EdgeListParseError,
     InvalidSizeError,
     NotATreeError,
+    PreconditionError,
 )
 
 Edge = tuple[int, int]
@@ -37,10 +38,10 @@ class Graph:
     def __post_init__(self) -> None:
         n = self.n
         if n < 0:
-            raise ValueError("vertex count must be non-negative")
+            raise InvalidSizeError("vertex count must be non-negative")
         for u, v in self.edges:
             if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u}, {v}) is not a sorted pair inside range(n)")
+                raise PreconditionError(f"edge ({u}, {v}) is not a sorted pair inside range(n)")
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":

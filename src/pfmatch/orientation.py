@@ -1,12 +1,12 @@
 """Edge orientations and the Pfaffian criterion.
 
-The constructors here realize one idea at increasing depth: orient a
-graph, place copies side by side with every copy's orientation reversed
-relative to its neighbor, and direct all the connecting rungs the same
-way.  Applied once to a tree this doubles it; applied layer by layer it
-orients P_m x T; applied twice it orients a graph isomorphic to
-C_4 x T whose skew adjacency matrix is block-tridiagonal-plus-corners
-in the tree's skew adjacency A:
+The constructors here are plans for one builder: place copies of an
+oriented graph d side by side, each copy either d or its converse, and
+join chosen pairs of copies by rungs that all point the same way.  Two
+copies make the doubling orient_double (P_2 x G); m alternating copies
+joined in a path orient P_m x T; four copies joined around a 4-cycle
+orient a graph isomorphic to C_4 x T whose skew adjacency matrix is
+block-tridiagonal-plus-corners in the tree's skew adjacency A:
 
     [[ A,  I,  I,  0],
      [-I, -A,  0,  I],
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .brute import count_signed_matchings
-from .errors import InvalidSizeError, SizeLimitError
+from .errors import InvalidSizeError, PreconditionError, SizeLimitError
 from .graphs import Edge, Graph, parse_edge_lines, validate_tree
 
 Arc = tuple[int, int]
@@ -58,7 +58,7 @@ class OrientedGraph:
     def __post_init__(self) -> None:
         undirected = frozenset((u, v) if u < v else (v, u) for u, v in self.arcs)
         if undirected != self.base.edges or len(self.arcs) != len(self.base.edges):
-            raise ValueError("arcs must direct each base edge exactly once")
+            raise PreconditionError("arcs must direct each base edge exactly once")
 
     @property
     def n(self) -> int:
@@ -108,27 +108,33 @@ def orient_lexicographic(g: Graph) -> OrientedGraph:
     return OrientedGraph(base=g, arcs=frozenset(g.edges))
 
 
-def _stack(d: OrientedGraph, m: int) -> OrientedGraph:
-    """Orient P_m x G with m copies of d: layer i (0-based) keeps d when i
-    is even and gets its converse when i is odd; every rung points from
-    layer i to layer i+1.  Vertex (i, v) is i*n + v, the layer-major
-    numbering of graphs.cartesian_product."""
+def _stack(d: OrientedGraph, flipped: Sequence[bool], rungs: Sequence[tuple[int, int]]
+           ) -> OrientedGraph:
+    """One copy of d per entry of flipped, joined by rungs: layer i carries
+    d, or its converse when flipped[i], and each rung (i, j) points every
+    vertex i*n + v to j*n + v.  Vertex (i, v) is i*n + v, the layer-major
+    numbering of graphs.cartesian_product; each arc and its base edge
+    come from the same step of the plan."""
     n = d.n
     converse = [(v, u) for u, v in d.arcs]
-    rungs = [(k, k + n) for k in range((m - 1) * n)]
-    arcs: list[Arc] = rungs[:]
-    edges: list[Edge] = rungs[:]
-    for i in range(m):
+    arcs: list[Arc] = []
+    edges: list[Edge] = []
+    for i, j in rungs:
+        rung = [(i * n + v, j * n + v) for v in range(n)]
+        arcs += rung
+        edges += rung if i < j else [(w, u) for u, w in rung]
+    for i, flip in enumerate(flipped):
         off = i * n
-        arcs += [(off + u, off + v) for u, v in (converse if i % 2 else d.arcs)]
+        arcs += [(off + u, off + v) for u, v in (converse if flip else d.arcs)]
         edges += [(off + u, off + v) for u, v in d.base.edges]
-    return OrientedGraph(base=Graph(n=m * n, edges=frozenset(edges)), arcs=frozenset(arcs))
+    return OrientedGraph(base=Graph(n=len(flipped) * n, edges=frozenset(edges)),
+                         arcs=frozenset(arcs))
 
 
 def orient_double(d: OrientedGraph) -> OrientedGraph:
     """Orient P_2 x G for any graph G: left copy keeps d, right copy gets
     its converse, and every rung v .. n+v points left to right."""
-    return _stack(d, 2)
+    return _stack(d, (False, True), [(0, 1)])
 
 
 def orient_layered(d: OrientedGraph, m: int) -> OrientedGraph:
@@ -141,34 +147,22 @@ def orient_layered(d: OrientedGraph, m: int) -> OrientedGraph:
     validate_tree(d.base)
     if m < 1:
         raise InvalidSizeError(f"need at least 1 layer, got {m}")
-    return d if m == 1 else _stack(d, m)
+    if m == 1:
+        return d
+    return _stack(d, [i % 2 == 1 for i in range(m)], [(i, i + 1) for i in range(m - 1)])
 
 
 def orient_c4_tree(d: OrientedGraph) -> OrientedGraph:
-    """Orient a graph isomorphic to C_4 x T by doubling the doubling.
+    """Orient a graph isomorphic to C_4 x T: orient_double(orient_double(d))
+    as one plan.
 
-    The four tree layers, in the cyclic order they sit around the
-    4-cycle, carry d, its converse, d, its converse; the resulting skew
-    adjacency matrix has the block form shown in the module docstring.
-    The result is orient_double(orient_double(d)), built in one pass:
-    numbered layer-major (vertex i*n + v), layers 0 to 3 carry d, its
-    converse, its converse and d, and the rungs point from layer 0 to 1,
-    0 to 2, 1 to 3 and 3 to 2.
+    Layers 0 to 3 carry d, its converse, its converse and d, and the
+    rungs point from layer 0 to 1, 0 to 2, 1 to 3 and 3 to 2.  Around
+    the 4-cycle 0, 1, 3, 2 the layers alternate d and its converse, and
+    the skew adjacency matrix has the block form of the module docstring.
     """
     validate_tree(d.base)
-    n = d.n
-    arcs: list[Arc] = []
-    edges: list[Edge] = []
-    for v in range(n):
-        arcs += ((v, n + v), (v, 2 * n + v), (n + v, 3 * n + v), (3 * n + v, 2 * n + v))
-        edges += ((v, n + v), (v, 2 * n + v), (n + v, 3 * n + v), (2 * n + v, 3 * n + v))
-    for off in (0, 3 * n):
-        arcs += [(off + u, off + v) for u, v in d.arcs]
-    for off in (n, 2 * n):
-        arcs += [(off + v, off + u) for u, v in d.arcs]
-    for off in (0, n, 2 * n, 3 * n):
-        edges += [(off + u, off + v) for u, v in d.base.edges]
-    return OrientedGraph(base=Graph(n=4 * n, edges=frozenset(edges)), arcs=frozenset(arcs))
+    return _stack(d, (False, True, True, False), [(0, 1), (0, 2), (1, 3), (3, 2)])
 
 
 def _perfect_matching_mates(g: Graph) -> Iterator[tuple[int, ...]]:

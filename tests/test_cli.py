@@ -387,6 +387,19 @@ def test_missing_file_exit_code(capsys):
     assert code == EXIT_PARSE and "cannot read" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--graph"],
+    ["count", "--product", "c4", "--tree"],
+    ["verify", "--pfaffian", "--graph", "path:4", "--orient-file"],
+], ids=["--graph", "--tree", "--orient-file"])
+def test_non_utf8_file_is_refused_like_an_unreadable_one(capsys, tmp_path, argv):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe2 1\n0 1\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_PARSE and not out
+    assert err.startswith(f"error: cannot read {str(path)!r}: ") and "Traceback" not in err
+
+
 def test_precondition_exit_code(capsys):
     code, _, _ = run(capsys, "count", "--graph", "path:0")
     assert code == EXIT_PRECONDITION

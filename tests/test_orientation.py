@@ -200,19 +200,40 @@ def test_c4_tree_block_structure(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_p4_block_structure(seed):
+    # every layer count: diagonal blocks A, -A, A, ..., +I above the
+    # diagonal and -I below it
     t = random_tree(2 + seed * 2, seed)
     d = random_orientation(t, seed + 17)
     a = skew_adjacency(d)
     n = t.n
     eye = identity_matrix(n)
     zero = [[0] * n for _ in range(n)]
-    expected = _blocks([
-        [a, eye, zero, zero],
-        [_neg(eye), _neg(a), eye, zero],
-        [zero, _neg(eye), a, eye],
-        [zero, zero, _neg(eye), _neg(a)],
-    ])
-    assert skew_adjacency(orient_layered(d, 4)) == expected
+
+    def block(i: int, j: int) -> list[list[int]]:
+        if i == j:
+            return _neg(a) if i % 2 else a
+        return eye if j == i + 1 else _neg(eye) if i == j + 1 else zero
+
+    for m in range(2, 7):
+        expected = _blocks([[block(i, j) for j in range(m)] for i in range(m)])
+        assert skew_adjacency(orient_layered(d, m)) == expected, m
+
+
+@pytest.mark.parametrize("g", [
+    cycle_graph(3),
+    cycle_graph(6),
+    Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (0, 3), (4, 5)]),
+    Graph.from_edges(5, [(0, 1), (3, 4)]),
+    Graph(n=4, edges=frozenset()),
+    Graph(n=0, edges=frozenset()),
+], ids=["triangle", "hexagon", "triangle-tail-and-edge", "two-edges-and-a-vertex",
+        "empty-4", "empty-0"])
+def test_orient_double_block_structure_on_any_graph(g):
+    # [[A, I], [-I, -A]] off trees too: odd cycles, several components, no edges
+    d = random_orientation(g, g.n + len(g.edges))
+    a = skew_adjacency(d)
+    eye = identity_matrix(g.n)
+    assert skew_adjacency(orient_double(d)) == _blocks([[a, eye], [_neg(eye), _neg(a)]])
 
 
 def test_skew_adjacency_examples():

@@ -1,10 +1,13 @@
 """The public surface: every exported name and every top-level def has a
-caller outside the tests, no module reads the environment, every vertex
-guard is max_vertices, and exactlinalg sits below orientation."""
+caller outside the tests, every public failure is a PfmatchError, no
+module reads the environment, every vertex guard is max_vertices, and
+exactlinalg sits below orientation."""
 
 import ast
 import inspect
 import pathlib
+
+import pytest
 
 import pfmatch
 
@@ -65,6 +68,28 @@ def test_every_def_has_a_reader_outside_the_tests():
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
     unused = _unread(defs)
     assert not unused, f"defined without a reader in src/ or demos/: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pfmatch.Graph(n=-1, edges=frozenset()),
+    lambda: pfmatch.Graph(n=3, edges=frozenset({(1, 0)})),
+    lambda: pfmatch.Graph(n=2, edges=frozenset({(0, 2)})),
+    lambda: pfmatch.OrientedGraph(base=pfmatch.path_graph(3), arcs=frozenset({(0, 1)})),
+    lambda: pfmatch.CountResult(count=-1, method="brute"),
+    lambda: pfmatch.SquarishDecomposition(factor=3, root=1),
+    lambda: pfmatch.SquarishDecomposition(factor=1, root=-1),
+    lambda: pfmatch.det_bareiss([[1, 2]]),
+    lambda: pfmatch.psi_tree_mod(pfmatch.path_graph(2), [1, 2]),
+    lambda: pfmatch.root_product([1, 2], [1]),
+], ids=["negative-n", "unsorted-edge", "edge-out-of-range", "arcs-miss-an-edge",
+        "negative-count", "squarish-factor", "squarish-root", "non-square-matrix",
+        "psi-non-monic", "root-product-non-monic"])
+def test_public_failures_are_pfmatch_errors(call):
+    # exit code 3 through the CLI, and still the ValueError they used to be;
+    # SquarishDecomposition's check must survive python -O, so no assert
+    with pytest.raises(pfmatch.PfmatchError) as info:
+        call()
+    assert isinstance(info.value, ValueError) and info.value.exit_code == 3
 
 
 def test_no_module_reads_the_environment():
