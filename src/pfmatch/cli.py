@@ -3,8 +3,9 @@
 Inputs are either generator specs ("path:N", "cycle:N",
 "tree-random:N:SEED") or paths to edge-list files ('#' comments,
 "n m" header, then "u v" or "u -> v" lines).  Reports are human text or
-JSON ({"request", "method", "count", "violations", "elapsed_ms"}), with
-counts serialized as decimal strings so consumers never truncate them.
+JSON ({"request", "method", "count", "violations", "elapsed_ms"}; verify
+--pfaffian adds "route", "matchings" and "pfaffian"), with counts
+serialized as decimal strings so consumers never truncate them.
 
 Exit codes: 0 ok, 2 parse error, 3 precondition/structure error,
 4 size-limit guard, 5 verification violation (or a Pfaffian count whose
@@ -20,7 +21,7 @@ import sys
 import time
 from typing import Callable, Optional
 
-from .counting import count_graph, count_grid, count_product, verify_identities
+from .counting import CountResult, count_graph, count_grid, count_product, verify_identities
 from .errors import (
     EdgeListParseError,
     NotPfaffianError,
@@ -80,7 +81,7 @@ def _spec_int(spec: str, field: str) -> int:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise EdgeListParseError(f"cannot read {path!r}: {exc}") from exc
@@ -109,93 +110,52 @@ def _orient_file(args: argparse.Namespace, g: Graph) -> Optional[OrientedGraph]:
     return d
 
 
-# ---------------------------------------------------------------------------
-# count
-# ---------------------------------------------------------------------------
-
-def cmd_count(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    request = {
-        "command": "count",
-        "method": args.method,
-        "graph": args.graph,
-        "product": args.product,
-        "tree": args.tree,
-        "grid": args.grid,
-        "max_vertices": args.max_vertices,
-    }
-    # without --max-vertices the library's default guard applies
-    guard = {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
-    given = [args.graph is not None, args.product is not None, args.grid is not None]
-    if sum(given) != 1:
-        named = " and ".join(f for f, g in zip(("--graph", "--product", "--grid"), given) if g)
-        raise EdgeListParseError("count needs exactly one of --graph, --product, or --grid"
-                                 + (f", got {named}" if named else ""))
-    if args.tree is not None and args.product is None:
-        raise EdgeListParseError("--tree goes only with --product")
-    if args.orient_file and args.graph is None:  # a product counts the same under any base
-        raise EdgeListParseError("--orient-file is for count --graph, orient and verify --pfaffian")
-    if args.grid is not None:
-        result = count_grid(*args.grid, method=args.method, **guard)
-    elif args.product is not None:
-        if args.tree is None:
-            raise EdgeListParseError("--product needs --tree SPEC")
-        kind, m = _normalize_product_kind(args.product)
-        tree = validate_tree(parse_graph_spec(args.tree))
-        result = count_product(kind, m, tree, args.method, **guard)
-    else:
-        g = parse_graph_spec(args.graph)
-        # the orientation file is checked on every route, used by one
-        result = count_graph(g, args.method, _orient_file(args, g), **guard)
-
-    report = {"request": request, "method": result.method, "count": str(result.count),
-              "violations": []}
-    lines = [f"method: {result.method}", f"count: {result.count}"]
-    return report, lines, EXIT_OK
+def _guard(args: argparse.Namespace) -> dict:
+    """--max-vertices as a keyword; without it the library's default guard applies."""
+    return {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
 
 
-# ---------------------------------------------------------------------------
-# orient
-# ---------------------------------------------------------------------------
-
-def _build_orientation(args: argparse.Namespace) -> tuple[OrientedGraph, str]:
-    """(orientation, constructor tag) from --double/--c4/--layers flags."""
-    chosen = [bool(args.double), bool(args.c4), args.layers is not None]
-    if sum(chosen) != 1:
-        raise EdgeListParseError("choose exactly one of --double, --c4, --layers M")
+def _orientation(args: argparse.Namespace) -> tuple[OrientedGraph, str]:
+    """(orientation, tag) of an orient or verify --pfaffian route: the
+    --orient-file itself, or a constructor over it (default: lexicographic)."""
+    g = (parse_graph_spec(args.graph) if args.graph is not None
+         else validate_tree(parse_graph_spec(args.tree)))
+    d = _orient_file(args, g)
     if args.double:
-        if args.graph is not None:
-            if args.tree is not None:
-                raise EdgeListParseError("--tree and --graph are two base graphs: "
-                                         "--double takes one")
-            g = parse_graph_spec(args.graph)
-        elif args.tree is not None:
-            g = validate_tree(parse_graph_spec(args.tree))
-        else:
-            raise EdgeListParseError("--double needs --graph or --tree")
-        return orient_double(_orient_file(args, g) or orient_lexicographic(g)), "double"
-    if args.graph is not None:
-        raise EdgeListParseError("--graph is not read by --c4 or --layers, which take --tree")
-    if args.tree is None:
-        raise EdgeListParseError("--c4/--layers need --tree SPEC")
-    tree = validate_tree(parse_graph_spec(args.tree))
-    base = _orient_file(args, tree) or orient_lexicographic(tree)
+        return orient_double(d or orient_lexicographic(g)), "double"
     if args.c4:
-        return orient_c4_tree(base), "c4-tree"
-    return orient_layered(base, args.layers), f"layered:{args.layers}"
+        return orient_c4_tree(d or orient_lexicographic(g)), "c4-tree"
+    if args.layers is not None:
+        return orient_layered(d or orient_lexicographic(g), args.layers), f"layered:{args.layers}"
+    return d, "file"
 
 
-def cmd_orient(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    request = {
-        "command": "orient",
-        "double": args.double,
-        "c4": args.c4,
-        "layers": args.layers,
-        "graph": args.graph,
-        "tree": args.tree,
-        "orient_file": args.orient_file,
-    }
-    oriented, tag = _build_orientation(args)
-    report = {"request": request, "method": tag, "count": None, "violations": []}
+# Route handlers: each calls the library and renders (fields, lines, exit code).
+
+def _counted(result: CountResult) -> tuple[dict, list[str], int]:
+    return ({"method": result.method, "count": str(result.count), "violations": []},
+            [f"method: {result.method}", f"count: {result.count}"], EXIT_OK)
+
+
+def _count_graph(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    g = parse_graph_spec(args.graph)
+    # the orientation file is checked on every route, used by one
+    return _counted(count_graph(g, args.method, _orient_file(args, g), **_guard(args)))
+
+
+def _count_product(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    kind, m = _normalize_product_kind(args.product)
+    tree = validate_tree(parse_graph_spec(args.tree))
+    return _counted(count_product(kind, m, tree, args.method, **_guard(args)))
+
+
+def _count_grid(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    return _counted(count_grid(*args.grid, method=args.method, **_guard(args)))
+
+
+def _orient(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    oriented, tag = _orientation(args)
+    report = {"method": tag, "count": None, "violations": []}
     if args.json:
         report["arcs"] = [f"{u} -> {v}" for u, v in sorted(oriented.arcs)]
     comments = [f"orientation: {tag}",
@@ -203,67 +163,29 @@ def cmd_orient(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return report, _emit(args, lambda: format_oriented_edge_list(oriented, comments)), EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
+def _verify_identities(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    ident = verify_identities(parse_graph_spec(args.tree), **_guard(args))
+    report = {"method": "identities", "count": str(ident.c4_count),
+              "violations": list(ident.failures)}
+    lines = [f"tree vertices: {ident.tree_vertices}",
+             f"count C4xT: {ident.c4_count} = {ident.factor} * {ident.root}^2"]
+    if ident.p3_count is not None:
+        lines.append(f"count P3xT: {ident.p3_count} (squared: {ident.p3_count ** 2})")
+    if ident.p4_count is not None:
+        lines.append(f"count P4xT: {ident.p4_count}")
+    lines.append(f"checks run: {', '.join(ident.checks)}")
+    lines.append(f"verdict: {'pass' if ident.passed else 'FAIL ' + ', '.join(ident.failures)}")
+    return report, lines, EXIT_OK if ident.passed else EXIT_VIOLATION
 
-def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    request = {
-        "command": "verify",
-        "pfaffian": args.pfaffian,
-        "identities": args.identities,
-        "double": args.double,
-        "c4": args.c4,
-        "layers": args.layers,
-        "graph": args.graph,
-        "tree": args.tree,
-        "orient_file": args.orient_file,
-        "max_vertices": args.max_vertices,
-    }
-    guard = {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
-    if args.pfaffian == args.identities:
-        raise EdgeListParseError("choose exactly one of --pfaffian, --identities")
 
-    if args.identities:
-        unread = {"--double": args.double, "--c4": args.c4, "--layers": args.layers,
-                  "--graph": args.graph, "--orient-file": args.orient_file}
-        for flag, value in unread.items():
-            if value is not None and value is not False:
-                raise EdgeListParseError(f"{flag} is not read by verify --identities")
-        if args.tree is None:
-            raise EdgeListParseError("--identities needs --tree SPEC")
-        ident = verify_identities(parse_graph_spec(args.tree), **guard)
-        report = {"request": request, "method": "identities", "count": str(ident.c4_count),
-                  "violations": list(ident.failures)}
-        lines = [
-            f"tree vertices: {ident.tree_vertices}",
-            f"count C4xT: {ident.c4_count} = {ident.factor} * {ident.root}^2",
-        ]
-        if ident.p3_count is not None:
-            lines.append(f"count P3xT: {ident.p3_count} (squared: {ident.p3_count ** 2})")
-        if ident.p4_count is not None:
-            lines.append(f"count P4xT: {ident.p4_count}")
-        lines.append(f"checks run: {', '.join(ident.checks)}")
-        lines.append(f"verdict: {'pass' if ident.passed else 'FAIL ' + ', '.join(ident.failures)}")
-        return report, lines, EXIT_OK if ident.passed else EXIT_VIOLATION
-
-    if args.graph is not None and not (args.double or args.c4 or args.layers is not None):
-        # explicit graph + orientation file, no constructor
-        if not args.orient_file:
-            raise EdgeListParseError("verify --pfaffian --graph needs --orient-file")
-        if args.tree is not None:
-            raise EdgeListParseError("--tree goes only with --double, --c4 or --layers")
-        oriented, tag = _orient_file(args, parse_graph_spec(args.graph)), "file"
-    else:
-        oriented, tag = _build_orientation(args)
-    result = check_pfaffian(oriented, **guard)
-    report = {"request": request, "method": f"pfaffian-check:{tag}", "count": None,
-              "violations": [list(c) for c in result.violations]}
-    lines = [
-        f"orientation: {tag}",
-        f"route: {result.route}",
-        f"perfect matchings: {result.matchings}, |Pf|: {result.pfaffian}",
-    ]
+def _verify_pfaffian(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    oriented, tag = _orientation(args)
+    result = check_pfaffian(oriented, **_guard(args))
+    report = {"method": f"pfaffian-check:{tag}", "count": None,
+              "violations": [list(c) for c in result.violations], "route": result.route,
+              "matchings": str(result.matchings), "pfaffian": str(result.pfaffian)}
+    lines = [f"orientation: {tag}", f"route: {result.route}",
+             f"perfect matchings: {result.matchings}, |Pf|: {result.pfaffian}"]
     if not result.passed:
         lines.append(f"cycles checked: {result.nice_even_cycles} nice even")
     lines.append(f"verdict: {'pass' if result.passed else 'FAIL'}")
@@ -272,27 +194,71 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return report, lines, EXIT_OK if result.passed else EXIT_VIOLATION
 
 
-# ---------------------------------------------------------------------------
-# product
-# ---------------------------------------------------------------------------
-
-def cmd_product(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    request = {"command": "product", "factors": [args.factor1, args.factor2]}
-    g = parse_graph_spec(args.factor1)
-    h = parse_graph_spec(args.factor2)
+def _product(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    first, second = args.factors
+    g, h = parse_graph_spec(first), parse_graph_spec(second)
     product = cartesian_product(g, h)
-    report = {"request": request, "method": "cartesian-product", "count": None, "violations": []}
+    report = {"method": "cartesian-product", "count": None, "violations": []}
     if args.json:
         report["edges"] = [f"{u} {v}" for u, v in sorted(product.edges)]
         report["vertices"] = product.n
-    comments = [f"cartesian product of {args.factor1} and {args.factor2}",
-                f"vertex (i, j) of ({args.factor1}) x ({args.factor2}) is i*{h.n} + j (layer-major)"]
+    comments = [f"cartesian product of {first} and {second}",
+                f"vertex (i, j) of ({first}) x ({second}) is i*{h.n} + j (layer-major)"]
     return report, _emit(args, lambda: format_edge_list(product, comments)), EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# plumbing
-# ---------------------------------------------------------------------------
+#: (command, label, options that select the route, other options it reads,
+#: handler).  A call runs the one route whose selecting options are all given
+#: and which reads every given option but --json and --output; else exit 2.
+ROUTES = [
+    ("count", "--graph", ("graph",), ("method", "orient_file", "max_vertices"), _count_graph),
+    ("count", "--product", ("product", "tree"), ("method", "max_vertices"), _count_product),
+    ("count", "--grid", ("grid",), ("method", "max_vertices"), _count_grid),
+    ("orient", "--double --graph", ("double", "graph"), ("orient_file",), _orient),
+    ("orient", "--double --tree", ("double", "tree"), ("orient_file",), _orient),
+    ("orient", "--c4 --tree", ("c4", "tree"), ("orient_file",), _orient),
+    ("orient", "--layers --tree", ("layers", "tree"), ("orient_file",), _orient),
+    ("verify", "--identities", ("identities", "tree"), ("max_vertices",), _verify_identities),
+    ("verify", "--pfaffian --graph --orient-file", ("pfaffian", "graph", "orient_file"),
+     ("max_vertices",), _verify_pfaffian),
+    ("verify", "--pfaffian --double --graph", ("pfaffian", "double", "graph"),
+     ("orient_file", "max_vertices"), _verify_pfaffian),
+    ("verify", "--pfaffian --double --tree", ("pfaffian", "double", "tree"),
+     ("orient_file", "max_vertices"), _verify_pfaffian),
+    ("verify", "--pfaffian --c4 --tree", ("pfaffian", "c4", "tree"),
+     ("orient_file", "max_vertices"), _verify_pfaffian),
+    ("verify", "--pfaffian --layers --tree", ("pfaffian", "layers", "tree"),
+     ("orient_file", "max_vertices"), _verify_pfaffian),
+    ("product", "FACTOR FACTOR", ("factors",), (), _product),
+]
+
+#: ROUTES by command as (label, selecting, accepted, handler), built once.
+_ROUTES = {name: tuple((label, frozenset(select), frozenset(select + reads), handler)
+                       for command, label, select, reads, handler in ROUTES if command == name)
+           for name in ("count", "orient", "verify", "product")}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _route(command: str, options: dict) -> Callable:
+    """The handler of the one route the given options name, else EdgeListParseError."""
+    given = {dest for dest, value in options.items() if value is not None and value is not False}
+    for _, select, accepted, handler in _ROUTES[command]:
+        if select <= given <= accepted:
+            return handler
+    selected = [row for row in _ROUTES[command] if row[1] <= given]
+    if len(selected) > 1:
+        raise EdgeListParseError(f"{command} takes one route, got "
+                                 + " and ".join(label for label, *_ in selected))
+    if selected:
+        label, _, accepted, _ = selected[0]
+        unread = next(dest for dest in options if dest in given and dest not in accepted)
+        raise EdgeListParseError(f"{_flag(unread)} is not read by {command} {label}")
+    routes = (" ".join(map(_flag, row[2])) for row in ROUTES if row[0] == command)
+    raise EdgeListParseError(f"{command} needs one of: " + "; ".join(routes))
+
 
 def _emit(args: argparse.Namespace, render: Callable[[], str]) -> list[str]:
     """Human lines for an emitted file: the text itself, or where it was
@@ -335,12 +301,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         return limit
 
     def add_guard(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-vertices",
-            type=vertex_limit,
-            default=None,
-            help="guard for exponential steps (default: the library's)",
-        )
+        p.add_argument("--max-vertices", type=vertex_limit,
+                       help="guard for exponential steps (default: the library's)")
 
     count = sub.add_parser("count", help="count perfect matchings")
     count.add_argument("--graph", help="graph spec or edge-list file")
@@ -356,7 +318,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     count.add_argument("--orient-file", help="oriented edge-list file (pfaffian method, --graph)")
     add_common(count)
     add_guard(count)
-    count.set_defaults(func=cmd_count)
 
     orient = sub.add_parser("orient", help="emit a constructed orientation")
     orient.add_argument("--double", action="store_true", help="two reversed copies plus rungs")
@@ -367,7 +328,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     orient.add_argument("--orient-file", help="base orientation (default: lexicographic)")
     orient.add_argument("--output", help="write the oriented edge list here")
     add_common(orient)
-    orient.set_defaults(func=cmd_orient)
 
     verify = sub.add_parser("verify", help="run the verification suites")
     verify.add_argument("--pfaffian", action="store_true",
@@ -381,14 +341,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     verify.add_argument("--orient-file", help="orientation to verify")
     add_common(verify)
     add_guard(verify)
-    verify.set_defaults(func=cmd_verify)
 
     product = sub.add_parser("product", help="emit a Cartesian product edge list")
-    product.add_argument("factor1", help="graph spec or file")
-    product.add_argument("factor2", help="graph spec or file")
+    product.add_argument("factors", nargs=2, metavar="FACTOR", help="graph spec or file")
     product.add_argument("--output", help="write the edge list here")
     add_common(product)
-    product.set_defaults(func=cmd_product)
 
     return parser, {"count": count, "orient": orient, "verify": verify, "product": product}
 
@@ -406,21 +363,25 @@ def main(argv: Optional[list[str]] = None) -> int:
     if digit_limit:
         sys.set_int_max_str_digits(0)
     try:
-        return _run(args)
+        # the top-level parser sets the command; each command's own parser does not
+        return _run(vars(args).pop("command", argv[0]), args)
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(command: str, args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    options = vars(args).copy()  # what the route reads and the request echoes
+    del options["json"]
+    options.pop("output", None)
     try:
-        report, lines, code = args.func(args)
+        fields, lines, code = _route(command, options)(args)
     except PfmatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    report["elapsed_ms"] = elapsed_ms
+    report = {"request": {"command": command, **options}, **fields, "elapsed_ms": elapsed_ms}
     if args.json:
         print(json.dumps(report))
     else:

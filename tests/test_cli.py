@@ -308,6 +308,18 @@ def test_every_error_class_owns_an_exit_code():
     assert codes == {EXIT_PARSE, EXIT_PRECONDITION, EXIT_SIZE_LIMIT, EXIT_VIOLATION, EXIT_NUMERIC}
 
 
+def test_verify_pfaffian_json_carries_route_and_counts(tmp_path, capsys):
+    code, payload, _ = run_json(capsys, "verify", "--pfaffian", "--c4", "--tree", "path:2")
+    assert code == EXIT_OK
+    assert (payload["route"], payload["matchings"], payload["pfaffian"]) == ("matching-signs", "9", "9")
+    bad = tmp_path / "allforward.txt"
+    bad.write_text("4 4\n0 -> 1\n1 -> 2\n2 -> 3\n3 -> 0\n")
+    code, payload, _ = run_json(capsys, "verify", "--pfaffian", "--graph", "cycle:4",
+                                "--orient-file", str(bad))
+    assert code == EXIT_VIOLATION
+    assert (payload["route"], payload["matchings"], payload["pfaffian"]) == ("nice-cycles", "2", "0")
+
+
 def test_verify_identities_path4(capsys):
     code, out, _ = run(capsys, "verify", "--identities", "--tree", "path:4")
     assert code == EXIT_OK
@@ -400,6 +412,23 @@ def test_non_utf8_file_is_refused_like_an_unreadable_one(capsys, tmp_path, argv)
     assert err.startswith(f"error: cannot read {str(path)!r}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["count", "--graph"], "2 1\n0 1\n"),
+    (["count", "--product", "c4", "--tree"], "2 1\n0 1\n"),
+    (["verify", "--pfaffian", "--graph", "path:2", "--orient-file"], "2 1\n0 -> 1\n"),
+], ids=["--graph", "--tree", "--orient-file"])
+def test_utf8_file_with_a_byte_order_mark_reads_like_one_without(capsys, tmp_path, argv, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    results = []
+    for path in (plain, marked):
+        code, payload, err = run_json(capsys, *argv, str(path))
+        del payload["request"], payload["elapsed_ms"]
+        results.append((code, payload, err))
+    assert results[0][0] == EXIT_OK and results[1] == results[0]
+
+
 def test_precondition_exit_code(capsys):
     code, _, _ = run(capsys, "count", "--graph", "path:0")
     assert code == EXIT_PRECONDITION
@@ -477,7 +506,7 @@ def test_count_product_refuses_an_orientation_file(tmp_path, capsys):
     code, _, err = run(capsys, "count", "--product", "c4", "--tree", "path:2",
                        "--orient-file", str(arcs))
     assert code == EXIT_PARSE
-    assert "--orient-file is for count --graph, orient and verify --pfaffian" in err
+    assert "--orient-file is not read by count --product" in err
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -496,6 +525,15 @@ def test_count_product_refuses_an_orientation_file(tmp_path, capsys):
      "--orient-file"),
     (["orient", "--double", "--graph", "cycle:4", "--tree", "path:3"], "--tree"),
     (["orient", "--layers", "3", "--tree", "path:3", "--graph", "cycle:4"], "--graph"),
+    (["count", "--product", "c4"], "--tree"),
+    (["count", "--grid", "2", "2", "--tree", "path:3"], "--tree"),
+    (["orient", "--c4", "--layers", "2", "--tree", "path:2"], "--layers"),
+    (["orient", "--double"], "--double"),
+    (["orient", "--c4"], "--tree"),
+    (["verify", "--tree", "path:2"], "--identities"),
+    (["verify", "--pfaffian", "--identities", "--tree", "path:2"], "--pfaffian"),
+    (["verify", "--pfaffian", "--graph", "cycle:4"], "--orient-file"),
+    (["verify", "--identities"], "--tree"),
 ])
 def test_an_input_flag_the_route_does_not_read_is_refused(capsys, argv, named):
     # without the refusal each would answer for one of its inputs and
@@ -503,6 +541,17 @@ def test_an_input_flag_the_route_does_not_read_is_refused(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PARSE and not out
     assert named in err and "cannot read" not in err
+
+
+@pytest.mark.parametrize("argv", [["count", "--grid", "2", "2"],
+                                  ["orient", "--c4", "--tree", "path:2"],
+                                  ["verify", "--identities", "--tree", "path:2"],
+                                  ["product", "path:2", "path:2"]])
+def test_request_echoes_every_option_of_its_command(capsys, argv):
+    unechoed = {"help", "json", "output"}
+    options = [a.dest for a in build_parser()[1][argv[0]]._actions if a.dest not in unechoed]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK and list(payload["request"]) == ["command", *options]
 
 
 def test_count_requires_an_input(capsys):
