@@ -1,5 +1,7 @@
 """Command-line front end: count, orient, verify, product.
 
+OPTIONS declares every option once, COMMANDS every command and ROUTES
+each command's routes; a command's parser takes the options they use.
 Inputs are either generator specs ("path:N", "cycle:N",
 "tree-random:N:SEED") or paths to edge-list files ('#' comments,
 "n m" header, then "u v" or "u -> v" lines).  Reports are human text or
@@ -95,9 +97,7 @@ def _normalize_product_kind(kind: str) -> tuple[str, int]:
         return ("pm", int(kind[1]))
     if kind.startswith("pm:"):
         return ("pm", _spec_int(kind, kind[3:]))
-    raise EdgeListParseError(
-        f"unknown product kind {kind!r}: want c4, p2, p3, p4, or pm:M"
-    )
+    raise EdgeListParseError(f"unknown product kind {kind!r}: want c4, p2, p3, p4, or pm:M")
 
 
 def _orient_file(args: argparse.Namespace, g: Graph) -> Optional[OrientedGraph]:
@@ -232,14 +232,60 @@ ROUTES = [
     ("product", "FACTOR FACTOR", ("factors",), (), _product),
 ]
 
+#: command -> (help, whether it writes a file and so takes --output).
+COMMANDS = {
+    "count": ("count perfect matchings", False),
+    "orient": ("emit a constructed orientation", True),
+    "verify": ("run the verification suites", False),
+    "product": ("emit a Cartesian product edge list", True),
+}
+
 #: ROUTES by command as (label, selecting, accepted, handler), built once.
 _ROUTES = {name: tuple((label, frozenset(select), frozenset(select + reads), handler)
                        for command, label, select, reads, handler in ROUTES if command == name)
-           for name in ("count", "orient", "verify", "product")}
+           for name in COMMANDS}
+
+
+def _vertex_limit(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:  # argparse's own words for a type=int option
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"need 0 or more, got {limit}")
+    return limit
+
+
+#: Every option of every command, each once: dest -> (flag, argparse
+#: keywords).  A command's parser, and so its usage line and the request
+#: echo, lists the options it takes in this order.
+OPTIONS = {
+    "pfaffian": ("--pfaffian", dict(
+        action="store_true", help="Pfaffian check: |Pf| against the number of perfect matchings")),
+    "identities": ("--identities", dict(action="store_true", help="count identity cross-checks")),
+    "double": ("--double", dict(action="store_true", help="two reversed copies plus rungs")),
+    "c4": ("--c4", dict(action="store_true", help="the four-layer cyclic construction")),
+    "layers": ("--layers", dict(type=int, help="M stacked alternating layers")),
+    "graph": ("--graph", dict(help="graph spec or edge-list file")),
+    "product": ("--product", dict(help="product kind: c4, p2, p3, p4, or pm:M")),
+    "tree": ("--tree", dict(help="tree spec or edge-list file")),
+    "grid": ("--grid", dict(nargs=2, type=int, metavar=("M", "N"), help="m x n grid")),
+    "method": ("--method", dict(
+        choices=["auto", "brute", "pfaffian", "formula"], default="auto",
+        help="auto prefers formula, then a proven orientation, then brute")),
+    "orient_file": ("--orient-file", dict(
+        help="oriented edge-list file: the orientation to use, or the base of a construction "
+             "(default: lexicographic)")),
+    "factors": ("factors", dict(nargs=2, metavar="FACTOR", help="graph spec or file")),
+    "output": ("--output", dict(help="write the emitted edge list here")),
+    "json": ("--json", dict(action="store_true", help="emit a JSON report")),
+    "max_vertices": ("--max-vertices", dict(
+        type=_vertex_limit, help="guard for exponential steps (default: the library's)")),
+}
 
 
 def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
+    return OPTIONS[dest][0]
 
 
 def _route(command: str, options: dict) -> Callable:
@@ -277,84 +323,29 @@ def _emit(args: argparse.Namespace, render: Callable[[], str]) -> list[str]:
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """(the pfmatch argument parser, each command's own parser by name),
-    built on the first call and shared after.
+    built on the first call and shared after.  A command takes the OPTIONS
+    its ROUTES rows use, --json, and --output where it writes a file.
 
     Sharing is safe because every default is immutable and each
     parse_args call returns a fresh Namespace.
     """
-    parser = argparse.ArgumentParser(
-        prog="pfmatch",
-        description="Exact perfect-matching counts for path/cycle-by-tree products",
-    )
+    parser = argparse.ArgumentParser(prog="pfmatch", description="Exact perfect-matching "
+                                     "counts for path/cycle-by-tree products")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    def vertex_limit(text: str) -> int:
-        try:
-            limit = int(text)
-        except ValueError:  # argparse's own words for a type=int option
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if limit < 0:
-            raise argparse.ArgumentTypeError(f"need 0 or more, got {limit}")
-        return limit
-
-    def add_guard(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-vertices", type=vertex_limit,
-                       help="guard for exponential steps (default: the library's)")
-
-    count = sub.add_parser("count", help="count perfect matchings")
-    count.add_argument("--graph", help="graph spec or edge-list file")
-    count.add_argument("--product", help="product kind: c4, p2, p3, p4, or pm:M")
-    count.add_argument("--tree", help="tree spec for --product")
-    count.add_argument("--grid", nargs=2, type=int, metavar=("M", "N"), help="m x n grid")
-    count.add_argument(
-        "--method",
-        choices=["auto", "brute", "pfaffian", "formula"],
-        default="auto",
-        help="auto prefers formula, then a proven orientation, then brute",
-    )
-    count.add_argument("--orient-file", help="oriented edge-list file (pfaffian method, --graph)")
-    add_common(count)
-    add_guard(count)
-
-    orient = sub.add_parser("orient", help="emit a constructed orientation")
-    orient.add_argument("--double", action="store_true", help="two reversed copies plus rungs")
-    orient.add_argument("--c4", action="store_true", help="the four-layer cyclic construction")
-    orient.add_argument("--layers", type=int, help="M stacked alternating layers")
-    orient.add_argument("--graph", help="base graph (for --double)")
-    orient.add_argument("--tree", help="base tree spec")
-    orient.add_argument("--orient-file", help="base orientation (default: lexicographic)")
-    orient.add_argument("--output", help="write the oriented edge list here")
-    add_common(orient)
-
-    verify = sub.add_parser("verify", help="run the verification suites")
-    verify.add_argument("--pfaffian", action="store_true",
-                        help="Pfaffian check: |Pf| against the number of perfect matchings")
-    verify.add_argument("--identities", action="store_true", help="count identity cross-checks")
-    verify.add_argument("--double", action="store_true")
-    verify.add_argument("--c4", action="store_true")
-    verify.add_argument("--layers", type=int)
-    verify.add_argument("--graph", help="graph spec (with --orient-file)")
-    verify.add_argument("--tree", help="tree spec")
-    verify.add_argument("--orient-file", help="orientation to verify")
-    add_common(verify)
-    add_guard(verify)
-
-    product = sub.add_parser("product", help="emit a Cartesian product edge list")
-    product.add_argument("factors", nargs=2, metavar="FACTOR", help="graph spec or file")
-    product.add_argument("--output", help="write the edge list here")
-    add_common(product)
-
-    return parser, {"count": count, "orient": orient, "verify": verify, "product": product}
+    commands = {}
+    for name, (text, writes) in COMMANDS.items():
+        takes = {"json", "output"} if writes else {"json"}
+        commands[name] = sub.add_parser(name, help=text)
+        for dest, (flag, keywords) in OPTIONS.items():
+            if dest in takes or any(dest in accepted for _, _, accepted, _ in _ROUTES[name]):
+                commands[name].add_argument(flag, **keywords)
+    return parser, commands
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser, commands = build_parser()
-    # a known command goes straight to its own parser, so it is parsed
-    # once; anything else (nothing, --help, an unknown name) to the top
+    # a known command's own parser parses it once; anything else to the top
     command = commands.get(argv[0]) if argv else None
     args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     # Counts are printed in full however long they are: lift Python's
@@ -372,9 +363,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _run(command: str, args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    options = vars(args).copy()  # what the route reads and the request echoes
-    del options["json"]
-    options.pop("output", None)
+    # what the route reads and the request echoes
+    options = {dest: value for dest, value in vars(args).items() if dest not in ("json", "output")}
     try:
         fields, lines, code = _route(command, options)(args)
     except PfmatchError as exc:

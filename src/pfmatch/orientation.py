@@ -29,7 +29,7 @@ violations by walking the alternating cycles of each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .brute import count_signed_matchings
 from .errors import InvalidSizeError, PreconditionError, SizeLimitError
@@ -42,10 +42,13 @@ CycleSeq = tuple[int, ...]
 
 #: Default vertex guard of check_pfaffian.  A pass is one signed sweep,
 #: which the brute-force state guard bounds; this guard bounds only the
-#: listing of a failure's violations, which walks every perfect
-#: matching, and not on dense graphs: the lexicographic K_10 lists
-#: 154,376 violations in 2-3 s, and K_12 does not finish in minutes.
+#: listing of a failure's violations, which walks every perfect matching.
 DEFAULT_CYCLE_GUARD = 24
+
+#: Steps (path extensions and closed cycles) of the alternating-cycle walk
+#: over a whole listing.  It bounds dense graphs inside the vertex guard:
+#: the lexicographic K_10 lists in 1.37 M steps, K_12 in full takes minutes.
+LISTING_STEP_GUARD = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -173,8 +176,9 @@ def _perfect_matching_mates(g: Graph) -> Iterator[tuple[int, ...]]:
     Python's recursion limit: entry i holds the i-th vertex matched, v,
     with the partners of v still to try.  The lowest free vertex is
     matched to each free neighbour in ascending order.  Exponential and
-    unguarded: only a failing check_pfaffian, under its vertex guard,
-    walks it.
+    unguarded: only a failing check_pfaffian walks it, under its vertex
+    guard and its step guard, which every matching after the first
+    charges at least one closed cycle.
     """
     if g.n % 2:
         return
@@ -201,8 +205,9 @@ def _perfect_matching_mates(g: Graph) -> Iterator[tuple[int, ...]]:
         free ^= (1 << v) | wbit
 
 
-def _alternating_cycles(d: OrientedGraph, mate: Sequence[int]
-                       ) -> Iterator[tuple[CycleSeq, bool]]:
+def _alternating_cycles(d: OrientedGraph, mate: Sequence[int],
+                        steps: int = LISTING_STEP_GUARD
+                        ) -> Generator[tuple[CycleSeq, bool], None, int]:
     """Every cycle alternating with the perfect matching M whose mate
     array is mate, exactly once, with True iff it is oddly oriented.
 
@@ -214,6 +219,10 @@ def _alternating_cycles(d: OrientedGraph, mate: Sequence[int]
     cycle of length k the two traversal directions follow f and k - f
     arcs, which share parity, so the flag holds either way.  Iterative,
     so the depth is not bounded by Python's recursion limit.
+
+    The walk takes at most steps steps, each one extension of the path or
+    one closed cycle, and returns the number left; one step more raises
+    SizeLimitError.
     """
     g, arcs = d.base, d.arcs
     along_m = [(v, w) in arcs for v, w in enumerate(mate)]
@@ -229,9 +238,17 @@ def _alternating_cycles(d: OrientedGraph, mate: Sequence[int]
         stack = [iter(others[t])]
         while stack:
             for w, forward in stack[-1]:
+                if w != s and (w < s or mate[w] < s or (onpath >> w) & 1):
+                    continue
+                steps -= 1
+                if steps < 0:
+                    raise SizeLimitError(
+                        f"Pfaffian check guard: not Pfaffian, and listing the violations takes "
+                        f"more than {LISTING_STEP_GUARD:,} steps of the alternating-cycle walk"
+                    )
                 if w == s:
                     yield tuple(path), odd[-1] ^ forward
-                elif w > s and mate[w] > s and not (onpath >> w) & 1:
+                else:
                     path += (w, mate[w])
                     odd.append(odd[-1] ^ forward ^ along_m[w])
                     onpath |= (1 << w) | (1 << mate[w])
@@ -242,6 +259,7 @@ def _alternating_cycles(d: OrientedGraph, mate: Sequence[int]
                 if stack:
                     odd.pop()
                     onpath &= ~((1 << path.pop()) | (1 << path.pop()))
+    return steps
 
 
 def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) -> PfaffianReport:
@@ -258,8 +276,9 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
     cycles, each also alternates with a matching other than the first,
     M (swap the matching along the cycle), and each that is not oddly
     oriented is a violation.  The sweep runs at every size, under the
-    brute-force state guard; max_vertices bounds only that listing, so a
-    failure on more vertices raises SizeLimitError instead of listing.
+    brute-force state guard; max_vertices and LISTING_STEP_GUARD bound
+    only that listing, so a failure on more vertices, or one whose walk
+    takes more steps, raises SizeLimitError instead of listing.
     """
     base = d.base
     count, signed = count_signed_matchings(base, d.arcs)
@@ -279,10 +298,15 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
     mates = _perfect_matching_mates(base)
     next(mates)
     nice: dict[CycleSeq, bool] = {}
-    for mate in mates:
-        for c, odd in _alternating_cycles(d, mate):
-            # one direction per cycle: toward the start's smaller neighbour
-            nice[c if c[1] < c[-1] else c[:1] + c[:0:-1]] = odd
+
+    def walks() -> Iterator[tuple[CycleSeq, bool]]:  # one step budget for every matching
+        steps = LISTING_STEP_GUARD
+        for mate in mates:
+            steps = yield from _alternating_cycles(d, mate, steps)
+
+    for c, odd in walks():
+        # one direction per cycle: toward the start's smaller neighbour
+        nice[c if c[1] < c[-1] else c[:1] + c[:0:-1]] = odd
     violations = tuple(sorted(c for c, odd in nice.items() if not odd))
     return PfaffianReport(nice_even_cycles=len(nice), violations=violations, matchings=count,
                           pfaffian=pfaffian)

@@ -12,12 +12,16 @@ import pytest
 import pfmatch.counting
 import pfmatch.exactlinalg
 from pfmatch.cli import (
+    COMMANDS,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_SIZE_LIMIT,
     EXIT_VIOLATION,
+    OPTIONS,
+    ROUTES,
+    _flag,
     build_parser,
     main,
     parse_graph_spec,
@@ -552,6 +556,33 @@ def test_request_echoes_every_option_of_its_command(capsys, argv):
     options = [a.dest for a in build_parser()[1][argv[0]]._actions if a.dest not in unechoed]
     code, payload, _ = run_json(capsys, *argv)
     assert code == EXIT_OK and list(payload["request"]) == ["command", *options]
+
+
+def test_each_parser_takes_exactly_the_options_its_routes_use():
+    # one source: a command's options follow from OPTIONS, COMMANDS and ROUTES
+    _, commands = build_parser()
+    taken = set()
+    for name, (_, writes) in COMMANDS.items():
+        dests = [a.dest for a in commands[name]._actions if a.dest != "help"]
+        used = {dest for command, _, select, reads, _ in ROUTES if command == name
+                for dest in select + reads}
+        assert set(dests) == used | {"json"} | ({"output"} if writes else set()), name
+        assert dests == [dest for dest in OPTIONS if dest in dests], name
+        taken |= set(dests)
+    assert taken == set(OPTIONS)
+
+
+def test_readme_route_table_lists_the_rows_of_routes():
+    def cell(dests):
+        return ", ".join(f"`{_flag(dest)}`" for dest in dests) or "none"
+
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line.strip() for line in readme.read_text(encoding="utf-8").splitlines()]
+    start = lines.index("| command | route | selecting flags | other flags read |") + 2
+    end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
+    rows = [f"| `{command}` | `{label}` | {cell(select)} | {cell(reads)} |"
+            for command, label, select, reads, _ in ROUTES]
+    assert lines[start:end] == rows
 
 
 def test_count_requires_an_input(capsys):

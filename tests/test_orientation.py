@@ -360,6 +360,32 @@ def test_check_pfaffian_failure_lists_match_the_cycle_scan(oriented, violations,
     assert (report.nice_even_cycles, list(report.violations)) == pfaffian_scan(oriented)
 
 
+def _complete(n: int) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+@pytest.mark.parametrize("oriented, violations, nice", [
+    pytest.param(_lowest_arc_flipped(orient_c4_tree(orient_lexicographic(random_tree(6, 1)))),
+                 11_134, 21_372, id="c4-tree-6"),
+    pytest.param(orient_lexicographic(_complete(10)), 154_376, 308_070, id="k10"),
+])
+def test_check_pfaffian_step_guard_admits_the_largest_desk_listings(oriented, violations, nice):
+    # 788 k and 1.37 M steps of the alternating-cycle walk, under its 2 M
+    report = check_pfaffian(oriented)
+    assert (len(report.violations), report.nice_even_cycles) == (violations, nice)
+
+
+def test_check_pfaffian_step_guard_bounds_the_failure_listing_on_dense_graphs():
+    # the lexicographic K12 is inside the vertex guard, and listing all its
+    # violations takes minutes; the walk stops after 2 M steps, about 3 s
+    # on a shared two-core host
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="more than 2,000,000 steps"):
+        check_pfaffian(orient_lexicographic(_complete(12)))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, elapsed
+
+
 def _connected(g: Graph) -> bool:
     seen, stack = {0}, [0]
     while stack:
