@@ -69,7 +69,7 @@ def main():
     print()
     print("a broken orientation for contrast (C4 oriented all the way around):")
     c4 = pf.cycle_graph(4)
-    bad = pf.OrientedGraph(base=c4, arcs=frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
+    bad = pf.OrientedGraph(n=4, arcs=frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
     report = show("all-forward C4", bad)
     print("  violating cycle:", "-".join(map(str, report.violations[0])))
     wrong = pf.count_pfaffian(bad)

@@ -2,17 +2,18 @@
 
 The package has four layers:
 
-- graphs:       paths, cycles, trees, Cartesian products, edge lists, and
-                the linear-time perfect-matching test for trees
+- graphs:       paths, cycles, trees, Cartesian products, edge lists, the
+                linear-time perfect-matching test for trees, and
+                OrientedGraph(n, arcs), which derives the graph it orients
 - orientation:  the doubled / layered / four-layer orientations and the
                 Pfaffian check, which compares |Pf| with the number of
                 perfect matchings (both from one signed brute-force
                 sweep, all a pass runs) and enumerates the perfect
                 matchings, walking the alternating cycles of each, only
                 to list a failure's violations
-- exactlinalg:  fraction-free determinants, |Pf| of a skew adjacency
-                matrix by sparse elimination modulo 256-bit Proth primes
-                recombined exactly by CRT, psi_T of a tree
+- exactlinalg:  fraction-free determinants, |Pf| of an orientation's skew
+                adjacency matrix by sparse elimination modulo 256-bit Proth
+                primes recombined exactly by CRT, psi_T of a tree
                 (phi_T(x) = x^e psi_T(x^2)) folded by the bridge recurrence
                 modulo a small monic polynomial q(y) (O(n) ring
                 operations, plain integers when deg q = 1), root_product (the
@@ -79,6 +80,7 @@ from .exactlinalg import (
 )
 from .graphs import (
     Graph,
+    OrientedGraph,
     Tree,
     cartesian_product,
     cycle_graph,
@@ -92,7 +94,6 @@ from .graphs import (
 from .orientation import (
     DEFAULT_CYCLE_GUARD,
     CycleSeq,
-    OrientedGraph,
     PfaffianReport,
     check_pfaffian,
     format_oriented_edge_list,

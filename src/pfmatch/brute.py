@@ -27,10 +27,10 @@ plain count pays nothing for the signs.
 
 from __future__ import annotations
 
-from typing import Collection, Optional
+from typing import Optional
 
 from .errors import SizeLimitError
-from .graphs import Edge, Graph
+from .graphs import Graph, OrientedGraph
 
 #: Most states count_perfect_matchings may create in one sweep.  The
 #: widest product of the identity checks, C_4 x T for the star on 10
@@ -132,9 +132,9 @@ def count_perfect_matchings(g: Graph) -> int:
     return total
 
 
-def count_signed_matchings(g: Graph, arcs: Collection[Edge]) -> tuple[int, int]:
-    """(Pm(g), ±Pf(A)): the number of perfect matchings of g and the
-    Pfaffian of the skew adjacency matrix A of the orientation arcs, up to
+def count_signed_matchings(d: OrientedGraph) -> tuple[int, int]:
+    """(Pm(G), ±Pf(A)): the number of perfect matchings of the graph G
+    that d orients and the Pfaffian of d's skew adjacency matrix A, up to
     one overall sign.
 
     The sweep of count_perfect_matchings, in the same order and under the
@@ -144,17 +144,17 @@ def count_signed_matchings(g: Graph, arcs: Collection[Edge]) -> tuple[int, int]:
     w) * Pf(the rest), where a_vw is +1 for the arc v -> w and -1 for
     w -> v.  Relabelling by the order multiplies Pf by the sign of the
     permutation, the same for every matching.  |Pf| = Pm exactly when
-    every perfect matching has one sign, i.e. when arcs is a Pfaffian
-    orientation of g.
+    every perfect matching has one sign, i.e. when d is a Pfaffian
+    orientation of G.
     """
-    if g.n % 2:
+    k = d.n
+    if k % 2:
         return 0, 0
-    if not g.n:
+    if not k:
         return 1, 1
-    k = g.n
-    position, nbr = _sweep_order(g)
+    position, nbr = _sweep_order(d.base)
     backward = nbr[:]  # backward[i]: the positions with an arc into position i
-    for u, w in arcs:
+    for u, w in d.arcs:
         backward[position[u]] ^= 1 << position[w]
     buckets: list[Optional[dict[int, tuple[int, int]]]] = [{} for _ in range(k)]
     buckets[0] = {(1 << k) - 1: (1, 1)}

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    OrientedGraph,
     cartesian_product,
     cycle_graph,
     format_edge_list,
@@ -43,7 +44,6 @@ from .graphs import (
     validate_tree,
 )
 from .orientation import (
-    OrientedGraph,
     check_pfaffian,
     format_oriented_edge_list,
     orient_c4_tree,
@@ -265,7 +265,7 @@ OPTIONS = {
     "identities": ("--identities", dict(action="store_true", help="count identity cross-checks")),
     "double": ("--double", dict(action="store_true", help="two reversed copies plus rungs")),
     "c4": ("--c4", dict(action="store_true", help="the four-layer cyclic construction")),
-    "layers": ("--layers", dict(type=int, help="M stacked alternating layers")),
+    "layers": ("--layers", dict(type=int, metavar="M", help="M stacked alternating layers")),
     "graph": ("--graph", dict(help="graph spec or edge-list file")),
     "product": ("--product", dict(help="product kind: c4, p2, p3, p4, or pm:M")),
     "tree": ("--tree", dict(help="tree spec or edge-list file")),

@@ -40,13 +40,14 @@ from .errors import (
 from .exactlinalg import abs_pfaffian, psi_tree_mod, root_product
 from .graphs import (
     Graph,
+    OrientedGraph,
     cartesian_product,
     cycle_graph,
     path_graph,
     tree_has_perfect_matching,
     validate_tree,
 )
-from .orientation import OrientedGraph, orient_c4_tree, orient_layered, orient_lexicographic
+from .orientation import orient_c4_tree, orient_layered, orient_lexicographic
 
 #: Default vertex guard for the brute-force counter (count_brute).
 DEFAULT_BRUTE_GUARD = 40
@@ -124,7 +125,7 @@ def count_pfaffian(d: OrientedGraph) -> CountResult:
 
     The caller vouches for Pfaffian-ness (check_pfaffian can verify it at
     desk scale); a non-Pfaffian orientation gives an undercount, as its
-    perfect matchings cancel in the Pfaffian.  abs_pfaffian computes |Pf|
+    perfect matchings cancel in the Pfaffian.  abs_pfaffian(d) computes |Pf|
     exactly, by sparse elimination modulo 256-bit Proth primes (one
     elimination up to about 500 vertices) and the Chinese remainder
     theorem; a graph whose eliminations would do more work than
@@ -132,8 +133,7 @@ def count_pfaffian(d: OrientedGraph) -> CountResult:
     of them.
     """
     note = "odd vertex count" if d.n % 2 else ""
-    return CountResult(count=abs_pfaffian(d.base, d.arcs), method="pfaffian", dimension=d.n,
-                       note=note)
+    return CountResult(count=abs_pfaffian(d), method="pfaffian", dimension=d.n, note=note)
 
 
 def _path_product(s: int, t: Graph) -> int:

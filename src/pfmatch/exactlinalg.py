@@ -28,10 +28,10 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from typing import Collection, Optional
+from typing import Optional
 
 from .errors import NotPfaffianError, PreconditionError, SizeLimitError
-from .graphs import Edge, Graph, Tree, validate_tree
+from .graphs import Graph, OrientedGraph, Tree, validate_tree
 
 IntMatrix = list[list[int]]
 
@@ -225,8 +225,8 @@ def _sides(g: Graph) -> Optional[list[int]]:
     return side
 
 
-def abs_pfaffian(g: Graph, arcs: Collection[Edge]) -> int:
-    """|Pf| of the skew adjacency matrix A of the orientation arcs of g, exactly.
+def abs_pfaffian(d: OrientedGraph) -> int:
+    """|Pf| of the skew adjacency matrix A of the orientation d, exactly.
 
     A has entry 1 at (u, v) and -1 at (v, u) for each arc u->v; it is
     never built densely.  A bipartite graph (its sides X and Y are the
@@ -253,23 +253,23 @@ def abs_pfaffian(g: Graph, arcs: Collection[Edge]) -> int:
     its first elimination; so does one whose bound needs more moduli
     than the table holds.
     """
-    if g.n % 2:
+    if d.n % 2:
         return 0
-    side = _sides(g)
+    side = _sides(d.base)
     if side is None:
-        rows: list[dict[int, int]] = [{} for _ in range(g.n)]
-        for u, v in arcs:
+        rows: list[dict[int, int]] = [{} for _ in range(d.n)]
+        for u, v in d.arcs:
             rows[u][v] = 1
             rows[v][u] = -1
     else:
-        index, sizes = [0] * g.n, [0, 0]
-        for v in range(g.n):  # number each side in increasing order
+        index, sizes = [0] * d.n, [0, 0]
+        for v in range(d.n):  # number each side in increasing order
             index[v] = sizes[side[v]]
             sizes[side[v]] += 1
         if sizes[0] != sizes[1]:
             return 0
         rows = [{} for _ in range(sizes[0])]
-        for u, v in arcs:
+        for u, v in d.arcs:
             if side[u]:
                 rows[index[v]][index[u]] = -1
             else:

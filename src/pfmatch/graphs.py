@@ -1,4 +1,4 @@
-"""Simple undirected graphs, trees, and the Cartesian products counted on.
+"""Simple graphs, their orientations, trees, and the Cartesian products.
 
 Vertices are always the integers 0..n-1 and an edge is a sorted pair
 (u, v) with u < v.  Cartesian products use *layer-major* numbering:
@@ -9,7 +9,8 @@ comments rely on this convention; abs_pfaffian accepts any numbering.
 A Tree is a Graph that passed the one tree check: building it runs a
 breadth-first search from vertex 0, which either yields the parent
 array and the vertex order every tree fold walks or raises
-NotATreeError.
+NotATreeError.  An OrientedGraph derives the Graph its arcs orient; it
+sits below orientation so that exactlinalg and brute can take it whole.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+Arc = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """The graph of pairs in either order; __post_init__ refuses a self-loop."""
-        return cls(n=n, edges=frozenset((u, v) if u < v else (v, u) for u, v in pairs))
+        """The graph of pairs in either order; __post_init__ refuses a self-loop.
+        A sorted tuple is kept, not copied (tuple() returns a tuple itself)."""
+        return cls(n=n, edges=frozenset(
+            p if p[0] < p[1] else (p[1], p[0]) for p in map(tuple, pairs)))
 
     @property
     def m(self) -> int:
@@ -118,6 +122,35 @@ class Tree(Graph):
         raise NotATreeError(
             f"not a tree: disconnected ({n - reached} of {n} vertices unreachable)"
         )
+
+
+@dataclass(frozen=True)
+class OrientedGraph:
+    """A simple graph on range(n) with exactly one direction chosen per edge.
+
+    Building one derives base, the Graph the arcs orient, once, and that
+    is the whole check: Graph refuses an arc out of range or a self-loop,
+    and an edge directed both ways leaves base fewer edges than arcs.
+    """
+
+    n: int
+    arcs: frozenset[Arc]
+    base: Graph = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        base = Graph.from_edges(self.n, self.arcs)
+        if len(base.edges) != len(self.arcs):
+            raise PreconditionError("arcs must direct each edge once, not both ways")
+        object.__setattr__(self, "base", base)
+
+    def orients(self, g: Graph) -> bool:
+        """True iff this orients g: the same vertex count and edge set.
+
+        Structural on purpose: a Tree and a plain Graph with the same
+        vertices and edges are the same graph here, although dataclass
+        equality tells them apart.
+        """
+        return self.n == g.n and self.base.edges == g.edges
 
 
 def path_graph(m: int) -> Tree:

@@ -17,8 +17,8 @@ An orientation is Pfaffian when every perfect matching carries the same
 sign in the Pfaffian of the skew adjacency matrix A, that is, when
 |Pf(A)| = Pm(G) (Kasteleyn; R. Thomas, "A survey of Pfaffian
 orientations of graphs", ICM 2006).  `check_pfaffian` decides it that
-way: one sweep of brute.count_signed_matchings yields both numbers, and
-a pass runs nothing else.  Equivalently, every nice even cycle (one
+way: one sweep of brute.count_signed_matchings(d) yields both numbers,
+and a pass runs nothing else.  Equivalently, every nice even cycle (one
 whose removal leaves a perfectly matchable remainder) contains an odd
 number of arcs agreeing with each traversal direction; the nice even
 cycles are exactly the cycles alternating with some perfect matching,
@@ -32,10 +32,8 @@ from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, Sequence
 
 from .brute import count_signed_matchings
-from .errors import InvalidSizeError, PreconditionError, SizeLimitError
-from .graphs import Edge, Graph, parse_edge_lines, validate_tree
-
-Arc = tuple[int, int]
+from .errors import InvalidSizeError, SizeLimitError
+from .graphs import Arc, Graph, OrientedGraph, parse_edge_lines, validate_tree
 
 #: A simple cycle c0 c1 ... c_{k-1} c0, stored as the k distinct vertices.
 CycleSeq = tuple[int, ...]
@@ -49,32 +47,6 @@ DEFAULT_CYCLE_GUARD = 24
 #: over a whole listing.  It bounds dense graphs inside the vertex guard:
 #: the lexicographic K_10 lists in 1.37 M steps, K_12 in full takes minutes.
 LISTING_STEP_GUARD = 2_000_000
-
-
-@dataclass(frozen=True)
-class OrientedGraph:
-    """A simple graph with exactly one direction chosen per edge."""
-
-    base: Graph
-    arcs: frozenset[Arc]
-
-    def __post_init__(self) -> None:
-        undirected = frozenset((u, v) if u < v else (v, u) for u, v in self.arcs)
-        if undirected != self.base.edges or len(self.arcs) != len(self.base.edges):
-            raise PreconditionError("arcs must direct each base edge exactly once")
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def orients(self, g: Graph) -> bool:
-        """True iff this orients g: the same vertex count and edge set.
-
-        Structural on purpose: a Tree and a plain Graph with the same
-        vertices and edges are the same graph here, although dataclass
-        equality tells them apart.
-        """
-        return self.base.n == g.n and self.base.edges == g.edges
 
 
 @dataclass(frozen=True)
@@ -108,7 +80,7 @@ class PfaffianReport:
 
 def orient_lexicographic(g: Graph) -> OrientedGraph:
     """Direct every edge from its lower to its higher endpoint."""
-    return OrientedGraph(base=g, arcs=frozenset(g.edges))
+    return OrientedGraph(n=g.n, arcs=frozenset(g.edges))
 
 
 def _stack(d: OrientedGraph, flipped: Sequence[bool], rungs: Sequence[tuple[int, int]]
@@ -116,22 +88,16 @@ def _stack(d: OrientedGraph, flipped: Sequence[bool], rungs: Sequence[tuple[int,
     """One copy of d per entry of flipped, joined by rungs: layer i carries
     d, or its converse when flipped[i], and each rung (i, j) points every
     vertex i*n + v to j*n + v.  Vertex (i, v) is i*n + v, the layer-major
-    numbering of graphs.cartesian_product; each arc and its base edge
-    come from the same step of the plan."""
+    numbering of graphs.cartesian_product."""
     n = d.n
     converse = [(v, u) for u, v in d.arcs]
     arcs: list[Arc] = []
-    edges: list[Edge] = []
     for i, j in rungs:
-        rung = [(i * n + v, j * n + v) for v in range(n)]
-        arcs += rung
-        edges += rung if i < j else [(w, u) for u, w in rung]
+        arcs += [(i * n + v, j * n + v) for v in range(n)]
     for i, flip in enumerate(flipped):
         off = i * n
         arcs += [(off + u, off + v) for u, v in (converse if flip else d.arcs)]
-        edges += [(off + u, off + v) for u, v in d.base.edges]
-    return OrientedGraph(base=Graph(n=len(flipped) * n, edges=frozenset(edges)),
-                         arcs=frozenset(arcs))
+    return OrientedGraph(n=len(flipped) * n, arcs=frozenset(arcs))
 
 
 def orient_double(d: OrientedGraph) -> OrientedGraph:
@@ -265,7 +231,7 @@ def _alternating_cycles(d: OrientedGraph, mate: Sequence[int],
 def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) -> PfaffianReport:
     """Test the Pfaffian property at desk scale.
 
-    One sweep of brute.count_signed_matchings gives the number Pm of
+    One sweep of brute.count_signed_matchings(d) gives the number Pm of
     perfect matchings and |Pf| of the skew adjacency matrix.  Pf sums
     the signs of the perfect matchings, so |Pf| = Pm exactly when they
     all share one sign, which is the Pfaffian property (Kasteleyn; R.
@@ -280,22 +246,21 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
     only that listing, so a failure on more vertices, or one whose walk
     takes more steps, raises SizeLimitError instead of listing.
     """
-    base = d.base
-    count, signed = count_signed_matchings(base, d.arcs)
+    count, signed = count_signed_matchings(d)
     pfaffian = abs(signed)
     if pfaffian == count:
         return PfaffianReport(nice_even_cycles=0, violations=(), matchings=count,
                               pfaffian=pfaffian)
-    if base.n > max_vertices:
+    if d.n > max_vertices:
         raise SizeLimitError(
             f"Pfaffian check guard: not Pfaffian (|Pf| {pfaffian} < {count} perfect "
-            f"matchings), and listing the violations on {base.n} vertices > limit "
+            f"matchings), and listing the violations on {d.n} vertices > limit "
             f"{max_vertices} needs the limit raised explicitly"
         )
     # A cycle C alternating with a matching M' also alternates with M' xor C,
     # so the matchings after the first, M, alone reach every nice even cycle;
     # a failure has at least two matchings.
-    mates = _perfect_matching_mates(base)
+    mates = _perfect_matching_mates(d.base)
     next(mates)
     nice: dict[CycleSeq, bool] = {}
 
@@ -318,8 +283,8 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
 # ---------------------------------------------------------------------------
 
 def parse_oriented_edge_list(text: str) -> OrientedGraph:
-    n, arcs, edges = parse_edge_lines(text, arrows=True)
-    return OrientedGraph(base=Graph(n=n, edges=edges), arcs=frozenset(arcs))
+    n, arcs, _ = parse_edge_lines(text, arrows=True)
+    return OrientedGraph(n=n, arcs=frozenset(arcs))
 
 
 def format_oriented_edge_list(d: OrientedGraph, comments: Iterable[str] = ()) -> str:

@@ -8,6 +8,7 @@ import pytest
 from pfmatch import (
     DEFAULT_BRUTE_STATE_GUARD,
     Graph,
+    OrientedGraph,
     SizeLimitError,
     cartesian_product,
     count_c4_tree,
@@ -157,7 +158,7 @@ def test_signed_sweep_is_the_pfaffian_in_the_sweep_order():
         n = case % 11
         g = _random_graph(bits, n)
         d = random_orientation(g, next(bits))
-        count, signed = count_signed_matchings(g, d.arcs)
+        count, signed = count_signed_matchings(d)
         position = _sweep_order(g)[0]
         order = sorted(range(n), key=position.__getitem__)
         a = skew_adjacency(d)
@@ -177,5 +178,5 @@ def test_signed_sweep_shares_the_state_guard():
     k40 = Graph.from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40)])
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match=f"more than {DEFAULT_BRUTE_STATE_GUARD} matching states"):
-        count_signed_matchings(k40, k40.edges)
+        count_signed_matchings(OrientedGraph(n=40, arcs=k40.edges))
     assert time.perf_counter() - start < 3.0

@@ -503,6 +503,19 @@ def test_orient_file_mismatch_rejected(tmp_path, capsys):
     assert code == EXIT_PRECONDITION and "orient" in err
 
 
+@pytest.mark.parametrize("text", ["2 1\n5 -> 7\n", "2 1\n0 -> 0\n", "2 2\n0 -> 1\n1 -> 0\n"],
+                         ids=["arc-out-of-range", "self-loop-arc", "edge-both-ways"])
+def test_an_orientation_file_that_is_no_orientation_exits_2(tmp_path, capsys, text):
+    # the three arc sets OrientedGraph refuses are refused while the file
+    # is parsed, with the line that breaks it
+    arcs = tmp_path / "arcs.txt"
+    arcs.write_text(text)
+    code, out, err = run(capsys, "verify", "--pfaffian", "--graph", "path:2",
+                         "--orient-file", str(arcs))
+    assert code == EXIT_PARSE and not out
+    assert err.startswith("error: line ") and "Traceback" not in err
+
+
 def test_count_product_refuses_an_orientation_file(tmp_path, capsys):
     # every base orientation of the tree gives the same product count
     arcs = tmp_path / "path2.txt"
@@ -695,6 +708,19 @@ def test_each_command_parses_its_own_arguments_with_the_parents_help(capsys):
         with pytest.raises(SystemExit):
             parser.parse_args([name, "-h"])
         assert direct == capsys.readouterr().out and direct.startswith(f"usage: pfmatch {name} ")
+
+
+@pytest.mark.parametrize("command, usage", [
+    ("orient", "usage: pfmatch orient [-h] [--double] [--c4] [--layers M] [--graph GRAPH] "
+               "[--tree TREE] [--orient-file ORIENT_FILE] [--output OUTPUT] [--json]"),
+    ("verify", "usage: pfmatch verify [-h] [--pfaffian] [--identities] [--double] [--c4] "
+               "[--layers M] [--graph GRAPH] [--tree TREE] [--orient-file ORIENT_FILE] [--json] "
+               "[--max-vertices MAX_VERTICES]"),
+])
+def test_usage_lines_name_the_layer_count_m(command, usage):
+    # the help text says "M stacked alternating layers"; the wrapping of
+    # the usage line follows the terminal width, so compare it unwrapped
+    assert " ".join(build_parser()[1][command].format_usage().split()) == usage
 
 
 @pytest.mark.parametrize("argv, exit_code", [([], EXIT_PARSE), (["bogus"], EXIT_PARSE),

@@ -7,11 +7,14 @@ import pytest
 
 import pfmatch.exactlinalg
 
+from pfmatch.brute import count_signed_matchings
 from pfmatch.counting import _path_product
 from pfmatch.graphs import _bfs_forest
 from pfmatch import (
     Graph,
     NotATreeError,
+    OrientedGraph,
+    PfmatchError,
     SizeLimitError,
     abs_pfaffian,
     adjacency_matrix,
@@ -119,7 +122,7 @@ def test_det_skew_equals_bareiss_on_random_skew_matrices():
                                  if next(bits) % 100 < density])
         d = random_orientation(g, seed)
         det = det_bareiss(skew_adjacency(d))
-        assert abs_pfaffian(g, d.arcs) ** 2 == det, (n, sorted(d.arcs))
+        assert abs_pfaffian(d) ** 2 == det, (n, sorted(d.arcs))
         kinds["singular"] += det == 0
         kinds["odd"] += n % 2
         kinds["disconnected"] += len(_reachable(g, 0)) < n
@@ -143,7 +146,7 @@ def test_det_skew_equals_bareiss_on_random_bipartite_orientations():
                                  if side[u] != side[v] and next(bits) % 100 < density])
         d = random_orientation(g, seed)
         det = det_bareiss(skew_adjacency(d))
-        assert abs_pfaffian(g, d.arcs) ** 2 == det, (n, sorted(d.arcs))
+        assert abs_pfaffian(d) ** 2 == det, (n, sorted(d.arcs))
         # a connected graph has one two-colouring, the sides drawn here
         connected = len(_reachable(g, 0)) == n
         even = n % 2 == 0
@@ -189,7 +192,7 @@ def test_det_mod_work_count_is_pinned(monkeypatch):
     monkeypatch.setattr(pfmatch.exactlinalg, "_det_mod",
                         lambda rows, p, work: captured.append(rows) or det_mod(rows, p, work))
     d = orient_c4_tree(orient_lexicographic(random_tree(10, 1)))
-    pf = abs_pfaffian(d.base, d.arcs)
+    pf = abs_pfaffian(d)
     (rows,) = captured
     p = pfmatch.exactlinalg._SKEW_MODULI[0]
     assert det_mod(rows, p, 567) in (pf, p - pf)
@@ -251,7 +254,7 @@ def test_abs_pfaffian_equals_first_row_expansion():
                                  if (not seed % 2 or side[u] != side[v])
                                  and next(bits) % 100 < density])
         d = random_orientation(g, seed)
-        pf = abs_pfaffian(g, d.arcs)
+        pf = abs_pfaffian(d)
         assert pf == abs(pfaffian_by_expansion(skew_adjacency(d))), (n, sorted(d.arcs))
         odd_cycle = _has_odd_cycle(g)
         kinds["odd cycle"] += odd_cycle and pf > 1
@@ -263,8 +266,17 @@ def test_abs_pfaffian_equals_first_row_expansion():
 
 
 def test_det_skew_of_the_empty_and_a_single_arc():
-    assert abs_pfaffian(Graph(n=0, edges=frozenset()), frozenset()) == 1
-    assert abs_pfaffian(path_graph(2), [(0, 1)]) == 1
+    assert abs_pfaffian(OrientedGraph(n=0, arcs=frozenset())) == 1
+    assert abs_pfaffian(OrientedGraph(n=2, arcs=frozenset({(0, 1)}))) == 1
+
+
+def test_arcs_outside_the_graph_are_refused_before_any_kernel_runs():
+    # the pair (path_graph(2), [(5, 7)]) sent abs_pfaffian and the signed
+    # sweep past the end of their rows with a bare IndexError; an
+    # orientation is now one value, and building it refuses the arc
+    for kernel in (abs_pfaffian, count_signed_matchings):
+        with pytest.raises(PfmatchError, match=r"edge \(5, 7\)"):
+            kernel(OrientedGraph(n=2, arcs=frozenset({(5, 7)})))
 
 
 def test_det_skew_equals_bareiss_on_product_orientations(monkeypatch):
@@ -273,7 +285,7 @@ def test_det_skew_equals_bareiss_on_product_orientations(monkeypatch):
     for n, seed in ((5, 1), (10, 2), (20, 3), (40, 4)):
         base = orient_lexicographic(random_tree(n, seed))
         for d in (orient_c4_tree(base), orient_layered(base, 2)):
-            assert abs_pfaffian(d.base, d.arcs) ** 2 == det_bareiss(skew_adjacency(d))
+            assert abs_pfaffian(d) ** 2 == det_bareiss(skew_adjacency(d))
     # C4 x T on 1,000 vertices: Hadamard's bound needs two moduli, so CRT
     # combines two residues; dense Bareiss would be too slow there, and
     # the closed form is an independent route
@@ -283,7 +295,7 @@ def test_det_skew_equals_bareiss_on_product_orientations(monkeypatch):
                         lambda rows, p, work: moduli.append(p) or det_mod(rows, p, work))
     t = random_tree(250, 4)
     d = orient_c4_tree(orient_lexicographic(t))
-    assert abs_pfaffian(d.base, d.arcs) == count_c4_tree(t).count
+    assert abs_pfaffian(d) == count_c4_tree(t).count
     assert moduli == list(pfmatch.exactlinalg._SKEW_MODULI[:2])
 
 
@@ -298,7 +310,7 @@ def test_det_skew_past_two_primes_on_the_half_size_route():
         base = orient_lexicographic(t)
         for d, count in ((orient_c4_tree(base), count_c4_tree(t).count),
                          (orient_layered(base, 4), count_p4_tree(t).count)):
-            pf = abs_pfaffian(d.base, d.arcs)
+            pf = abs_pfaffian(d)
             assert pf > moduli[0] * moduli[1]
             assert pf == count
 

@@ -105,6 +105,15 @@ def test_product_rejects_empty_factor():
         cartesian_product(Graph(n=0, edges=frozenset()), path_graph(2))
 
 
+def test_from_edges_keeps_sorted_tuples_and_reads_lists():
+    # an orientation's base shares the tuples of its forward arcs
+    forward, backward = (0, 1), (2, 1)
+    g = Graph.from_edges(3, [forward, backward])
+    assert g.edges == {(0, 1), (1, 2)} and forward in g.edges
+    assert any(e is forward for e in g.edges)
+    assert Graph.from_edges(3, [[1, 0], [1, 2]]) == g
+
+
 def test_validate_tree_accepts_path():
     t = validate_tree(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
     assert t.n == 5 and t.root == 0

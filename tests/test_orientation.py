@@ -49,7 +49,7 @@ def star(leaves: int) -> Graph:
 
 
 def all_forward_c4() -> OrientedGraph:
-    return OrientedGraph(base=cycle_graph(4), arcs=frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
+    return OrientedGraph(n=4, arcs=frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
 
 
 def test_orient_lexicographic():
@@ -59,10 +59,12 @@ def test_orient_lexicographic():
 
 
 def test_orientation_rejects_incomplete_or_double_arcs():
-    with pytest.raises(ValueError):
-        OrientedGraph(base=path_graph(3), arcs=frozenset({(0, 1)}))
-    with pytest.raises(ValueError):
-        OrientedGraph(base=path_graph(2), arcs=frozenset({(0, 1), (1, 0)}))
+    # arcs that miss an edge orient a smaller graph, which orients() tells apart
+    partial = OrientedGraph(n=3, arcs=frozenset({(0, 1)}))
+    assert partial.base == Graph(n=3, edges=frozenset({(0, 1)}))
+    assert not partial.orients(path_graph(3))
+    with pytest.raises(ValueError, match="not both ways"):
+        OrientedGraph(n=2, arcs=frozenset({(0, 1), (1, 0)}))
 
 
 def test_orient_double_k2():
@@ -98,7 +100,7 @@ def test_orient_double_self_converse_under_half_swap():
         rungs_reversed = frozenset(
             (v, u) if abs(u - v) == n else (u, v) for u, v in swapped
         )
-        reversed_d = OrientedGraph(base=d.base, arcs=frozenset((v, u) for u, v in d.arcs))
+        reversed_d = OrientedGraph(n=d.n, arcs=frozenset((v, u) for u, v in d.arcs))
         assert rungs_reversed == orient_double(reversed_d).arcs
 
 
@@ -237,9 +239,9 @@ def test_orient_double_block_structure_on_any_graph(g):
 
 
 def test_skew_adjacency_examples():
-    d = OrientedGraph(base=path_graph(2), arcs=frozenset({(0, 1)}))
+    d = OrientedGraph(n=2, arcs=frozenset({(0, 1)}))
     assert skew_adjacency(d) == [[0, 1], [-1, 0]]
-    empty = OrientedGraph(base=Graph(n=3, edges=frozenset()), arcs=frozenset())
+    empty = OrientedGraph(n=3, arcs=frozenset())
     assert skew_adjacency(empty) == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
 
 
@@ -276,7 +278,7 @@ def test_check_pfaffian_report_counts_nice_even_cycles():
     # all 28 cycles of the cube are even; the 24 nice ones: every 4-cycle
     # and 8-cycle, and 12 of the 16 hexagons (a hexagon's 2-vertex
     # remainder must be one of the 12 edges)
-    flipped = OrientedGraph(base=cube.base, arcs=cube.arcs - {(0, 1)} | {(1, 0)})
+    flipped = OrientedGraph(n=cube.n, arcs=cube.arcs - {(0, 1)} | {(1, 0)})
     broken = check_pfaffian(flipped)
     assert not broken.passed and broken.route == "nice-cycles"
     assert broken.nice_even_cycles == 24
@@ -326,7 +328,7 @@ def test_perfect_matching_mates_is_not_bounded_by_recursion():
 
 def _lowest_arc_flipped(d: OrientedGraph) -> OrientedGraph:
     u, v = min(d.arcs)
-    return OrientedGraph(base=d.base, arcs=d.arcs - {(u, v)} | {(v, u)})
+    return OrientedGraph(n=d.n, arcs=d.arcs - {(u, v)} | {(v, u)})
 
 
 _K55 = Graph.from_edges(10, [(u, v) for u in range(5) for v in range(5, 10)])
@@ -340,7 +342,7 @@ def _grid_3x4_last_arc_flipped() -> OrientedGraph:
     columns = [(i * 4 + j, (i + 1) * 4 + j) if j % 2 == 0 else ((i + 1) * 4 + j, i * 4 + j)
                for i in range(2) for j in range(4)]
     arcs = frozenset(rows + columns) - {(10, 11)} | {(11, 10)}
-    return OrientedGraph(base=Graph.from_edges(12, arcs), arcs=arcs)
+    return OrientedGraph(n=12, arcs=arcs)
 
 
 @pytest.mark.parametrize("oriented, violations, nice", [
@@ -481,7 +483,7 @@ def test_every_even_cycle_of_doubling_oddly_oriented():
             arcs = frozenset(
                 (v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)
             )
-            doublings.append(orient_double(OrientedGraph(base=Graph(n=t.n, edges=t.edges), arcs=arcs)))
+            doublings.append(orient_double(OrientedGraph(n=t.n, arcs=arcs)))
     for seed in range(8):
         doublings.append(orient_double(random_orientation(random_tree(6, seed), seed + 77)))
     for doubled in doublings:

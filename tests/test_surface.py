@@ -74,15 +74,17 @@ def test_every_def_has_a_reader_outside_the_tests():
     lambda: pfmatch.Graph(n=-1, edges=frozenset()),
     lambda: pfmatch.Graph(n=3, edges=frozenset({(1, 0)})),
     lambda: pfmatch.Graph(n=2, edges=frozenset({(0, 2)})),
-    lambda: pfmatch.OrientedGraph(base=pfmatch.path_graph(3), arcs=frozenset({(0, 1)})),
+    lambda: pfmatch.OrientedGraph(n=2, arcs=frozenset({(5, 7)})),
+    lambda: pfmatch.OrientedGraph(n=2, arcs=frozenset({(1, 1)})),
+    lambda: pfmatch.OrientedGraph(n=2, arcs=frozenset({(0, 1), (1, 0)})),
     lambda: pfmatch.CountResult(count=-1, method="brute"),
     lambda: pfmatch.SquarishDecomposition(factor=3, root=1),
     lambda: pfmatch.SquarishDecomposition(factor=1, root=-1),
     lambda: pfmatch.det_bareiss([[1, 2]]),
     lambda: pfmatch.psi_tree_mod(pfmatch.path_graph(2), [1, 2]),
     lambda: pfmatch.root_product([1, 2], [1]),
-], ids=["negative-n", "unsorted-edge", "edge-out-of-range", "arcs-miss-an-edge",
-        "negative-count", "squarish-factor", "squarish-root", "non-square-matrix",
+], ids=["negative-n", "unsorted-edge", "edge-out-of-range", "arc-out-of-range",
+        "self-loop-arc", "edge-both-ways", "negative-count", "squarish-factor", "squarish-root", "non-square-matrix",
         "psi-non-monic", "root-product-non-monic"])
 def test_public_failures_are_pfmatch_errors(call):
     # exit code 3 through the CLI, and still the ValueError they used to be;

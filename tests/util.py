@@ -54,7 +54,7 @@ def random_orientation(g: Graph, seed: int) -> OrientedGraph:
     arcs = []
     for u, v in sorted(g.edges):
         arcs.append((u, v) if next(bits) % 2 == 0 else (v, u))
-    return OrientedGraph(base=g, arcs=frozenset(arcs))
+    return OrientedGraph(n=g.n, arcs=frozenset(arcs))
 
 
 # ---------------------------------------------------------------------------
