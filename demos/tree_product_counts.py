@@ -67,7 +67,10 @@ def main():
               "(pip install 'pfmatch[demos]')")
         return
     t = TREES["spider (3,1,1)"]
-    eigenvalues = np.linalg.eigvalsh(np.array(pf.adjacency_matrix(t), dtype=float))
+    adjacency = np.zeros((t.n, t.n))
+    for u, v in t.edges:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    eigenvalues = np.linalg.eigvalsh(adjacency)
     print("tree: spider (3,1,1); adjacency eigenvalues:")
     print("   ", ", ".join(f"{v:+.4f}" for v in eigenvalues))
     product_c4 = float(np.prod(2.0 + eigenvalues**2))

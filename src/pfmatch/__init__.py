@@ -11,14 +11,14 @@ The package has four layers:
                 sweep, all a pass runs) and enumerates the perfect
                 matchings, walking the alternating cycles of each, only
                 to list a failure's violations
-- exactlinalg:  fraction-free determinants, |Pf| of an orientation's skew
-                adjacency matrix by sparse elimination modulo 256-bit Proth
-                primes recombined exactly by CRT, psi_T of a tree
-                (phi_T(x) = x^e psi_T(x^2)) folded by the bridge recurrence
-                modulo a small monic polynomial q(y) (O(n) ring
-                operations, plain integers when deg q = 1), root_product (the
-                product of a polynomial over the roots of a small monic
-                one, as the determinant of a multiplication matrix)
+- exactlinalg:  |Pf| of an orientation's skew adjacency matrix by sparse
+                elimination modulo 256-bit Proth primes recombined exactly
+                by CRT, psi_T of a tree (phi_T(x) = x^e psi_T(x^2)) folded
+                by the bridge recurrence modulo a small monic polynomial
+                q(y) (O(n) ring operations, plain integers when
+                deg q = 1), root_product (the product of a polynomial over
+                the roots of a small monic one, the resultant, by the
+                subresultant remainder sequence)
 - counting:     brute-force oracle, Pfaffian counting, and one closed form,
                 P_s x T = |root_product(q_s, psi_T)| with q_s read off the
                 path P_s and psi_T folded modulo q_s, whose instances are
@@ -70,11 +70,8 @@ from .errors import (
 )
 from .exactlinalg import (
     DEFAULT_PFAFFIAN_UPDATE_GUARD,
-    IntMatrix,
     IntPolynomial,
     abs_pfaffian,
-    adjacency_matrix,
-    det_bareiss,
     psi_tree_mod,
     root_product,
 )
@@ -117,7 +114,6 @@ __all__ = [
     "EdgeListParseError",
     "Graph",
     "IdentityReport",
-    "IntMatrix",
     "IntPolynomial",
     "InvalidSizeError",
     "NotATreeError",
@@ -132,7 +128,6 @@ __all__ = [
     "SquarishDecomposition",
     "Tree",
     "abs_pfaffian",
-    "adjacency_matrix",
     "cartesian_product",
     "check_pfaffian",
     "count_brute",
@@ -147,7 +142,6 @@ __all__ = [
     "count_pfaffian",
     "count_product",
     "cycle_graph",
-    "det_bareiss",
     "format_edge_list",
     "format_oriented_edge_list",
     "orient_c4_tree",

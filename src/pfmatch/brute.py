@@ -42,13 +42,20 @@ from .graphs import Graph, OrientedGraph
 DEFAULT_BRUTE_STATE_GUARD = 200_000
 
 
-def _sweep_order(g: Graph) -> tuple[list[int], list[int]]:
-    """(position of each vertex, neighbour mask of each position) in
-    reverse Cuthill-McKee order: the reverse of a breadth-first search
-    that takes each component from its vertex of least degree and
-    neighbours by ascending (degree, label).  One bucket pass, O(n + m)
-    besides a sort of the vertices by degree: appending each vertex, in
-    rank order, to its neighbours' lists leaves every list in rank order."""
+def _sweep_order(g: Graph) -> tuple[list[int], list[int], bool]:
+    """(position of each vertex, neighbour mask of each position,
+    matchable) in reverse Cuthill-McKee order: the reverse of a
+    breadth-first search that takes each component from its vertex of
+    least degree and neighbours by ascending (degree, label).  One bucket
+    pass, O(n + m) besides a sort of the vertices by degree: appending
+    each vertex, in rank order, to its neighbours' lists leaves every
+    list in rank order.
+
+    The search also gives each vertex the parity of its depth, its side.
+    matchable is False when parity alone rules out a perfect matching:
+    some component has odd order, or is bipartite (no edge joins two
+    vertices of one side) with sides of unequal size.  The edges are
+    scanned for that only when a component's sides differ in size."""
     n = g.n
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
@@ -61,16 +68,23 @@ def _sweep_order(g: Graph) -> tuple[list[int], list[int]]:
         for w in nbrs[v]:
             by_rank[w].append(v)
     order: list[int] = []
-    seen = [False] * n
+    side = [-1] * n
+    matchable = True
     for start in ranked:
-        if not seen[start]:
-            seen[start] = True
+        if side[start] < 0:
+            side[start] = 0
             queue = [start]
+            ones = 0
             for v in queue:
+                other = side[v] ^ 1
                 for w in by_rank[v]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if side[w] < 0:
+                        side[w] = other
+                        ones += other
                         queue.append(w)
+            if 2 * ones != len(queue) and matchable:
+                matchable = len(queue) % 2 == 0 and not all(
+                    side[v] != side[w] for v in queue for w in nbrs[v])
             order += queue
     position = [0] * n
     for i, v in enumerate(reversed(order)):
@@ -80,7 +94,7 @@ def _sweep_order(g: Graph) -> tuple[list[int], list[int]]:
     for u, v in g.edges:
         nbr[position[u]] |= bit[v]
         nbr[position[v]] |= bit[u]
-    return position, nbr
+    return position, nbr, matchable
 
 
 def _state_guard(k: int) -> SizeLimitError:
@@ -104,7 +118,9 @@ def count_perfect_matchings(g: Graph) -> int:
     if not g.n:
         return 1
     k = g.n
-    nbr = _sweep_order(g)[1]
+    _, nbr, matchable = _sweep_order(g)
+    if not matchable:
+        return 0
     buckets: list[Optional[dict[int, int]]] = [{} for _ in range(k)]
     buckets[0] = {(1 << k) - 1: 1}
     created, total = 1, 0
@@ -152,7 +168,9 @@ def count_signed_matchings(d: OrientedGraph) -> tuple[int, int]:
         return 0, 0
     if not k:
         return 1, 1
-    position, nbr = _sweep_order(d.base)
+    position, nbr, matchable = _sweep_order(d.base)
+    if not matchable:
+        return 0, 0
     backward = nbr[:]  # backward[i]: the positions with an arc into position i
     for u, w in d.arcs:
         backward[position[u]] ^= 1 << position[w]

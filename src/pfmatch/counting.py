@@ -53,12 +53,13 @@ from .orientation import orient_c4_tree, orient_layered, orient_lexicographic
 DEFAULT_BRUTE_GUARD = 40
 
 #: Guard for count_grid_dimer on sides s <= L: s * L * (s + L/5000) may
-#: not exceed it.  s^2 L follows the norm, a (s/2)-square determinant of
-#: L-bit entries whose time grows about as (s^2 L)^2; s L^2 / 5000
-#: follows the fold along the long path, L shifts of s/2 operations on
-#: numbers of up to about L bits.  At the limit 100 x 349 takes about
-#: 4 s, 150 x 150 about 3 s, 40 x 2164 about 2 s and 2 x 88674 about
-#: 0.4 s (Python 3.11 on a shared 2-core host).
+#: not exceed it.  s^2 L follows the norm, a resultant of degree s/2
+#: whose subresultant sequence takes about s^2 / 4 products of numbers
+#: of up to about s L bits; s L^2 / 5000 follows the fold along the
+#: long path, L shifts of s/2 operations on numbers of up to about L
+#: bits.  At the limit 40 x 2164 and 100 x 349 take about 0.5 s,
+#: 2 x 88674 about 0.3 s and 150 x 150 about 0.12 s (best of 3, Python
+#: 3.11 on a shared 2-core host).
 DEFAULT_GRID_GUARD = 3_500_000
 
 
@@ -328,7 +329,7 @@ def count_grid_dimer(m: int, n: int) -> CountResult:
     T = P_L, |root_product(q_s, psi_L)|.  This is Kasteleyn's product
     halved over the eigenvalue pairs of both paths; the zero eigenvalue
     of an odd side drops out because an even path has |psi(0)| = 1.
-    The norm is a (s/2)-square determinant, so q comes from the short
+    The norm is a resultant of degree s/2, so q comes from the short
     side.  Grids with s * L * (s + L/5000) above DEFAULT_GRID_GUARD raise
     SizeLimitError before any polynomial work.
 

@@ -1,26 +1,25 @@
 """Arbitrary-precision integer linear algebra.
 
-Matrices and polynomials are plain lists of Python ints and nothing here
-ever rounds: dense determinants use fraction-free (Bareiss) elimination,
-whose intermediate divisions are exact by construction; |Pf| of the
-skew adjacency matrix of an orientation (abs_pfaffian) is the half-size
-biadjacency determinant when the graph is bipartite and the exact root
-of the whole skew determinant otherwise, each eliminated sparsely
-modulo 256-bit Proth primes and recombined by the Chinese remainder
-theorem in the symmetric range past twice the Hadamard bound, which is
-exact whatever the sign; and psi_T, read off a tree's characteristic
-polynomial as phi_T(x) = x^e * psi_T(x^2), is folded by the bridge
-recurrence modulo a small monic polynomial q(y), in O(n) ring
-operations of degree deg q.
+Polynomials are plain lists of Python ints, sparse matrices are rows of
+{column: entry} dicts, and nothing here ever rounds.  |Pf| of the skew adjacency matrix of an orientation
+(abs_pfaffian) is the half-size biadjacency determinant when the graph
+is bipartite and the exact root of the whole skew determinant
+otherwise, each eliminated sparsely modulo 256-bit Proth primes and
+recombined by the Chinese remainder theorem in the symmetric range past
+twice the Hadamard bound, which is exact whatever the sign; and psi_T,
+read off a tree's characteristic polynomial as
+phi_T(x) = x^e * psi_T(x^2), is folded by the bridge recurrence modulo
+a small monic polynomial q(y), in O(n) ring operations of degree deg q.
 
 This is the machinery that turns spectral product formulas into exact
 integers.  For a monic integer polynomial q and an integer polynomial p,
 root_product(q, p) is prod p(rho) over the roots rho of q, that is the
-resultant Res(q, p), taken as the determinant of multiplication by p
-on Z[y]/(q).  The irrational eigenvalues of a tree never need to be
-computed, and neither does its whole characteristic polynomial: the
-counting module needs psi_T only modulo a small q read off a path,
-which keeps the resultant.
+resultant Res(q, p), taken by the subresultant remainder sequence in
+O(deg q ^ 2) operations on integers, with no matrix.  The irrational
+eigenvalues of a tree never need to be computed, and neither does its
+whole characteristic polynomial: the counting module needs psi_T only
+modulo a small q read off a path, which keeps the resultant.  No dense
+matrix is formed anywhere in this module.
 """
 
 from __future__ import annotations
@@ -33,50 +32,8 @@ from typing import Optional
 from .errors import NotPfaffianError, PreconditionError, SizeLimitError
 from .graphs import Graph, OrientedGraph, Tree, validate_tree
 
-IntMatrix = list[list[int]]
-
 #: Integer polynomial, constant coefficient first.
 IntPolynomial = list[int]
-
-
-def adjacency_matrix(g: Graph) -> IntMatrix:
-    a = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        a[u][v] = 1
-        a[v][u] = 1
-    return a
-
-
-def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination.
-
-    Entries stay integral throughout: after eliminating column k, every
-    entry is a (k+1)x(k+1) minor of the original matrix, and the division
-    by the previous pivot is exact.  Row swaps flip the sign.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise PreconditionError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * row_k[k] - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 #: Work guard for abs_pfaffian, the only guard of the Pfaffian route: its
@@ -446,20 +403,51 @@ def psi_tree_mod(t: Graph, q: IntPolynomial) -> IntPolynomial:
 def root_product(q: IntPolynomial, p: IntPolynomial) -> int:
     """prod p(rho) over the roots rho of the monic polynomial q, exactly.
 
-    The roots are counted with multiplicity, and the product equals the
-    resultant Res(q, p).  It is the norm of p in Z[y]/(q): the
-    determinant of multiplication by p on the basis 1, y, ..., y^(d-1),
-    d = deg q, whose rows are p, y*p, ..., y^(d-1)*p reduced modulo q
-    (without fractions, since q is monic).  For d = 0 the matrix is
-    empty and the product is 1.  Cost grows with d cubed, so q should be
-    the small side.
+    The roots are counted with multiplicity, and the product is the
+    resultant Res(q, p), 1 for deg q = 0.  As q is monic, the remainder
+    r of p modulo q takes the same values at the roots.  Res(q, r) comes
+    from the subresultant remainder sequence (Collins 1967; Brown and
+    Traub 1971) as in Cohen's Algorithm 3.3.7: the content of r comes
+    out as cont(r)^deg q, and each pseudo-remainder of A by B is divided
+    by g * h^delta, delta = deg A - deg B, a division that subresultant
+    theory makes exact and that keeps the coefficients to the size of
+    Sylvester minors.  A zero remainder means a common root.  O(d^2)
+    operations on integers, d = deg q, and no matrix.
     """
     d = len(q) - 1
     if d < 0 or q[-1] != 1:
         raise PreconditionError("root_product needs a monic polynomial q")
-    rows: IntMatrix = []
-    r = list(p) + [0] * (d - len(p))
-    for _ in range(d):
-        rows.append(_reduce(r, q))
-        r = [0] + r
-    return det_bareiss(rows)
+    if d == 0:
+        return 1
+    b = _reduce(list(p) + [0] * (d - len(p)), q)
+    while b and not b[-1]:
+        b.pop()
+    if not b:
+        return 0
+    content = math.gcd(*b)
+    if content != 1:
+        b = [c // content for c in b]
+    a, sign, g, h = q, 1, 1, 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        lead, low = b[-1], b[:-1]
+        r = a[:]
+        for k in range(delta, -1, -1):  # r <- lead * r - lc(r) * y^k * b
+            c = r.pop()
+            r = [x * lead for x in r]
+            if c:
+                for j, bj in enumerate(low, k):
+                    r[j] -= c * bj
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        divisor = g * h ** delta
+        a, b = b, [c // divisor for c in r]
+        g = lead
+        h = g ** delta // h ** (delta - 1)
+    da = len(a) - 1
+    return sign * content ** d * b[0] ** da // h ** (da - 1)

@@ -131,6 +131,8 @@ class OrientedGraph:
     Building one derives base, the Graph the arcs orient, once, and that
     is the whole check: Graph refuses an arc out of range or a self-loop,
     and an edge directed both ways leaves base fewer edges than arcs.
+    orientation.orient_lexicographic, whose arcs are a graph's own
+    edges, skips the check and keeps that graph itself as base.
     """
 
     n: int

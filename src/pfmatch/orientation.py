@@ -79,8 +79,16 @@ class PfaffianReport:
 
 
 def orient_lexicographic(g: Graph) -> OrientedGraph:
-    """Direct every edge from its lower to its higher endpoint."""
-    return OrientedGraph(n=g.n, arcs=frozenset(g.edges))
+    """Direct every edge from its lower to its higher endpoint.
+
+    The arcs are g's own sorted edges, which orient g once each, so g
+    itself is the base, not a copy derived from the arcs: a Tree stays
+    a Tree, and orient_layered and orient_c4_tree do not check it again.
+    """
+    d = object.__new__(OrientedGraph)
+    for name, value in (("n", g.n), ("arcs", frozenset(g.edges)), ("base", g)):
+        object.__setattr__(d, name, value)
+    return d
 
 
 def _stack(d: OrientedGraph, flipped: Sequence[bool], rungs: Sequence[tuple[int, int]]

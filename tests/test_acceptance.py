@@ -21,7 +21,6 @@ from pfmatch import (
     count_p4_tree,
     count_pfaffian,
     cycle_graph,
-    det_bareiss,
     orient_c4_tree,
     orient_double,
     orient_layered,
@@ -35,6 +34,7 @@ from util import (
     bit_stream,
     char_poly_tree,
     count_by_backtracking,
+    det_bareiss,
     doubling_matching,
     enumerate_cycles,
     grid_tilings,

@@ -109,7 +109,7 @@ def test_cuthill_mckee_order_is_deterministic_and_narrow():
 
 
 def _assert_sweep_order_is_reverse_cuthill_mckee(g: Graph) -> None:
-    position, nbr = _sweep_order(g)
+    position, nbr, _ = _sweep_order(g)
     order = cuthill_mckee_order(g)[::-1]
     assert position == [order.index(v) for v in range(g.n)], sorted(g.edges)
     assert nbr == [sum(1 << position[w] for w in g.adjacency[v]) for v in order], sorted(g.edges)
@@ -170,6 +170,25 @@ def test_signed_sweep_is_the_pfaffian_in_the_sweep_order():
         kinds["cancelled"] += abs(signed) < count
         kinds["negative"] += signed < 0
     assert min(kinds.values()) >= 10, kinds
+
+
+def test_parity_rules_out_matchings_before_the_sweep():
+    # K19,21 has sides of 19 and 21 vertices: both sweeps give 0 before
+    # creating a state (its sweep would pass the state guard);
+    # two triangles are components of odd order; K4's breadth-first
+    # sides have 1 and 3 vertices, but an odd cycle joins them
+    k = Graph.from_edges(40, [(u, v) for u in range(19) for v in range(19, 40)])
+    start = time.perf_counter()
+    assert count_perfect_matchings(k) == 0
+    assert count_signed_matchings(OrientedGraph(n=40, arcs=k.edges)) == (0, 0)
+    assert time.perf_counter() - start < 0.1
+    triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not _sweep_order(triangles)[2] and count_perfect_matchings(triangles) == 0
+    k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    assert _sweep_order(k4)[2] and count_perfect_matchings(k4) == 3
+    # a bipartite component with equal sides beside one without
+    both = Graph.from_edges(8, [(0, 1), (2, 3), (3, 4), (3, 5), (6, 7)])
+    assert not _sweep_order(both)[2] and count_perfect_matchings(both) == 0
 
 
 def test_signed_sweep_shares_the_state_guard():

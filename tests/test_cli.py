@@ -451,6 +451,16 @@ def test_size_limit_exit_code_and_flag_override(capsys):
     assert code == EXIT_OK and payload["count"] == "1"
 
 
+def test_a_bipartite_graph_with_unequal_sides_counts_0(tmp_path, capsys):
+    # K19,21 fits the 40-vertex guard; parity gives 0 before the sweep,
+    # whose states would pass the state guard (exit 4)
+    edges = [(u, v) for u in range(19) for v in range(19, 40)]
+    path = tmp_path / "k19-21.txt"
+    path.write_text(f"40 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out, err = run(capsys, "count", "--graph", str(path))
+    assert code == EXIT_OK and "method: brute\ncount: 0\n" in out and not err
+
+
 def test_pfaffian_method_with_orient_file(tmp_path, capsys):
     good = tmp_path / "c4.txt"
     good.write_text("4 4\n0 -> 1\n1 -> 2\n2 -> 3\n0 -> 3\n")

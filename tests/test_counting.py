@@ -18,7 +18,6 @@ from pfmatch import (
     OrientedGraph,
     PreconditionError,
     SizeLimitError,
-    adjacency_matrix,
     cartesian_product,
     count_brute,
     count_c4_path,
@@ -32,7 +31,6 @@ from pfmatch import (
     count_pfaffian,
     count_product,
     cycle_graph,
-    det_bareiss,
     orient_c4_tree,
     orient_layered,
     orient_lexicographic,
@@ -45,8 +43,10 @@ from pfmatch import (
 )
 
 from util import (
+    adjacency_matrix,
     bit_stream,
     count_by_backtracking,
+    det_bareiss,
     eval_matrix_poly,
     grid_tilings,
     matching_count_by_edge_subsets,
@@ -358,10 +358,10 @@ def test_grid_dimer_odd_area_zero():
 
 
 def test_grid_dimer_matches_dp_oracle():
-    for m in range(1, 7):
-        for n in range(1, 7):
-            if (m * n) % 2 == 0 and m * n <= 36:
-                assert count_grid_dimer(m, n).count == grid_tilings(m, n), (m, n)
+    # every grid up to 14 x 14, odd areas included: norms of degree up to 7
+    for m in range(1, 15):
+        for n in range(1, 15):
+            assert count_grid_dimer(m, n).count == grid_tilings(m, n), (m, n)
 
 
 def test_grid_dimer_symmetric():

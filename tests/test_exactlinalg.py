@@ -17,12 +17,10 @@ from pfmatch import (
     PfmatchError,
     SizeLimitError,
     abs_pfaffian,
-    adjacency_matrix,
     count_c4_tree,
     count_p4_tree,
     count_perfect_matchings,
     cycle_graph,
-    det_bareiss,
     orient_c4_tree,
     orient_layered,
     orient_lexicographic,
@@ -34,15 +32,18 @@ from pfmatch import (
 )
 
 from util import (
+    adjacency_matrix,
     bit_stream,
     char_poly_by_interpolation,
     char_poly_tree,
     count_by_backtracking,
+    det_bareiss,
     det_cofactor,
     eval_matrix_poly,
     identity_matrix,
     is_prime_by_certificate,
     matchings_by_size,
+    norm_by_multiplication_matrix,
     pfaffian_by_expansion,
     poly_remainder,
     random_orientation,
@@ -503,22 +504,88 @@ def test_matched_tree_determinant_is_square():
         assert root * root == det
 
 
-def _sylvester_resultant(q: list[int], p: list[int]) -> int:
-    """Res(q, p) from the full (deg q + deg p)-square Sylvester matrix, by cofactors."""
+def _sylvester_matrix(q: list[int], p: list[int]) -> list[list[int]]:
+    """The (deg q + deg p)-square Sylvester matrix of q and p, whose
+    determinant is Res(q, p); p needs a nonzero leading coefficient."""
     dq, dp = len(q) - 1, len(p) - 1
     size = dq + dp
     rows = [[0] * i + q[::-1] + [0] * (size - dq - 1 - i) for i in range(dp)]
     rows += [[0] * i + p[::-1] + [0] * (size - dp - 1 - i) for i in range(dq)]
-    return det_cofactor(rows)
+    return rows
+
+
+def _sylvester_resultant(q: list[int], p: list[int]) -> int:
+    """Res(q, p) from the full Sylvester matrix, by cofactors."""
+    return det_cofactor(_sylvester_matrix(q, p))
 
 
 def test_root_product_small_cases():
     assert root_product([2, 1], [5, -3, 1]) == 5 + 6 + 4  # p(-2)
     assert root_product([1], [7, 7, 7]) == 1  # no roots: empty product
+    assert root_product([1], []) == 1  # even for p = 0
     assert root_product([0, 0, 1], [3, 1]) == 9  # double root 0
     assert root_product([-1, 0, 1], [0, 1]) == -1  # roots +-1
     assert root_product([1, 3, 1], [4, 2]) == 2 * 2 - 3 * 2 * 4 + 4 * 4  # a^2 - 3ab + b^2
     assert root_product([1, 3, 1], []) == 0
+    assert root_product([1, 3, 1], [0, 0, 0, 0]) == 0
+    assert root_product([2, 3, 1], [0, 1, 1]) == 0  # common root -1
+
+
+def _coefficient(bits, bound: int) -> int:
+    """An integer in [-bound, bound], from 320 random bits."""
+    x = 0
+    for _ in range(5):
+        x = x << 64 | next(bits)
+    return x % (2 * bound + 1) - bound
+
+
+def _times_root(p: list[int], a: int) -> list[int]:
+    """p * (y - a)."""
+    out = [0] + p
+    for i, c in enumerate(p):
+        out[i] -= a * c
+    return out
+
+
+def test_root_product_is_the_resultant_on_random_polynomials():
+    # deg q 0-14 and deg p 0 to 2 deg q, coefficients up to 2^256; q with
+    # a repeated integer root, and p sharing it, turn up every third and
+    # sixth case.  Oracles: fraction-free elimination of the
+    # multiplication matrix and of the Sylvester matrix, and cofactor
+    # expansion of the Sylvester matrix when it is small
+    bits = bit_stream(3030)
+    kinds = dict.fromkeys(("wide", "repeated", "shared", "zero", "small-sylvester"), 0)
+    for case in range(300):
+        dq = case % 15
+        dp = next(bits) % (2 * dq + 1)
+        bound = (4, 1 << 20, 1 << 256)[next(bits) % 3]
+        q = [_coefficient(bits, bound) for _ in range(dq)] + [1]
+        p = [_coefficient(bits, bound) for _ in range(dp)] + [_coefficient(bits, bound) or 1]
+        if case % 3 == 1 and dq >= 2:  # q = (y - a)^k * (a random monic cofactor)
+            a, k = next(bits) % 7 - 3, 2 + next(bits) % (dq - 1)
+            q = [_coefficient(bits, bound) for _ in range(dq - k)] + [1]
+            for _ in range(k):
+                q = _times_root(q, a)
+            kinds["repeated"] += 1
+            if case % 6 == 1 and dp:
+                p = _times_root(p[1:], a)  # degree dp, with the root a
+                kinds["shared"] += 1
+        expected = norm_by_multiplication_matrix(q, p)
+        assert root_product(q, p) == expected, (q, p)
+        assert det_bareiss(_sylvester_matrix(q, p)) == expected, (q, p)
+        if dq + dp <= 6:
+            assert _sylvester_resultant(q, p) == expected, (q, p)
+            kinds["small-sylvester"] += 1
+        kinds["wide"] += bound > 1 << 64
+        kinds["zero"] += expected == 0
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_root_product_of_the_zero_polynomial():
+    for dq in range(15):
+        q = list(range(1, dq + 1)) + [1]
+        for p in ([], [0], [0] * (2 * dq + 1)):
+            assert root_product(q, p) == (0 if dq else 1), (q, p)
 
 
 def test_root_product_matches_full_sylvester_resultant():

@@ -131,6 +131,19 @@ def test_stacked_orientations_keep_the_product_graph():
                 path_graph(2), cartesian_product(path_graph(2), d.base))
 
 
+def test_lexicographic_orientation_keeps_the_tree_as_its_base():
+    # the stacked constructors then get a Tree and do not check it again;
+    # base is no field of equality or repr, so both are those of the
+    # orientation derived from the arcs
+    t = random_tree(30, 4)
+    d = orient_lexicographic(t)
+    assert d.base is t
+    derived = OrientedGraph(n=t.n, arcs=frozenset(t.edges))
+    assert d == derived and repr(d) == repr(derived) and hash(d) == hash(derived)
+    assert orient_layered(d, 1).base is t
+    assert orient_c4_tree(d).base == cartesian_product(path_graph(2), cartesian_product(path_graph(2), t))
+
+
 def test_orient_layered_rejects_non_tree():
     with pytest.raises(NotATreeError):
         orient_layered(orient_lexicographic(cycle_graph(4)), 3)

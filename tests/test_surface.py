@@ -80,11 +80,10 @@ def test_every_def_has_a_reader_outside_the_tests():
     lambda: pfmatch.CountResult(count=-1, method="brute"),
     lambda: pfmatch.SquarishDecomposition(factor=3, root=1),
     lambda: pfmatch.SquarishDecomposition(factor=1, root=-1),
-    lambda: pfmatch.det_bareiss([[1, 2]]),
     lambda: pfmatch.psi_tree_mod(pfmatch.path_graph(2), [1, 2]),
     lambda: pfmatch.root_product([1, 2], [1]),
 ], ids=["negative-n", "unsorted-edge", "edge-out-of-range", "arc-out-of-range",
-        "self-loop-arc", "edge-both-ways", "negative-count", "squarish-factor", "squarish-root", "non-square-matrix",
+        "self-loop-arc", "edge-both-ways", "negative-count", "squarish-factor", "squarish-root",
         "psi-non-monic", "root-product-non-monic"])
 def test_public_failures_are_pfmatch_errors(call):
     # exit code 3 through the CLI, and still the ValueError they used to be;

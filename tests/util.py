@@ -5,8 +5,9 @@ it checks: cycles come from vertex subsets or a depth-first scan over
 all simple cycles, nice cycles from a backtracking matching count of
 the remainder, matchings from edge subsets or plain backtracking, the
 Cuthill-McKee order from a deque search that sorts as it goes, grid
-counts from a broken-profile DP, determinants from cofactor expansion,
-primes from Lucas certificates, characteristic polynomials from
+counts from a broken-profile DP, determinants from dense fraction-free
+(Bareiss) elimination or cofactor expansion, resultants from the
+determinant of a multiplication matrix, primes from Lucas certificates, characteristic polynomials from
 exact interpolation or the Faddeev-LeVerrier recurrence, and closed
 forms from dense matrix polynomials, from the whole tree characteristic
 polynomial over Z[x], or (P_3 x T) from a weighted matching count.
@@ -24,15 +25,17 @@ from fractions import Fraction
 from pfmatch import (
     CycleSeq,
     Graph,
-    IntMatrix,
     IntPolynomial,
     OrientedGraph,
+    PreconditionError,
     SizeLimitError,
     Tree,
     cartesian_product,
     path_graph,
     validate_tree,
 )
+
+IntMatrix = list[list[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +456,58 @@ def grid_tilings(m: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# oracle: determinants by cofactor expansion, char polys by interpolation
+# oracle: determinants by fraction-free elimination and by cofactor
+# expansion, resultants as the determinant of a multiplication matrix,
+# char polys by interpolation
 # ---------------------------------------------------------------------------
+
+def adjacency_matrix(g: Graph) -> IntMatrix:
+    a = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        a[u][v] = 1
+        a[v][u] = 1
+    return a
+
+
+def det_bareiss(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free elimination.
+
+    Entries stay integral throughout: after eliminating column k, every
+    entry is a (k+1)x(k+1) minor of the original matrix, and the division
+    by the previous pivot is exact.  Row swaps flip the sign.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise PreconditionError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            row_i, row_k = a[i], a[k]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * row_k[k] - head * row_k[j]) // prev
+            row_i[k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def norm_by_multiplication_matrix(q: IntPolynomial, p: IntPolynomial) -> int:
+    """prod p(rho) over the roots of the monic q, as the determinant of
+    multiplication by p on Z[y]/(q): its rows are p, y*p, ...,
+    y^(d-1)*p reduced modulo q, d = deg q (1 for d = 0)."""
+    d = len(q) - 1
+    return det_bareiss([poly_remainder([0] * i + list(p), q) for i in range(d)])
+
 
 def skew_adjacency(d: OrientedGraph) -> IntMatrix:
     """The dense skew adjacency matrix: entry (u, v) is 1 iff the arc u->v
