@@ -60,8 +60,8 @@ def main():
     print()
     print("counting through a verified orientation (|Pf| by exact elimination):")
     oriented = pf.orient_c4_tree(d)
-    result = pf.count_pfaffian(oriented)
-    brute = pf.count_brute(oriented.base, max_vertices=24)
+    result = pf.count_graph(oriented.base, "pfaffian", oriented)
+    brute = pf.count_graph(oriented.base, "brute", max_vertices=24)
     print(f"  |Pf(skew adjacency)| = {result.count}")
     print(f"  brute-force count    = {brute.count}")
     assert result.count == brute.count
@@ -72,9 +72,9 @@ def main():
     bad = pf.OrientedGraph(n=4, arcs=frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
     report = show("all-forward C4", bad)
     print("  violating cycle:", "-".join(map(str, report.violations[0])))
-    wrong = pf.count_pfaffian(bad)
+    wrong = pf.count_graph(c4, "pfaffian", bad)
     print(f"  its |Pf| gives {wrong.count}, but the true count is "
-          f"{pf.count_brute(c4).count}: signed matchings cancelled.")
+          f"{pf.count_graph(c4, 'brute').count}: signed matchings cancelled.")
 
     print()
     print("probing beyond the proven range (5 and 6 layers, small trees):")

@@ -29,7 +29,7 @@ def main():
     print("-" * 78)
     for seed in range(14):
         t = pf.random_tree(2 + seed % 8, seed * 37 + 11)
-        count = pf.count_c4_tree(t).count
+        count = pf.count_product("c4", 4, t, "formula").count
         dec = pf.squarish_decompose(count)
         s = corank(t)
         shape = f"{dec.factor} * {dec.root}^2"
@@ -44,8 +44,8 @@ def main():
         t = pf.random_tree(6, seed)
         if not pf.tree_has_perfect_matching(t):
             continue
-        c4 = pf.count_c4_tree(t).count
-        p3 = pf.count_p3_tree(t).count
+        c4 = pf.count_product("c4", 4, t, "formula").count
+        p3 = pf.count_product("pm", 3, t, "formula").count
         print(f"  tree {sorted(t.edges)}:")
         print(f"    Pm(C4 x T) = {c4} = {p3}^2 = Pm(P3 x T)^2")
         assert p3 * p3 == c4

@@ -42,10 +42,10 @@ def main():
     print(header)
     print("-" * len(header))
     for name, t in TREES.items():
-        c4 = pf.count_c4_tree(t)
-        p4 = pf.count_p4_tree(t)
+        c4 = pf.count_product("c4", 4, t, "formula")
+        p4 = pf.count_product("pm", 4, t, "formula")
         if pf.tree_has_perfect_matching(t):
-            p3_text = str(pf.count_p3_tree(t).count)
+            p3_text = str(pf.count_product("pm", 3, t, "formula").count)
         else:
             p3_text = "(no pm)"
         print(f"{name:24} {c4.count:>10} {p3_text:>10} {p4.count:>10}")
@@ -75,9 +75,10 @@ def main():
     print("   ", ", ".join(f"{v:+.4f}" for v in eigenvalues))
     product_c4 = float(np.prod(2.0 + eigenvalues**2))
     product_p4 = float(np.prod(1.0 + 3.0 * eigenvalues**2 + eigenvalues**4))
-    print(f"prod (2 + t^2)            = {product_c4:.6f}   exact: {pf.count_c4_tree(t).count}")
-    print(f"prod (1 + 3 t^2 + t^4)    = {product_p4:.6f}   exact: {pf.count_p4_tree(t).count}^2"
-          f" = {pf.count_p4_tree(t).count ** 2}")
+    c4 = pf.count_product("c4", 4, t, "formula").count
+    p4 = pf.count_product("pm", 4, t, "formula").count
+    print(f"prod (2 + t^2)            = {product_c4:.6f}   exact: {c4}")
+    print(f"prod (1 + 3 t^2 + t^4)    = {product_p4:.6f}   exact: {p4}^2 = {p4 ** 2}")
     print("\nthe exact path never touches floating point: it evaluates the same")
     print("products from the tree's characteristic polynomial in integer arithmetic.")
 

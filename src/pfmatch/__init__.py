@@ -19,16 +19,16 @@ The package has four layers:
                 deg q = 1), root_product (the product of a polynomial over
                 the roots of a small monic one, the resultant, by the
                 subresultant remainder sequence)
-- counting:     brute-force oracle, Pfaffian counting, and one closed form,
-                P_s x T = |root_product(q_s, psi_T)| with q_s read off the
-                path P_s and psi_T folded modulo q_s, whose instances are
-                the C_4, P_2, P_3, P_4, grid and lattice counts;
-                count_product chooses among them (formula, then a proven
-                Pfaffian orientation, then brute force), count_grid and
-                count_graph do the same for grids and plain graphs; brute
-                force is a dynamic program over free-vertex masks in a
-                bandwidth-reducing vertex order (brute), which can also
-                carry each partial matching's Pfaffian sign
+- counting:     three entry points, count_product (C_4 x T, P_m x T),
+                count_grid and count_graph, over one table of routes,
+                counting.ROUTES; "auto" takes its family's rows in order
+                (formula, then a proven Pfaffian orientation, then brute
+                force, for products).  The one closed form is P_s x T =
+                |root_product(q_s, psi_T)|, q_s read off the path P_s and
+                psi_T folded modulo q_s; brute force is a dynamic program
+                over free-vertex masks in a bandwidth-reducing vertex
+                order (brute), which can also carry each partial
+                matching's Pfaffian sign
 
 plus a command-line front end (pfmatch.cli / the `pfmatch` script) that
 only parses arguments and renders reports.
@@ -44,15 +44,8 @@ from .counting import (
     CountResult,
     IdentityReport,
     SquarishDecomposition,
-    count_brute,
-    count_c4_path,
-    count_c4_tree,
     count_graph,
     count_grid,
-    count_grid_dimer,
-    count_p3_tree,
-    count_p4_tree,
-    count_pfaffian,
     count_product,
     squarish_decompose,
     verify_identities,
@@ -130,16 +123,9 @@ __all__ = [
     "abs_pfaffian",
     "cartesian_product",
     "check_pfaffian",
-    "count_brute",
-    "count_c4_path",
-    "count_c4_tree",
     "count_graph",
     "count_grid",
-    "count_grid_dimer",
-    "count_p3_tree",
-    "count_p4_tree",
     "count_perfect_matchings",
-    "count_pfaffian",
     "count_product",
     "cycle_graph",
     "format_edge_list",

@@ -49,11 +49,12 @@ from .graphs import (
 )
 from .orientation import orient_c4_tree, orient_layered, orient_lexicographic
 
-#: Default vertex guard for the brute-force counter (count_brute).
+#: Default vertex guard of every brute-force route: the counted graph,
+#: product or grid may have at most this many vertices.
 DEFAULT_BRUTE_GUARD = 40
 
-#: Guard for count_grid_dimer on sides s <= L: s * L * (s + L/5000) may
-#: not exceed it.  s^2 L follows the norm, a resultant of degree s/2
+#: Guard for the grid's closed form on sides s <= L: s * L * (s + L/5000)
+#: may not exceed it.  s^2 L follows the norm, a resultant of degree s/2
 #: whose subresultant sequence takes about s^2 / 4 products of numbers
 #: of up to about s L bits; s L^2 / 5000 follows the fold along the
 #: long path, L shifts of s/2 operations on numbers of up to about L
@@ -68,12 +69,11 @@ class CountResult:
     """A matching count plus how it was obtained.
 
     method is one of: brute | pfaffian | formula-c4t | formula-p2t |
-    formula-p3t | formula-p4t | narumi-hosoya | kasteleyn-grid.
+    formula-p3t | formula-p4t | kasteleyn-grid.
     dimension is the vertex count the route worked on: the graph's for
-    brute and pfaffian, the tree's for the tree formulas, n for
-    narumi-hosoya, None for grids.  float_estimate carries the value of
-    the trigonometric product formulas, or None where that value
-    overflows a float.
+    brute and pfaffian, the tree's for the tree formulas, None for
+    grids.  float_estimate carries the value of the grid's trigonometric
+    product, or None where that value overflows a float.
     """
 
     count: int
@@ -108,7 +108,9 @@ def _check_brute_guard(n: int, max_vertices: int) -> None:
         raise SizeLimitError(f"brute-force guard: {n} vertices > limit {max_vertices}")
 
 
-def count_brute(g: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+# Routes: each returns a CountResult, or a string saying why it does not apply.
+
+def _brute(g: Graph, max_vertices: int) -> CountResult:
     """Exact count by enumerating matchings, with no linear algebra.
 
     count_perfect_matchings matches the lowest free vertex to each free
@@ -121,7 +123,7 @@ def count_brute(g: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResul
     return CountResult(count=count_perfect_matchings(g), method="brute", dimension=g.n)
 
 
-def count_pfaffian(d: OrientedGraph) -> CountResult:
+def _pfaffian(d: OrientedGraph) -> CountResult:
     """Count d.base as |Pf| of the skew adjacency matrix of its Pfaffian orientation d.
 
     The caller vouches for Pfaffian-ness (check_pfaffian can verify it at
@@ -156,136 +158,41 @@ def _path_product(s: int, t: Graph) -> int:
     return abs(root_product(q_s, psi_tree_mod(t, q_s)))
 
 
-def count_c4_tree(t: Graph) -> CountResult:
-    """Perfect matchings of C_4 x T, exactly, as det(2I + A^2) = 2^e * (P_3 x T form)^2."""
-    count = 2 ** (t.n % 2) * _path_product(3, t) ** 2
-    return CountResult(count=count, method="formula-c4t", dimension=t.n)
+def _proven(m: int, tree: Graph) -> bool:
+    """P_3 x T has a closed form and a proven orientation only when T has a perfect matching."""
+    return m != 3 or tree_has_perfect_matching(tree)
 
 
-def count_p4_tree(t: Graph) -> CountResult:
-    """Perfect matchings of P_4 x T, exactly, as |root_product(q_4, psi)|.
-
-    Each eigenvalue pair +-t contributes q_4(t^2) = 1 + 3t^2 + t^4 once.
-    """
-    return _count_path_formula(4, t)
-
-
-def count_p3_tree(t: Graph) -> CountResult:
-    """Perfect matchings of P_3 x T for a tree with a perfect matching.
-
-    Equals |psi(-2)|: with a perfect matching the tree has no zero
-    eigenvalue, and each eigenvalue pair +-t contributes 2 + t^2 once.
-    Trees without a perfect matching have no known closed form and are
-    rejected; use the brute-force route.
-    """
-    if not tree_has_perfect_matching(t):
-        raise PreconditionError(
-            "tree has no perfect matching: no closed form is available for "
-            "P_3 x T in that case (open problem); use count_brute instead"
-        )
-    return _count_path_formula(3, t)
+def _product_formula(kind: str, m: int, tree: Graph) -> CountResult | str:
+    """C_4 x T as 2^e * (P_3 x T form)^2, for every tree (the square of
+    psi(-2) is det(2I + A^2)); P_m x T as |root_product(q_m, psi)| for
+    m = 2 and 4, and for m = 3 when T has a perfect matching (then T has
+    no zero eigenvalue, and each eigenvalue pair +-t contributes 2 + t^2
+    once); P_3 x T on other trees has no known closed form."""
+    if kind == "c4":
+        count = 2 ** (tree.n % 2) * _path_product(3, tree) ** 2
+        return CountResult(count=count, method="formula-c4t", dimension=tree.n)
+    if m in (2, 3, 4) and _proven(m, tree):
+        return CountResult(count=_path_product(m, tree), method=f"formula-p{m}t", dimension=tree.n)
+    return "no closed form applies to this product/tree combination; try --method brute"
 
 
-def _count_path_formula(s: int, tree: Graph) -> CountResult:
-    """The P_s x T closed form as a CountResult, method formula-p<s>t; for
-    s = 3 the caller has checked that the tree has a perfect matching."""
-    return CountResult(count=_path_product(s, tree), method=f"formula-p{s}t", dimension=tree.n)
+def _product_pfaffian(kind: str, m: int, tree: Graph) -> CountResult | str:
+    """|Pf| over a proven orientation on the lexicographic base:
+    orient_c4_tree, or orient_layered for m <= 4 (m = 3 again only when T
+    has a perfect matching).  Every base gives the same count, as two
+    orientations of a tree differ by switching vertex signs."""
+    if kind == "c4":
+        return _pfaffian(orient_c4_tree(orient_lexicographic(tree)))
+    if m <= 4 and _proven(m, tree):
+        return _pfaffian(orient_layered(orient_lexicographic(tree), m))
+    return "no verified Pfaffian orientation constructor applies here; try --method brute"
 
 
-#: Why a forced method of count_product does not apply.
-_NO_ROUTE = {
-    "formula": "no closed form applies to this product/tree combination; try --method brute",
-    "pfaffian": "no verified Pfaffian orientation constructor applies here; try --method brute",
-}
-
-
-def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
-                  max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
-    """Perfect matchings of C_4 x T (kind "c4", m = 4) or P_m x T (kind "pm").
-
-    "auto" takes the first route that applies: the closed form (C_4,
-    P_2, P_4, and P_3 when T has a perfect matching); count_pfaffian over
-    a proven orientation on the lexicographic base (orient_c4_tree, or
-    orient_layered for m <= 4 with m = 3 again only when T has a perfect
-    matching; every base gives the same count, as two orientations of a
-    tree differ by switching vertex signs), reached only by P_1 x T (T
-    itself), as every other proven product has a closed form; count_brute
-    under max_vertices, checked before the product is built.  "formula",
-    "pfaffian" and "brute" force one route (PreconditionError where it cannot).
-    """
-    if kind not in ("c4", "pm") or method not in ("auto", "brute", *_NO_ROUTE):
-        raise PreconditionError(f"unknown product kind {kind!r} or method {method!r}")
-    if (kind == "c4" and m != 4) or m < 1:
-        raise InvalidSizeError(f"no {m}-layer product of kind {kind!r}")
-    tree = validate_tree(tree)
-    # P_3 x T has a closed form and a proven orientation only when T has a perfect matching
-    proven = m != 3 or tree_has_perfect_matching(tree)
-
-    def formula() -> Optional[CountResult]:
-        if kind == "c4":
-            return count_c4_tree(tree)
-        return _count_path_formula(m, tree) if m in (2, 3, 4) and proven else None
-
-    def pfaffian() -> Optional[CountResult]:
-        if kind == "c4":
-            return count_pfaffian(orient_c4_tree(orient_lexicographic(tree)))
-        if m <= 4 and proven:
-            return count_pfaffian(orient_layered(orient_lexicographic(tree), m))
-        return None
-
-    def brute() -> CountResult:
-        _check_brute_guard(m * tree.n, max_vertices)
-        factor = cycle_graph(4) if kind == "c4" else path_graph(m)
-        return count_brute(cartesian_product(factor, tree), max_vertices=max_vertices)
-
-    if method == "auto":
-        return formula() or pfaffian() or brute()
-    if method == "brute":
-        return brute()
-    result = formula() if method == "formula" else pfaffian()
-    if result is None:
-        raise PreconditionError(_NO_ROUTE[method])
-    return result
-
-
-def count_grid(m: int, n: int, method: str = "auto",
-               max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
-    """Perfect matchings of the m x n grid: "auto" and "formula" take
-    count_grid_dimer, "brute" count_brute under max_vertices, checked
-    after the sides and before the grid is built."""
-    if method in ("auto", "formula"):
-        return count_grid_dimer(m, n)
-    if method == "brute":
-        if m < 1 or n < 1:
-            raise InvalidSizeError(f"need positive grid sides, got {m} x {n}")
-        _check_brute_guard(m * n, max_vertices)
-        return count_product("pm", m, path_graph(n), "brute", max_vertices)
-    raise PreconditionError(
-        "--grid supports auto, formula, or brute; for the Pfaffian "
-        "route use --product p2/p3/p4 with --tree path:N"
-    )
-
-
-def count_graph(g: Graph, method: str = "auto", d: Optional[OrientedGraph] = None,
-                max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
-    """Perfect matchings of a plain graph: "pfaffian" takes count_pfaffian
-    over the caller's orientation d, which must orient g (PreconditionError
-    otherwise), "auto" and "brute" count_brute under max_vertices; no
-    closed form applies."""
-    if method == "pfaffian":
-        if d is None:
-            raise PreconditionError(
-                "--method pfaffian on a plain graph needs --orient-file "
-                "(Pfaffian-ness is the caller's responsibility)"
-            )
-        if not d.orients(g):
-            raise PreconditionError("orientation is not over the given graph")
-        return count_pfaffian(d)
-    if method == "formula":
-        raise PreconditionError("no closed form applies to a plain graph; try --method brute")
-    if method not in ("auto", "brute"):
-        raise PreconditionError(f"unknown method {method!r}")
-    return count_brute(g, max_vertices=max_vertices)
+def _product_brute(kind: str, m: int, tree: Graph, max_vertices: int) -> CountResult:
+    _check_brute_guard(m * tree.n, max_vertices)  # before the product is built
+    factor = cycle_graph(4) if kind == "c4" else path_graph(m)
+    return _brute(cartesian_product(factor, tree), max_vertices)
 
 
 def _cross_check(label: str, log_product: float, exact: int, digits: int) -> Optional[float]:
@@ -302,27 +209,7 @@ def _cross_check(label: str, log_product: float, exact: int, digits: int) -> Opt
         return None
 
 
-def count_c4_path(n: int) -> CountResult:
-    """Perfect matchings of C_4 x P_n (the 2 x 2 x n lattice).
-
-    The exact count comes from the C_4 x T route.  The Narumi-Hosoya
-    closed form  prod_k [2 + 4 cos^2(k pi/(n+1))]  is evaluated in log
-    space as a floating cross-check: its log must lie within 1e-9 of
-    log(count), or NumericalConsistencyError is raised.  float_estimate
-    is the product itself, or None once it exceeds the float range
-    (from about n = 500).
-    """
-    if n < 1:
-        raise InvalidSizeError(f"need n >= 1, got {n}")
-    exact = count_c4_tree(path_graph(n)).count
-    log_product = math.fsum(
-        math.log(2.0 + 4.0 * math.cos(k * math.pi / (n + 1)) ** 2) for k in range(1, n + 1)
-    )
-    return CountResult(count=exact, method="narumi-hosoya", dimension=n,
-                       float_estimate=_cross_check("trigonometric", log_product, exact, 9))
-
-
-def count_grid_dimer(m: int, n: int) -> CountResult:
+def _grid_formula(m: int, n: int) -> CountResult:
     """Perfect matchings (dimer coverings) of the m x n grid P_m x P_n.
 
     Exact: for sides s <= L, the count is the P_s x T closed form with
@@ -344,8 +231,6 @@ def count_grid_dimer(m: int, n: int) -> CountResult:
     requires both sides odd).  float_estimate is the product itself, or
     None once it exceeds the float range.
     """
-    if m < 1 or n < 1:
-        raise InvalidSizeError(f"need positive grid sides, got {m} x {n}")
     if (m * n) % 2:
         return CountResult(count=0, method="kasteleyn-grid", note="odd vertex count")
     short_side, long_side = sorted((m, n))
@@ -361,6 +246,91 @@ def count_grid_dimer(m: int, n: int) -> CountResult:
     )
     return CountResult(count=exact, method="kasteleyn-grid",
                        float_estimate=_cross_check("grid", log_total, exact, 6))
+
+
+def _grid_brute(m: int, n: int, max_vertices: int) -> CountResult:
+    _check_brute_guard(m * n, max_vertices)  # before the long side's path is built
+    return _product_brute("pm", m, path_graph(n), max_vertices)
+
+
+def _graph_pfaffian(g: Graph, d: Optional[OrientedGraph]) -> CountResult | str:
+    if d is None:
+        return ("--method pfaffian on a plain graph needs --orient-file "
+                "(Pfaffian-ness is the caller's responsibility)")
+    return _pfaffian(d) if d.orients(g) else "orientation is not over the given graph"
+
+
+#: Every counting route: (family, method, run).  run(*request) takes the
+#: family's request, (kind, m, tree, max_vertices) for "product", (m, n,
+#: max_vertices) for "grid" and (g, d, max_vertices) for "graph".  A
+#: forced method takes its family's row; "auto" takes the family's rows
+#: in this order and returns the first count.
+ROUTES = (
+    ("product", "formula", lambda kind, m, tree, k: _product_formula(kind, m, tree)),
+    ("product", "pfaffian", lambda kind, m, tree, k: _product_pfaffian(kind, m, tree)),
+    ("product", "brute", _product_brute),
+    ("grid", "formula", lambda m, n, k: _grid_formula(m, n)),
+    ("grid", "brute", _grid_brute),
+    ("grid", "pfaffian", lambda m, n, k: "--grid supports auto, formula, or brute; for the Pfaffian"
+                                         " route use --product p2/p3/p4 with --tree path:N"),
+    ("graph", "brute", lambda g, d, k: _brute(g, k)),
+    ("graph", "pfaffian", lambda g, d, k: _graph_pfaffian(g, d)),
+    ("graph", "formula", lambda g, d, k: "no closed form applies to a plain graph; "
+                                         "try --method brute"),
+)
+
+
+def _count(family: str, method: str, *request) -> CountResult:
+    """The first count of the family's rows that method selects, in table
+    order; PreconditionError with the last row's reason if none counts."""
+    reason = f"unknown method {method!r}"
+    for row_family, row_method, run in ROUTES:
+        if row_family == family and method in ("auto", row_method):
+            result = run(*request)
+            if isinstance(result, CountResult):
+                return result
+            reason = result
+    raise PreconditionError(reason)
+
+
+def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
+                  max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+    """Perfect matchings of C_4 x T (kind "c4", m = 4) or P_m x T (kind "pm").
+
+    "auto" takes the first route that applies: the closed form (C_4,
+    P_2, P_4, and P_3 when T has a perfect matching); |Pf| over a proven
+    orientation (C_4, and P_m for m <= 4 with m = 3 again only when T has
+    a perfect matching), reached only by P_1 x T (T itself), as every
+    other proven product has a closed form; brute force under
+    max_vertices, checked before the product is built.  "formula",
+    "pfaffian" and "brute" force one route (PreconditionError where it
+    cannot).
+    """
+    if kind not in ("c4", "pm"):
+        raise PreconditionError(f"unknown product kind {kind!r}")
+    if (kind == "c4" and m != 4) or m < 1:
+        raise InvalidSizeError(f"no {m}-layer product of kind {kind!r}")
+    return _count("product", method, kind, m, validate_tree(tree), max_vertices)
+
+
+def count_grid(m: int, n: int, method: str = "auto",
+               max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+    """Perfect matchings of the m x n grid: "auto" and "formula" take the
+    closed form with its log-space Kasteleyn cross-check, "brute" brute
+    force under max_vertices, checked before the grid is built; no
+    Pfaffian route."""
+    if m < 1 or n < 1:
+        raise InvalidSizeError(f"need positive grid sides, got {m} x {n}")
+    return _count("grid", method, m, n, max_vertices)
+
+
+def count_graph(g: Graph, method: str = "auto", d: Optional[OrientedGraph] = None,
+                max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+    """Perfect matchings of a plain graph: "auto" and "brute" count by
+    brute force under max_vertices, "pfaffian" as |Pf| of the caller's
+    orientation d, which must orient g (PreconditionError otherwise); no
+    closed form applies."""
+    return _count("graph", method, g, d, max_vertices)
 
 
 def squarish_decompose(v: int) -> SquarishDecomposition:
@@ -396,8 +366,8 @@ class IdentityReport:
     Every count comes from count_product: its closed forms, and its
     brute route for the brute-* clauses, the only independent ones.
     squarish, squarish-factor and square-root hold by construction, as
-    count_c4_tree is 2^e * (P_3 x T form)^2: they can fail only if that
-    arithmetic does.
+    the C_4 x T closed form is 2^e * (P_3 x T form)^2: they can fail
+    only if that arithmetic does.
     """
 
     tree_vertices: int

@@ -8,18 +8,16 @@ relative slack on the floating value.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from pfmatch import (
     cartesian_product,
     check_pfaffian,
-    count_brute,
-    count_c4_path,
-    count_c4_tree,
-    count_grid_dimer,
-    count_p3_tree,
-    count_p4_tree,
-    count_pfaffian,
+    count_graph,
+    count_grid,
+    count_product,
     cycle_graph,
     orient_c4_tree,
     orient_double,
@@ -38,6 +36,7 @@ from util import (
     doubling_matching,
     enumerate_cycles,
     grid_tilings,
+    lattice_log_product,
     matchings_by_size,
     random_orientation,
     skew_adjacency,
@@ -74,12 +73,12 @@ def test_criterion_1_c4_product_formula_matches_brute():
     # every isomorphism class up to 5 vertices, plus 50 random trees up to 6
     failures = []
     for t in trees_up_to(5):
-        expected = count_brute(cartesian_product(cycle_graph(4), t), max_vertices=24).count
-        if count_c4_tree(t).count != expected:
+        expected = count_graph(cartesian_product(cycle_graph(4), t), "brute", max_vertices=24).count
+        if count_product("c4", 4, t, "formula").count != expected:
             failures.append(("iso", t.edges))
     for t in _random_trees(50, 6, seed=101):
-        expected = count_brute(cartesian_product(cycle_graph(4), t), max_vertices=24).count
-        if count_c4_tree(t).count != expected:
+        expected = count_graph(cartesian_product(cycle_graph(4), t), "brute", max_vertices=24).count
+        if count_product("c4", 4, t, "formula").count != expected:
             failures.append(("random", t.edges))
     _conclude("criterion 1: C4 x T closed form == brute force", failures)
 
@@ -88,17 +87,17 @@ def test_criterion_2_lattice_product_formula():
     failures = []
     spots = {1: 2, 2: 9, 3: 32}
     for n in range(1, 31):
-        result = count_c4_path(n)
-        exact = count_c4_tree(path_graph(n)).count
-        if result.count != exact:
-            failures.append(("exact", n))
-        if abs(result.float_estimate - exact) > 1e-9 * exact:
+        exact = count_product("c4", 4, path_graph(n)).count
+        log_product = lattice_log_product(n)
+        if abs(log_product - math.log(exact)) > 1e-9:
+            failures.append(("log", n))
+        if abs(math.exp(log_product) - exact) > 1e-9 * exact:
             failures.append(("float", n))
         if n in spots:
-            if result.count != spots[n]:
+            if exact != spots[n]:
                 failures.append(("spot", n))
-            brute = count_brute(cartesian_product(cycle_graph(4), path_graph(n))).count
-            if result.count != brute:
+            brute = count_graph(cartesian_product(cycle_graph(4), path_graph(n)), "brute").count
+            if exact != brute:
                 failures.append(("brute", n))
     _conclude("criterion 2: 2x2xn lattice product formula, n = 1..30", failures)
 
@@ -106,12 +105,12 @@ def test_criterion_2_lattice_product_formula():
 def test_criterion_3_p4_product_formula_matches_brute():
     failures = []
     for t in trees_up_to(6):
-        expected = count_brute(cartesian_product(path_graph(4), t), max_vertices=24).count
-        if count_p4_tree(t).count != expected:
+        expected = count_graph(cartesian_product(path_graph(4), t), "brute", max_vertices=24).count
+        if count_product("pm", 4, t, "formula").count != expected:
             failures.append(t.edges)
-    if count_p4_tree(path_graph(2)).count != 5:
+    if count_product("pm", 4, path_graph(2), "formula").count != 5:
         failures.append("spot K2")
-    if count_p4_tree(path_graph(4)).count != 36:
+    if count_product("pm", 4, path_graph(4), "formula").count != 36:
         failures.append("spot P4")
     _conclude("criterion 3: P4 x T closed form == brute force", failures)
 
@@ -119,14 +118,14 @@ def test_criterion_3_p4_product_formula_matches_brute():
 def test_criterion_4_p3_square_identity_and_brute():
     failures = []
     for t in _random_matched_trees(50, 8, seed=404):
-        p3 = count_p3_tree(t).count
-        if p3 * p3 != count_c4_tree(t).count:
+        p3 = count_product("pm", 3, t, "formula").count
+        if p3 * p3 != count_product("c4", 4, t, "formula").count:
             failures.append(("square", t.edges))
         if 3 * t.n <= 24:
-            brute = count_brute(cartesian_product(path_graph(3), t), max_vertices=24).count
+            brute = count_graph(cartesian_product(path_graph(3), t), "brute", max_vertices=24).count
             if p3 != brute:
                 failures.append(("brute", t.edges))
-    if count_p3_tree(path_graph(4)).count != 11:
+    if count_product("pm", 3, path_graph(4), "formula").count != 11:
         failures.append("spot P4")
     _conclude("criterion 4: P3 x T count squares to C4 x T count", failures)
 
@@ -134,7 +133,7 @@ def test_criterion_4_p3_square_identity_and_brute():
 def test_criterion_5_squarish_decomposition():
     failures = []
     for t in _random_trees(200, 12, seed=505):
-        c4 = count_c4_tree(t).count
+        c4 = count_product("c4", 4, t, "formula").count
         try:
             dec = squarish_decompose(c4)
         except Exception:
@@ -143,12 +142,13 @@ def test_criterion_5_squarish_decomposition():
         corank = t.n - 2 * max(k for k, ways in enumerate(matchings_by_size(t)) if ways)
         if (dec.factor == 1) != (corank % 2 == 0):
             failures.append(("factor", t.edges, dec.factor, corank))
-    if squarish_decompose(count_c4_tree(path_graph(3)).count) != squarish_decompose(32):
+    c4_p3 = count_product("c4", 4, path_graph(3), "formula").count
+    if squarish_decompose(c4_p3) != squarish_decompose(32):
         failures.append("spot P3")
-    p3_dec = squarish_decompose(count_c4_tree(path_graph(3)).count)
+    p3_dec = squarish_decompose(c4_p3)
     if (p3_dec.factor, p3_dec.root) != (2, 4):
         failures.append("spot P3 values")
-    p4_dec = squarish_decompose(count_c4_tree(path_graph(4)).count)
+    p4_dec = squarish_decompose(count_product("c4", 4, path_graph(4), "formula").count)
     if (p4_dec.factor, p4_dec.root) != (1, 11):
         failures.append("spot P4 values")
     _conclude("criterion 5: C4 x T count is a square or double a square", failures)
@@ -230,11 +230,11 @@ def test_criterion_8_pfaffian_counting_engine():
     failures = []
     for tag, oriented in _verified_orientations():
         det = det_bareiss(skew_adjacency(oriented))
-        brute = count_brute(oriented.base, max_vertices=24).count
+        brute = count_graph(oriented.base, "brute", max_vertices=24).count
         if det != brute ** 2:
             failures.append((tag, oriented.n, det, brute))
-        if count_pfaffian(oriented).count != brute:
-            failures.append((tag, oriented.n, "count_pfaffian"))
+        if count_graph(oriented.base, "pfaffian", oriented).count != brute:
+            failures.append((tag, oriented.n, "pfaffian"))
     _conclude("criterion 8: Pfaffian counting == brute force on verified orientations", failures)
 
 
@@ -246,7 +246,7 @@ def test_criterion_9_grid_dimer_formula():
         for n in range(1, 25):
             if (m * n) % 2 or m * n > 144:
                 continue
-            result = count_grid_dimer(m, n)
+            result = count_grid(m, n)
             if result.count != grid_tilings(m, n):
                 failures.append(("oracle", m, n))
             if abs(result.float_estimate - result.count) > 1e-6 * max(result.count, 1):

@@ -11,8 +11,8 @@ from pfmatch import (
     OrientedGraph,
     SizeLimitError,
     cartesian_product,
-    count_c4_tree,
     count_perfect_matchings,
+    count_product,
     cycle_graph,
     path_graph,
     random_tree,
@@ -145,7 +145,7 @@ def test_forty_vertex_product_is_fast():
     started = time.perf_counter()
     count = count_perfect_matchings(g)
     assert time.perf_counter() - started < 0.1
-    assert count == count_c4_tree(tree).count
+    assert count == count_product("c4", 4, tree, "formula").count
 
 
 def test_signed_sweep_is_the_pfaffian_in_the_sweep_order():

@@ -28,7 +28,8 @@ from pfmatch.cli import (
 )
 from pfmatch import (
     DEFAULT_BRUTE_STATE_GUARD,
-    count_c4_tree,
+    count_grid,
+    count_product,
     parse_edge_list,
     parse_oriented_edge_list,
     random_tree,
@@ -117,8 +118,8 @@ def test_count_method_formula_structure_error(capsys):
 def test_count_json_roundtrips_exact_integer(capsys):
     code, payload, _ = run_json(capsys, "count", "--product", "c4", "--tree", "path:12")
     assert code == EXIT_OK
-    from pfmatch import count_c4_tree, path_graph
-    assert int(payload["count"]) == count_c4_tree(path_graph(12)).count
+    from pfmatch import path_graph
+    assert int(payload["count"]) == count_product("c4", 4, path_graph(12), "formula").count
 
 
 def test_json_deterministic_modulo_timing(capsys):
@@ -259,7 +260,7 @@ def test_count_pfaffian_counts_five_thousand_vertex_product(capsys):
     code, payload, _ = run_json(capsys, "count", "--product", "c4", "--method", "pfaffian",
                                 "--tree", "tree-random:1251:1")
     assert code == EXIT_OK and payload["method"] == "pfaffian"
-    assert payload["count"] == str(count_c4_tree(random_tree(1251, 1)).count)
+    assert payload["count"] == str(count_product("c4", 4, random_tree(1251, 1), "formula").count)
 
 
 def test_count_grid_size_guard(capsys):
@@ -505,6 +506,33 @@ def test_pfaffian_method_refuses_unmatched_p3_tree(capsys):
     assert code == EXIT_PRECONDITION and "brute" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--product", "p3", "--method", "formula", "--tree", "path:3"],
+     "no closed form applies to this product/tree combination; try --method brute"),
+    (["--product", "pm:5", "--method", "pfaffian", "--tree", "path:2"],
+     "no verified Pfaffian orientation constructor applies here; try --method brute"),
+    (["--grid", "2", "2", "--method", "pfaffian"],
+     "--grid supports auto, formula, or brute; for the Pfaffian route use "
+     "--product p2/p3/p4 with --tree path:N"),
+    (["--graph", "path:4", "--method", "formula"],
+     "no closed form applies to a plain graph; try --method brute"),
+    (["--graph", "path:4", "--method", "pfaffian"],
+     "--method pfaffian on a plain graph needs --orient-file "
+     "(Pfaffian-ness is the caller's responsibility)"),
+], ids=["p3-formula", "pm5-pfaffian", "grid-pfaffian", "graph-formula", "graph-pfaffian"])
+def test_every_route_refusal_reaches_the_cli(capsys, argv, message):
+    code, out, err = run(capsys, "count", *argv)
+    assert (code, out, err) == (EXIT_PRECONDITION, "", f"error: {message}\n")
+
+
+def test_every_cli_method_has_one_route_per_family():
+    # a method the CLI offers can never fall through to "unknown method"
+    methods = [m for m in OPTIONS["method"][1]["choices"] if m != "auto"]
+    rows = [(family, method) for family, method, _ in pfmatch.counting.ROUTES]
+    for family in ("product", "grid", "graph"):
+        assert sorted(m for f, m in rows if f == family) == sorted(methods), family
+
+
 def test_orient_file_mismatch_rejected(tmp_path, capsys):
     wrong = tmp_path / "wrong.txt"
     wrong.write_text("2 1\n0 -> 1\n")
@@ -625,7 +653,6 @@ def test_count_longer_than_int_digit_limit(capsys):
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:
         pytest.skip("this interpreter has no int-to-str digit limit")
-    from pfmatch import count_grid_dimer
     saved = get_limit()
     sys.set_int_max_str_digits(640)
     try:
@@ -636,7 +663,7 @@ def test_count_longer_than_int_digit_limit(capsys):
     finally:
         sys.set_int_max_str_digits(saved)
     assert code == EXIT_OK and code_json == EXIT_OK and not err
-    expected = str(count_grid_dimer(80, 80).count)
+    expected = str(count_grid(80, 80).count)
     assert len(expected) == 801
     assert f"count: {expected}\n" in out
     assert payload["count"] == expected

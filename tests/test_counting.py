@@ -19,16 +19,9 @@ from pfmatch import (
     PreconditionError,
     SizeLimitError,
     cartesian_product,
-    count_brute,
-    count_c4_path,
-    count_c4_tree,
     count_graph,
     count_grid,
-    count_grid_dimer,
-    count_p3_tree,
-    count_p4_tree,
     count_perfect_matchings,
-    count_pfaffian,
     count_product,
     cycle_graph,
     orient_c4_tree,
@@ -49,6 +42,7 @@ from util import (
     det_bareiss,
     eval_matrix_poly,
     grid_tilings,
+    lattice_log_product,
     matching_count_by_edge_subsets,
     p3_form_by_matchings,
     random_orientation,
@@ -70,16 +64,16 @@ def grid(m: int, n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def test_brute_c4():
-    assert count_brute(cycle_graph(4)).count == 2
+    assert count_graph(cycle_graph(4), "brute").count == 2
 
 
 def test_brute_odd_order_is_zero():
-    assert count_brute(path_graph(3)).count == 0
+    assert count_graph(path_graph(3), "brute").count == 0
 
 
 def test_brute_cube_is_nine():
     cube = cartesian_product(cycle_graph(4), path_graph(2))
-    result = count_brute(cube)
+    result = count_graph(cube, "brute")
     assert result.count == 9
     assert result.method == "brute"
     # independent oracle: enumerate 4-edge subsets of the cube's 12 edges
@@ -97,14 +91,14 @@ def test_brute_agrees_with_edge_subset_oracle():
         path_graph(6),
     ]
     for g in cases:
-        assert count_brute(g).count == matching_count_by_edge_subsets(g)
+        assert count_graph(g, "brute").count == matching_count_by_edge_subsets(g)
 
 
 def test_brute_guard():
     big = cartesian_product(path_graph(7), path_graph(6))
     with pytest.raises(SizeLimitError):
-        count_brute(big)
-    assert count_brute(big, max_vertices=42).count == grid_tilings(7, 6)
+        count_graph(big, "brute")
+    assert count_graph(big, "brute", max_vertices=42).count == grid_tilings(7, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +107,13 @@ def test_brute_guard():
 
 def test_pfaffian_k2():
     k2 = path_graph(2)
-    result = count_pfaffian(orient_lexicographic(k2))
+    result = count_graph(k2, "pfaffian", orient_lexicographic(k2))
     assert result.count == 1
 
 
 def test_pfaffian_cube():
     d = orient_c4_tree(orient_lexicographic(path_graph(2)))
-    result = count_pfaffian(d)
+    result = count_graph(d.base, "pfaffian", d)
     assert result.count == 9
 
 
@@ -128,8 +122,8 @@ def test_pfaffian_all_forward_c4_gives_wrong_count():
     # disagreeing with the brute count of 2
     c4 = cycle_graph(4)
     bad = OrientedGraph(n=4, arcs=frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
-    assert count_pfaffian(bad).count == 0
-    assert count_brute(c4).count == 2
+    assert count_graph(bad.base, "pfaffian", bad).count == 0
+    assert count_graph(c4, "brute").count == 2
 
 
 def test_pfaffian_count_refuses_a_non_square_reconstruction(monkeypatch):
@@ -140,12 +134,12 @@ def test_pfaffian_count_refuses_a_non_square_reconstruction(monkeypatch):
     for n in (4, 6):
         k = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         with pytest.raises(NotPfaffianError, match="not a perfect square"):
-            count_pfaffian(orient_lexicographic(k))
+            count_graph(k, "pfaffian", orient_lexicographic(k))
 
 
 def test_pfaffian_odd_graph_counts_zero():
     p3 = path_graph(3)
-    assert count_pfaffian(orient_lexicographic(p3)).count == 0
+    assert count_graph(p3, "pfaffian", orient_lexicographic(p3)).count == 0
 
 
 def test_pfaffian_rejects_mismatched_orientation():
@@ -159,9 +153,9 @@ def test_pfaffian_size_guard():
     # elimination only, so an odd graph still counts 0
     big = path_graph(26002)
     with pytest.raises(SizeLimitError, match="guard"):
-        count_pfaffian(orient_lexicographic(big))
+        count_graph(big, "pfaffian", orient_lexicographic(big))
     odd = path_graph(26001)
-    assert count_pfaffian(orient_lexicographic(odd)).count == 0
+    assert count_graph(odd, "pfaffian", orient_lexicographic(odd)).count == 0
     with pytest.raises(SizeLimitError, match="guard"):
         count_product("pm", 2, random_tree(9000, 3), "pfaffian")
     # C4 x T on 20,000 vertices would need more moduli than the table
@@ -185,7 +179,7 @@ def test_pfaffian_all_forward_c6_undercounts():
     # sum, so bad orientations surface as undercounts, not as exceptions
     c6 = cycle_graph(6)
     bad = OrientedGraph(n=6, arcs=frozenset((i, (i + 1) % 6) for i in range(6)))
-    assert count_pfaffian(bad).count < count_brute(c6).count == 2
+    assert count_graph(bad.base, "pfaffian", bad).count < count_graph(c6, "brute").count == 2
 
 
 def test_pfaffian_sampled_orientations_never_overcount():
@@ -193,8 +187,8 @@ def test_pfaffian_sampled_orientations_never_overcount():
     for seed in range(20):
         g = cartesian_product(path_graph(2), random_tree(4, seed))
         d = random_orientation(g, seed + 3)
-        brute = count_brute(g).count
-        assert count_pfaffian(d).count <= brute
+        brute = count_graph(g, "brute").count
+        assert count_graph(d.base, "pfaffian", d).count <= brute
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +196,18 @@ def test_pfaffian_sampled_orientations_never_overcount():
 # ---------------------------------------------------------------------------
 
 def test_c4_tree_single_vertex():
-    result = count_c4_tree(path_graph(1))
+    result = count_product("c4", 4, path_graph(1), "formula")
     assert result.count == 2 and result.method == "formula-c4t"
 
 
 def test_c4_tree_p3():
-    assert count_c4_tree(path_graph(3)).count == 32
-    assert count_brute(cartesian_product(cycle_graph(4), path_graph(3))).count == 32
+    assert count_product("c4", 4, path_graph(3), "formula").count == 32
+    assert count_graph(cartesian_product(cycle_graph(4), path_graph(3)), "brute").count == 32
 
 
 def test_c4_tree_star():
-    assert count_c4_tree(star(3)).count == 100
-    assert count_brute(cartesian_product(cycle_graph(4), star(3))).count == 100
+    assert count_product("c4", 4, star(3), "formula").count == 100
+    assert count_graph(cartesian_product(cycle_graph(4), star(3)), "brute").count == 100
 
 
 def test_c4_tree_at_ten_thousand_vertices():
@@ -221,42 +215,42 @@ def test_c4_tree_at_ten_thousand_vertices():
     # the tree's matchings without any polynomial
     for n in (10000, 10001):
         t = random_tree(n, 7)
-        dec = squarish_decompose(count_c4_tree(t).count)
+        dec = squarish_decompose(count_product("c4", 4, t, "formula").count)
         assert (dec.factor, dec.root) == (2 ** (n % 2), p3_form_by_matchings(t)), n
 
 
 def test_p4_tree_spots():
-    assert count_p4_tree(path_graph(1)).count == 1
-    assert count_p4_tree(path_graph(2)).count == 5
-    assert count_p4_tree(path_graph(4)).count == 36
+    assert count_product("pm", 4, path_graph(1), "formula").count == 1
+    assert count_product("pm", 4, path_graph(2), "formula").count == 5
+    assert count_product("pm", 4, path_graph(4), "formula").count == 36
     assert grid_tilings(4, 4) == 36
 
 
 def test_p3_tree_spots():
-    assert count_p3_tree(path_graph(2)).count == 3
-    assert count_p3_tree(path_graph(4)).count == 11
+    assert count_product("pm", 3, path_graph(2), "formula").count == 3
+    assert count_product("pm", 3, path_graph(4), "formula").count == 11
     assert grid_tilings(3, 4) == 11
 
 
 def test_p3_tree_rejects_unmatched_tree():
     with pytest.raises(PreconditionError):
-        count_p3_tree(path_graph(1))
+        count_product("pm", 3, path_graph(1), "formula")
     with pytest.raises(PreconditionError):
-        count_p3_tree(star(3))
+        count_product("pm", 3, star(3), "formula")
 
 
 def test_formulas_agree_with_brute_on_random_trees():
     for seed in range(12):
         t = random_tree(1 + seed % 6, seed * 11 + 2)
-        assert count_c4_tree(t).count == count_brute(
-            cartesian_product(cycle_graph(4), t), max_vertices=24
+        assert count_product("c4", 4, t, "formula").count == count_graph(
+            cartesian_product(cycle_graph(4), t), "brute", max_vertices=24
         ).count
-        assert count_p4_tree(t).count == count_brute(
-            cartesian_product(path_graph(4), t), max_vertices=24
+        assert count_product("pm", 4, t, "formula").count == count_graph(
+            cartesian_product(path_graph(4), t), "brute", max_vertices=24
         ).count
         if count_by_backtracking(t) > 0:
-            assert count_p3_tree(t).count == count_brute(
-                cartesian_product(path_graph(3), t), max_vertices=24
+            assert count_product("pm", 3, t, "formula").count == count_graph(
+                cartesian_product(path_graph(3), t), "brute", max_vertices=24
             ).count
 
 
@@ -269,7 +263,7 @@ def test_formulas_match_dense_matrix_polynomial_determinants():
         a = adjacency_matrix(t)
         c4_det = det_bareiss(eval_matrix_poly(a, [2, 0, 1]))
         p4_det = det_bareiss(eval_matrix_poly(a, [1, 0, 3, 0, 1]))
-        c4, p4 = count_c4_tree(t), count_p4_tree(t)
+        c4, p4 = count_product("c4", 4, t, "formula"), count_product("pm", 4, t, "formula")
         assert c4.count == c4_det
         assert p4.count ** 2 == p4_det
     matched = 0
@@ -279,7 +273,7 @@ def test_formulas_match_dense_matrix_polynomial_determinants():
             continue
         matched += 1
         det = det_bareiss(eval_matrix_poly(adjacency_matrix(t), [2, 0, 1]))
-        p3 = count_p3_tree(t)
+        p3 = count_product("pm", 3, t, "formula")
         assert p3.count ** 2 == det
 
 
@@ -287,7 +281,8 @@ def test_formula_and_pfaffian_routes_coincide():
     for seed in range(8):
         t = random_tree(1 + seed % 5, seed + 31)
         d = orient_c4_tree(random_orientation(t, seed))
-        assert count_pfaffian(d).count == count_c4_tree(t).count
+        formula = count_product("c4", 4, t, "formula").count
+        assert count_graph(d.base, "pfaffian", d).count == formula
 
 
 def corona(t: Graph) -> Graph:
@@ -312,48 +307,53 @@ def test_pfaffian_route_agrees_with_closed_forms_at_hundreds_of_vertices():
 # trigonometric products
 # ---------------------------------------------------------------------------
 
+# The 2 x 2 x n lattice is C_4 x P_n, counted by count_product; the
+# Narumi-Hosoya product prod_k [2 + 4 cos^2(k pi/(n+1))] is its oracle.
+
+def c4_path(n: int) -> int:
+    return count_product("c4", 4, path_graph(n)).count
+
+
 def test_c4_path_spots():
-    assert count_c4_path(1).count == 2
-    assert count_c4_path(2).count == 9
-    assert count_c4_path(3).count == 32
+    assert (c4_path(1), c4_path(2), c4_path(3)) == (2, 9, 32)
 
 
 def test_c4_path_matches_brute_for_small_n():
     for n in (1, 2, 3):
         product = cartesian_product(cycle_graph(4), path_graph(n))
-        assert count_c4_path(n).count == count_brute(product).count
+        assert c4_path(n) == count_graph(product, "brute").count
 
 
 def test_c4_path_tracks_exact_to_30():
     for n in range(1, 31):
-        result = count_c4_path(n)
-        assert result.count == count_c4_tree(path_graph(n)).count
-        assert abs(result.float_estimate - result.count) <= 1e-9 * result.count
+        count = c4_path(n)
+        assert abs(lattice_log_product(n) - math.log(count)) <= 1e-9
+        assert abs(math.exp(lattice_log_product(n)) - count) <= 1e-9 * count
 
 
 def test_c4_path_beyond_float_range():
     # the product overflows a float near n = 500; the check stays in log space
-    result = count_c4_path(700)
-    assert result.count == count_c4_tree(path_graph(700)).count
-    assert result.float_estimate is None
-    assert count_c4_path(400).float_estimate is not None
+    assert abs(lattice_log_product(700) - math.log(c4_path(700))) <= 1e-9
+    with pytest.raises(OverflowError):
+        math.exp(lattice_log_product(700))
+    assert math.isfinite(math.exp(lattice_log_product(400)))
 
 
 def test_c4_path_rejects_zero():
     with pytest.raises(InvalidSizeError):
-        count_c4_path(0)
+        count_product("c4", 4, path_graph(0))
 
 
 def test_grid_dimer_spots():
-    assert count_grid_dimer(2, 2).count == 2
-    assert count_grid_dimer(2, 4).count == 5
-    assert count_grid_dimer(3, 4).count == 11
-    assert count_grid_dimer(4, 4).count == 36
-    assert count_grid_dimer(6, 6).count == 6728
+    assert count_grid(2, 2).count == 2
+    assert count_grid(2, 4).count == 5
+    assert count_grid(3, 4).count == 11
+    assert count_grid(4, 4).count == 36
+    assert count_grid(6, 6).count == 6728
 
 
 def test_grid_dimer_odd_area_zero():
-    result = count_grid_dimer(3, 3)
+    result = count_grid(3, 3)
     assert result.count == 0 and "odd" in result.note
 
 
@@ -361,22 +361,22 @@ def test_grid_dimer_matches_dp_oracle():
     # every grid up to 14 x 14, odd areas included: norms of degree up to 7
     for m in range(1, 15):
         for n in range(1, 15):
-            assert count_grid_dimer(m, n).count == grid_tilings(m, n), (m, n)
+            assert count_grid(m, n).count == grid_tilings(m, n), (m, n)
 
 
 def test_grid_dimer_symmetric():
-    assert count_grid_dimer(2, 6).count == count_grid_dimer(6, 2).count
+    assert count_grid(2, 6).count == count_grid(6, 2).count
 
 
 def test_grid_dimer_exact_beyond_two_to_the_53():
     # a rounded float got these wrong: ...820 and ...959456
-    assert count_grid_dimer(10, 12).count == 65743732590821
-    assert count_grid_dimer(12, 12).count == 53060477521960000
-    assert count_grid_dimer(12, 10).count == 65743732590821
+    assert count_grid(10, 12).count == 65743732590821
+    assert count_grid(12, 12).count == 53060477521960000
+    assert count_grid(12, 10).count == 65743732590821
 
 
 def test_grid_dimer_beyond_float_range():
-    result = count_grid_dimer(60, 60)
+    result = count_grid(60, 60)
     assert len(str(result.count)) == 449
     assert result.float_estimate is None
     assert str(result.count).startswith("130919334199094226")
@@ -386,18 +386,18 @@ def test_grid_dimer_long_strip_is_fibonacci():
     a, b = 0, 1
     for _ in range(1001):
         a, b = b, a + b
-    assert count_grid_dimer(2, 1000).count == a
-    assert count_grid_dimer(1000, 2).count == a
+    assert count_grid(2, 1000).count == a
+    assert count_grid(1000, 2).count == a
 
 
 def test_grid_dimer_longest_strip_is_fibonacci():
     # 2 x L has F_(L+1) tilings; L = 88674 is the longest strip the guard admits
     with pytest.raises(SizeLimitError):
-        count_grid_dimer(2, 88675)
+        count_grid(2, 88675)
     a, b = 0, 1
     for _ in range(88675):
         a, b = b, a + b
-    assert count_grid_dimer(2, 88674).count == a
+    assert count_grid(2, 88674).count == a
 
 
 def test_grid_dimer_three_wide_follows_its_recurrence():
@@ -407,46 +407,44 @@ def test_grid_dimer_three_wide_follows_its_recurrence():
     while len(seq) <= 1000:
         seq.append(4 * seq[-1] - seq[-2])
     for k in [*range(1, 61), *range(97, 1000, 53), 1000]:
-        assert count_grid_dimer(3, 2 * k).count == seq[k], k
+        assert count_grid(3, 2 * k).count == seq[k], k
 
 
 def test_grid_dimer_odd_short_side():
     for m, n in ((3, 8), (8, 3), (5, 6), (1, 10), (10, 1), (7, 4)):
-        assert count_grid_dimer(m, n).count == grid_tilings(m, n), (m, n)
+        assert count_grid(m, n).count == grid_tilings(m, n), (m, n)
 
 
 def test_trigonometric_cross_checks_refuse_a_wrong_exact_count(monkeypatch):
     # exact counts come from _path_product: doubling it moves the log of
     # the count by log 2 or log 4, far outside either tolerance
-    grid, c4 = count_grid_dimer(8, 8).count, count_c4_path(30).count
+    grid, c4 = count_grid(8, 8).count, c4_path(30)
     path_product = pfmatch.counting._path_product
     monkeypatch.setattr(pfmatch.counting, "_path_product", lambda s, t: 2 * path_product(s, t))
     with pytest.raises(NumericalConsistencyError,
                        match=rf"^grid log product \S+ is not within 1e-6 of the log "
                              rf"of the exact count {2 * grid}$"):
-        count_grid_dimer(8, 8)
-    with pytest.raises(NumericalConsistencyError,
-                       match=rf"^trigonometric log product \S+ is not within 1e-9 of the log "
-                             rf"of the exact count {4 * c4}$"):
-        count_c4_path(30)
+        count_grid(8, 8)
+    assert c4_path(30) == 4 * c4
+    assert abs(lattice_log_product(30) - math.log(4 * c4)) > 1e-9
 
 
 def test_trigonometric_cross_checks_pass_inside_their_tolerance(monkeypatch):
     # one more on _path_product moves log(count) by about 8e-8 on the
     # 8 x 8 grid (tolerance 1e-6), and, as the root of the C4 x P40
     # count, by about 1e-11 there (tolerance 1e-9)
-    grid, c4 = count_grid_dimer(8, 8), count_c4_path(40)
-    root = math.isqrt(c4.count)
+    grid, root = count_grid(8, 8), math.isqrt(c4_path(40))
     path_product = pfmatch.counting._path_product
     monkeypatch.setattr(pfmatch.counting, "_path_product", lambda s, t: path_product(s, t) + 1)
-    assert count_grid_dimer(8, 8) == CountResult(grid.count + 1, grid.method,
-                                                 float_estimate=grid.float_estimate)
-    assert count_c4_path(40).count == (root + 1) ** 2
+    assert count_grid(8, 8) == CountResult(grid.count + 1, grid.method,
+                                           float_estimate=grid.float_estimate)
+    assert c4_path(40) == (root + 1) ** 2
+    assert abs(lattice_log_product(40) - math.log(c4_path(40))) <= 1e-9
 
 
 def test_grid_dimer_rejects_bad_sides():
     with pytest.raises(InvalidSizeError):
-        count_grid_dimer(0, 4)
+        count_grid(0, 4)
 
 
 def test_grid_dimer_equals_layered_product_route():
@@ -455,7 +453,7 @@ def test_grid_dimer_equals_layered_product_route():
     for s in (3, 4):
         for n in range(1, 41):
             if (s * n) % 2 == 0:
-                grid_count = count_grid_dimer(s, n).count
+                grid_count = count_grid(s, n).count
                 assert grid_count == count_product("pm", s, path_graph(n)).count, (s, n)
                 if n <= 12:
                     pfaffian = count_product("pm", s, path_graph(n), method="pfaffian")
@@ -468,8 +466,8 @@ def test_grid_dimer_size_guard():
         s, L = sorted((m, n))
         assert s * L * (5000 * s + L) > 5000 * DEFAULT_GRID_GUARD
         with pytest.raises(SizeLimitError):
-            count_grid_dimer(m, n)
-    assert count_grid_dimer(201, 201).count == 0
+            count_grid(m, n)
+    assert count_grid(201, 201).count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +518,7 @@ def test_verify_identities_p4():
 
 def test_verify_identities_reports_a_zero_c4_count(monkeypatch):
     # a broken fold may give 0, which squarish_decompose refuses: the
-    # report records the clause instead of raising.  count_c4_tree
+    # report records the clause instead of raising.  The C4 formula
     # squares the P3 form, so breaking the P3 fold breaks the C4 count
     path_product = pfmatch.counting._path_product
     monkeypatch.setattr(pfmatch.counting, "_path_product",
@@ -533,9 +531,9 @@ def test_verify_identities_reports_a_zero_c4_count(monkeypatch):
 def test_verify_identities_checks_the_brute_route_of_count_product(monkeypatch):
     # every brute-* clause counts through count_product, so a brute route
     # that is off by one fails all three
-    brute = pfmatch.counting.count_brute
-    monkeypatch.setattr(pfmatch.counting, "count_brute",
-                        lambda g, **kw: CountResult(brute(g, **kw).count + 1, "brute", g.n))
+    brute = pfmatch.counting._brute
+    monkeypatch.setattr(pfmatch.counting, "_brute",
+                        lambda g, k: CountResult(brute(g, k).count + 1, "brute", g.n))
     report = verify_identities(path_graph(4), max_vertices=24)
     assert report.failures == ("brute-c4", "brute-p4", "brute-p3")
 
@@ -577,7 +575,7 @@ def test_count_product_every_method_matches_brute_force():
     for tree in trees_up_to(6):
         for kind, m in PRODUCT_KINDS:
             factor = cycle_graph(4) if kind == "c4" else path_graph(m)
-            expected = count_brute(cartesian_product(factor, tree)).count
+            expected = count_graph(cartesian_product(factor, tree), "brute").count
             formula_ok, pfaffian_ok = _expected_routes(kind, m, tree)
             auto = count_product(kind, m, tree)
             assert auto.count == expected, (kind, m, tree.edges)
@@ -604,8 +602,8 @@ def test_pfaffian_constructions_count_from_any_base_orientation():
             if _expected_routes(kind, m, tree)[1]:
                 d = orient_c4_tree(base) if kind == "c4" else orient_layered(base, m)
                 factor = cycle_graph(4) if kind == "c4" else path_graph(m)
-                expected = count_brute(cartesian_product(factor, tree)).count
-                assert count_pfaffian(d).count == expected, (kind, m, tree.edges)
+                expected = count_graph(cartesian_product(factor, tree), "brute").count
+                assert count_graph(d.base, "pfaffian", d).count == expected, (kind, m, tree.edges)
 
 
 def test_p2_formula_is_the_prism_count_and_the_layered_pfaffian():
@@ -620,7 +618,7 @@ def test_p2_formula_is_the_prism_count_and_the_layered_pfaffian():
     for n in (100, 1000):
         tree = random_tree(n, n + 5)
         d = orient_layered(orient_lexicographic(tree), 2)
-        expected = count_pfaffian(d).count
+        expected = count_graph(d.base, "pfaffian", d).count
         assert expected > 1 and count_product("pm", 2, tree, "formula").count == expected
 
 

@@ -17,9 +17,8 @@ from pfmatch import (
     PfmatchError,
     SizeLimitError,
     abs_pfaffian,
-    count_c4_tree,
-    count_p4_tree,
     count_perfect_matchings,
+    count_product,
     cycle_graph,
     orient_c4_tree,
     orient_layered,
@@ -296,7 +295,7 @@ def test_det_skew_equals_bareiss_on_product_orientations(monkeypatch):
                         lambda rows, p, work: moduli.append(p) or det_mod(rows, p, work))
     t = random_tree(250, 4)
     d = orient_c4_tree(orient_lexicographic(t))
-    assert abs_pfaffian(d) == count_c4_tree(t).count
+    assert abs_pfaffian(d) == count_product("c4", 4, t, "formula").count
     assert moduli == list(pfmatch.exactlinalg._SKEW_MODULI[:2])
 
 
@@ -309,8 +308,8 @@ def test_det_skew_past_two_primes_on_the_half_size_route():
     for n, seed in ((400, 5), (400, 6)):
         t = random_tree(n, seed)
         base = orient_lexicographic(t)
-        for d, count in ((orient_c4_tree(base), count_c4_tree(t).count),
-                         (orient_layered(base, 4), count_p4_tree(t).count)):
+        for d, count in ((orient_c4_tree(base), count_product("c4", 4, t, "formula").count),
+                         (orient_layered(base, 4), count_product("pm", 4, t, "formula").count)):
             pf = abs_pfaffian(d)
             assert pf > moduli[0] * moduli[1]
             assert pf == count

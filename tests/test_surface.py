@@ -117,8 +117,8 @@ def test_every_vertex_guard_is_named_max_vertices():
             if param.default in vertex_guards or "vertices" in param.name:
                 assert param.name == "max_vertices", (name, param.name)
                 guarded.add(name)
-    assert guarded == {"check_pfaffian", "count_brute", "count_graph", "count_grid",
-                       "count_product", "verify_identities"}
+    assert guarded == {"check_pfaffian", "count_graph", "count_grid", "count_product",
+                       "verify_identities"}
 
 
 def test_exactlinalg_imports_only_errors_and_graphs():

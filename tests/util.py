@@ -5,12 +5,14 @@ it checks: cycles come from vertex subsets or a depth-first scan over
 all simple cycles, nice cycles from a backtracking matching count of
 the remainder, matchings from edge subsets or plain backtracking, the
 Cuthill-McKee order from a deque search that sorts as it goes, grid
-counts from a broken-profile DP, determinants from dense fraction-free
-(Bareiss) elimination or cofactor expansion, resultants from the
-determinant of a multiplication matrix, primes from Lucas certificates, characteristic polynomials from
-exact interpolation or the Faddeev-LeVerrier recurrence, and closed
-forms from dense matrix polynomials, from the whole tree characteristic
-polynomial over Z[x], or (P_3 x T) from a weighted matching count.
+counts from a broken-profile DP, the 2 x 2 x n lattice from the
+Narumi-Hosoya trigonometric product in log space, determinants from
+dense fraction-free (Bareiss) elimination or cofactor expansion,
+resultants from the determinant of a multiplication matrix, primes from
+Lucas certificates, characteristic polynomials from exact interpolation
+or the Faddeev-LeVerrier recurrence, and closed forms from dense matrix
+polynomials, from the whole tree characteristic polynomial over Z[x],
+or (P_3 x T) from a weighted matching count.
 """
 
 from __future__ import annotations
@@ -453,6 +455,14 @@ def grid_tilings(m: int, n: int) -> int:
                 nxt[out] = nxt.get(out, 0) + ways
         dp = nxt
     return dp.get(0, 0)
+
+
+def lattice_log_product(n: int) -> float:
+    """log of the Narumi-Hosoya product prod_{k<=n} [2 + 4 cos^2(k pi/(n+1))],
+    the number of perfect matchings of the 2 x 2 x n lattice C_4 x P_n,
+    summed in log space so that it never overflows."""
+    return math.fsum(math.log(2.0 + 4.0 * math.cos(k * math.pi / (n + 1)) ** 2)
+                     for k in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
