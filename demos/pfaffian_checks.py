@@ -31,7 +31,7 @@ def evidence(report):
 
 
 def show(tag, oriented):
-    report = pf.check_pfaffian(oriented, max_vertices=24)
+    report = pf.check_pfaffian(oriented)
     verdict = "Pfaffian" if report.passed else f"NOT Pfaffian ({len(report.violations)} bad cycles)"
     print(f"  {tag:30} vertices={oriented.n:>3}  {evidence(report):22}  {verdict}")
     return report
@@ -81,7 +81,7 @@ def main():
     for m in (5, 6):
         for n in (2, 3, 4):
             probe = pf.orient_layered(pf.orient_lexicographic(pf.random_tree(n, seed=n)), m)
-            report = pf.check_pfaffian(probe, max_vertices=24)
+            report = pf.check_pfaffian(probe)
             print(f"  {m} layers on a {n}-vertex tree: "
                   f"{'passes' if report.passed else 'FAILS'} "
                   f"({evidence(report)})")

@@ -10,7 +10,7 @@ The package has four layers:
                 perfect matchings (both from one signed brute-force
                 sweep, all a pass runs) and enumerates the perfect
                 matchings, walking the alternating cycles of each, only
-                to list a failure's violations
+                to list a failure's violations, under one budget of work
 - exactlinalg:  |Pf| of an orientation's skew adjacency matrix by sparse
                 elimination modulo 256-bit Proth primes recombined exactly
                 by CRT, psi_T of a tree (phi_T(x) = x^e psi_T(x^2)) folded
@@ -82,7 +82,6 @@ from .graphs import (
     validate_tree,
 )
 from .orientation import (
-    DEFAULT_CYCLE_GUARD,
     CycleSeq,
     PfaffianReport,
     check_pfaffian,
@@ -101,7 +100,6 @@ __all__ = [
     "CycleSeq",
     "DEFAULT_BRUTE_GUARD",
     "DEFAULT_BRUTE_STATE_GUARD",
-    "DEFAULT_CYCLE_GUARD",
     "DEFAULT_GRID_GUARD",
     "DEFAULT_PFAFFIAN_UPDATE_GUARD",
     "EdgeListParseError",

@@ -180,7 +180,7 @@ def _verify_identities(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def _verify_pfaffian(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     oriented, tag = _orientation(args)
-    result = check_pfaffian(oriented, **_guard(args))
+    result = check_pfaffian(oriented)
     report = {"method": f"pfaffian-check:{tag}", "count": None,
               "violations": [list(c) for c in result.violations], "route": result.route,
               "matchings": str(result.matchings), "pfaffian": str(result.pfaffian)}
@@ -219,16 +219,16 @@ ROUTES = [
     ("orient", "--c4 --tree", ("c4", "tree"), ("orient_file",), _orient),
     ("orient", "--layers --tree", ("layers", "tree"), ("orient_file",), _orient),
     ("verify", "--identities", ("identities", "tree"), ("max_vertices",), _verify_identities),
-    ("verify", "--pfaffian --graph --orient-file", ("pfaffian", "graph", "orient_file"),
-     ("max_vertices",), _verify_pfaffian),
-    ("verify", "--pfaffian --double --graph", ("pfaffian", "double", "graph"),
-     ("orient_file", "max_vertices"), _verify_pfaffian),
-    ("verify", "--pfaffian --double --tree", ("pfaffian", "double", "tree"),
-     ("orient_file", "max_vertices"), _verify_pfaffian),
-    ("verify", "--pfaffian --c4 --tree", ("pfaffian", "c4", "tree"),
-     ("orient_file", "max_vertices"), _verify_pfaffian),
-    ("verify", "--pfaffian --layers --tree", ("pfaffian", "layers", "tree"),
-     ("orient_file", "max_vertices"), _verify_pfaffian),
+    ("verify", "--pfaffian --graph --orient-file", ("pfaffian", "graph", "orient_file"), (),
+     _verify_pfaffian),
+    ("verify", "--pfaffian --double --graph", ("pfaffian", "double", "graph"), ("orient_file",),
+     _verify_pfaffian),
+    ("verify", "--pfaffian --double --tree", ("pfaffian", "double", "tree"), ("orient_file",),
+     _verify_pfaffian),
+    ("verify", "--pfaffian --c4 --tree", ("pfaffian", "c4", "tree"), ("orient_file",),
+     _verify_pfaffian),
+    ("verify", "--pfaffian --layers --tree", ("pfaffian", "layers", "tree"), ("orient_file",),
+     _verify_pfaffian),
     ("product", "FACTOR FACTOR", ("factors",), (), _product),
 ]
 
@@ -280,7 +280,7 @@ OPTIONS = {
     "output": ("--output", dict(help="write the emitted edge list here")),
     "json": ("--json", dict(action="store_true", help="emit a JSON report")),
     "max_vertices": ("--max-vertices", dict(
-        type=_vertex_limit, help="guard for exponential steps (default: the library's)")),
+        type=_vertex_limit, help="vertex guard of brute force (default: the library's)")),
 }
 
 

@@ -23,13 +23,14 @@ whose removal leaves a perfectly matchable remainder) contains an odd
 number of arcs agreeing with each traversal direction; the nice even
 cycles are exactly the cycles alternating with some perfect matching,
 so only a failure enumerates the perfect matchings, to list its
-violations by walking the alternating cycles of each.
+violations by walking the alternating cycles of each; one budget of
+work, not a vertex count, bounds that listing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .brute import count_signed_matchings
 from .errors import InvalidSizeError, SizeLimitError
@@ -38,15 +39,13 @@ from .graphs import Arc, Graph, OrientedGraph, parse_edge_lines, validate_tree
 #: A simple cycle c0 c1 ... c_{k-1} c0, stored as the k distinct vertices.
 CycleSeq = tuple[int, ...]
 
-#: Default vertex guard of check_pfaffian.  A pass is one signed sweep,
-#: which the brute-force state guard bounds; this guard bounds only the
-#: listing of a failure's violations, which walks every perfect matching.
-DEFAULT_CYCLE_GUARD = 24
-
-#: Steps (path extensions and closed cycles) of the alternating-cycle walk
-#: over a whole listing.  It bounds dense graphs inside the vertex guard:
-#: the lexicographic K_10 lists in 1.37 M steps, K_12 in full takes minutes.
-LISTING_STEP_GUARD = 2_000_000
+#: Units of work one failing check_pfaffian may spend listing its
+#: violations: each edge the matching search tries, 2m + n to set up the
+#: walk of each perfect matching, and each neighbour the walk scans.
+#: Fitted by measurement: the lexicographic K_10 lists in 5.6 M units
+#: (about 1.3 s on a shared two-core host), and K_12 is refused in about 2 s.
+_LISTING_BUDGET = 8_000_000
+_OVER_BUDGET = f"listing the violations takes more than {_LISTING_BUDGET:,} units of work"
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,8 @@ class PfaffianReport:
     every perfect matching, which are all the nice even cycles: route is
     "nice-cycles", nice_even_cycles counts the distinct ones and
     violations lists those that are not oddly oriented, in
-    lexicographic order.
+    lexicographic order.  A failure whose listing outruns its budget of
+    work raises SizeLimitError and makes no report.
     """
 
     nice_even_cycles: int
@@ -142,17 +142,16 @@ def orient_c4_tree(d: OrientedGraph) -> OrientedGraph:
     return _stack(d, (False, True, True, False), [(0, 1), (0, 2), (1, 3), (3, 2)])
 
 
-def _perfect_matching_mates(g: Graph) -> Iterator[tuple[int, ...]]:
+def _perfect_matching_mates(g: Graph, budget: list[int]) -> Iterator[tuple[int, ...]]:
     """Every perfect matching of g once, as its mate array (mate[v] is
     v's partner), in lexicographic order of the sorted edge lists.
 
     Depth-first with an explicit stack, so the depth is not bounded by
     Python's recursion limit: entry i holds the i-th vertex matched, v,
     with the partners of v still to try.  The lowest free vertex is
-    matched to each free neighbour in ascending order.  Exponential and
-    unguarded: only a failing check_pfaffian walks it, under its vertex
-    guard and its step guard, which every matching after the first
-    charges at least one closed cycle.
+    matched to each free neighbour in ascending order.  Exponential:
+    each edge tried, dead ends included, costs one unit of budget[0],
+    and SizeLimitError is raised once the units run out.
     """
     if g.n % 2:
         return
@@ -172,6 +171,9 @@ def _perfect_matching_mates(g: Graph) -> Iterator[tuple[int, ...]]:
                 return
             v, choices = stack.pop()
             free |= (1 << v) | (1 << mate[v])
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SizeLimitError(_OVER_BUDGET)
         wbit = choices & -choices
         w = wbit.bit_length() - 1
         stack.append((v, choices ^ wbit))
@@ -179,9 +181,8 @@ def _perfect_matching_mates(g: Graph) -> Iterator[tuple[int, ...]]:
         free ^= (1 << v) | wbit
 
 
-def _alternating_cycles(d: OrientedGraph, mate: Sequence[int],
-                        steps: int = LISTING_STEP_GUARD
-                        ) -> Generator[tuple[CycleSeq, bool], None, int]:
+def _alternating_cycles(d: OrientedGraph, mate: Sequence[int], budget: list[int]
+                        ) -> Iterator[tuple[CycleSeq, bool]]:
     """Every cycle alternating with the perfect matching M whose mate
     array is mate, exactly once, with True iff it is oddly oriented.
 
@@ -194,11 +195,15 @@ def _alternating_cycles(d: OrientedGraph, mate: Sequence[int],
     arcs, which share parity, so the flag holds either way.  Iterative,
     so the depth is not bounded by Python's recursion limit.
 
-    The walk takes at most steps steps, each one extension of the path or
-    one closed cycle, and returns the number left; one step more raises
-    SizeLimitError.
+    The walk costs budget[0] 2m + n units to set up and one for each
+    neighbour it scans, rejected ones included, and raises SizeLimitError
+    once the units run out; it writes budget[0] back when it ends, so
+    the caller spends nothing else from budget while it runs.
     """
     g, arcs = d.base, d.arcs
+    left = budget[0] - 2 * len(g.edges) - g.n
+    if left < 0:
+        raise SizeLimitError(_OVER_BUDGET)
     along_m = [(v, w) in arcs for v, w in enumerate(mate)]
     # each non-M neighbour w of v, with True when v -> w is an arc
     others = [tuple((w, (v, w) in arcs) for w in nbrs if w != mate[v])
@@ -212,14 +217,11 @@ def _alternating_cycles(d: OrientedGraph, mate: Sequence[int],
         stack = [iter(others[t])]
         while stack:
             for w, forward in stack[-1]:
+                left -= 1
+                if left < 0:
+                    raise SizeLimitError(_OVER_BUDGET)
                 if w != s and (w < s or mate[w] < s or (onpath >> w) & 1):
                     continue
-                steps -= 1
-                if steps < 0:
-                    raise SizeLimitError(
-                        f"Pfaffian check guard: not Pfaffian, and listing the violations takes "
-                        f"more than {LISTING_STEP_GUARD:,} steps of the alternating-cycle walk"
-                    )
                 if w == s:
                     yield tuple(path), odd[-1] ^ forward
                 else:
@@ -233,10 +235,10 @@ def _alternating_cycles(d: OrientedGraph, mate: Sequence[int],
                 if stack:
                     odd.pop()
                     onpath &= ~((1 << path.pop()) | (1 << path.pop()))
-    return steps
+    budget[0] = left
 
 
-def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) -> PfaffianReport:
+def check_pfaffian(d: OrientedGraph) -> PfaffianReport:
     """Test the Pfaffian property at desk scale.
 
     One sweep of brute.count_signed_matchings(d) gives the number Pm of
@@ -250,36 +252,31 @@ def check_pfaffian(d: OrientedGraph, max_vertices: int = DEFAULT_CYCLE_GUARD) ->
     cycles, each also alternates with a matching other than the first,
     M (swap the matching along the cycle), and each that is not oddly
     oriented is a violation.  The sweep runs at every size, under the
-    brute-force state guard; max_vertices and LISTING_STEP_GUARD bound
-    only that listing, so a failure on more vertices, or one whose walk
-    takes more steps, raises SizeLimitError instead of listing.
+    brute-force state guard; the listing, at any size, spends one budget
+    of _LISTING_BUDGET units of work (the edges its matching search
+    tries, each walk's setup and the neighbours each walk scans), and
+    raises SizeLimitError instead of listing once the budget runs out.
     """
     count, signed = count_signed_matchings(d)
     pfaffian = abs(signed)
     if pfaffian == count:
         return PfaffianReport(nice_even_cycles=0, violations=(), matchings=count,
                               pfaffian=pfaffian)
-    if d.n > max_vertices:
-        raise SizeLimitError(
-            f"Pfaffian check guard: not Pfaffian (|Pf| {pfaffian} < {count} perfect "
-            f"matchings), and listing the violations on {d.n} vertices > limit "
-            f"{max_vertices} needs the limit raised explicitly"
-        )
     # A cycle C alternating with a matching M' also alternates with M' xor C,
     # so the matchings after the first, M, alone reach every nice even cycle;
     # a failure has at least two matchings.
-    mates = _perfect_matching_mates(d.base)
+    budget = [_LISTING_BUDGET]  # units left, shared by the search and every walk
+    mates = _perfect_matching_mates(d.base, budget)
     next(mates)
     nice: dict[CycleSeq, bool] = {}
-
-    def walks() -> Iterator[tuple[CycleSeq, bool]]:  # one step budget for every matching
-        steps = LISTING_STEP_GUARD
+    try:
         for mate in mates:
-            steps = yield from _alternating_cycles(d, mate, steps)
-
-    for c, odd in walks():
-        # one direction per cycle: toward the start's smaller neighbour
-        nice[c if c[1] < c[-1] else c[:1] + c[:0:-1]] = odd
+            for c, odd in _alternating_cycles(d, mate, budget):
+                # one direction per cycle: toward the start's smaller neighbour
+                nice[c if c[1] < c[-1] else c[:1] + c[:0:-1]] = odd
+    except SizeLimitError as exc:
+        raise SizeLimitError(f"Pfaffian check guard: not Pfaffian (|Pf| {pfaffian} < {count} "
+                             f"perfect matchings), and {exc}") from None
     violations = tuple(sorted(c for c, odd in nice.items() if not odd))
     return PfaffianReport(nice_even_cycles=len(nice), violations=violations, matchings=count,
                           pfaffian=pfaffian)

@@ -1,5 +1,6 @@
 """CLI surface: dispatch, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -28,10 +29,16 @@ from pfmatch.cli import (
 )
 from pfmatch import (
     DEFAULT_BRUTE_STATE_GUARD,
+    OrientedGraph,
     count_grid,
     count_product,
+    format_edge_list,
+    format_oriented_edge_list,
+    orient_c4_tree,
+    orient_lexicographic,
     parse_edge_list,
     parse_oriented_edge_list,
+    path_graph,
     random_tree,
 )
 
@@ -156,12 +163,22 @@ def test_orient_rejects_non_tree(capsys):
     assert code == EXIT_PRECONDITION and "tree" in err
 
 
-@pytest.mark.parametrize("command", [["orient", "--c4", "--tree", "path:2"],
-                                     ["product", "path:2", "path:2"]])
+@pytest.mark.parametrize("command", [
+    ["orient", "--c4", "--tree", "path:2"],
+    ["product", "path:2", "path:2"],
+    # verify takes the option for --identities; its --pfaffian routes refuse it
+    ["verify", "--pfaffian", "--graph", "cycle:4", "--orient-file", "arcs.txt"],
+    ["verify", "--pfaffian", "--double", "--graph", "cycle:4"],
+    ["verify", "--pfaffian", "--double", "--tree", "path:2"],
+    ["verify", "--pfaffian", "--c4", "--tree", "path:2"],
+    ["verify", "--pfaffian", "--layers", "3", "--tree", "path:2"],
+])
 def test_max_vertices_is_refused_where_nothing_reads_it(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main(command + ["--max-vertices", "5"])
-    assert exc.value.code == EXIT_PARSE and "--max-vertices" in capsys.readouterr().err
+    try:  # argparse refuses an option the command's parser lacks, the route table the rest
+        code = main(command + ["--max-vertices", "5"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_PARSE and "--max-vertices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["count", "--graph", "path:4"],
@@ -331,6 +348,30 @@ def test_verify_identities_path4(capsys):
     assert "121 = 1 * 11^2" in out and "verdict: pass" in out
 
 
+@pytest.mark.parametrize("kind, m, skew, clauses", [
+    ("pm", 3, lambda count: count + 1, ("square-root", "brute-p3")),
+    ("c4", 4, lambda count: 2 * count, ("squarish-factor", "square-root", "brute-c4")),
+], ids=["p3-plus-one", "c4-doubled"])
+def test_verify_identities_names_the_clauses_that_hold_by_construction(
+        capsys, monkeypatch, kind, m, skew, clauses):
+    # the C4 x T form squares the P3 x T form, so squarish-factor and
+    # square-root cannot fail; a formula row that breaks that relation on
+    # the matched path P4 shows that both are checked and reported
+    formula = pfmatch.counting._product_formula
+
+    def skewed(row_kind, row_m, tree, max_vertices):
+        result = formula(row_kind, row_m, tree)
+        return (dataclasses.replace(result, count=skew(result.count))
+                if (row_kind, row_m) == (kind, m) else result)
+
+    monkeypatch.setattr(pfmatch.counting, "ROUTES", tuple(
+        (family, method, skewed if (family, method) == ("product", "formula") else run)
+        for family, method, run in pfmatch.counting.ROUTES))
+    assert pfmatch.counting.verify_identities(path_graph(4)).failures == clauses
+    code, payload, err = run_json(capsys, "verify", "--identities", "--tree", "path:4")
+    assert code == EXIT_VIOLATION and err == "" and payload["violations"] == list(clauses)
+
+
 def test_verify_pfaffian_file_failure(tmp_path, capsys):
     bad = tmp_path / "allforward.txt"
     bad.write_text("4 4\n0 -> 1\n1 -> 2\n2 -> 3\n3 -> 0\n")
@@ -345,13 +386,13 @@ def test_verify_pfaffian_long_path_is_not_bounded_by_recursion(tmp_path, capsys)
     arcs = tmp_path / "path.txt"
     arcs.write_text("2000 1999\n" + "".join(f"{i} -> {i + 1}\n" for i in range(1999)))
     code, out, err = run(capsys, "verify", "--pfaffian", "--graph", "path:2000",
-                         "--orient-file", str(arcs), "--max-vertices", "2000")
+                         "--orient-file", str(arcs))
     assert code == EXIT_OK and "verdict: pass" in out and err == ""
 
 
 def test_verify_pfaffian_unbalanced_bipartite_file_passes(tmp_path, capsys):
-    # K_9,11 inside the default vertex guard: the vacuous pass is the one
-    # signed sweep, with no search for a first perfect matching
+    # K_9,11: the vacuous pass is the one signed sweep, with no search for
+    # a first perfect matching
     edges = [(u, v) for u in range(9) for v in range(9, 20)]
     graph, arcs = tmp_path / "k9_11.txt", tmp_path / "k9_11_arcs.txt"
     graph.write_text(f"20 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
@@ -369,24 +410,38 @@ def test_verify_pfaffian_long_cycle_lists_its_one_violation(tmp_path, capsys):
     arcs = tmp_path / "cycle.txt"
     arcs.write_text("1200 1200\n" + "".join(f"{i} -> {(i + 1) % 1200}\n" for i in range(1200)))
     code, payload, err = run_json(capsys, "verify", "--pfaffian", "--graph", "cycle:1200",
-                                  "--orient-file", str(arcs), "--max-vertices", "1200")
+                                  "--orient-file", str(arcs))
     assert code == EXIT_VIOLATION and err == ""
     assert payload["violations"] == [list(range(1200))]
 
 
 def test_verify_pfaffian_vertex_guard_bounds_only_the_failure_listing(tmp_path, capsys):
-    # C4 x T on 40 vertices: the pass is one sweep, above the default guard of 24
+    # C4 x T on 40 vertices: the pass is one sweep
     code, payload, err = run_json(capsys, "verify", "--pfaffian", "--c4", "--tree",
                                   "tree-random:10:1")
     assert code == EXIT_OK and err == "" and payload["violations"] == []
-    # an evenly oriented 26-cycle fails, and listing its violation needs the guard raised
+    # an evenly oriented 26-cycle fails and lists its violation with no flag
     arcs = tmp_path / "cycle.txt"
     arcs.write_text("26 26\n" + "".join(f"{i} -> {(i + 1) % 26}\n" for i in range(26)))
-    argv = ["verify", "--pfaffian", "--graph", "cycle:26", "--orient-file", str(arcs)]
-    code, out, err = run(capsys, *argv)
-    assert code == EXIT_SIZE_LIMIT and "Pfaffian check guard" in err and not out
-    code, payload, _ = run_json(capsys, *argv, "--max-vertices", "26")
+    code, payload, _ = run_json(capsys, "verify", "--pfaffian", "--graph", "cycle:26",
+                                "--orient-file", str(arcs))
     assert code == EXIT_VIOLATION and payload["violations"] == [list(range(26))]
+    # the same C4 x T with its lowest arc flipped fails, and listing its
+    # violations runs out of the listing's budget: exit 4 in about 3 s
+    d = orient_c4_tree(orient_lexicographic(random_tree(10, 1)))
+    u, v = min(d.arcs)
+    graph, flipped = tmp_path / "c4t.txt", tmp_path / "c4t-flipped.txt"
+    graph.write_text(format_edge_list(d.base))
+    flipped.write_text(format_oriented_edge_list(
+        OrientedGraph(n=d.n, arcs=d.arcs - {(u, v)} | {(v, u)})))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--pfaffian", "--graph", str(graph),
+                         "--orient-file", str(flipped))
+    assert time.perf_counter() - start < 10.0
+    assert code == EXIT_SIZE_LIMIT and not out
+    assert err == ("error: Pfaffian check guard: not Pfaffian (|Pf| 182528 < 246016 perfect "
+                   "matchings), and listing the violations takes more than 8,000,000 units "
+                   "of work\n")
 
 
 def test_verify_layers_3_matched_tree(capsys):
@@ -402,6 +457,36 @@ def test_parse_error_exit_code(capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "count", "--graph", "/nonexistent/file.txt")
     assert code == EXIT_PARSE and "cannot read" in err
+
+
+def test_unknown_product_kind_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "count", "--product", "p5", "--tree", "path:3")
+    assert code == EXIT_PARSE and not out
+    assert err == "error: unknown product kind 'p5': want c4, p2, p3, p4, or pm:M\n"
+
+
+def test_non_integer_max_vertices_is_a_parse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--graph", "path:4", "--max-vertices", "abc"])
+    assert exc.value.code == EXIT_PARSE
+    assert "argument --max-vertices: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 x\n0 1\n", "line 1: non-integer header '2 x'"),
+    ("# one edge\n2 1\n0 y\n", "line 3: non-integer endpoint in '0 y'"),
+], ids=["header", "endpoint"])
+def test_non_integer_edge_list_field_names_its_line(tmp_path, capsys, text, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "count", "--graph", str(path))
+    assert code == EXIT_PARSE and not out and err == f"error: {message}\n"
+
+
+def test_orient_zero_layers_is_a_precondition_error(capsys):
+    code, out, err = run(capsys, "orient", "--layers", "0", "--tree", "path:3")
+    assert code == EXIT_PRECONDITION and not out
+    assert err == "error: need at least 1 layer, got 0\n"
 
 
 @pytest.mark.parametrize("argv", [

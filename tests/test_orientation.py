@@ -24,7 +24,7 @@ from pfmatch import (
     random_tree,
     validate_tree,
 )
-from pfmatch.orientation import _alternating_cycles, _perfect_matching_mates
+from pfmatch.orientation import _LISTING_BUDGET, _alternating_cycles, _perfect_matching_mates
 
 from util import (
     Matching,
@@ -282,9 +282,9 @@ def test_check_pfaffian_report_counts_nice_even_cycles():
     # the first matching M is the four tree edges; the M-alternating
     # cycles are the four squares through two of them and the two
     # Hamiltonian cycles alternating with them, all oddly oriented
-    mate = next(_perfect_matching_mates(cube.base))
+    mate = next(_perfect_matching_mates(cube.base, [_LISTING_BUDGET]))
     assert mate == (1, 0, 3, 2, 5, 4, 7, 6)
-    walked = list(_alternating_cycles(cube, mate))
+    walked = list(_alternating_cycles(cube, mate, [_LISTING_BUDGET]))
     assert len(walked) == len({c for c, _ in walked}) == 6
     assert all(odd for _, odd in walked)
     # one flipped arc fails the check, and the failure runs the full scan:
@@ -303,7 +303,7 @@ def test_check_pfaffian_long_path_walks_no_cycle():
     # a pass costs one signed sweep whose frontier stays small on a path,
     # where the alternating-cycle walk from every start was quadratic
     start = time.perf_counter()
-    report = check_pfaffian(orient_lexicographic(path_graph(4000)), max_vertices=4000)
+    report = check_pfaffian(orient_lexicographic(path_graph(4000)))
     elapsed = time.perf_counter() - start
     assert report.passed and report.matchings == report.pfaffian == 1
     assert elapsed < 1.0, elapsed
@@ -323,19 +323,25 @@ def test_check_pfaffian_unbalanced_bipartite_pass_runs_only_the_sweep():
 
 
 def test_check_pfaffian_vertex_guard_bounds_only_the_failure_listing():
-    # C4 x T on 40 vertices passes under the default guard of 24: a pass is
-    # the sweep alone, bounded by the state guard
+    # C4 x T on 40 vertices passes: a pass is the sweep alone, bounded by
+    # the state guard
     d = orient_c4_tree(orient_lexicographic(random_tree(10, 1)))
     report = check_pfaffian(d)
     assert report.passed and report.matchings == report.pfaffian == count_perfect_matchings(d.base)
-    # a failure above the guard still refuses to list its violations
-    with pytest.raises(SizeLimitError, match="Pfaffian check guard: not Pfaffian .* 40 vertices"):
+    # a failure lists at any size, and this one runs out of the listing's
+    # budget: about 3 s on a shared two-core host
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match=r"^Pfaffian check guard: not Pfaffian "
+                       r"\(\|Pf\| 182528 < 246016 perfect matchings\), and listing the "
+                       r"violations takes more than 8,000,000 units of work$"):
         check_pfaffian(_lowest_arc_flipped(d))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, elapsed
 
 
 def test_perfect_matching_mates_is_not_bounded_by_recursion():
     # the failure listing's search holds one stack entry per matched pair
-    mate = next(_perfect_matching_mates(path_graph(4000)))
+    mate = next(_perfect_matching_mates(path_graph(4000), [_LISTING_BUDGET]))
     assert mate == tuple(v ^ 1 for v in range(4000))
 
 
@@ -385,20 +391,101 @@ def _complete(n: int) -> Graph:
     pytest.param(orient_lexicographic(_complete(10)), 154_376, 308_070, id="k10"),
 ])
 def test_check_pfaffian_step_guard_admits_the_largest_desk_listings(oriented, violations, nice):
-    # 788 k and 1.37 M steps of the alternating-cycle walk, under its 2 M
+    # 1.88 M and 5.60 M units of work, inside the listing's budget of 8 M
     report = check_pfaffian(oriented)
     assert (len(report.violations), report.nice_even_cycles) == (violations, nice)
 
 
 def test_check_pfaffian_step_guard_bounds_the_failure_listing_on_dense_graphs():
-    # the lexicographic K12 is inside the vertex guard, and listing all its
-    # violations takes minutes; the walk stops after 2 M steps, about 3 s
-    # on a shared two-core host
+    # listing all the violations of the lexicographic K12 takes minutes;
+    # the listing's budget stops it after about 2-3 s on a shared two-core host
     start = time.perf_counter()
-    with pytest.raises(SizeLimitError, match="more than 2,000,000 steps"):
+    with pytest.raises(SizeLimitError, match=r"\(\|Pf\| 1 < 10395 perfect matchings\), "
+                       r"and listing the violations takes more than 8,000,000 units of work"):
         check_pfaffian(orient_lexicographic(_complete(12)))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed
+
+
+@pytest.mark.parametrize("tree_vertices", [7, 15])
+def test_check_pfaffian_budget_bounds_the_failure_listing_on_flipped_products(tree_vertices):
+    # the lowest-arc-flipped C4 x T on 28 and 60 vertices (40 is above):
+    # sparse, so the budget goes on the walks, refused after about 3 s
+    d = _lowest_arc_flipped(orient_c4_tree(orient_lexicographic(random_tree(tree_vertices, 1))))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="more than 8,000,000 units of work"):
+        check_pfaffian(d)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, elapsed
+
+
+def test_check_pfaffian_lists_a_long_forward_cycle():
+    # the evenly oriented C_2400 is its own one nice cycle: a failure lists
+    # at any size, and this one spends 0.73 M units of the budget
+    d = OrientedGraph(n=2400, arcs=frozenset((i, (i + 1) % 2400) for i in range(2400)))
+    report = check_pfaffian(d)
+    assert (report.matchings, report.pfaffian) == (2, 0)
+    assert report.nice_even_cycles == 1 and report.violations == (tuple(range(2400)),)
+
+
+def _search_tries(g: Graph, free: frozenset) -> int:
+    """Edges the lowest-free-vertex search tries below the free set, dead
+    ends included: an independent recursion over the same search tree."""
+    if not free:
+        return 0
+    v = min(free)
+    return sum(1 + _search_tries(g, free - {v, w}) for w in g.adjacency[v] if w in free)
+
+
+def _walk_cost(g: Graph, mate) -> int:
+    """2m + n, plus one for every non-matching neighbour scanned from the
+    end of every alternating path the walk grows: an independent recursion."""
+    cost = 2 * len(g.edges) + g.n
+
+    def grow(s: int, end: int, onpath: frozenset) -> None:
+        nonlocal cost
+        for w in g.adjacency[end]:
+            if w == mate[end]:
+                continue
+            cost += 1
+            if w > s and mate[w] > s and w not in onpath:
+                grow(s, mate[w], onpath | {w, mate[w]})
+
+    for s, t in enumerate(mate):
+        if t > s:
+            grow(s, t, frozenset((s, t)))
+    return cost
+
+
+_K24 = Graph.from_edges(6, [(u, v) for u in range(2) for v in range(2, 6)])
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(_K24, id="k2,4"),  # no perfect matching: every try is a dead end
+    pytest.param(cartesian_product(path_graph(2), star(3)), id="p2xstar3"),
+    pytest.param(orient_c4_tree(orient_lexicographic(path_graph(2))).base, id="cube"),
+    pytest.param(_complete(6), id="k6"),
+    pytest.param(_grid_3x4_last_arc_flipped().base, id="grid-3x4"),
+])
+def test_listing_budget_charges_every_try_and_every_scanned_neighbour(g):
+    # the budget is a bound in time only if the search pays for its dead
+    # ends and the walk for the neighbours it rejects
+    budget = [_LISTING_BUDGET]
+    mates = list(_perfect_matching_mates(g, budget))
+    assert _LISTING_BUDGET - budget[0] == _search_tries(g, frozenset(range(g.n)))
+    assert len(mates) == count_perfect_matchings(g)
+    d = orient_lexicographic(g)
+    for mate in mates:
+        budget = [_LISTING_BUDGET]
+        walked = list(_alternating_cycles(d, mate, budget))
+        assert _LISTING_BUDGET - budget[0] == _walk_cost(g, mate), mate
+        assert len(walked) == len({c for c, _ in walked})
+    # one unit short of the whole search or walk refuses
+    with pytest.raises(SizeLimitError):
+        list(_perfect_matching_mates(g, [_search_tries(g, frozenset(range(g.n))) - 1]))
+    if mates:
+        with pytest.raises(SizeLimitError):
+            list(_alternating_cycles(d, mates[0], [_walk_cost(g, mates[0]) - 1]))
 
 
 def _connected(g: Graph) -> bool:
@@ -438,7 +525,7 @@ def test_check_pfaffian_agrees_with_determinant_and_subset_oracles():
 
         # every perfect matching once, as a mate array, in lexicographic
         # order of the sorted edge lists; the first is M
-        mates = list(_perfect_matching_mates(g))
+        mates = list(_perfect_matching_mates(g, [_LISTING_BUDGET]))
         assert len(mates) == count_perfect_matchings(g) == count
         matchings = [tuple((v, w) for v, w in enumerate(mate) if v < w) for mate in mates]
         assert matchings == sorted(set(matchings))
@@ -449,7 +536,7 @@ def test_check_pfaffian_agrees_with_determinant_and_subset_oracles():
 
         # the walk examines every M-alternating cycle exactly once, with its
         # parity, and every one is oddly oriented iff the counts agree
-        walked = list(_alternating_cycles(d, mates[0])) if mates else []
+        walked = list(_alternating_cycles(d, mates[0], [_LISTING_BUDGET])) if mates else []
         assert len(walked) == len({c for c, _ in walked}) == sum(
             1 for c in cycles_by_subsets(g) if _alternates(c, first))
         for c, odd in walked:

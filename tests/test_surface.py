@@ -107,7 +107,7 @@ def test_no_module_reads_the_environment():
 
 
 def test_every_vertex_guard_is_named_max_vertices():
-    vertex_guards = {pfmatch.DEFAULT_BRUTE_GUARD, pfmatch.DEFAULT_CYCLE_GUARD}
+    vertex_guards = {pfmatch.DEFAULT_BRUTE_GUARD}
     guarded = set()
     for name in pfmatch.__all__:
         obj = getattr(pfmatch, name)
@@ -117,8 +117,7 @@ def test_every_vertex_guard_is_named_max_vertices():
             if param.default in vertex_guards or "vertices" in param.name:
                 assert param.name == "max_vertices", (name, param.name)
                 guarded.add(name)
-    assert guarded == {"check_pfaffian", "count_graph", "count_grid", "count_product",
-                       "verify_identities"}
+    assert guarded == {"count_graph", "count_grid", "count_product", "verify_identities"}
 
 
 def test_exactlinalg_imports_only_errors_and_graphs():
