@@ -31,7 +31,7 @@ TREES = {
 def brute(kind, m, tree):
     if m * tree.n > 28:
         return None
-    return pf.count_product(kind, m, tree, "brute", max_vertices=28).count
+    return pf.count_product(kind, m, tree, "brute").count
 
 
 def main():

@@ -110,11 +110,6 @@ def _orient_file(args: argparse.Namespace, g: Graph) -> Optional[OrientedGraph]:
     return d
 
 
-def _guard(args: argparse.Namespace) -> dict:
-    """--max-vertices as a keyword; without it the library's default guard applies."""
-    return {} if args.max_vertices is None else {"max_vertices": args.max_vertices}
-
-
 def _orientation(args: argparse.Namespace) -> tuple[OrientedGraph, str]:
     """(orientation, tag) of an orient or verify --pfaffian route: the
     --orient-file itself, or a constructor over it (default: lexicographic)."""
@@ -140,17 +135,17 @@ def _counted(result: CountResult) -> tuple[dict, list[str], int]:
 def _count_graph(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     g = parse_graph_spec(args.graph)
     # the orientation file is checked on every route, used by one
-    return _counted(count_graph(g, args.method, _orient_file(args, g), **_guard(args)))
+    return _counted(count_graph(g, args.method, _orient_file(args, g)))
 
 
 def _count_product(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     kind, m = _normalize_product_kind(args.product)
     tree = validate_tree(parse_graph_spec(args.tree))
-    return _counted(count_product(kind, m, tree, args.method, **_guard(args)))
+    return _counted(count_product(kind, m, tree, args.method))
 
 
 def _count_grid(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    return _counted(count_grid(*args.grid, method=args.method, **_guard(args)))
+    return _counted(count_grid(*args.grid, method=args.method))
 
 
 def _orient(args: argparse.Namespace) -> tuple[dict, list[str], int]:
@@ -164,7 +159,7 @@ def _orient(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _verify_identities(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    ident = verify_identities(parse_graph_spec(args.tree), **_guard(args))
+    ident = verify_identities(parse_graph_spec(args.tree))
     report = {"method": "identities", "count": str(ident.c4_count),
               "violations": list(ident.failures)}
     lines = [f"tree vertices: {ident.tree_vertices}",
@@ -211,14 +206,14 @@ def _product(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 #: handler).  A call runs the one route whose selecting options are all given
 #: and which reads every given option but --json and --output; else exit 2.
 ROUTES = [
-    ("count", "--graph", ("graph",), ("method", "orient_file", "max_vertices"), _count_graph),
-    ("count", "--product", ("product", "tree"), ("method", "max_vertices"), _count_product),
-    ("count", "--grid", ("grid",), ("method", "max_vertices"), _count_grid),
+    ("count", "--graph", ("graph",), ("method", "orient_file"), _count_graph),
+    ("count", "--product", ("product", "tree"), ("method",), _count_product),
+    ("count", "--grid", ("grid",), ("method",), _count_grid),
     ("orient", "--double --graph", ("double", "graph"), ("orient_file",), _orient),
     ("orient", "--double --tree", ("double", "tree"), ("orient_file",), _orient),
     ("orient", "--c4 --tree", ("c4", "tree"), ("orient_file",), _orient),
     ("orient", "--layers --tree", ("layers", "tree"), ("orient_file",), _orient),
-    ("verify", "--identities", ("identities", "tree"), ("max_vertices",), _verify_identities),
+    ("verify", "--identities", ("identities", "tree"), (), _verify_identities),
     ("verify", "--pfaffian --graph --orient-file", ("pfaffian", "graph", "orient_file"), (),
      _verify_pfaffian),
     ("verify", "--pfaffian --double --graph", ("pfaffian", "double", "graph"), ("orient_file",),
@@ -246,16 +241,6 @@ _ROUTES = {name: tuple((label, frozenset(select), frozenset(select + reads), han
            for name in COMMANDS}
 
 
-def _vertex_limit(text: str) -> int:
-    try:
-        limit = int(text)
-    except ValueError:  # argparse's own words for a type=int option
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if limit < 0:
-        raise argparse.ArgumentTypeError(f"need 0 or more, got {limit}")
-    return limit
-
-
 #: Every option of every command, each once: dest -> (flag, argparse
 #: keywords).  A command's parser, and so its usage line and the request
 #: echo, lists the options it takes in this order.
@@ -279,8 +264,6 @@ OPTIONS = {
     "factors": ("factors", dict(nargs=2, metavar="FACTOR", help="graph spec or file")),
     "output": ("--output", dict(help="write the emitted edge list here")),
     "json": ("--json", dict(action="store_true", help="emit a JSON report")),
-    "max_vertices": ("--max-vertices", dict(
-        type=_vertex_limit, help="vertex guard of brute force (default: the library's)")),
 }
 
 

@@ -49,8 +49,9 @@ from .graphs import (
 )
 from .orientation import orient_c4_tree, orient_layered, orient_lexicographic
 
-#: Default vertex guard of every brute-force route: the counted graph,
-#: product or grid may have at most this many vertices.
+#: Vertex guard of every brute-force route: the counted graph, product
+#: or grid may have at most this many vertices.  No parameter or flag
+#: changes it.
 DEFAULT_BRUTE_GUARD = 40
 
 #: Guard for the grid's closed form on sides s <= L: s * L * (s + L/5000)
@@ -71,9 +72,9 @@ class CountResult:
     method is one of: brute | pfaffian | formula-c4t | formula-p2t |
     formula-p3t | formula-p4t | kasteleyn-grid.
     dimension is the vertex count the route worked on: the graph's for
-    brute and pfaffian, the tree's for the tree formulas, None for
-    grids.  float_estimate carries the value of the grid's trigonometric
-    product, or None where that value overflows a float.
+    brute and pfaffian, the tree's for the tree formulas, None for the
+    grid's closed form.  float_estimate carries the value of the grid's
+    trigonometric product, or None where that value overflows a float.
     """
 
     count: int
@@ -103,23 +104,23 @@ class SquarishDecomposition:
         return self.factor * self.root * self.root
 
 
-def _check_brute_guard(n: int, max_vertices: int) -> None:
-    if n > max_vertices:
-        raise SizeLimitError(f"brute-force guard: {n} vertices > limit {max_vertices}")
+def _check_brute_guard(n: int) -> None:
+    if n > DEFAULT_BRUTE_GUARD:
+        raise SizeLimitError(f"brute-force guard: {n} vertices > limit {DEFAULT_BRUTE_GUARD}")
 
 
 # Routes: each returns a CountResult, or a string saying why it does not apply.
 
-def _brute(g: Graph, max_vertices: int) -> CountResult:
+def _brute(g: Graph) -> CountResult:
     """Exact count by enumerating matchings, with no linear algebra.
 
     count_perfect_matchings matches the lowest free vertex to each free
     neighbour, as a forward dynamic program over free-vertex masks in
-    reverse Cuthill-McKee order.  Graphs above max_vertices vertices
-    raise SizeLimitError, and so does a sweep that would create more
-    than DEFAULT_BRUTE_STATE_GUARD states.
+    reverse Cuthill-McKee order.  Graphs above DEFAULT_BRUTE_GUARD
+    vertices raise SizeLimitError, and so does a sweep that would create
+    more than DEFAULT_BRUTE_STATE_GUARD states.
     """
-    _check_brute_guard(g.n, max_vertices)
+    _check_brute_guard(g.n)
     return CountResult(count=count_perfect_matchings(g), method="brute", dimension=g.n)
 
 
@@ -189,10 +190,10 @@ def _product_pfaffian(kind: str, m: int, tree: Graph) -> CountResult | str:
     return "no verified Pfaffian orientation constructor applies here; try --method brute"
 
 
-def _product_brute(kind: str, m: int, tree: Graph, max_vertices: int) -> CountResult:
-    _check_brute_guard(m * tree.n, max_vertices)  # before the product is built
+def _product_brute(kind: str, m: int, tree: Graph) -> CountResult:
+    _check_brute_guard(m * tree.n)  # before the product is built
     factor = cycle_graph(4) if kind == "c4" else path_graph(m)
-    return _brute(cartesian_product(factor, tree), max_vertices)
+    return _brute(cartesian_product(factor, tree))
 
 
 def _cross_check(label: str, log_product: float, exact: int, digits: int) -> Optional[float]:
@@ -248,9 +249,9 @@ def _grid_formula(m: int, n: int) -> CountResult:
                        float_estimate=_cross_check("grid", log_total, exact, 6))
 
 
-def _grid_brute(m: int, n: int, max_vertices: int) -> CountResult:
-    _check_brute_guard(m * n, max_vertices)  # before the long side's path is built
-    return _product_brute("pm", m, path_graph(n), max_vertices)
+def _grid_brute(m: int, n: int) -> CountResult:
+    _check_brute_guard(m * n)  # before the long side's path is built
+    return _product_brute("pm", m, path_graph(n))
 
 
 def _graph_pfaffian(g: Graph, d: Optional[OrientedGraph]) -> CountResult | str:
@@ -261,22 +262,21 @@ def _graph_pfaffian(g: Graph, d: Optional[OrientedGraph]) -> CountResult | str:
 
 
 #: Every counting route: (family, method, run).  run(*request) takes the
-#: family's request, (kind, m, tree, max_vertices) for "product", (m, n,
-#: max_vertices) for "grid" and (g, d, max_vertices) for "graph".  A
-#: forced method takes its family's row; "auto" takes the family's rows
-#: in this order and returns the first count.
+#: family's request, (kind, m, tree) for "product", (m, n) for "grid" and
+#: (g, d) for "graph".  A forced method takes its family's row; "auto"
+#: takes the family's rows in this order and returns the first count.
 ROUTES = (
-    ("product", "formula", lambda kind, m, tree, k: _product_formula(kind, m, tree)),
-    ("product", "pfaffian", lambda kind, m, tree, k: _product_pfaffian(kind, m, tree)),
+    ("product", "formula", _product_formula),
+    ("product", "pfaffian", _product_pfaffian),
     ("product", "brute", _product_brute),
-    ("grid", "formula", lambda m, n, k: _grid_formula(m, n)),
+    ("grid", "formula", _grid_formula),
     ("grid", "brute", _grid_brute),
-    ("grid", "pfaffian", lambda m, n, k: "--grid supports auto, formula, or brute; for the Pfaffian"
-                                         " route use --product p2/p3/p4 with --tree path:N"),
-    ("graph", "brute", lambda g, d, k: _brute(g, k)),
-    ("graph", "pfaffian", lambda g, d, k: _graph_pfaffian(g, d)),
-    ("graph", "formula", lambda g, d, k: "no closed form applies to a plain graph; "
-                                         "try --method brute"),
+    ("grid", "pfaffian", lambda m, n: "--grid supports auto, formula, or brute; for the Pfaffian"
+                                      " route use --product p2/p3/p4 with --tree path:N"),
+    ("graph", "brute", lambda g, d: _brute(g)),
+    ("graph", "pfaffian", _graph_pfaffian),
+    ("graph", "formula", lambda g, d: "no closed form applies to a plain graph; "
+                                      "try --method brute"),
 )
 
 
@@ -293,44 +293,41 @@ def _count(family: str, method: str, *request) -> CountResult:
     raise PreconditionError(reason)
 
 
-def count_product(kind: str, m: int, tree: Graph, method: str = "auto",
-                  max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+def count_product(kind: str, m: int, tree: Graph, method: str = "auto") -> CountResult:
     """Perfect matchings of C_4 x T (kind "c4", m = 4) or P_m x T (kind "pm").
 
     "auto" takes the first route that applies: the closed form (C_4,
     P_2, P_4, and P_3 when T has a perfect matching); |Pf| over a proven
     orientation (C_4, and P_m for m <= 4 with m = 3 again only when T has
     a perfect matching), reached only by P_1 x T (T itself), as every
-    other proven product has a closed form; brute force under
-    max_vertices, checked before the product is built.  "formula",
-    "pfaffian" and "brute" force one route (PreconditionError where it
-    cannot).
+    other proven product has a closed form; brute force up to
+    DEFAULT_BRUTE_GUARD vertices, checked before the product is built.
+    "formula", "pfaffian" and "brute" force one route (PreconditionError
+    where it cannot).
     """
     if kind not in ("c4", "pm"):
         raise PreconditionError(f"unknown product kind {kind!r}")
     if (kind == "c4" and m != 4) or m < 1:
         raise InvalidSizeError(f"no {m}-layer product of kind {kind!r}")
-    return _count("product", method, kind, m, validate_tree(tree), max_vertices)
+    return _count("product", method, kind, m, validate_tree(tree))
 
 
-def count_grid(m: int, n: int, method: str = "auto",
-               max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+def count_grid(m: int, n: int, method: str = "auto") -> CountResult:
     """Perfect matchings of the m x n grid: "auto" and "formula" take the
     closed form with its log-space Kasteleyn cross-check, "brute" brute
-    force under max_vertices, checked before the grid is built; no
-    Pfaffian route."""
+    force up to DEFAULT_BRUTE_GUARD vertices, checked before the grid is
+    built; no Pfaffian route."""
     if m < 1 or n < 1:
         raise InvalidSizeError(f"need positive grid sides, got {m} x {n}")
-    return _count("grid", method, m, n, max_vertices)
+    return _count("grid", method, m, n)
 
 
-def count_graph(g: Graph, method: str = "auto", d: Optional[OrientedGraph] = None,
-                max_vertices: int = DEFAULT_BRUTE_GUARD) -> CountResult:
+def count_graph(g: Graph, method: str = "auto", d: Optional[OrientedGraph] = None) -> CountResult:
     """Perfect matchings of a plain graph: "auto" and "brute" count by
-    brute force under max_vertices, "pfaffian" as |Pf| of the caller's
-    orientation d, which must orient g (PreconditionError otherwise); no
-    closed form applies."""
-    return _count("graph", method, g, d, max_vertices)
+    brute force up to DEFAULT_BRUTE_GUARD vertices, "pfaffian" as |Pf| of
+    the caller's orientation d, which must orient g (PreconditionError
+    otherwise); no closed form applies."""
+    return _count("graph", method, g, d)
 
 
 def squarish_decompose(v: int) -> SquarishDecomposition:
@@ -357,7 +354,8 @@ class IdentityReport:
       square-root         count(P_3 x T)^2 == count(C_4 x T)   [matched T]
       brute-c4 / brute-p3 / brute-p4
                           formula equals brute force on the product graph
-                          (run when the product is within the size guard)
+                          (run when the product has at most
+                          DEFAULT_BRUTE_GUARD vertices)
     The factor is 2^(n mod 2): it follows the parity of the tree's order,
     not its matching, so an even tree without a perfect matching also
     gives a square (the star K_{1,3}: 100 = 10^2).  Only "perfect
@@ -384,7 +382,7 @@ class IdentityReport:
         return not self.failures
 
 
-def verify_identities(t: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> IdentityReport:
+def verify_identities(t: Graph) -> IdentityReport:
     """Run every applicable identity check on one tree; never raises on failure."""
     tree = validate_tree(t)
     checks: list[str] = []
@@ -416,9 +414,9 @@ def verify_identities(t: Graph, max_vertices: int = DEFAULT_BRUTE_GUARD) -> Iden
     # one brute-* clause per formula count (P3 only on a matched tree), under the guard
     for clause, kind, m, count in (("brute-c4", "c4", 4, c4), ("brute-p4", "pm", 4, p4_count),
                                    ("brute-p3", "pm", 3, p3_count)):
-        if count is not None and m * tree.n <= max_vertices:
+        if count is not None and m * tree.n <= DEFAULT_BRUTE_GUARD:
             checks.append(clause)
-            if count_product(kind, m, tree, "brute", max_vertices).count != count:
+            if count_product(kind, m, tree, "brute").count != count:
                 failures.append(clause)
 
     return IdentityReport(

@@ -73,11 +73,11 @@ def test_criterion_1_c4_product_formula_matches_brute():
     # every isomorphism class up to 5 vertices, plus 50 random trees up to 6
     failures = []
     for t in trees_up_to(5):
-        expected = count_graph(cartesian_product(cycle_graph(4), t), "brute", max_vertices=24).count
+        expected = count_graph(cartesian_product(cycle_graph(4), t), "brute").count
         if count_product("c4", 4, t, "formula").count != expected:
             failures.append(("iso", t.edges))
     for t in _random_trees(50, 6, seed=101):
-        expected = count_graph(cartesian_product(cycle_graph(4), t), "brute", max_vertices=24).count
+        expected = count_graph(cartesian_product(cycle_graph(4), t), "brute").count
         if count_product("c4", 4, t, "formula").count != expected:
             failures.append(("random", t.edges))
     _conclude("criterion 1: C4 x T closed form == brute force", failures)
@@ -105,7 +105,7 @@ def test_criterion_2_lattice_product_formula():
 def test_criterion_3_p4_product_formula_matches_brute():
     failures = []
     for t in trees_up_to(6):
-        expected = count_graph(cartesian_product(path_graph(4), t), "brute", max_vertices=24).count
+        expected = count_graph(cartesian_product(path_graph(4), t), "brute").count
         if count_product("pm", 4, t, "formula").count != expected:
             failures.append(t.edges)
     if count_product("pm", 4, path_graph(2), "formula").count != 5:
@@ -122,7 +122,7 @@ def test_criterion_4_p3_square_identity_and_brute():
         if p3 * p3 != count_product("c4", 4, t, "formula").count:
             failures.append(("square", t.edges))
         if 3 * t.n <= 24:
-            brute = count_graph(cartesian_product(path_graph(3), t), "brute", max_vertices=24).count
+            brute = count_graph(cartesian_product(path_graph(3), t), "brute").count
             if p3 != brute:
                 failures.append(("brute", t.edges))
     if count_product("pm", 3, path_graph(4), "formula").count != 11:
@@ -226,7 +226,7 @@ def test_criterion_8_pfaffian_counting_engine():
     failures = []
     for tag, oriented in _verified_orientations():
         det = det_bareiss(skew_adjacency(oriented))
-        brute = count_graph(oriented.base, "brute", max_vertices=24).count
+        brute = count_graph(oriented.base, "brute").count
         if det != brute ** 2:
             failures.append((tag, oriented.n, det, brute))
         if count_graph(oriented.base, "pfaffian", oriented).count != brute:

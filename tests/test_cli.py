@@ -163,37 +163,36 @@ def test_orient_rejects_non_tree(capsys):
     assert code == EXIT_PRECONDITION and "tree" in err
 
 
-@pytest.mark.parametrize("command", [
+#: One argv per row of ROUTES, in its order, with every selecting option.
+_ROUTE_ARGVS = [
+    ["count", "--graph", "path:4"],
+    ["count", "--product", "c4", "--tree", "path:2"],
+    ["count", "--grid", "2", "2"],
+    ["orient", "--double", "--graph", "cycle:4"],
+    ["orient", "--double", "--tree", "path:2"],
     ["orient", "--c4", "--tree", "path:2"],
-    ["product", "path:2", "path:2"],
-    # verify takes the option for --identities; its --pfaffian routes refuse it
+    ["orient", "--layers", "3", "--tree", "path:2"],
+    ["verify", "--identities", "--tree", "path:4"],
     ["verify", "--pfaffian", "--graph", "cycle:4", "--orient-file", "arcs.txt"],
     ["verify", "--pfaffian", "--double", "--graph", "cycle:4"],
     ["verify", "--pfaffian", "--double", "--tree", "path:2"],
     ["verify", "--pfaffian", "--c4", "--tree", "path:2"],
     ["verify", "--pfaffian", "--layers", "3", "--tree", "path:2"],
-])
+    ["product", "path:2", "path:2"],
+]
+
+
+@pytest.mark.parametrize("command", _ROUTE_ARGVS)
 def test_max_vertices_is_refused_where_nothing_reads_it(capsys, command):
-    try:  # argparse refuses an option the command's parser lacks, the route table the rest
-        code = main(command + ["--max-vertices", "5"])
-    except SystemExit as exc:
-        code = exc.code
-    assert code == EXIT_PARSE and "--max-vertices" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", [["count", "--graph", "path:4"],
-                                     ["verify", "--identities", "--tree", "path:4"]])
-def test_negative_max_vertices_is_a_parse_error(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main(command + ["--max-vertices", "-1"])
-    err = capsys.readouterr().err
-    assert exc.value.code == EXIT_PARSE and err.startswith(f"usage: pfmatch {command[0]} ")
-    assert "argument --max-vertices: need 0 or more, got -1" in err
-    # 0 is a limit like any other: it refuses every brute-force step
-    code, out, err = run(capsys, *command, "--max-vertices", "0")
-    assert code == (EXIT_SIZE_LIMIT if command[0] == "count" else EXIT_OK), err
-    if command[0] == "verify":
-        assert "checks run: squarish, squarish-factor, square-root\n" in out
+    # every vertex guard is a fixed constant: no command's parser takes the
+    # flag, whatever its value
+    assert len(_ROUTE_ARGVS) == len(ROUTES)
+    for value in ("5", "0", "-1", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--max-vertices", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_PARSE and err.startswith(f"usage: pfmatch {command[0]} ")
+        assert f"unrecognized arguments: --max-vertices {value}" in err
 
 
 def test_orient_output_file(tmp_path, capsys):
@@ -359,7 +358,7 @@ def test_verify_identities_names_the_clauses_that_hold_by_construction(
     # the matched path P4 shows that both are checked and reported
     formula = pfmatch.counting._product_formula
 
-    def skewed(row_kind, row_m, tree, max_vertices):
+    def skewed(row_kind, row_m, tree):
         result = formula(row_kind, row_m, tree)
         return (dataclasses.replace(result, count=skew(result.count))
                 if (row_kind, row_m) == (kind, m) else result)
@@ -465,13 +464,6 @@ def test_unknown_product_kind_is_a_parse_error(capsys):
     assert err == "error: unknown product kind 'p5': want c4, p2, p3, p4, or pm:M\n"
 
 
-def test_non_integer_max_vertices_is_a_parse_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--graph", "path:4", "--max-vertices", "abc"])
-    assert exc.value.code == EXIT_PARSE
-    assert "argument --max-vertices: invalid int value: 'abc'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("text, message", [
     ("2 x\n0 1\n", "line 1: non-integer header '2 x'"),
     ("# one edge\n2 1\n0 y\n", "line 3: non-integer endpoint in '0 y'"),
@@ -531,10 +523,11 @@ def test_not_a_tree_exit_code(capsys):
 
 def test_size_limit_exit_code_and_flag_override(capsys):
     code, _, err = run(capsys, "count", "--graph", "path:50", "--method", "brute")
-    assert code == EXIT_SIZE_LIMIT and "guard" in err
-    code, payload, _ = run_json(capsys, "count", "--graph", "path:50", "--method", "brute",
-                                "--max-vertices", "60")
-    assert code == EXIT_OK and payload["count"] == "1"
+    assert code == EXIT_SIZE_LIMIT and err == "error: brute-force guard: 50 vertices > limit 40\n"
+    # no flag overrides the guard
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--graph", "path:50", "--max-vertices", "60"])
+    assert exc.value.code == EXIT_PARSE and "--max-vertices" in capsys.readouterr().err
 
 
 def test_a_bipartite_graph_with_unequal_sides_counts_0(tmp_path, capsys):
@@ -785,14 +778,17 @@ def test_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys):
         assert code == EXIT_PRECONDITION and "cannot write" in err and not out
 
 
-def test_repeated_calls_do_not_carry_flags_over(capsys):
+def test_repeated_calls_do_not_carry_flags_over(tmp_path, capsys):
     # one parser serves every call of a process; each call parses afresh
-    code, first, _ = run_json(capsys, "count", "--grid", "2", "2", "--method", "brute",
-                              "--max-vertices", "10")
-    assert code == EXIT_OK and first["request"]["method"] == "brute"
-    code, second, _ = run_json(capsys, "count", "--grid", "2", "2")
-    assert code == EXIT_OK
-    assert second["request"]["method"] == "auto" and second["request"]["max_vertices"] is None
+    arcs = tmp_path / "arcs.txt"
+    arcs.write_text("4 4\n0 -> 1\n1 -> 2\n2 -> 3\n0 -> 3\n")
+    code, first, _ = run_json(capsys, "count", "--graph", "cycle:4", "--method", "pfaffian",
+                              "--orient-file", str(arcs))
+    assert code == EXIT_OK and first["request"]["orient_file"] == str(arcs)
+    assert first["method"] == "pfaffian"
+    code, second, _ = run_json(capsys, "count", "--graph", "cycle:4")
+    assert code == EXIT_OK and second["method"] == "brute"
+    assert second["request"]["method"] == "auto" and second["request"]["orient_file"] is None
     code, first, _ = run_json(capsys, "verify", "--pfaffian", "--layers", "3", "--tree", "path:4")
     assert code == EXIT_OK and first["request"]["layers"] == 3
     code, second, _ = run_json(capsys, "verify", "--pfaffian", "--c4", "--tree", "path:4")
@@ -836,8 +832,7 @@ def test_each_command_parses_its_own_arguments_with_the_parents_help(capsys):
     ("orient", "usage: pfmatch orient [-h] [--double] [--c4] [--layers M] [--graph GRAPH] "
                "[--tree TREE] [--orient-file ORIENT_FILE] [--output OUTPUT] [--json]"),
     ("verify", "usage: pfmatch verify [-h] [--pfaffian] [--identities] [--double] [--c4] "
-               "[--layers M] [--graph GRAPH] [--tree TREE] [--orient-file ORIENT_FILE] [--json] "
-               "[--max-vertices MAX_VERTICES]"),
+               "[--layers M] [--graph GRAPH] [--tree TREE] [--orient-file ORIENT_FILE] [--json]"),
 ])
 def test_usage_lines_name_the_layer_count_m(command, usage):
     # the help text says "M stacked alternating layers"; the wrapping of

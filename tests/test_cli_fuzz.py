@@ -3,9 +3,12 @@
 Inputs are generator specs, edge-list and oriented edge-list text
 (malformed and repeated lines included) written to files, and flag
 combinations of count, orient, verify and product, with output files
-that can and cannot be written.  Sizes stay small (trees and files up
-to 6 vertices, grids up to 6 x 6, so Pfaffian checks on at most 24
-vertices) so the whole run takes a few seconds.
+that can and cannot be written.  Besides these, verify --pfaffian draws
+one of its routes with the flags that route reads and an orientation
+file that orients the drawn graph, so those calls reach a verdict.
+Sizes stay small (trees and files up to 6 vertices, grids up to 6 x 6,
+so Pfaffian checks on at most 24 vertices) so the whole run takes a few
+seconds.
 """
 
 import contextlib
@@ -16,6 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
+from pfmatch import random_tree  # noqa: E402
 from pfmatch.cli import main  # noqa: E402
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}
@@ -77,21 +81,60 @@ _COUNT = _flags(
     ),
     _maybe("--method", st.sampled_from(["auto", "brute", "pfaffian", "formula"])),
     _ORIENT,
-    _maybe("--max-vertices", st.sampled_from(["0", "8", "16", "-1"])),
 )
 _ORIENT_CMD = _flags(["orient"], _CONSTRUCTION, st.one_of(_TREE, _GRAPH), _ORIENT, _OUTPUT)
-# --identities reads --max-vertices and the --pfaffian routes refuse it
 _VERIFY = _flags(
     ["verify"],
     st.sampled_from([["--pfaffian"], ["--identities"], ["--pfaffian", "--identities"]]),
     _CONSTRUCTION,
     st.one_of(_TREE, _GRAPH),
     _ORIENT,
-    _maybe("--max-vertices", st.sampled_from(["0", "8", "16", "-1"])),
 )
 _PRODUCT_CMD = _flags(["product"], _spec().map(lambda a: [a]), _spec().map(lambda b: [b]), _OUTPUT)
+
+# One valid graph per example, shared by the verify --pfaffian draw and an
+# orientation of it in @arcs: (family, n, seed, arc flips).
+_DRAWN_GRAPH = st.shared(st.tuples(st.sampled_from(["path", "tree-random", "cycle"]),
+                                   st.integers(1, 6), st.integers(0, 9), st.integers(0, 63)),
+                         key="drawn-graph")
+
+
+def _drawn_graph(drawn) -> tuple[str, int, list]:
+    """(spec, vertex count, edges) of a drawn graph; cycles have 3 to 6 vertices."""
+    family, n, seed, _ = drawn
+    if family == "tree-random":
+        return f"tree-random:{n}:{seed}", n, sorted(random_tree(n, seed).edges)
+    if family == "cycle":
+        n = 3 + n % 4
+        return f"cycle:{n}", n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    return f"path:{n}", n, [(i, i + 1) for i in range(n - 1)]
+
+
+def _drawn_arcs(drawn) -> str:
+    """An orientation of the drawn graph, each edge reversed by its flip bit."""
+    _, n, edges = _drawn_graph(drawn)
+    lines = [f"{v} -> {u}" if drawn[3] >> i & 1 else f"{u} -> {v}" for i, (u, v) in enumerate(edges)]
+    return "\n".join([f"{n} {len(edges)}"] + lines) + "\n"
+
+
+@st.composite
+def _verify_pfaffian(draw) -> list:
+    """One of the five verify --pfaffian routes of cli.ROUTES on the drawn
+    graph, with --orient-file @arcs only where the route reads it."""
+    drawn = draw(_DRAWN_GRAPH)
+    spec = _drawn_graph(drawn)[0]
+    routes = [["--graph", spec, "--orient-file", "@arcs"], ["--double", "--graph", spec]]
+    if drawn[0] != "cycle":
+        routes += [["--double", "--tree", spec], ["--c4", "--tree", spec],
+                   ["--layers", draw(st.sampled_from(["1", "2", "3", "4"])), "--tree", spec]]
+    route = draw(st.sampled_from(routes))
+    if "--orient-file" not in route and draw(st.booleans()):
+        route += ["--orient-file", "@arcs"]
+    return ["verify", "--pfaffian", *route]
+
+
 _ARGV = st.one_of(
-    _COUNT, _ORIENT_CMD, _VERIFY, _PRODUCT_CMD,
+    _COUNT, _ORIENT_CMD, _VERIFY, _verify_pfaffian(), _PRODUCT_CMD,
     st.lists(st.sampled_from(["count", "orient", "--json", "--grid", "2", "-x"]), max_size=3),
 )
 
@@ -107,7 +150,8 @@ _ARGV = st.one_of(
 @example(argv=["count", "--product", "p4", "--tree", "path:2", "--method", "pfaffian",
                "--orient-file", "@arcs"],
          graph_text="", arcs_text="2 1\n1 -> 0\n", as_json=True)
-@given(argv=_ARGV, graph_text=_edge_text(arrows=False), arcs_text=_edge_text(arrows=True),
+@given(argv=_ARGV, graph_text=_edge_text(arrows=False),
+       arcs_text=st.one_of(_DRAWN_GRAPH.map(_drawn_arcs), _edge_text(arrows=True)),
        as_json=st.booleans())
 def test_cli_exits_with_a_documented_code(tmp_path, argv, graph_text, arcs_text, as_json):
     (tmp_path / "graph").write_text(graph_text)

@@ -95,10 +95,11 @@ def test_brute_agrees_with_edge_subset_oracle():
 
 
 def test_brute_guard():
+    # the guard is the route's; the sweep itself has no vertex guard
     big = cartesian_product(path_graph(7), path_graph(6))
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="^brute-force guard: 42 vertices > limit 40$"):
         count_graph(big, "brute")
-    assert count_graph(big, "brute", max_vertices=42).count == grid_tilings(7, 6)
+    assert count_perfect_matchings(big) == grid_tilings(7, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +244,14 @@ def test_formulas_agree_with_brute_on_random_trees():
     for seed in range(12):
         t = random_tree(1 + seed % 6, seed * 11 + 2)
         assert count_product("c4", 4, t, "formula").count == count_graph(
-            cartesian_product(cycle_graph(4), t), "brute", max_vertices=24
+            cartesian_product(cycle_graph(4), t), "brute"
         ).count
         assert count_product("pm", 4, t, "formula").count == count_graph(
-            cartesian_product(path_graph(4), t), "brute", max_vertices=24
+            cartesian_product(path_graph(4), t), "brute"
         ).count
         if count_by_backtracking(t) > 0:
             assert count_product("pm", 3, t, "formula").count == count_graph(
-                cartesian_product(path_graph(3), t), "brute", max_vertices=24
+                cartesian_product(path_graph(3), t), "brute"
             ).count
 
 
@@ -494,7 +495,7 @@ def test_squarish_rejects():
 
 
 def test_verify_identities_k2():
-    report = verify_identities(path_graph(2), max_vertices=24)
+    report = verify_identities(path_graph(2))
     assert report.passed
     assert report.c4_count == 9 and report.factor == 1 and report.root == 3
     assert report.p3_count == 3
@@ -502,7 +503,7 @@ def test_verify_identities_k2():
 
 
 def test_verify_identities_p3():
-    report = verify_identities(path_graph(3), max_vertices=24)
+    report = verify_identities(path_graph(3))
     assert report.passed
     assert report.factor == 2 and report.root == 4
     assert report.p3_count is None  # no perfect matching: square-root clause skipped
@@ -510,7 +511,7 @@ def test_verify_identities_p3():
 
 
 def test_verify_identities_p4():
-    report = verify_identities(path_graph(4), max_vertices=24)
+    report = verify_identities(path_graph(4))
     assert report.passed
     assert report.c4_count == 121 and report.factor == 1 and report.root == 11
     assert report.p3_count == 11
@@ -523,7 +524,7 @@ def test_verify_identities_reports_a_zero_c4_count(monkeypatch):
     path_product = pfmatch.counting._path_product
     monkeypatch.setattr(pfmatch.counting, "_path_product",
                         lambda s, tree: 0 if s == 3 else path_product(s, tree))
-    report = verify_identities(path_graph(4), max_vertices=24)
+    report = verify_identities(path_graph(4))
     assert "squarish" in report.failures
     assert (report.factor, report.root) == (0, 0)
 
@@ -533,14 +534,14 @@ def test_verify_identities_checks_the_brute_route_of_count_product(monkeypatch):
     # that is off by one fails all three
     brute = pfmatch.counting._brute
     monkeypatch.setattr(pfmatch.counting, "_brute",
-                        lambda g, k: CountResult(brute(g, k).count + 1, "brute", g.n))
-    report = verify_identities(path_graph(4), max_vertices=24)
+                        lambda g: CountResult(brute(g).count + 1, "brute", g.n))
+    report = verify_identities(path_graph(4))
     assert report.failures == ("brute-c4", "brute-p4", "brute-p3")
 
 
 def test_verify_identities_random_sample():
     for seed in range(10):
-        report = verify_identities(random_tree(1 + seed % 6, seed * 13 + 5), max_vertices=24)
+        report = verify_identities(random_tree(1 + seed % 6, seed * 13 + 5))
         assert report.passed, report
 
 
@@ -632,7 +633,7 @@ def test_count_product_refuses_brute_force_before_building_the_product(monkeypat
                                             ("pm", 3, star(119), "auto", 360),
                                             ("c4", 4, path_graph(11), "brute", 44)):
         with pytest.raises(SizeLimitError, match=f"^brute-force guard: {vertices} vertices > limit 40$"):
-            count_product(kind, m, tree, method, max_vertices=40)
+            count_product(kind, m, tree, method)
 
 
 def test_count_grid_refuses_brute_force_before_building_the_grid(monkeypatch):
@@ -658,16 +659,19 @@ def test_count_product_rejects_bad_requests():
     with pytest.raises(InvalidSizeError):
         count_product("pm", 0, tree)
     with pytest.raises(SizeLimitError):
-        count_product("pm", 5, path_graph(9), max_vertices=40)
+        count_product("pm", 5, path_graph(9))
 
 
 def test_count_grid_routes():
     assert count_grid(6, 6).method == "kasteleyn-grid"
     assert count_grid(6, 6, "formula").count == count_grid(6, 6, "brute").count == 6728
+    # the closed form works on no graph; brute force on the grid itself
+    assert count_grid(4, 4).dimension is None and count_grid(4, 4, "brute").dimension == 16
     assert count_grid(5, 8, "brute").count == grid_tilings(5, 8)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="^brute-force guard: 42 vertices > limit 40$"):
         count_grid(7, 6, "brute")
-    assert count_grid(7, 6, "brute", max_vertices=42).count == grid_tilings(7, 6)
+    grid = cartesian_product(path_graph(7), path_graph(6))
+    assert count_perfect_matchings(grid) == grid_tilings(7, 6)
     with pytest.raises(PreconditionError, match="--grid supports auto, formula, or brute"):
         count_grid(2, 2, "pfaffian")
     for m in range(1, 41):

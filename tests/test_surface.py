@@ -1,6 +1,6 @@
 """The public surface: every exported name and every top-level def has a
 caller outside the tests, every public failure is a PfmatchError, no
-module reads the environment, every vertex guard is max_vertices, and
+module reads the environment, no exported function takes a guard, and
 exactlinalg sits below orientation."""
 
 import ast
@@ -94,8 +94,8 @@ def test_public_failures_are_pfmatch_errors(call):
 
 
 def test_no_module_reads_the_environment():
-    # every guard is set by a parameter (the CLI's --max-vertices), never
-    # by an environment variable
+    # every guard is a fixed constant: neither a parameter (see below)
+    # nor an environment variable sets one
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -106,18 +106,15 @@ def test_no_module_reads_the_environment():
     assert not readers
 
 
-def test_every_vertex_guard_is_named_max_vertices():
-    vertex_guards = {pfmatch.DEFAULT_BRUTE_GUARD}
-    guarded = set()
-    for name in pfmatch.__all__:
-        obj = getattr(pfmatch, name)
-        if not inspect.isfunction(obj):
-            continue
-        for param in inspect.signature(obj).parameters.values():
-            if param.default in vertex_guards or "vertices" in param.name:
-                assert param.name == "max_vertices", (name, param.name)
-                guarded.add(name)
-    assert guarded == {"count_graph", "count_grid", "count_product", "verify_identities"}
+def test_no_exported_function_takes_a_guard():
+    guards = [getattr(pfmatch, name) for name in pfmatch.__all__ if name.startswith("DEFAULT_")]
+    assert len(guards) == 4
+    functions = [name for name in pfmatch.__all__ if inspect.isfunction(getattr(pfmatch, name))]
+    assert "count_product" in functions
+    for name in functions:
+        for param in inspect.signature(getattr(pfmatch, name)).parameters.values():
+            named = any(word in param.name for word in ("vertices", "guard", "budget"))
+            assert not named and param.default not in guards, (name, param.name)
 
 
 def test_exactlinalg_imports_only_errors_and_graphs():
