@@ -195,6 +195,23 @@ def test_max_vertices_is_refused_where_nothing_reads_it(capsys, command):
         assert f"unrecognized arguments: --max-vertices {value}" in err
 
 
+@pytest.mark.parametrize("command", [["count", "--graph", "path:4"],
+                                     ["verify", "--identities", "--tree", "path:4"]])
+def test_negative_max_vertices_is_a_parse_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--max-vertices", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_PARSE and err.startswith(f"usage: pfmatch {command[0]} ")
+    assert "unrecognized arguments: --max-vertices -1" in err
+    # without the flag the fixed guard admits four vertices: brute force runs
+    code, out, err = run(capsys, *command)
+    assert code == EXIT_OK and err == ""
+    if command[0] == "verify":
+        assert "checks run: squarish, squarish-factor, square-root, brute-c4, brute-p4, brute-p3\n" in out
+    else:
+        assert "method: brute\ncount: 1\n" in out
+
+
 def test_orient_output_file(tmp_path, capsys):
     target = tmp_path / "oriented.txt"
     code, out, _ = run(capsys, "orient", "--c4", "--tree", "path:2", "--output", str(target))
@@ -462,6 +479,13 @@ def test_unknown_product_kind_is_a_parse_error(capsys):
     code, out, err = run(capsys, "count", "--product", "p5", "--tree", "path:3")
     assert code == EXIT_PARSE and not out
     assert err == "error: unknown product kind 'p5': want c4, p2, p3, p4, or pm:M\n"
+
+
+def test_non_integer_max_vertices_is_a_parse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--graph", "path:4", "--max-vertices", "abc"])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --max-vertices abc" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [
