@@ -2,6 +2,10 @@
 
 OPTIONS declares every option once, COMMANDS every command and ROUTES
 each command's routes; a command's parser takes the options they use.
+Arguments in the plain form (full long flags, each once, each followed
+by its values) are read in one pass from a table of that parser's own
+actions; every other spelling, and every usage line, help text and parse
+error, is argparse's.
 Inputs are either generator specs ("path:N", "cycle:N",
 "tree-random:N:SEED") or paths to edge-list files ('#' comments,
 "n m" header, then "u v" or "u -> v" lines).  Reports are human text or
@@ -325,12 +329,79 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
+@functools.cache
+def _plain_table(command: str) -> tuple[dict, dict, Optional[tuple]]:
+    """(each dest's default in the order of the command's parser, each long
+    flag's action as (dest, nargs, type, choices, const), the positional's
+    action or None), read once from that parser's own store and store_true
+    actions."""
+    defaults, flags, positional = {}, {}, None
+    for action in build_parser()[1][command]._actions:
+        if action.default is argparse.SUPPRESS:  # -h
+            continue
+        defaults[action.dest] = action.default
+        spec = (action.dest, action.nargs, action.type, action.choices, action.const)
+        if action.option_strings:
+            flags[action.option_strings[0]] = spec
+        else:
+            positional = spec
+    return defaults, flags, positional
+
+
+def _plain_store(values: dict, spec: tuple, argv: list[str], at: int) -> Optional[int]:
+    """Store in values what argparse would for the action whose tokens start
+    at argv[at], and return where the next token starts; or None where
+    argparse should read them: too few, one starting with '-', or one that
+    the action's type or choices refuse."""
+    dest, nargs, convert, choices, const = spec
+    if nargs == 0:
+        values[dest] = const
+        return at
+    end = at + (nargs or 1)
+    if end > len(argv):
+        return None
+    stored = []
+    for token in argv[at:end]:
+        if token[:1] == "-":
+            return None
+        if convert is not None:
+            try:
+                token = convert(token)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and token not in choices:
+            return None
+        stored.append(token)
+    values[dest] = stored if nargs else stored[0]
+    return end
+
+
+def _plain_args(command: str, argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace the command's parser returns for argv, read in one pass
+    when argv has the plain form: the positional's values first, then full
+    long flags, each at most once and each followed by exactly its values.
+    Anything else (abbreviations, --flag=value, repeats, -h, --, values
+    starting with '-' or that argparse refuses) returns None, and argparse
+    parses it and writes every message."""
+    defaults, flags, positional = _plain_table(command)
+    values = dict(defaults)
+    at = 0 if positional is None else _plain_store(values, positional, argv, 0)
+    unseen = dict(flags)
+    while at is not None and at < len(argv):
+        spec = unseen.pop(argv[at], None)
+        at = None if spec is None else _plain_store(values, spec, argv, at + 1)
+    return None if at is None else argparse.Namespace(**values)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser, commands = build_parser()
-    # a known command's own parser parses it once; anything else to the top
+    # a known command's plain-form arguments are read in one pass, any other
+    # spelling by its own parser; anything but a command goes to the top
     command = commands.get(argv[0]) if argv else None
-    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    args = _plain_args(argv[0], argv[1:]) if command else None
+    if args is None:
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     # Counts are printed in full however long they are: lift Python's
     # int-to-str digit limit (where the interpreter has one) for this call.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -23,6 +23,7 @@ from pfmatch.cli import (
     OPTIONS,
     ROUTES,
     _flag,
+    _plain_args,
     build_parser,
     main,
     parse_graph_spec,
@@ -818,6 +819,25 @@ def test_repeated_calls_do_not_carry_flags_over(tmp_path, capsys):
     code, second, _ = run_json(capsys, "verify", "--pfaffian", "--c4", "--tree", "path:4")
     assert code == EXIT_OK
     assert second["request"]["layers"] is None and second["method"] == "pfaffian-check:c4-tree"
+    # plain calls (read in one pass) and other spellings (read by argparse)
+    # alternate; none sees another's --grid list or misses a default
+    calls = [(["--grid", "2", "4"], True, [2, 4], "auto", "5"),
+             (["--gri", "3", "2", "--method=brute"], False, [3, 2], "brute", "3"),
+             (["--graph", "path:4"], True, None, "auto", "1"),
+             (["--grid", "2", "2", "--method", "brute", "--method", "auto"], False, [2, 2], "auto",
+              "2"),
+             (["--grid", "4", "2", "--method", "brute"], True, [4, 2], "brute", "5"),
+             (["--graph", "path:2", "--method=brute"], False, None, "brute", "1")]
+    for argv, plain, grid, method, count in calls:
+        assert (_plain_args("count", argv) is not None) == plain
+        code, payload, _ = run_json(capsys, "count", *argv)
+        assert code == EXIT_OK and payload["count"] == count
+        assert payload["request"]["grid"] == grid and payload["request"]["method"] == method
+        assert payload["request"]["graph"] == (None if grid else argv[1])
+    first = _plain_args("count", ["--grid", "2", "4"])
+    first.grid.append(6)
+    assert _plain_args("count", ["--grid", "2", "4"]).grid == [2, 4]
+    assert _plain_args("count", ["--graph", "path:4"]).grid is None
 
 
 def test_call_after_parse_error_and_help_matches_a_first_call(capsys):
@@ -887,3 +907,60 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     code = main()
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK and payload["count"] == "5" and payload["request"]["grid"] == [2, 4]
+
+
+def _call(capsys, argv):
+    """(stdout less its timing, stderr, exit code) of one call, argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    out, err = capsys.readouterr()
+    if out.startswith("{"):
+        payload = json.loads(out)
+        payload.pop("elapsed_ms")
+        return json.dumps(payload), err, code
+    lines = [line for line in out.splitlines(True) if not line.startswith("elapsed: ")]
+    return "".join(lines), err, code
+
+
+_C4_PATH4 = ["count", "--product", "c4", "--tree", "path:4"]
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["count", "--product=c4", "--tree=path:4"], _C4_PATH4),
+    (["count", "--prod", "c4", "--tr", "path:4"], _C4_PATH4),
+    ([*_C4_PATH4, "--method", "brute", "--method", "auto"], [*_C4_PATH4, "--method", "auto"]),
+    (["verify", "--pfaffian", "--layers", "-1", "--tree", "path:2"],
+     ("", "error: need at least 1 layer, got -1\n", EXIT_PRECONDITION)),
+    (["product", "--", "path:2", "path:2"], ["product", "path:2", "path:2"]),
+    (["count", "--grid", "2", "2", "--json", "--json"], ["count", "--grid", "2", "2", "--json"]),
+])
+def test_other_spellings_go_to_argparse_and_read_like_the_plain_form(capsys, argv, same_as):
+    # argparse reads these; the plain spelling is read in one pass, to the same report
+    assert _plain_args(argv[0], argv[1:]) is None
+    if isinstance(same_as, tuple):
+        assert _call(capsys, argv) == same_as
+        return
+    assert _plain_args(same_as[0], same_as[1:]) is not None
+    assert _call(capsys, argv) == _call(capsys, same_as)
+    # --json goes first, as after -- it would be a factor
+    assert (_call(capsys, [argv[0], "--json", *argv[1:]])
+            == _call(capsys, [same_as[0], "--json", *same_as[1:]]))
+
+
+@pytest.mark.parametrize("workload", ["tree-formulas", "pfaffian-verify", "oracle-crosscheck"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_benchmark_request_is_read_in_one_pass(monkeypatch, tmp_path, workload, seed):
+    # the requests and probes perfbench sends, spelled as its worker spells them
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    _, commands = build_parser()
+    for request in workloads.build(workload, seed) + workloads.probes(workload):
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in request.argv]
+        argv.append("--json")
+        plain = _plain_args(argv[0], argv[1:])
+        assert plain is not None, request.argv
+        expected = commands[argv[0]].parse_args(argv[1:])
+        assert list(vars(plain).items()) == list(vars(expected).items()), request.argv

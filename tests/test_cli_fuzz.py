@@ -9,6 +9,11 @@ file that orients the drawn graph, so those calls reach a verdict.
 Sizes stay small (trees and files up to 6 vertices, grids up to 6 x 6,
 so Pfaffian checks on at most 24 vertices) so the whole run takes a few
 seconds.
+
+A second property holds the one-pass parser to argparse: on every argv
+drawn here, and on spelling variants of them (abbreviations,
+--flag=value, repeats, -h, --, odd values, moved factors), cli._plain_args
+returns either None or exactly what the command's parser returns.
 """
 
 import contextlib
@@ -20,7 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from pfmatch import random_tree  # noqa: E402
-from pfmatch.cli import main  # noqa: E402
+from pfmatch.cli import _plain_args, build_parser, main  # noqa: E402
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}
 
@@ -130,8 +135,12 @@ def _verify_pfaffian(draw) -> list:
     route = draw(st.sampled_from(routes))
     if "--orient-file" not in route and draw(st.booleans()):
         route += ["--orient-file", "@arcs"]
-    return ["verify", "--pfaffian", *route]
+    # the drawn graph's own orientation, whatever text @arcs holds
+    return ["verify", "--pfaffian", *["@drawn-arcs" if a == "@arcs" else a for a in route]]
 
+
+#: The drawn graph of an explicit example that reads no @drawn-arcs.
+_NO_DRAW = ("path", 1, 0, 0)
 
 _ARGV = st.one_of(
     _COUNT, _ORIENT_CMD, _VERIFY, _verify_pfaffian(), _PRODUCT_CMD,
@@ -142,20 +151,21 @@ _ARGV = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @example(argv=["orient", "--c4", "--tree", "path:2", "--output", "@missing/out"],
-         graph_text="", arcs_text="", as_json=False)
+         graph_text="", arcs_text="", drawn=_NO_DRAW, as_json=False)
 @example(argv=["count", "--graph", "@graph", "--method", "brute"],
-         graph_text="-1 0\n", arcs_text="", as_json=True)
+         graph_text="-1 0\n", arcs_text="", drawn=_NO_DRAW, as_json=True)
 @example(argv=["product", "@graph", "path:1"],
-         graph_text="3 2\n0 1\n1 0\n", arcs_text="", as_json=False)
+         graph_text="3 2\n0 1\n1 0\n", arcs_text="", drawn=_NO_DRAW, as_json=False)
 @example(argv=["count", "--product", "p4", "--tree", "path:2", "--method", "pfaffian",
                "--orient-file", "@arcs"],
-         graph_text="", arcs_text="2 1\n1 -> 0\n", as_json=True)
+         graph_text="", arcs_text="2 1\n1 -> 0\n", drawn=_NO_DRAW, as_json=True)
 @given(argv=_ARGV, graph_text=_edge_text(arrows=False),
        arcs_text=st.one_of(_DRAWN_GRAPH.map(_drawn_arcs), _edge_text(arrows=True)),
-       as_json=st.booleans())
-def test_cli_exits_with_a_documented_code(tmp_path, argv, graph_text, arcs_text, as_json):
+       drawn=_DRAWN_GRAPH, as_json=st.booleans())
+def test_cli_exits_with_a_documented_code(tmp_path, argv, graph_text, arcs_text, drawn, as_json):
     (tmp_path / "graph").write_text(graph_text)
     (tmp_path / "arcs").write_text(arcs_text)
+    (tmp_path / "drawn-arcs").write_text(_drawn_arcs(drawn))
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     if as_json:
         argv.append("--json")
@@ -165,3 +175,64 @@ def test_cli_exits_with_a_documented_code(tmp_path, argv, graph_text, arcs_text,
         except SystemExit as exc:  # argparse rejects the flags
             code = exc.code
     assert code in DOCUMENTED_EXIT_CODES, argv
+
+
+def _abbreviate(argv: list, i: int, keep: int) -> list:
+    """argv with its i-th token cut to its first keep characters (at least
+    "--x"), so prefixes that several flags share come up too."""
+    return argv[:i] + [argv[i][:max(3, min(keep, len(argv[i]) - 1))]] + argv[i + 1:]
+
+
+def _join_value(argv: list, i: int) -> list:
+    return argv[:i] + ["=".join(argv[i:i + 2])] + argv[i + 2:]
+
+
+@st.composite
+def _spelling_variant(draw) -> list:
+    """An argv of _ARGV for a known command, respelled once or twice."""
+    argv = draw(_ARGV.filter(lambda a: a[:1] and a[0] in build_parser()[1]))
+    for _ in range(draw(st.integers(1, 2))):
+        head, rest = argv[:1], argv[1:]
+        flags = [i for i, a in enumerate(rest) if a.startswith("--")] or [0]
+        i = draw(st.sampled_from(flags))
+        j = draw(st.integers(0, len(rest)))
+        variant = draw(st.sampled_from(["abbreviate", "join", "repeat", "insert", "value", "move"]))
+        if variant == "abbreviate" and rest:
+            rest = _abbreviate(rest, i, draw(st.integers(3, 12)))
+        elif variant == "join" and rest:
+            rest = _join_value(rest, i)
+        elif variant == "repeat":
+            rest = rest + rest[i:i + draw(st.integers(1, 3))]
+        elif variant == "insert":
+            rest = rest[:j] + [draw(st.sampled_from(["-h", "--help", "--", "--json"]))] + rest[j:]
+        elif variant == "value" and rest:
+            rest = rest[:j] + [draw(st.sampled_from(["-1", "x", ""]))] + rest[j + 1:]
+        elif rest:  # move one token, such as a product factor past an option
+            token = rest.pop(min(j, len(rest) - 1))
+            k = draw(st.integers(0, len(rest)))
+            rest = rest[:k] + [token] + rest[k:]
+        argv = head + rest
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@example(argv=["count", "--product=c4", "--tree=path:4"])
+@example(argv=["count", "--prod", "c4", "--tr", "path:4"])
+@example(argv=["count", "--grid", "2", "2", "--method", "brute", "--method", "auto"])
+@example(argv=["verify", "--pfaffian", "--layers", "-1", "--tree", "path:2"])
+@example(argv=["product", "--", "path:2", "path:2"])
+@example(argv=["product", "path:2", "--json", "path:2"])
+@example(argv=["count", "--grid", "2", "x"])
+@example(argv=["count", "--method", ""])
+@given(argv=st.one_of(_ARGV, _spelling_variant()))
+def test_plain_args_is_none_or_what_argparse_returns(argv):
+    commands = build_parser()[1]
+    if not argv or argv[0] not in commands:
+        return  # main gives these to the top-level parser
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = list(vars(commands[argv[0]].parse_args(argv[1:])).items())
+        except SystemExit:
+            expected = None
+    plain = _plain_args(argv[0], argv[1:])
+    assert plain is None or list(vars(plain).items()) == expected, argv
