@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import SizeLimitError
-from .graphs import Graph, OrientedGraph
+from .graphs import Graph, OrientedGraph, neighbour_lists
 
 #: Most states count_perfect_matchings may create in one sweep.  The
 #: widest product of the identity checks, C_4 x T for the star on 10
@@ -57,10 +57,7 @@ def _sweep_order(g: Graph) -> tuple[list[int], list[int], bool]:
     vertices of one side) with sides of unequal size.  The edges are
     scanned for that only when a component's sides differ in size."""
     n = g.n
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs = neighbour_lists(g)
     # a stable sort by degree keeps equal degrees in label order
     ranked = sorted(range(n), key=[len(a) for a in nbrs].__getitem__)
     by_rank: list[list[int]] = [[] for _ in range(n)]
@@ -111,9 +108,11 @@ def count_perfect_matchings(g: Graph) -> int:
     order (see the module docstring).  Reversed, the breadth-first
     order holds fewer states: 27,133 instead of 177,258 on C_4 x (star
     of 10).  Raises SizeLimitError as soon as the sweep would create
-    more than DEFAULT_BRUTE_STATE_GUARD states.
+    more than DEFAULT_BRUTE_STATE_GUARD states.  Odd order, and fewer
+    edges than half the vertices (2m < n leaves a vertex uncovered),
+    give 0 before the order is built, so neither costs work per vertex.
     """
-    if g.n % 2:
+    if g.n % 2 or 2 * g.m < g.n:
         return 0
     if not g.n:
         return 1
@@ -161,10 +160,11 @@ def count_signed_matchings(d: OrientedGraph) -> tuple[int, int]:
     w -> v.  Relabelling by the order multiplies Pf by the sign of the
     permutation, the same for every matching.  |Pf| = Pm exactly when
     every perfect matching has one sign, i.e. when d is a Pfaffian
-    orientation of G.
+    orientation of G.  Odd order and 2m < n give (0, 0) before the order
+    is built.
     """
     k = d.n
-    if k % 2:
+    if k % 2 or 2 * len(d.arcs) < k:
         return 0, 0
     if not k:
         return 1, 1

@@ -30,7 +30,7 @@ import operator
 from typing import Optional
 
 from .errors import NotPfaffianError, PreconditionError, SizeLimitError
-from .graphs import Graph, OrientedGraph, Tree, validate_tree
+from .graphs import Graph, OrientedGraph, Tree, neighbour_lists, validate_tree
 
 #: Integer polynomial, constant coefficient first.
 IntPolynomial = list[int]
@@ -154,18 +154,15 @@ def _det_mod(signed: list[dict[int, int]], p: int, max_work: int) -> int:
 
 def _sides(g: Graph) -> Optional[list[int]]:
     """The parity of each vertex's breadth-first depth, each component
-    searched from its least vertex as in graphs._bfs_forest, or None when
-    an edge joins two vertices of equal parity (an odd cycle).
+    searched from its least vertex, or None when an edge joins two
+    vertices of equal parity (an odd cycle).
 
     Depth is the distance from the root in whatever order neighbours are
     queued, so one search over unsorted neighbour lists gives the same
-    sides without building the sorted Graph.adjacency, and it meets
-    every edge from both ends.
+    sides as a search over the sorted Graph.adjacency without building
+    it, and it meets every edge from both ends.
     """
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs = neighbour_lists(g)
     side = [-1] * g.n
     for start in range(g.n):
         if side[start] < 0:
@@ -202,15 +199,16 @@ def abs_pfaffian(d: OrientedGraph) -> int:
     Hadamard's bound, with every entry +-1, that product is at least
     det^2, so the residue is the determinant itself, sign included:
     exact and deterministic.  A product of up to about 500 vertices
-    needs a single elimination.  Odd order gives 0, as does a vertex of
-    degree 0 (an empty row; a product of 0 needs no modulus), and the
-    empty graph gives 1.  Each elimination gets an equal share of the
-    work budget DEFAULT_PFAFFIAN_UPDATE_GUARD (updates plus a fixed
-    charge per pivot), so a graph above it raises SizeLimitError within
-    its first elimination; so does one whose bound needs more moduli
-    than the table holds.
+    needs a single elimination.  Odd order gives 0, and so do fewer
+    edges than half the vertices (2m < n), both before the sides are
+    searched; so does a vertex of degree 0 (an empty row; a product of
+    0 needs no modulus), and the empty graph gives 1.  Each elimination
+    gets an equal share of the work budget DEFAULT_PFAFFIAN_UPDATE_GUARD
+    (updates plus a fixed charge per pivot), so a graph above it raises
+    SizeLimitError within its first elimination; so does one whose bound
+    needs more moduli than the table holds.
     """
-    if d.n % 2:
+    if d.n % 2 or 2 * len(d.arcs) < d.n:
         return 0
     side = _sides(d.base)
     if side is None:

@@ -9,7 +9,9 @@ comments rely on this convention; abs_pfaffian accepts any numbering.
 A Tree is a Graph that passed the one tree check: building it runs a
 breadth-first search from vertex 0, which either yields the parent
 array and the vertex order every tree fold walks or raises
-NotATreeError.  An OrientedGraph derives the Graph its arcs orient; it
+NotATreeError.  A failing check searches vertex 0's component alone,
+so its cost follows the edges, not the vertex count a header declares.
+An OrientedGraph derives the Graph its arcs orient; it
 sits below orientation so that exactlinalg and brute can take it whole.
 """
 
@@ -59,11 +61,16 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists, sorted ascending (deterministic iteration order)."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(tuple(sorted(a)) for a in neighbour_lists(self))
+
+
+def neighbour_lists(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours, in the iteration order of g.edges."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,10 @@ class Tree(Graph):
     Construction runs the breadth-first search from vertex 0 and raises
     NotATreeError for the empty graph, for a cycle (named through BFS
     parents) and for a disconnected graph (with the unreached count).
+    Only vertex 0's component can hold the witness, so a failure
+    searches that component alone, with ascending neighbour lists: the
+    cycle is closed by the first non-tree edge met in that sorted
+    search, and any other component only adds to the unreached count.
     The search's results are kept: parent[v] is v's neighbour towards
     the root 0 (parent[0] is None), and order lists every vertex once,
     each after its parent, with breadth-first depth never decreasing.
@@ -91,10 +102,7 @@ class Tree(Graph):
             raise NotATreeError("the empty graph is not a tree")
         if self.m == n - 1:
             # unsorted neighbour lists: in a tree the parents do not depend on their order
-            nbrs: list[list[int]] = [[] for _ in range(n)]
-            for u, v in self.edges:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
+            nbrs = neighbour_lists(self)
             parent: list[Optional[int]] = [-1] * n  # -1: not reached yet
             parent[0] = 0  # the root counts as reached; its parent becomes None below
             order = [0]
@@ -108,19 +116,29 @@ class Tree(Graph):
                 object.__setattr__(self, "parent", tuple(parent))
                 object.__setattr__(self, "order", tuple(order))
                 return
-        # not a tree: the sorted search names the same witness whatever the edge order
-        order, parent, depth = _bfs_forest(self)
-        # the component of 0 ends where the search starts its second root
-        reached = next((i for i in range(1, n) if parent[order[i]] is None), n)
-        for v in order[:reached]:
-            for w in self.adjacency[v]:
-                if w != parent[v] and parent[w] != v:
-                    cycle = _cycle_through(parent, depth, v, w)
+        # not a tree: a search of 0's component alone, over ascending
+        # neighbour lists, names the same witness whatever the edge order
+        # and costs O(m log m) whatever n the header declares
+        sorted_nbrs: dict[int, list[int]] = {}
+        for u, v in sorted(self.edges):
+            sorted_nbrs.setdefault(u, []).append(v)
+            sorted_nbrs.setdefault(v, []).append(u)
+        parents: dict[int, Optional[int]] = {0: None}
+        depth = {0: 0}
+        queue = [0]
+        for v in queue:
+            for w in sorted_nbrs.get(v, ()):
+                if w not in depth:
+                    parents[w] = v
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+                elif w != parents[v]:  # reached before v, not through v: a cycle
+                    cycle = _cycle_through(parents, depth, v, w)
                     raise NotATreeError(
                         "not a tree: contains cycle " + "-".join(str(x) for x in cycle)
                     )
         raise NotATreeError(
-            f"not a tree: disconnected ({n - reached} of {n} vertices unreachable)"
+            f"not a tree: disconnected ({n - len(queue)} of {n} vertices unreachable)"
         )
 
 
@@ -196,32 +214,6 @@ def validate_tree(g: Graph) -> Tree:
     return g if isinstance(g, Tree) else Tree(n=g.n, edges=g.edges)
 
 
-def _bfs_forest(g: Graph) -> tuple[list[int], list[Optional[int]], list[int]]:
-    """(order, parent, depth) of a breadth-first search over every component.
-
-    Components come in turn, each searched from its least vertex, and
-    each vertex queues its unvisited neighbours in ascending order.  A
-    root has parent None and depth 0.
-    """
-    adjacency = g.adjacency
-    order: list[int] = []
-    parent: list[Optional[int]] = [None] * g.n
-    depth = [-1] * g.n
-    for start in range(g.n):
-        if depth[start] >= 0:
-            continue
-        depth[start] = 0
-        queue = [start]
-        for v in queue:
-            for w in adjacency[v]:
-                if depth[w] < 0:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-        order += queue
-    return order, parent, depth
-
-
 def tree_has_perfect_matching(t: Graph) -> bool:
     """True iff the tree t has a perfect matching, in O(n).
 
@@ -243,7 +235,8 @@ def tree_has_perfect_matching(t: Graph) -> bool:
     return True
 
 
-def _cycle_through(parent: list[Optional[int]], depth: list[int], v: int, w: int) -> list[int]:
+def _cycle_through(parent: dict[int, Optional[int]], depth: dict[int, int], v: int, w: int
+                   ) -> list[int]:
     """Cycle formed by BFS-tree paths of v and w plus the edge {v, w}:
     the deeper side steps up until both meet at their lowest common
     ancestor."""

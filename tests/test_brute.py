@@ -5,15 +5,21 @@ import time
 
 import pytest
 
+import pfmatch.brute
+import pfmatch.exactlinalg
 from pfmatch import (
     DEFAULT_BRUTE_STATE_GUARD,
     Graph,
     OrientedGraph,
+    PfaffianReport,
     SizeLimitError,
+    abs_pfaffian,
     cartesian_product,
+    check_pfaffian,
     count_perfect_matchings,
     count_product,
     cycle_graph,
+    orient_lexicographic,
     path_graph,
     random_tree,
 )
@@ -189,6 +195,31 @@ def test_parity_rules_out_matchings_before_the_sweep():
     # a bipartite component with equal sides beside one without
     both = Graph.from_edges(8, [(0, 1), (2, 3), (3, 4), (3, 5), (6, 7)])
     assert not _sweep_order(both)[2] and count_perfect_matchings(both) == 0
+
+
+def test_too_few_edges_give_zero_before_any_work_per_vertex(monkeypatch):
+    # 2m < n leaves some vertex uncovered, so every count is 0 before the
+    # sweep's order or the sides are built.  At 5,000,000 declared
+    # vertices and one edge, building them took seconds (the sides) or
+    # exhausted memory (the order's n-bit masks); 2m = n still sweeps
+    pair = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert count_perfect_matchings(pair) == 1 == abs_pfaffian(orient_lexicographic(pair))
+    assert count_signed_matchings(orient_lexicographic(pair)) in ((1, 1), (1, -1))
+
+    def per_vertex_work(g):
+        raise AssertionError(f"work per vertex on {g.n} vertices and {g.m} edges")
+
+    monkeypatch.setattr(pfmatch.brute, "_sweep_order", per_vertex_work)
+    monkeypatch.setattr(pfmatch.exactlinalg, "_sides", per_vertex_work)
+    n = 5_000_000
+    d = OrientedGraph(n=n, arcs=frozenset({(1, 0)}))
+    start = time.perf_counter()
+    assert count_perfect_matchings(d.base) == 0
+    assert count_signed_matchings(d) == (0, 0)
+    assert abs_pfaffian(d) == 0
+    assert check_pfaffian(d) == PfaffianReport(nice_even_cycles=0, violations=(), matchings=0,
+                                               pfaffian=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_signed_sweep_shares_the_state_guard():

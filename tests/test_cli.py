@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import pfmatch.brute
 import pfmatch.counting
 import pfmatch.exactlinalg
 from pfmatch.cli import (
@@ -276,6 +277,40 @@ def test_verify_pfaffian_names_route_and_cycles_checked(tmp_path, capsys):
     assert code == EXIT_VIOLATION
     assert "route: nice-cycles" in out and "cycles checked: 1 nice even" in out
     assert "perfect matchings: 2, |Pf|: 0" in out
+
+
+def test_header_inflated_inputs_cost_no_work_per_declared_vertex(tmp_path, capsys, monkeypatch):
+    # a two-byte header field declares 5,000,000 vertices: a failing tree
+    # check searches 0's component alone, and one edge cannot cover the
+    # vertices, so both answer as before in milliseconds.  Searching
+    # every component took seconds; the sweep's n-bit masks exhausted memory
+    n = 5_000_000
+    tree, graph, arcs = (tmp_path / name for name in ("tree.txt", "graph.txt", "arcs.txt"))
+    tree.write_text(f"{n} 0\n")
+    graph.write_text(f"{n} 1\n0 1\n")
+    arcs.write_text(f"{n} 1\n0 -> 1\n")
+
+    def per_vertex_work(g):
+        raise AssertionError(f"work per vertex on {g.n} vertices and {g.m} edges")
+
+    monkeypatch.setattr(pfmatch.brute, "_sweep_order", per_vertex_work)
+    monkeypatch.setattr(pfmatch.exactlinalg, "_sides", per_vertex_work)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--product", "c4", "--tree", str(tree))
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == f"error: not a tree: disconnected ({n - 1} of {n} vertices unreachable)\n"
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--graph", str(graph), "--method", "pfaffian",
+                       "--orient-file", str(arcs))
+    assert code == EXIT_OK and "count: 0" in out.splitlines()
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "verify", "--pfaffian", "--graph", str(graph),
+                                "--orient-file", str(arcs))
+    assert code == EXIT_OK and payload["route"] == "matching-signs"
+    assert payload["matchings"] == "0" == payload["pfaffian"]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_pfaffian_size_guard(capsys):

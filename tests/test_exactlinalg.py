@@ -9,7 +9,6 @@ import pfmatch.exactlinalg
 
 from pfmatch.brute import count_signed_matchings
 from pfmatch.counting import _path_product
-from pfmatch.graphs import _bfs_forest
 from pfmatch import (
     Graph,
     NotATreeError,
@@ -31,6 +30,7 @@ from pfmatch import (
 )
 
 from util import (
+    _bfs_forest,
     adjacency_matrix,
     bit_stream,
     char_poly_by_interpolation,

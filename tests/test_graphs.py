@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import time
 
 import pytest
 
@@ -22,9 +23,9 @@ from pfmatch import (
     tree_has_perfect_matching,
     validate_tree,
 )
-from pfmatch.graphs import _bfs_forest
 from util import (
     _ahu_canonical,
+    _bfs_forest,
     bit_stream,
     char_poly_tree,
     count_by_backtracking,
@@ -153,11 +154,37 @@ def _direct_tree(g: Graph):
         return str(exc)
 
 
+def _root_path(parent: list, v: int) -> list[int]:
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
+
+
+def _refusal_by_forest(g: Graph) -> str:
+    """The tree check's refusal by the rule of a search of every
+    component (util._bfs_forest): the cycle closed by the first non-tree
+    edge met in the sorted search from 0, through the two vertices'
+    lowest common ancestor, or else the count of vertices outside 0's
+    component."""
+    order, parent, _ = _bfs_forest(g)
+    reached = next((i for i in range(1, g.n) if parent[order[i]] is None), g.n)
+    for v in order[:reached]:
+        for w in g.adjacency[v]:
+            if w != parent[v] and parent[w] != v:
+                up_v, up_w = _root_path(parent, v), _root_path(parent, w)
+                meet = next(x for x in up_v if x in up_w)
+                cycle = up_v[:up_v.index(meet) + 1] + up_w[:up_w.index(meet)][::-1]
+                return "not a tree: contains cycle " + "-".join(map(str, cycle))
+    return f"not a tree: disconnected ({g.n - reached} of {g.n} vertices unreachable)"
+
+
 def test_validate_tree_on_every_labelled_graph_up_to_6_vertices():
     # a tree comes back with a BFS tree from 0; a cycle in the component
     # of 0 is named by a simple cycle of g; failing both, the error
     # counts the vertices outside the component of 0.  A Tree built
-    # directly from g's fields must pass or fail the same way.
+    # directly from g's fields must pass or fail the same way, and the
+    # refusal is exactly the one the search of every component names.
     empty = Graph(n=0, edges=frozenset())
     with pytest.raises(NotATreeError, match="^the empty graph is not a tree$"):
         validate_tree(empty)
@@ -173,7 +200,7 @@ def test_validate_tree_on_every_labelled_graph_up_to_6_vertices():
                 t = validate_tree(g)
             except NotATreeError as exc:
                 message = str(exc)
-                assert direct == message, g.edges
+                assert direct == message == _refusal_by_forest(g), g.edges
             else:
                 assert direct == t.parent, g.edges
                 assert len(dist) == n and g.m == n - 1 and t.root == 0 and t.edges == g.edges
@@ -190,6 +217,57 @@ def test_validate_tree_on_every_labelled_graph_up_to_6_vertices():
             else:
                 assert message == (f"not a tree: disconnected ({n - len(dist)} of {n} "
                                    "vertices unreachable)"), g.edges
+
+
+def test_tree_refusal_is_the_sorted_search_witness_on_random_graphs():
+    # seeded graphs of 7-12 vertices; every third is a tree holding 0
+    # beside a component whose cycles are all outside 0's component,
+    # which only adds to the unreached count
+    bits = bit_stream(35)
+    kinds = dict.fromkeys(("tree", "cycle", "disconnected", "cycle outside"), 0)
+    for case in range(3000):
+        n = 7 + case % 6
+        if case % 3:
+            density = next(bits) % 40
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if next(bits) % 100 < density])
+        else:
+            others = sorted(range(1, n), key=lambda _: next(bits))
+            k = 1 + next(bits) % (n - 3)  # 0's component; at least 3 vertices remain
+            inside, outside = [0] + others[:k - 1], others[k - 1:]
+            pairs = [(inside[i], inside[next(bits) % i]) for i in range(1, k)]
+            pairs += [(outside[i - 1], outside[i]) for i in range(len(outside))]
+            pairs += [(u, v) for u in outside for v in outside if u < v and next(bits) % 4 == 0]
+            g = Graph.from_edges(n, set(map(tuple, map(sorted, pairs))))
+        outcome = _direct_tree(g)
+        if isinstance(outcome, tuple):
+            assert list(outcome) == _bfs_forest(g)[1], sorted(g.edges)
+            kinds["tree"] += 1
+            continue
+        assert outcome == _refusal_by_forest(g), sorted(g.edges)
+        if case % 3 == 0:
+            assert outcome == f"not a tree: disconnected ({n - k} of {n} vertices unreachable)"
+            kinds["cycle outside"] += 1
+        else:
+            kinds["cycle" if "cycle" in outcome else "disconnected"] += 1
+    trees = kinds.pop("tree")
+    assert trees >= 10 and min(kinds.values()) >= 500, (trees, kinds)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ((), "disconnected (4999999 of 5000000 vertices unreachable)"),
+    (((0, 1), (1, 2), (0, 2)), "contains cycle 1-0-2"),
+    (((1, 2), (2, 3), (1, 3)), "disconnected (4999999 of 5000000 vertices unreachable)"),
+], ids=["no edges", "cycle at 0", "cycle outside 0's component"])
+def test_tree_refusal_costs_nothing_per_declared_vertex(edges, message):
+    # a failing check searches 0's component alone, so a vertex count
+    # taken from a header costs no work per vertex: searching every
+    # component took seconds and about 400 MiB at this size
+    start = time.perf_counter()
+    with pytest.raises(NotATreeError) as caught:
+        Tree(n=5_000_000, edges=frozenset(edges))
+    assert time.perf_counter() - start < 1.0
+    assert str(caught.value) == "not a tree: " + message
 
 
 def test_validate_tree_accepts_all_random_trees():

@@ -4,8 +4,10 @@ Every oracle here deliberately uses a different algorithm from the code
 it checks: cycles come from vertex subsets or a depth-first scan over
 all simple cycles, nice cycles from a backtracking matching count of
 the remainder, matchings from edge subsets or plain backtracking, the
-Cuthill-McKee order from a deque search that sorts as it goes, grid
-counts from a broken-profile DP, the 2 x 2 x n lattice from the
+Cuthill-McKee order from a deque search that sorts as it goes, the tree
+check's parents and witnesses from a sorted search of every component
+over Graph.adjacency, grid counts from a broken-profile DP, the
+2 x 2 x n lattice from the
 Narumi-Hosoya trigonometric product in log space, determinants from
 dense fraction-free (Bareiss) elimination or cofactor expansion,
 resultants from the determinant of a multiplication matrix, primes from
@@ -162,6 +164,32 @@ def tree_shapes(n: int) -> tuple[Tree, ...]:
 
 def trees_up_to(n: int) -> list[Tree]:
     return [t for k in range(1, n + 1) for t in nonisomorphic_trees(k)]
+
+
+def _bfs_forest(g: Graph) -> tuple[list[int], list[int | None], list[int]]:
+    """(order, parent, depth) of a breadth-first search over every component.
+
+    Components come in turn, each searched from its least vertex, and
+    each vertex queues its unvisited neighbours in ascending order.  A
+    root has parent None and depth 0.
+    """
+    adjacency = g.adjacency
+    order: list[int] = []
+    parent: list[int | None] = [None] * g.n
+    depth = [-1] * g.n
+    for start in range(g.n):
+        if depth[start] >= 0:
+            continue
+        depth[start] = 0
+        queue = [start]
+        for v in queue:
+            for w in adjacency[v]:
+                if depth[w] < 0:
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+        order += queue
+    return order, parent, depth
 
 
 # ---------------------------------------------------------------------------
