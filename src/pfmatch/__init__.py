@@ -25,10 +25,10 @@ The package has four layers:
                 (formula, then a proven Pfaffian orientation, then brute
                 force, for products).  The one closed form is P_s x T =
                 |root_product(q_s, psi_T)|, q_s read off the path P_s and
-                psi_T folded modulo q_s; brute force is a dynamic program
-                over free-vertex masks in a bandwidth-reducing vertex
-                order (brute), which can also carry each partial
-                matching's Pfaffian sign
+                psi_T folded modulo q_s; brute force is one dynamic
+                program over windows of matched vertices ahead of a sweep
+                in a bandwidth-reducing order (brute), which carries each
+                partial matching's Pfaffian sign beside its count
 
 plus a command-line front end (pfmatch.cli / the `pfmatch` script) that
 only parses arguments and renders reports.

@@ -115,8 +115,8 @@ def _brute(g: Graph) -> CountResult:
     """Exact count by enumerating matchings, with no linear algebra.
 
     count_perfect_matchings matches the lowest free vertex to each free
-    neighbour, as a forward dynamic program over free-vertex masks in
-    reverse Cuthill-McKee order.  Graphs above DEFAULT_BRUTE_GUARD
+    neighbour, as a forward dynamic program over windows of matched
+    positions in reverse Cuthill-McKee order.  Graphs above DEFAULT_BRUTE_GUARD
     vertices raise SizeLimitError, and so does a sweep that would create
     more than DEFAULT_BRUTE_STATE_GUARD states.
     """

@@ -1,5 +1,6 @@
-"""The brute-force counter: a sweep over free-vertex masks in Cuthill-McKee order."""
+"""The brute-force counter: one sweep over windows in reverse Cuthill-McKee order."""
 
+import itertools
 import math
 import time
 
@@ -19,9 +20,11 @@ from pfmatch import (
     count_perfect_matchings,
     count_product,
     cycle_graph,
+    orient_c4_tree,
     orient_lexicographic,
     path_graph,
     random_tree,
+    validate_tree,
 )
 from pfmatch.brute import _sweep_order, count_signed_matchings
 
@@ -33,6 +36,7 @@ from util import (
     matching_count_by_edge_subsets,
     pfaffian_by_expansion,
     random_orientation,
+    signed_mask_sweep,
     skew_adjacency,
     trees_up_to,
 )
@@ -115,10 +119,12 @@ def test_cuthill_mckee_order_is_deterministic_and_narrow():
 
 
 def _assert_sweep_order_is_reverse_cuthill_mckee(g: Graph) -> None:
-    position, nbr, _ = _sweep_order(g)
+    position, ahead, _ = _sweep_order(g)
     order = cuthill_mckee_order(g)[::-1]
     assert position == [order.index(v) for v in range(g.n)], sorted(g.edges)
-    assert nbr == [sum(1 << position[w] for w in g.adjacency[v]) for v in order], sorted(g.edges)
+    # bit j of ahead[i]: position i + j is a neighbour of position i
+    assert ahead == [sum(1 << (order.index(w) - i) for w in g.adjacency[v] if order.index(w) > i)
+                     for i, v in enumerate(order)], sorted(g.edges)
 
 
 def test_sweep_order_is_the_reverse_cuthill_mckee_oracle():
@@ -154,7 +160,39 @@ def test_forty_vertex_product_is_fast():
     assert count == count_product("c4", 4, tree, "formula").count
 
 
-def test_signed_sweep_is_the_pfaffian_in_the_sweep_order():
+def _assert_sweep_is_the_mask_sweep(d: OrientedGraph, monkeypatch) -> None:
+    # a window at v is the free mask whose lowest free position is v, so
+    # the sweep gives the mask sweep's numbers from exactly its states
+    g = d.base
+    count, signed, created = signed_mask_sweep(d)
+    assert count_signed_matchings(d) == (count, signed), sorted(d.arcs)
+    assert count_perfect_matchings(g) == count, sorted(d.arcs)
+    if g.n % 2 or 2 * g.m < g.n or not g.n or not _sweep_order(g)[2]:
+        return  # answered before the sweep creates a state
+    monkeypatch.setattr(pfmatch.brute, "DEFAULT_BRUTE_STATE_GUARD", created)
+    assert count_signed_matchings(d) == (count, signed), sorted(d.arcs)
+    if created > 1:  # the guard is read when a state after the first is created
+        monkeypatch.setattr(pfmatch.brute, "DEFAULT_BRUTE_STATE_GUARD", created - 1)
+        with pytest.raises(SizeLimitError, match=(
+                f"^brute-force state guard: more than {created - 1} matching states "
+                f"created on {g.n} vertices$")):
+            count_signed_matchings(d)
+    monkeypatch.undo()
+
+
+def test_sweep_is_the_mask_sweep_on_every_labelled_graph_up_to_6_vertices(monkeypatch):
+    bits = bit_stream(2039)
+    guarded = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            _assert_sweep_is_the_mask_sweep(random_orientation(g, next(bits)), monkeypatch)
+            guarded += n % 2 == 0 and 2 * g.m >= n > 0 and _sweep_order(g)[2]
+    assert guarded >= 25_000, guarded
+
+
+def test_signed_sweep_is_the_pfaffian_in_the_sweep_order(monkeypatch):
     # the sweep relabels by its order, so its signed sum is exactly the
     # Pfaffian of the skew matrix with rows and columns in that order;
     # the Pfaffian check reads only |Pf|, but the sign pins every factor
@@ -171,6 +209,7 @@ def test_signed_sweep_is_the_pfaffian_in_the_sweep_order():
         assert count == count_perfect_matchings(g), (case, sorted(d.arcs))
         assert signed == pfaffian_by_expansion([[a[u][v] for v in order] for u in order]), (
             case, sorted(d.arcs))
+        _assert_sweep_is_the_mask_sweep(d, monkeypatch)
         kinds["odd"] += n % 2
         kinds["zero"] += n % 2 == 0 and count == 0
         kinds["cancelled"] += abs(signed) < count
@@ -224,9 +263,33 @@ def test_too_few_edges_give_zero_before_any_work_per_vertex(monkeypatch):
 
 def test_signed_sweep_shares_the_state_guard():
     # K40 passes the count's 40-vertex guard but not its state guard; the
-    # signed sweep refuses it the same way (about 0.5 s alone)
+    # signed sweep refuses it the same way (about 0.75 s alone)
     k40 = Graph.from_edges(40, [(u, v) for u in range(40) for v in range(u + 1, 40)])
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match=f"more than {DEFAULT_BRUTE_STATE_GUARD} matching states"):
         count_signed_matchings(OrientedGraph(n=40, arcs=k40.edges))
     assert time.perf_counter() - start < 3.0
+
+
+def test_long_narrow_products_cost_time_linear_in_their_order():
+    # windows are as wide as the order's bandwidth, so C_4 x P_N costs
+    # O(N) where n-bit masks cost O(N^2): the mask sweep took about 1 s
+    # for this check at N = 5,000, and grew quadratically in time and memory
+    d = orient_c4_tree(orient_lexicographic(path_graph(5000)))
+    start = time.perf_counter()
+    report = check_pfaffian(d)
+    assert time.perf_counter() - start < 0.5
+    assert report.passed and report.matchings == report.pfaffian > 0
+    # C_4 x P_N creates 12N - 12 states: the guard admits N = 16,667
+    for n, refused in ((16_667, False), (16_668, True)):
+        g = cartesian_product(cycle_graph(4), path_graph(n))
+        start = time.perf_counter()
+        if refused:
+            with pytest.raises(SizeLimitError, match=(
+                    "^brute-force state guard: more than 200000 matching states created "
+                    "on 66672 vertices$")):
+                count_perfect_matchings(g)
+        else:
+            count = count_perfect_matchings(g)
+        assert time.perf_counter() - start < 3.0, n
+    assert count == count_product("c4", 4, validate_tree(path_graph(16_667)), "formula").count

@@ -351,9 +351,9 @@ def test_count_grid_size_guard(capsys):
 def test_count_brute_dense_graph_hits_state_guard(tmp_path, capsys, edges):
     # within the 40-vertex guard, but with far too many matchings to
     # enumerate: the sweep stops at its counted work, the state guard.
-    # Each refusal takes 0.4-0.9 s alone (1.3 s on a loaded 2-core
-    # host); the wall-clock bound only catches a guard that stopped
-    # bounding the time
+    # Each refusal takes 0.75-1 s alone on a 2-core host; the
+    # wall-clock bound only catches a guard that stopped bounding the
+    # time
     path = tmp_path / "dense.txt"
     path.write_text(f"40 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     start = time.perf_counter()

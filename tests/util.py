@@ -4,7 +4,8 @@ Every oracle here deliberately uses a different algorithm from the code
 it checks: cycles come from vertex subsets or a depth-first scan over
 all simple cycles, nice cycles from a backtracking matching count of
 the remainder, matchings from edge subsets or plain backtracking, the
-Cuthill-McKee order from a deque search that sorts as it goes, the tree
+Cuthill-McKee order from a deque search that sorts as it goes, the
+brute-force sweep's windows from a sweep over n-bit free masks, the tree
 check's parents and witnesses from a sorted search of every component
 over Graph.adjacency, grid counts from a broken-profile DP, the
 2 x 2 x n lattice from the
@@ -440,6 +441,50 @@ def cuthill_mckee_order(g: Graph) -> list[int]:
                 visited.add(w)
                 queue.append(w)
     return order
+
+
+def signed_mask_sweep(d: OrientedGraph) -> tuple[int, int, int]:
+    """(Pm, Pf in the sweep's order, states created): the brute-force
+    sweep over n-bit free masks, in the reverse of cuthill_mckee_order.
+    Partial matchings that leave the same vertices free share one state,
+    kept in a bucket per lowest free position, which is matched to each
+    free neighbour; the created count includes the first state, as the
+    package's sweep counts it.  No parity shortcut and no guard, so it
+    creates states on graphs the package answers before sweeping."""
+    n = d.n
+    if not n:
+        return 1, 1, 0
+    order = cuthill_mckee_order(d.base)[::-1]
+    position = {v: i for i, v in enumerate(order)}
+    nbr = [0] * n
+    into = [0] * n  # into[i]: the positions with an arc into position i
+    for u, w in d.arcs:
+        i, j = position[u], position[w]
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+        into[j] |= 1 << i
+    buckets: dict[int, dict[int, list[int]]] = {0: {(1 << n) - 1: [1, 1]}}
+    created, count, signed = 1, 0, 0
+    for v in range(n):
+        for mask, (ways, sign_sum) in buckets.pop(v, {}).items():
+            rest = mask & ~(1 << v)
+            for w in range(v + 1, n):
+                if not (nbr[v] & rest) >> w & 1:
+                    continue
+                between = bin(rest & ((1 << w) - 1)).count("1")
+                term = -sign_sum if (between + (into[v] >> w & 1)) % 2 else sign_sum
+                left = rest & ~(1 << w)
+                if not left:
+                    count += ways
+                    signed += term
+                    continue
+                target = buckets.setdefault((left & -left).bit_length() - 1, {})
+                if left not in target:
+                    target[left] = [0, 0]
+                    created += 1
+                target[left][0] += ways
+                target[left][1] += term
+    return count, signed, created
 
 
 # ---------------------------------------------------------------------------
